@@ -1,5 +1,13 @@
 """Autoregressive LM backends: vocabulary handling, table and n-gram models.
 
+The backend protocol (``LMBackend``) is three methods:
+
+- ``next_distribution(prefix)``: the next-token distribution after a prefix;
+- ``score_forced(prefix, continuation)``: per-token log-probabilities of a
+  forced continuation, computed in one pass over it rather than by one
+  ``next_distribution`` call per token;
+- ``tokenize(text)``: token ids for forced text.
+
 Local backends expose complete next-token distributions over a fixed
 vocabulary.  Both exist to create exactly reproducible desk-scale
 distributions -- the table model by explicit enumeration, the n-gram model
@@ -38,21 +46,18 @@ class Vocabulary:
         object.__setattr__(
             self, "_by_text", {t: i for i, t in enumerate(self.tokens)}
         )
-        # longest-first candidate order for greedy segmentation; EOS is
-        # excluded so forced text can never smuggle an end-of-sequence token
+        # greedy segmentation candidates, keyed by first character and
+        # longest-first within a key; EOS is excluded so forced text can
+        # never smuggle an end-of-sequence token
+        by_length = sorted(
+            (i for i, t in enumerate(self.tokens) if t != "" and i != self.eos_index),
+            key=lambda i: (-len(self.tokens[i]), i),
+        )
+        by_first: dict[str, list[int]] = {}
+        for i in by_length:
+            by_first.setdefault(self.tokens[i][0], []).append(i)
         object.__setattr__(
-            self,
-            "_by_length",
-            tuple(
-                sorted(
-                    (
-                        i
-                        for i, t in enumerate(self.tokens)
-                        if t != "" and i != self.eos_index
-                    ),
-                    key=lambda i: (-len(self.tokens[i]), i),
-                )
-            ),
+            self, "_by_first", {c: tuple(ids) for c, ids in by_first.items()}
         )
 
     def __len__(self) -> int:
@@ -74,9 +79,11 @@ def greedy_tokenize(vocab: Vocabulary, text: str) -> list[int]:
     out: list[int] = []
     pos = 0
     n = len(text)
+    tokens = vocab.tokens
+    by_first = vocab._by_first
     while pos < n:
-        for i in vocab._by_length:
-            tok = vocab.tokens[i]
+        for i in by_first.get(text[pos], ()):
+            tok = tokens[i]
             if text.startswith(tok, pos):
                 out.append(i)
                 pos += len(tok)
@@ -130,22 +137,15 @@ class LMBackend:
     def next_distribution(self, prefix: Sequence[int]) -> TokenDistribution:
         raise NotImplementedError
 
-    def batch_next_distribution(
-        self, prefixes: Sequence[Sequence[int]]
-    ) -> list[TokenDistribution]:
-        return [self.next_distribution(p) for p in prefixes]
-
     def score_forced(
         self, prefix: Sequence[int], continuation: Sequence[int]
     ) -> list[float]:
-        """Per-token log-probabilities of a forced continuation."""
-        out: list[float] = []
-        ctx = list(prefix)
-        for t in continuation:
-            lp = self.next_distribution(ctx).logprob(t)
-            out.append(NEG_INF if lp is None else lp)
-            ctx.append(t)
-        return out
+        """Per-token log-probabilities of a forced continuation.
+
+        Entry i equals ``next_distribution(prefix + continuation[:i])``'s
+        log-probability of ``continuation[i]``, -inf where it has none.
+        """
+        raise NotImplementedError
 
     def tokenize(self, text: str) -> list[int]:
         return greedy_tokenize(self.vocab, text)
@@ -159,7 +159,11 @@ def _logify(probs: Sequence[float]) -> tuple[float, ...]:
 
 
 def _check_row(probs: Sequence[float], where: str) -> None:
-    if any((not isinstance(p, (int, float))) or p < 0.0 for p in probs):
+    # ``not (p >= 0.0)`` also rejects NaN, which JSON files may spell out
+    if any(
+        isinstance(p, bool) or not isinstance(p, (int, float)) or not (p >= 0.0)
+        for p in probs
+    ):
         raise ModelFileError(f"{where}: probabilities must be non-negative numbers")
     total = math.fsum(probs)
     if abs(total - 1.0) > 1e-9:
@@ -203,17 +207,32 @@ class TableLM(LMBackend):
                     )
                 _check_row(row, f"context {key!r}")
 
-    def next_distribution(self, prefix: Sequence[int]) -> TokenDistribution:
-        key = self.detokenize(prefix)
+    def _row(self, key: str) -> Sequence[float]:
         row = self._lookup(key)
         if row is None:
-            row = self._default
-        elif self._rows is None and self._check:
+            return self._default
+        if self._rows is None and self._check:
             if len(row) != len(self.vocab):
                 raise ModelFileError(f"virtual row for {key!r} has wrong length")
             _check_row(row, f"virtual context {key!r}")
-        pairs = list(enumerate(_logify(row)))
+        return row
+
+    def next_distribution(self, prefix: Sequence[int]) -> TokenDistribution:
+        pairs = list(enumerate(_logify(self._row(self.detokenize(prefix)))))
         return TokenDistribution.from_pairs(pairs, complete=True)
+
+    def score_forced(
+        self, prefix: Sequence[int], continuation: Sequence[int]
+    ) -> list[float]:
+        """One row lookup per forced token; the key grows by that token's text."""
+        tokens = self.vocab.tokens
+        key = self.detokenize(prefix)
+        out: list[float] = []
+        for t in continuation:
+            p = self._row(key)[t]
+            out.append(math.log(p) if p > 0.0 else NEG_INF)
+            key += tokens[t]
+        return out
 
     @classmethod
     def from_json(cls, data: dict) -> "TableLM":
@@ -271,22 +290,38 @@ class NGramLM(LMBackend):
             ctx = tuple(corpus_tokens[i - k : i])
             self._follow.setdefault(ctx, Counter())[corpus_tokens[i]] += 1
 
-    def _row(self, counts: Counter, total: int) -> list[float]:
-        v = len(self.vocab)
-        return [(counts.get(i, 0) + 1) / (total + v) for i in range(v)]
+    def _counts(self, prefix: Sequence[int]) -> tuple[Counter, int]:
+        """Follower counts of the prefix's context and their total."""
+        k = self.order - 1
+        if len(prefix) >= k:
+            counts = self._follow.get(tuple(prefix[len(prefix) - k :]))
+            if counts is not None:
+                return counts, sum(counts.values())
+        return self._unigram, self._corpus_len
 
     def next_distribution(self, prefix: Sequence[int]) -> TokenDistribution:
-        k = self.order - 1
-        probs: list[float] | None = None
-        if len(prefix) >= k:
-            ctx = tuple(prefix[len(prefix) - k :])
-            counts = self._follow.get(ctx)
-            if counts is not None:
-                probs = self._row(counts, sum(counts.values()))
-        if probs is None:
-            probs = self._row(self._unigram, self._corpus_len)
+        counts, total = self._counts(prefix)
+        v = len(self.vocab)
+        probs = [(counts.get(i, 0) + 1) / (total + v) for i in range(v)]
         pairs = list(enumerate(_logify(probs)))
         return TokenDistribution.from_pairs(pairs, complete=True)
+
+    def score_forced(
+        self, prefix: Sequence[int], continuation: Sequence[int]
+    ) -> list[float]:
+        """Smoothed probability of each forced token alone (never zero);
+        the context slides over the last order-1 tokens."""
+        k = self.order - 1
+        v = len(self.vocab)
+        ctx = list(prefix[len(prefix) - k :]) if len(prefix) >= k else list(prefix)
+        out: list[float] = []
+        for t in continuation:
+            counts, total = self._counts(ctx)
+            out.append(math.log((counts.get(t, 0) + 1) / (total + v)))
+            ctx.append(t)
+            if len(ctx) > k:
+                del ctx[0]
+        return out
 
     @classmethod
     def from_config(cls, data: dict, base_dir: str = ".") -> "NGramLM":

@@ -218,18 +218,19 @@ def dungeon_vocab(instance: DungeonInstance) -> Vocabulary:
 
 
 def _walk_transcript(
-    instance: DungeonInstance, prefix: str
+    instance: DungeonInstance, messages: tuple[str, ...], prefix: str
 ) -> tuple[str | None, int, dict[int, int]]:
     """Replay a transcript prefix against the instance.
 
-    Returns (next deterministic char | None when an action is due,
-    current node, visit counts).  Costs O(actions), not O(characters).
+    ``messages[node]`` is ``room_message`` for that node.  Returns (next
+    deterministic char | None when an action is due, current node, visit
+    counts).  Costs O(actions), not O(characters).
     """
     node = instance.start
     steps = 0
     visits = {node: 1}
     pos = 0
-    current = room_message(node, instance.rooms[node], instance.hallways[node])
+    current = messages[node]
     while True:
         if len(prefix) < pos + len(current):
             return current[len(prefix) - pos], node, visits
@@ -251,9 +252,7 @@ def _walk_transcript(
         elif steps >= MAX_STEPS:
             current = tail + LOSE_MESSAGE
         else:
-            current = tail + room_message(
-                node, instance.rooms[node], instance.hallways[node]
-            )
+            current = tail + messages[node]
 
 
 def _action_row(
@@ -286,14 +285,19 @@ def _det_row(vocab: Vocabulary, char: str) -> list[float]:
 def dungeon_backend(instance: DungeonInstance) -> TableLM:
     vocab = dungeon_vocab(instance)
     uniform = [1.0 / len(vocab.tokens)] * len(vocab.tokens)
+    # built once per backend and dropped with it: every forced character
+    # fetches one of these rows, and every replayed step a room message
+    messages = tuple(
+        room_message(node, name, instance.hallways[node])
+        for node, name in enumerate(instance.rooms)
+    )
+    det_rows = {t: _det_row(vocab, t) for t in vocab.tokens if t}
 
     def rows(prefix: str) -> list[float]:
-        char, node, visits = _walk_transcript(instance, prefix)
+        char, node, visits = _walk_transcript(instance, messages, prefix)
         if char is None:
             return _action_row(vocab, instance, node, visits)
-        if vocab.index_of(char) is None:
-            return uniform
-        return _det_row(vocab, char)
+        return det_rows.get(char, uniform)
 
     return TableLM(vocab, rows, default_row=uniform, check_rows=False)
 

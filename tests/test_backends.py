@@ -124,6 +124,36 @@ def test_table_virtual_row_validation_toggle():
     assert unchecked.next_distribution([]).best()[0] == 0
 
 
+@pytest.mark.parametrize(
+    "default, contexts",
+    [
+        ([float("nan"), 0.5, 0.5], {}),
+        ([0.5, 0.25, 0.25], {"a": [0.5, float("nan"), 0.5]}),
+        ([True, False, 0.0], {}),
+        ([0.5, 0.25, 0.25], {"a": [0.0, 0.0, True]}),
+    ],
+    ids=["nan-default", "nan-context", "bool-default", "bool-context"],
+)
+def test_table_from_json_rejects_nan_and_bool(default, contexts):
+    # json.loads accepts the NaN literal, so a model file can carry one
+    data = json.loads(
+        json.dumps(
+            {"vocab": ["", "a", "b"], "eos": 0, "contexts": contexts, "default": default}
+        )
+    )
+    with pytest.raises(ModelFileError):
+        TableLM.from_json(data)
+
+
+def test_table_virtual_row_nan_rejected_on_fetch():
+    vocab = Vocabulary(("", "a"), 0)
+    lm = TableLM(vocab, lambda prefix: [float("nan"), 1.0], default_row=[0.5, 0.5])
+    with pytest.raises(ModelFileError):
+        lm.next_distribution([])
+    with pytest.raises(ModelFileError):
+        lm.score_forced([], [1])
+
+
 def test_table_from_json_strict_keys():
     data = {
         "vocab": ["", "a"],
@@ -290,3 +320,99 @@ def test_backend_caps_surface():
     assert table.caps.supports_full_distribution
     assert table.caps.supports_forced_scoring
     assert table.caps.top_k_limit is None
+
+
+# --- one-pass forced scoring against the per-token reference -----------------
+
+
+def reference_score_forced(lm, prefix, continuation) -> list[float]:
+    """One ``next_distribution`` call per forced token."""
+    out = []
+    for i, t in enumerate(continuation):
+        lp = lm.next_distribution(list(prefix) + list(continuation[:i])).logprob(t)
+        out.append(float("-inf") if lp is None else lp)
+    return out
+
+
+@st.composite
+def vocabularies(draw, max_tokens: int = 5) -> Vocabulary:
+    texts = draw(
+        st.lists(
+            st.text("abc", min_size=1, max_size=2),
+            min_size=1,
+            max_size=max_tokens,
+            unique=True,
+        )
+    )
+    eos = draw(st.integers(0, len(texts)))
+    return Vocabulary(tuple(texts[:eos] + [""] + texts[eos:]), eos)
+
+
+def probability_rows(size: int):
+    """Rows of exact quotients of small weights; zeros are common."""
+    weights = st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any)
+    return weights.map(lambda w: [x / sum(w) for x in w])
+
+
+@given(st.data(), st.booleans())
+def test_table_score_forced_matches_reference(data, virtual):
+    vocab = data.draw(vocabularies())
+    ids = st.integers(0, len(vocab) - 1)
+    prefix = data.draw(st.lists(ids, max_size=4), "prefix")
+    cont = data.draw(st.lists(ids, max_size=6), "continuation")
+    full = prefix + cont
+    # contexts on the scored path, so that rows are hit as well as missed
+    cuts = data.draw(st.sets(st.integers(0, len(full))), "context cuts")
+    table = {
+        "".join(vocab.tokens[t] for t in full[:c]): data.draw(
+            probability_rows(len(vocab))
+        )
+        for c in cuts
+    }
+    default = data.draw(probability_rows(len(vocab)), "default")
+    rows = table.get if virtual else table
+    lm = TableLM(vocab, rows, default_row=default)
+    assert lm.score_forced(prefix, cont) == reference_score_forced(lm, prefix, cont)
+
+
+@given(st.data(), st.integers(1, 3))
+def test_ngram_score_forced_matches_reference(data, order):
+    vocab = data.draw(vocabularies())
+    ids = st.integers(0, len(vocab) - 1)
+    # a short corpus leaves most contexts unseen
+    corpus = data.draw(st.lists(ids, max_size=12), "corpus")
+    prefix = data.draw(st.lists(ids, max_size=order + 1), "prefix")
+    cont = data.draw(st.lists(ids, max_size=6), "continuation")
+    lm = NGramLM(vocab, order, corpus)
+    assert lm.score_forced(prefix, cont) == reference_score_forced(lm, prefix, cont)
+    assert lm.score_forced(tuple(prefix), cont) == lm.score_forced(prefix, cont)
+
+
+def scan_tokenize(vocab: Vocabulary, text: str) -> list[int]:
+    """Greedy segmentation trying every non-EOS token, longest first."""
+    order = sorted(
+        (i for i, t in enumerate(vocab.tokens) if t and i != vocab.eos_index),
+        key=lambda i: (-len(vocab.tokens[i]), i),
+    )
+    out, pos = [], 0
+    while pos < len(text):
+        for i in order:
+            if text.startswith(vocab.tokens[i], pos):
+                out.append(i)
+                pos += len(vocab.tokens[i])
+                break
+        else:
+            raise UnsegmentableText(text, pos)
+    return out
+
+
+@given(vocabularies(max_tokens=8), st.text("abcd", max_size=12))
+def test_indexed_greedy_tokenize_matches_full_scan(vocab, text):
+    try:
+        want = scan_tokenize(vocab, text)
+    except UnsegmentableText as e:
+        with pytest.raises(UnsegmentableText) as got:
+            greedy_tokenize(vocab, text)
+        assert got.value.position == e.position
+    else:
+        assert greedy_tokenize(vocab, text) == want
