@@ -3,16 +3,25 @@
 Variables terminate in exactly one of five ways: a stop phrase appeared
 in the value, a OneOf member was completed, EOS was emitted, the token
 budget ran out, or decoding simply continues.  OneOf constraints are
-enforced with token masks computed against a prefix index of the member
-set; stop phrases are ignored inside OneOf variables.
+enforced with token masks; stop phrases are ignored inside OneOf
+variables.
+
+A mask is computed from the member range, not by scanning the
+vocabulary: the sorted members that start with the partial value form
+one contiguous range found by bisection, and only the next few
+characters of those members are looked up as token texts.  The cost of
+a constrained step thus follows the size of that range and the longest
+token, and opening a OneOf variable builds no index.  Stop phrases are
+looked for only in the suffix the last token could have completed.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DeadEnd, IllegalToken
-from .sketch import OneOf, VariableSpec
+from .sketch import VariableSpec
 
 CONTINUE = "continue"
 STOP_PHRASE = "stop_phrase"
@@ -37,44 +46,37 @@ VERDICT_CONTINUE = TerminationVerdict(CONTINUE)
 
 
 class PrefixIndex:
-    """Trie over a OneOf member set answering prefix queries."""
+    """Sorted OneOf members answering prefix queries by bisection.
 
-    __slots__ = ("members", "_root")
+    The members that start with a string form one contiguous run of the
+    sorted tuple, so every query is a bisection and no index is built.
+    ``members`` must be sorted, as ``OneOf.members`` always is.
+    """
+
+    __slots__ = ("members",)
 
     def __init__(self, members: Iterable[str]):
         self.members = tuple(members)
-        root: dict = {}
-        for m in self.members:
-            node = root
-            for ch in m:
-                node = node.setdefault(ch, {})
-            node[""] = True  # end-of-member marker
-        self._root = root
 
-    def _walk(self, s: str) -> dict | None:
-        node = self._root
-        for ch in s:
-            node = node.get(ch)
-            if node is None:
-                return None
-        return node
+    def span(self, s: str) -> tuple[int, int]:
+        """Index range of the members that start with s."""
+        n = len(s)
+        lo = bisect_left(self.members, s)
+        return lo, bisect_right(self.members, s, lo, key=lambda m: m[:n])
 
     def is_prefix(self, s: str) -> bool:
         """True when s is a prefix of at least one member."""
-        return self._walk(s) is not None
+        i = bisect_left(self.members, s)
+        return i < len(self.members) and self.members[i].startswith(s)
 
     def is_member(self, s: str) -> bool:
-        node = self._walk(s)
-        return node is not None and "" in node
+        i = bisect_left(self.members, s)
+        return i < len(self.members) and self.members[i] == s
 
     def is_extendable(self, s: str) -> bool:
         """True when some member is strictly longer than s and starts with it."""
-        node = self._walk(s)
-        return node is not None and any(k != "" for k in node)
-
-
-def build_prefix_index(one_of: OneOf) -> PrefixIndex:
-    return PrefixIndex(one_of.members)
+        i = bisect_right(self.members, s)
+        return i < len(self.members) and self.members[i].startswith(s)
 
 
 @dataclass(frozen=True)
@@ -87,16 +89,12 @@ class MaskState:
 
     @classmethod
     def start(cls, spec: VariableSpec) -> "MaskState":
-        index = build_prefix_index(spec.one_of) if spec.one_of is not None else None
+        index = PrefixIndex(spec.one_of.members) if spec.one_of is not None else None
         return cls(partial_value="", tokens_emitted=0, index=index)
 
     @property
     def constrained(self) -> bool:
         return self.index is not None
-
-    @property
-    def is_complete_member(self) -> bool:
-        return self.index is not None and self.index.is_member(self.partial_value)
 
 
 def compute_mask(state: MaskState, vocab) -> frozenset[int]:
@@ -107,18 +105,28 @@ def compute_mask(state: MaskState, vocab) -> frozenset[int]:
     member, and EOS is allowed only when the partial is itself a complete
     member.  Raises DeadEnd when nothing is allowed and the partial is not
     a complete member.
+
+    Only the members that start with the partial are visited: the next
+    1..longest-token-length characters of each are matched against the
+    token texts.
     """
     if state.index is None:
         return frozenset(range(len(vocab)))
-    allowed: set[int] = set()
     partial = state.partial_value
-    for i, text in enumerate(vocab.tokens):
-        if i == vocab.eos_index:
-            continue
-        if state.index.is_prefix(partial + text):
-            allowed.add(i)
-    complete = state.index.is_member(partial)
-    if complete:
+    members = state.index.members
+    lo, hi = state.index.span(partial)
+    start = len(partial)
+    limit = start + vocab._max_len
+    heads = {
+        m[start:end]
+        for m in members[lo:hi]
+        for end in range(start + 1, min(len(m), limit) + 1)
+    }
+    by_text = vocab._by_text
+    allowed = {by_text[t] for t in heads & by_text.keys()}
+    # EOS never extends the value, whatever text it renders as
+    allowed.discard(vocab.eos_index)
+    if lo < hi and members[lo] == partial:
         allowed.add(vocab.eos_index)
     if not allowed:
         raise DeadEnd(
@@ -127,11 +135,15 @@ def compute_mask(state: MaskState, vocab) -> frozenset[int]:
     return frozenset(allowed)
 
 
-def _first_stop_hit(value: str, stop_phrases: Sequence[str]) -> str | None:
+def _first_stop_hit(
+    value: str, added: int, stop_phrases: Sequence[str]
+) -> str | None:
     # substring, not suffix: a phrase may complete mid-token, and the whole
-    # token is kept either way; earliest-added phrase wins ties
+    # token is kept either way; earliest-added phrase wins ties.  The value
+    # before the last ``added`` characters held no phrase (its chunk was
+    # still open), so a hit overlaps them and lies in the suffix window.
     for phrase in stop_phrases:
-        if phrase in value:
+        if phrase in value[-(added + len(phrase) - 1) :]:
             return phrase
     return None
 
@@ -176,9 +188,10 @@ def advance(
     if is_eos:
         new = MaskState(state.partial_value, state.tokens_emitted + 1, None)
         return new, TerminationVerdict(EOS_HIT)
-    value = state.partial_value + vocab.token_text(token_index)
+    text = vocab.token_text(token_index)
+    value = state.partial_value + text
     new = MaskState(value, state.tokens_emitted + 1, None)
-    phrase = _first_stop_hit(value, stop_phrases)
+    phrase = _first_stop_hit(value, len(text), stop_phrases)
     if phrase is not None:
         return new, TerminationVerdict(STOP_PHRASE, phrase=phrase)
     if new.tokens_emitted >= max_tokens:

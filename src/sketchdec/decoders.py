@@ -227,11 +227,12 @@ class _Engine:
         """
         state = h.open_state
         dist = self.backend.next_distribution(h.tokens)
+        if state.index is None:
+            # every token is allowed, as the unconstrained mask says
+            return list(dist.entries)
         if self.backend.caps.supports_full_distribution:
             mask = compute_mask(state, self.backend.vocab)
             return [(t, lp) for (t, lp) in dist.entries if t in mask]
-        if state.index is None:
-            return list(dist.entries)
         vocab = self.backend.vocab
         out = []
         for t, lp in dist.entries:

@@ -11,7 +11,9 @@ The backend protocol (``LMBackend``) is three methods:
 Local backends expose complete next-token distributions over a fixed
 vocabulary.  Both exist to create exactly reproducible desk-scale
 distributions -- the table model by explicit enumeration, the n-gram model
-by counting a small corpus.
+by counting a small corpus.  The n-gram model's ``next_distribution`` sorts
+only the context's observed followers: every unseen token shares one
+smaller probability, so those follow in id order without a sort.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, filterfalse, repeat
 from typing import Callable, Mapping, Sequence
 
 from .errors import ModelFileError, UnsegmentableText
@@ -46,6 +49,8 @@ class Vocabulary:
         object.__setattr__(
             self, "_by_text", {t: i for i, t in enumerate(self.tokens)}
         )
+        # the longest token text bounds the lookups of a member-range mask
+        object.__setattr__(self, "_max_len", max(map(len, self.tokens)))
         # greedy segmentation candidates, keyed by first character and
         # longest-first within a key; EOS is excluded so forced text can
         # never smuggle an end-of-sequence token
@@ -282,29 +287,47 @@ class NGramLM(LMBackend):
             supports_forced_scoring=True,
         )
         self.order = order
-        self._corpus_len = len(corpus_tokens)
-        self._unigram: Counter = Counter(corpus_tokens)
-        self._follow: dict[tuple[int, ...], Counter] = {}
+        self._unigram = (Counter(corpus_tokens), len(corpus_tokens))
+        follow: dict[tuple[int, ...], Counter] = {}
         k = order - 1
         for i in range(k, len(corpus_tokens)):
             ctx = tuple(corpus_tokens[i - k : i])
-            self._follow.setdefault(ctx, Counter())[corpus_tokens[i]] += 1
+            follow.setdefault(ctx, Counter())[corpus_tokens[i]] += 1
+        # each context's follower total is summed once, here
+        self._follow: dict[tuple[int, ...], tuple[Counter, int]] = {
+            ctx: (counts, sum(counts.values())) for ctx, counts in follow.items()
+        }
 
     def _counts(self, prefix: Sequence[int]) -> tuple[Counter, int]:
         """Follower counts of the prefix's context and their total."""
         k = self.order - 1
         if len(prefix) >= k:
-            counts = self._follow.get(tuple(prefix[len(prefix) - k :]))
-            if counts is not None:
-                return counts, sum(counts.values())
-        return self._unigram, self._corpus_len
+            hit = self._follow.get(tuple(prefix[len(prefix) - k :]))
+            if hit is not None:
+                return hit
+        return self._unigram
 
     def next_distribution(self, prefix: Sequence[int]) -> TokenDistribution:
+        """Built without sorting the vocabulary.
+
+        With T the context's follower total and V the vocabulary size, an
+        observed follower (count c >= 1) has smoothed probability
+        (c+1)/(T+V) >= 2/(T+V), strictly above the 1/(T+V) every unseen
+        token shares.  So the best-first order is the observed followers
+        sorted by ``(-logprob, id)``, then the unseen ids ascending, which
+        is the order ``TokenDistribution.from_pairs`` gives; each
+        log-probability equals the one ``score_forced`` computes.
+        """
         counts, total = self._counts(prefix)
         v = len(self.vocab)
-        probs = [(counts.get(i, 0) + 1) / (total + v) for i in range(v)]
-        pairs = list(enumerate(_logify(probs)))
-        return TokenDistribution.from_pairs(pairs, complete=True)
+        seen = sorted(
+            ((i, math.log((c + 1) / (total + v))) for i, c in counts.items()),
+            key=lambda p: (-p[1], p[0]),
+        )
+        unseen = filterfalse(counts.__contains__, range(v))
+        unseen_lp = math.log(1 / (total + v))
+        entries = tuple(chain(seen, zip(unseen, repeat(unseen_lp))))
+        return TokenDistribution(entries=entries, complete=True)
 
     def score_forced(
         self, prefix: Sequence[int], continuation: Sequence[int]

@@ -1,6 +1,7 @@
 """Vocabulary handling, greedy segmentation, table and n-gram backends."""
 import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from sketchdec.lm import (
     TableLM,
     TokenDistribution,
     Vocabulary,
+    _logify,
     greedy_tokenize,
 )
 
@@ -386,6 +388,34 @@ def test_ngram_score_forced_matches_reference(data, order):
     lm = NGramLM(vocab, order, corpus)
     assert lm.score_forced(prefix, cont) == reference_score_forced(lm, prefix, cont)
     assert lm.score_forced(tuple(prefix), cont) == lm.score_forced(prefix, cont)
+
+
+def reference_ngram_distribution(vocab, order, corpus, prefix) -> TokenDistribution:
+    """Count the context's followers in the corpus, smooth every vocabulary
+    entry, take logs and sort the whole vocabulary."""
+    k = order - 1
+    context = list(prefix[len(prefix) - k :])
+    follow = [corpus[i] for i in range(k, len(corpus)) if corpus[i - k : i] == context]
+    if len(prefix) < k or not follow:
+        follow = corpus  # unseen or too-short context: the unigram backoff
+    counts = Counter(follow)
+    v = len(vocab)
+    probs = [(counts.get(i, 0) + 1) / (len(follow) + v) for i in range(v)]
+    return TokenDistribution.from_pairs(list(enumerate(_logify(probs))), complete=True)
+
+
+@given(st.data(), st.integers(1, 3))
+def test_ngram_next_distribution_matches_full_sort(data, order):
+    vocab = data.draw(vocabularies())
+    ids = st.integers(0, len(vocab) - 1)
+    corpus = data.draw(st.lists(ids, max_size=16), "corpus")
+    prefix = data.draw(st.lists(ids, max_size=order + 1), "prefix")
+    if data.draw(st.booleans(), "EOS inside the prefix"):
+        prefix.insert(data.draw(st.integers(0, len(prefix))), vocab.eos_index)
+    lm = NGramLM(vocab, order, corpus)
+    want = reference_ngram_distribution(vocab, order, corpus, prefix)
+    assert lm.next_distribution(prefix).entries == want.entries
+    assert lm.next_distribution(tuple(prefix)) == want
 
 
 def scan_tokenize(vocab: Vocabulary, text: str) -> list[int]:

@@ -19,6 +19,12 @@ from sketchdec.lm import Vocabulary
 from sketchdec.sketch import OneOf, VariableSpec
 
 
+# the largest code point: a member-range end computed by padding a prefix
+# with a sentinel character would cut members that contain it
+TOP = chr(0x10FFFF)
+ALPHABET = "ab" + TOP
+
+
 def char_vocab(chars: str) -> Vocabulary:
     return Vocabulary(("",) + tuple(chars), eos_index=0)
 
@@ -191,8 +197,10 @@ def test_max_tokens_landing_on_member_completes():
 
 
 @given(
-    members=st.sets(st.text(alphabet="abc", min_size=1, max_size=5), min_size=1),
-    probes=st.lists(st.text(alphabet="abcd", max_size=6), max_size=20),
+    members=st.sets(
+        st.text(alphabet="abc" + TOP, min_size=1, max_size=5), min_size=1
+    ),
+    probes=st.lists(st.text(alphabet="abcd" + TOP, max_size=6), max_size=20),
 )
 def test_prefix_index_matches_naive_scans(members, probes):
     index = PrefixIndex(sorted(members))
@@ -279,3 +287,62 @@ def test_validate_value():
         validate_value(spec, "c")
     # unconstrained variables accept anything, including the empty string
     validate_value(VariableSpec("Y"), "")
+
+
+# --- member-range masks against the full-vocabulary scan ---------------------
+
+
+def reference_mask(state: MaskState, vocab: Vocabulary) -> frozenset[int]:
+    """One prefix test per vocabulary token, EOS only at a complete member."""
+    if state.index is None:
+        return frozenset(range(len(vocab)))
+    members = state.index.members
+    partial = state.partial_value
+    allowed = {
+        i
+        for i, text in enumerate(vocab.tokens)
+        if i != vocab.eos_index and any(m.startswith(partial + text) for m in members)
+    }
+    if partial in members:
+        allowed.add(vocab.eos_index)
+    if not allowed:
+        raise DeadEnd(f"no token extends {partial!r}")
+    return frozenset(allowed)
+
+
+@st.composite
+def mask_vocabularies(draw) -> Vocabulary:
+    """Multi-character tokens; EOS at any index, rendered as "" or as text."""
+    texts = draw(
+        st.lists(st.text(ALPHABET, min_size=1, max_size=3), max_size=8, unique=True)
+    )
+    eos_text = draw(
+        st.just("") | st.text(ALPHABET, min_size=1, max_size=3).filter(
+            lambda t: t not in texts
+        )
+    )
+    eos = draw(st.integers(0, len(texts)))
+    return Vocabulary(tuple(texts[:eos] + [eos_text] + texts[eos:]), eos)
+
+
+@given(
+    vocab=mask_vocabularies(),
+    members=st.sets(st.text(ALPHABET, min_size=1, max_size=5), min_size=1, max_size=8),
+    data=st.data(),
+)
+def test_member_range_mask_equals_full_scan(vocab, members, data):
+    index = PrefixIndex(OneOf(tuple(members)).members)
+    member = data.draw(st.sampled_from(index.members), "member")
+    on_prefix = st.integers(0, len(member)).map(lambda n: member[:n])
+    partial = data.draw(on_prefix | st.text(ALPHABET + "c", max_size=5), "partial")
+    lo, hi = index.span(partial)
+    starting = tuple(m for m in index.members if m.startswith(partial))
+    assert index.members[lo:hi] == starting
+    state = MaskState(partial_value=partial, tokens_emitted=0, index=index)
+    try:
+        want = reference_mask(state, vocab)
+    except DeadEnd:
+        with pytest.raises(DeadEnd):
+            compute_mask(state, vocab)
+    else:
+        assert compute_mask(state, vocab) == want

@@ -3,8 +3,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import isolated_greedy, random_backend, random_fixture
+from sketchdec.constraints import compute_mask
 from sketchdec.decoders import (
     ARGMAX,
     BEAM,
@@ -21,9 +23,10 @@ from sketchdec.decoders import (
     decode_var,
     default_token_cap,
     expand_det,
+    _Engine,
 )
 from sketchdec.errors import TemplateUnsatisfiable
-from sketchdec.lm import TableLM, Vocabulary
+from sketchdec.lm import NGramLM, TableLM, Vocabulary
 from sketchdec.scoring import Hypothesis, ScoreParams, rank_hypotheses
 from sketchdec.sketch import (
     Bindings,
@@ -381,3 +384,25 @@ def test_dynamic_branches_decode_independently():
     # both branches completed; the alternative carries the other template arm
     rendered = {result.text} | {a.rendered() for a in result.alternatives}
     assert rendered == {"b2", "a1"}
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    ngram=st.booleans(),
+    prefix=st.lists(st.integers(0, 6), max_size=5),
+)
+def test_unconstrained_continuations_equal_masked_entries(seed, ngram, prefix):
+    """A free variable skips the mask; the list is what the mask kept."""
+    backend = random_backend(seed)
+    if ngram:
+        rng = random.Random(seed)
+        corpus = [rng.randrange(len(backend.vocab)) for _ in range(20)]
+        backend = NGramLM(backend.vocab, 1 + seed % 3, corpus)
+    spec = VariableSpec("X", stop_phrases=("d",))
+    source = StaticSketchSource(Sketch("s", (Chunk.variable(spec),)))
+    eng = _Engine(source, backend, DecoderConfig())
+    h = Hypothesis().with_forced_span(prefix, [0.0] * len(prefix), "")
+    h = h.with_open_variable(spec)
+    mask = compute_mask(h.open_state, backend.vocab)
+    want = [(t, lp) for t, lp in backend.next_distribution(prefix).entries if t in mask]
+    assert eng.allowed_continuations(h) == want
