@@ -25,6 +25,10 @@ from .errors import BackendUnavailable, ContextTooLong, ForcedScoringUnsupported
 from .lm import NEG_INF, BackendCaps, LMBackend, TokenDistribution
 
 API_KEY_ENV = "SKETCHDEC_API_KEY"
+# texts whose service tokenization is kept; the oldest is dropped first, so a
+# long-running process holds a bounded cache while a decode's forced texts,
+# which recur across its steps, stay cached
+TOKENIZE_CACHE_SIZE = 1024
 
 
 class TokenRegistry:
@@ -159,7 +163,10 @@ class RemoteCompletionsLM(LMBackend):
                 "echo response does not reproduce the prompt text"
             )
         toks = [self.vocab.intern(p) for p in pieces]
-        self._tokenize_cache[text] = list(toks)
+        cache = self._tokenize_cache
+        if len(cache) >= TOKENIZE_CACHE_SIZE:
+            del cache[next(iter(cache))]
+        cache[text] = list(toks)
         return toks
 
     # -- scoring ---------------------------------------------------------

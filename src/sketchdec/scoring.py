@@ -6,7 +6,7 @@ a new one, which keeps branching decoders free of shared mutable state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .constraints import MaskState
@@ -121,6 +121,8 @@ class Hypothesis:
         return (-self.normalized_score(score), len(self.tokens), self.tokens)
 
     # --- state transitions -------------------------------------------------
+    # Direct constructor calls: dataclasses.replace scans the field list and
+    # builds a keyword dict on every step, which dominated short decodes.
 
     def with_forced_span(
         self,
@@ -140,22 +142,39 @@ class Hypothesis:
             end=start + len(tokens),
             raw_logprob=raw,
         )
-        return replace(
-            self,
+        return Hypothesis(
             tokens=self.tokens + tuple(tokens),
             logprobs=self.logprobs + tuple(logprobs),
             spans=self.spans + (span,),
             raw_score=self.raw_score + raw,
+            m_vars=self.m_vars,
+            vars_done=self.vars_done,
+            open_spec=self.open_spec,
+            open_state=self.open_state,
+            open_start=self.open_start,
+            open_raw=self.open_raw,
+            done=self.done,
+            dead=self.dead,
+            truncated=self.truncated,
             node_id=self.node_id if node_id is None else node_id,
         )
 
     def with_open_variable(self, spec: VariableSpec) -> "Hypothesis":
-        return replace(
-            self,
+        return Hypothesis(
+            tokens=self.tokens,
+            logprobs=self.logprobs,
+            spans=self.spans,
+            raw_score=self.raw_score,
+            m_vars=self.m_vars,
+            vars_done=self.vars_done,
             open_spec=spec,
             open_state=MaskState.start(spec),
             open_start=len(self.tokens),
             open_raw=0.0,
+            done=self.done,
+            dead=self.dead,
+            truncated=self.truncated,
+            node_id=self.node_id,
         )
 
     def with_variable_token(
@@ -165,14 +184,20 @@ class Hypothesis:
         new_state: MaskState,
         node_id: int | None = None,
     ) -> "Hypothesis":
-        return replace(
-            self,
+        return Hypothesis(
             tokens=self.tokens + (token,),
             logprobs=self.logprobs + (logprob,),
+            spans=self.spans,
             raw_score=self.raw_score + logprob,
             m_vars=self.m_vars + 1,
+            vars_done=self.vars_done,
+            open_spec=self.open_spec,
             open_state=new_state,
+            open_start=self.open_start,
             open_raw=self.open_raw + logprob,
+            done=self.done,
+            dead=self.dead,
+            truncated=self.truncated,
             node_id=self.node_id if node_id is None else node_id,
         )
 
@@ -189,23 +214,51 @@ class Hypothesis:
             end=len(self.tokens),
             raw_logprob=self.open_raw,
         )
-        return replace(
-            self,
+        return Hypothesis(
+            tokens=self.tokens,
+            logprobs=self.logprobs,
             spans=self.spans + (span,),
+            raw_score=self.raw_score,
+            m_vars=self.m_vars,
             vars_done=self.vars_done + 1,
             open_spec=None,
             open_state=None,
+            open_start=self.open_start,
             open_raw=0.0,
+            done=self.done,
+            dead=self.dead,
+            truncated=self.truncated,
+            node_id=self.node_id,
         )
 
     def as_done(self) -> "Hypothesis":
-        return replace(self, done=True)
+        return self._with_flags(True, self.dead, self.truncated, self.node_id)
 
     def as_dead(self, truncated: bool = False) -> "Hypothesis":
-        return replace(self, dead=True, truncated=truncated)
+        return self._with_flags(self.done, True, truncated, self.node_id)
 
     def with_node(self, node_id: int) -> "Hypothesis":
-        return replace(self, node_id=node_id)
+        return self._with_flags(self.done, self.dead, self.truncated, node_id)
+
+    def _with_flags(
+        self, done: bool, dead: bool, truncated: bool, node_id: int
+    ) -> "Hypothesis":
+        return Hypothesis(
+            tokens=self.tokens,
+            logprobs=self.logprobs,
+            spans=self.spans,
+            raw_score=self.raw_score,
+            m_vars=self.m_vars,
+            vars_done=self.vars_done,
+            open_spec=self.open_spec,
+            open_state=self.open_state,
+            open_start=self.open_start,
+            open_raw=self.open_raw,
+            done=done,
+            dead=dead,
+            truncated=truncated,
+            node_id=node_id,
+        )
 
     def rendered(self) -> str:
         """The decoded template text: span values in order."""

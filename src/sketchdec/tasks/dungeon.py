@@ -217,25 +217,32 @@ def dungeon_vocab(instance: DungeonInstance) -> Vocabulary:
     return Vocabulary(tokens=("",) + tuple(sorted(set(corpus))), eos_index=0)
 
 
+# (pos, node, steps, visits, current): see _walk_transcript
+_Walk = tuple[int, int, int, dict[int, int], str]
+
+
 def _walk_transcript(
-    instance: DungeonInstance, messages: tuple[str, ...], prefix: str
-) -> tuple[str | None, int, dict[int, int]]:
+    instance: DungeonInstance,
+    messages: tuple[str, ...],
+    prefix: str,
+    resume: _Walk | None = None,
+) -> _Walk:
     """Replay a transcript prefix against the instance.
 
-    ``messages[node]`` is ``room_message`` for that node.  Returns (next
-    deterministic char | None when an action is due, current node, visit
-    counts).  Costs O(actions), not O(characters).
+    ``messages[node]`` is ``room_message`` for that node.  Returns the walk
+    state at the start of the segment ``prefix`` ends in: (pos, node,
+    steps, visits, current), where ``current`` is the segment's text from
+    ``pos`` up to the next action and ``visits`` counts arrivals per node.
+    ``resume`` is such a state for a shorter prefix of ``prefix``; the walk
+    then replays only the actions after it.  Costs O(actions replayed),
+    not O(characters).  A returned state is never mutated afterwards: a
+    move copies ``visits``.
     """
-    node = instance.start
-    steps = 0
-    visits = {node: 1}
-    pos = 0
-    current = messages[node]
-    while True:
-        if len(prefix) < pos + len(current):
-            return current[len(prefix) - pos], node, visits
-        if len(prefix) == pos + len(current):
-            return None, node, visits
+    if resume is None:
+        node = instance.start
+        resume = (0, node, 0, {node: 1}, messages[node])
+    pos, node, steps, visits, current = resume
+    while len(prefix) > pos + len(current):
         action_char = prefix[pos + len(current)]
         pos += len(current) + 1
         steps += 1
@@ -244,7 +251,7 @@ def _walk_transcript(
         target = int(action_char) if action_char.isdigit() else -1
         if target in neighbours:
             node = target
-            visits[node] = visits.get(node, 0) + 1
+            visits = {**visits, node: visits.get(node, 0) + 1}
         else:
             tail += invalid_message(target, instance.rooms[node], neighbours)
         if instance.rooms[node] == "Exit":
@@ -253,6 +260,7 @@ def _walk_transcript(
             current = tail + LOSE_MESSAGE
         else:
             current = tail + messages[node]
+    return pos, node, steps, visits, current
 
 
 def _action_row(
@@ -292,12 +300,26 @@ def dungeon_backend(instance: DungeonInstance) -> TableLM:
         for node, name in enumerate(instance.rooms)
     )
     det_rows = {t: _det_row(vocab, t) for t in vocab.tokens if t}
+    # (transcript text up to the checkpoint, checkpoint), replaced whole so
+    # that text and checkpoint always come from one walk.  Forced scoring
+    # asks for each one-character extension of a prefix in turn, so a lookup
+    # resumes from the last segment start instead of replaying every action;
+    # a prefix off this walk (another hypothesis) walks from the start.
+    cursor = ("", _walk_transcript(instance, messages, ""))
 
     def rows(prefix: str) -> list[float]:
-        char, node, visits = _walk_transcript(instance, messages, prefix)
-        if char is None:
+        nonlocal cursor
+        text, checkpoint = cursor
+        on_walk = prefix.startswith(text)
+        walk = _walk_transcript(
+            instance, messages, prefix, checkpoint if on_walk else None
+        )
+        if not on_walk or walk[0] != len(text):
+            cursor = (prefix[: walk[0]], walk)
+        pos, node, _, visits, current = walk
+        if len(prefix) - pos == len(current):
             return _action_row(vocab, instance, node, visits)
-        return det_rows.get(char, uniform)
+        return det_rows.get(current[len(prefix) - pos], uniform)
 
     return TableLM(vocab, rows, default_row=uniform, check_rows=False)
 

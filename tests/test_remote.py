@@ -11,6 +11,7 @@ from sketchdec.errors import (
     ForcedScoringUnsupported,
 )
 from sketchdec.lm import TableLM, Vocabulary
+from sketchdec import remote as remote_module
 from sketchdec.remote import RemoteCompletionsLM, TokenRegistry
 from sketchdec.tasks import fig1
 
@@ -63,6 +64,20 @@ def test_tokenize_uses_service_segmentation(server):
     before = len(server.requests)
     lm.tokenize("cab")  # cached
     assert len(server.requests) == before
+
+
+def test_tokenize_cache_is_bounded(server, monkeypatch):
+    monkeypatch.setattr(remote_module, "TOKENIZE_CACHE_SIZE", 3)
+    lm = remote(server)
+    texts = ["cab", "a", "b", "c", "ab"]
+    first = [lm.tokenize(t) for t in texts]
+    assert list(lm._tokenize_cache) == ["b", "c", "ab"]  # oldest dropped first
+    before = len(server.requests)
+    assert lm.tokenize("cab") == first[0]  # evicted: asks again, same ids
+    assert len(server.requests) == before + 1
+    assert list(lm._tokenize_cache) == ["c", "ab", "cab"]
+    assert lm.tokenize("ab") == first[4]  # still cached
+    assert len(server.requests) == before + 1
 
 
 def test_next_distribution_matches_local_by_text(server):

@@ -1,4 +1,5 @@
 """Length normalization and hypothesis state transitions."""
+import dataclasses
 import math
 import random
 
@@ -55,6 +56,65 @@ def built_hypothesis() -> Hypothesis:
     h = h.with_variable_token(8, -2.0, MaskState("cd", 2, None))
     h = h.with_closed_variable()
     return h.with_forced_span([9], [-0.125], "e")
+
+
+def test_transitions_change_only_their_fields():
+    """Each transition equals dataclasses.replace of the fields it sets."""
+    spec = VariableSpec("Y", max_tokens=4)
+    state = MaskState("q", 1, None)
+    # every field away from its default, so a dropped field shows
+    h = dataclasses.replace(
+        built_hypothesis().with_open_variable(spec).with_variable_token(3, -0.5, state),
+        done=True,
+        dead=True,
+        truncated=True,
+        node_id=11,
+    )
+    replace = dataclasses.replace
+    span = Span(len(h.spans), "det", None, "zz", 6, 8, -0.75)
+    assert h.with_forced_span([1, 2], [-0.5, -0.25], "zz", node_id=4) == replace(
+        h,
+        tokens=h.tokens + (1, 2),
+        logprobs=h.logprobs + (-0.5, -0.25),
+        spans=h.spans + (span,),
+        raw_score=h.raw_score - 0.75,
+        node_id=4,
+    )
+    assert h.with_forced_span([1], [-0.5], "z") == replace(
+        h,
+        tokens=h.tokens + (1,),
+        logprobs=h.logprobs + (-0.5,),
+        spans=h.spans + (Span(len(h.spans), "det", None, "z", 6, 7, -0.5),),
+        raw_score=h.raw_score - 0.5,
+    )
+    assert h.with_open_variable(spec) == replace(
+        h, open_spec=spec, open_state=MaskState.start(spec), open_start=6, open_raw=0.0
+    )
+    assert h.with_variable_token(4, -1.0, state) == replace(
+        h,
+        tokens=h.tokens + (4,),
+        logprobs=h.logprobs + (-1.0,),
+        raw_score=h.raw_score - 1.0,
+        m_vars=h.m_vars + 1,
+        open_state=state,
+        open_raw=h.open_raw - 1.0,
+    )
+    assert h.with_variable_token(4, -1.0, state, node_id=2).node_id == 2
+    closed = Span(len(h.spans), "var", "Y", "q", 5, 6, -0.5)
+    assert h.with_closed_variable() == replace(
+        h,
+        spans=h.spans + (closed,),
+        vars_done=h.vars_done + 1,
+        open_spec=None,
+        open_state=None,
+        open_raw=0.0,
+    )
+    fresh = Hypothesis()
+    assert fresh.as_done() == replace(fresh, done=True)
+    assert fresh.as_dead() == replace(fresh, dead=True)
+    assert h.as_dead() == replace(h, truncated=False)
+    assert fresh.as_dead(truncated=True) == replace(fresh, dead=True, truncated=True)
+    assert h.with_node(7) == replace(h, node_id=7)
 
 
 def test_hypothesis_accumulates_tokens_and_score():
