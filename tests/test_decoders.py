@@ -1,17 +1,21 @@
 """Decoding strategies: greedy, beam, variable-level, and pooled beam."""
+import hashlib
 import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import isolated_greedy, random_backend, random_fixture
+from conftest import isolated_greedy, random_backend, random_fixture, stable_unit
 from sketchdec.constraints import compute_mask
 from sketchdec.decoders import (
     ARGMAX,
     BEAM,
     BEAMVAR,
     DEFAULT_DYNAMIC_CAP,
+    PROPOSAL_BRANCH,
+    PROPOSAL_EXHAUSTIVE,
+    PROPOSAL_SAMPLE,
     VAR,
     DecoderConfig,
     Pool,
@@ -26,7 +30,14 @@ from sketchdec.decoders import (
     _Engine,
 )
 from sketchdec.errors import TemplateUnsatisfiable
-from sketchdec.lm import NGramLM, TableLM, Vocabulary
+from sketchdec.lm import (
+    BackendCaps,
+    LMBackend,
+    NGramLM,
+    TableLM,
+    TokenDistribution,
+    Vocabulary,
+)
 from sketchdec.scoring import Hypothesis, ScoreParams, rank_hypotheses
 from sketchdec.sketch import (
     Bindings,
@@ -38,6 +49,7 @@ from sketchdec.sketch import (
     VariableSpec,
     instantiate,
 )
+from sketchdec.tasks import dungeon
 
 
 def test_config_validation():
@@ -406,3 +418,220 @@ def test_unconstrained_continuations_equal_masked_entries(seed, ngram, prefix):
     mask = compute_mask(h.open_state, backend.vocab)
     want = [(t, lp) for t, lp in backend.next_distribution(prefix).entries if t in mask]
     assert eng.allowed_continuations(h) == want
+
+
+# -- pinned outputs -----------------------------------------------------------
+
+
+class TopK(LMBackend):
+    """A local model cut to its k best entries per step, the way a remote
+    completions service returns them (``complete=False``)."""
+
+    def __init__(self, inner: LMBackend, k: int):
+        self.inner = inner
+        self.k = k
+        self.vocab = inner.vocab
+        self.caps = BackendCaps(
+            supports_full_distribution=False,
+            top_k_limit=k,
+            supports_forced_scoring=True,
+        )
+
+    def next_distribution(self, prefix):
+        entries = self.inner.next_distribution(prefix).entries[: self.k]
+        return TokenDistribution(entries=entries, complete=False)
+
+    def score_forced(self, prefix, continuation):
+        return self.inner.score_forced(prefix, continuation)
+
+
+OFF_TOP_MEMBERS = ("bd", "cd", "dc")
+
+
+def truncated_fixture(seed: int) -> tuple[Sketch, TopK]:
+    """A top-2 backend whose two best tokens are always "a" and "b".
+
+    No member of X but "bd" starts with either, and "bd" needs "d" after
+    its "b", so every value of X is spelled by whole-member fallback.
+    """
+    vocab = Vocabulary(("", "a", "b", "c", "d", "cd"), eos_index=0)
+
+    def rows(prefix: str) -> list[float]:
+        weights = [stable_unit(seed, prefix, i) for i in range(len(vocab))]
+        weights[1] += 2.0
+        weights[2] += 2.0
+        total = sum(weights)
+        return [w / total for w in weights]
+
+    inner = TableLM(vocab, rows, default_row=rows(""), check_rows=False)
+    sketch = Sketch(
+        name="truncated",
+        chunks=(
+            Chunk.det("a"),
+            Chunk.variable(
+                VariableSpec("X", one_of=OneOf(OFF_TOP_MEMBERS), max_tokens=3)
+            ),
+            Chunk.det("b"),
+            Chunk.variable(VariableSpec("Y", stop_phrases=("b",), max_tokens=3)),
+            Chunk.det("a"),
+        ),
+    )
+    return sketch, TopK(inner, 2)
+
+
+def decoder_configs(widths=(1, 2, 3)):
+    """(label, config) for every kind and var proposal at the given widths."""
+    yield ARGMAX, {"kind": ARGMAX, "width": 1}
+    for width in widths:
+        yield BEAM, {"kind": BEAM, "width": width}
+        yield BEAMVAR, {"kind": BEAMVAR, "width": width}
+        for proposal in (PROPOSAL_BRANCH, PROPOSAL_SAMPLE, PROPOSAL_EXHAUSTIVE):
+            yield f"{VAR}-{proposal}", {
+                "kind": VAR,
+                "width": width,
+                "proposal": proposal,
+            }
+
+
+def _hyp_fingerprint(h: Hypothesis) -> tuple:
+    return (
+        h.tokens,
+        tuple(lp.hex() for lp in h.logprobs),
+        h.raw_score.hex(),
+        tuple(
+            (s.chunk_ordinal, s.kind, s.name, s.text, s.start, s.end, s.raw_logprob.hex())
+            for s in h.spans
+        ),
+    )
+
+
+def decode_fingerprint(source, backend, **config) -> str:
+    """Everything a decode shows: tokens, float bits, spans, alternatives,
+    truncations and the NDJSON tree.  An unsatisfiable template shows only
+    the exception type."""
+    try:
+        r = decode(source, backend, DecoderConfig(record_tree=True, **config))
+    except TemplateUnsatisfiable:
+        return "unsatisfiable"
+    return repr(
+        (
+            _hyp_fingerprint(r.best),
+            tuple(_hyp_fingerprint(a) for a in r.alternatives),
+            r.truncated_count,
+            r.tree.to_ndjson(),
+        )
+    )
+
+
+def cap_escape_fixture() -> tuple[Sketch, TableLM]:
+    """Two one-token variables under a one-token global cap.
+
+    A token that closes its variable is not truncated, so var's
+    per-variable steps finish this template past the cap while beamvar's
+    token steps stop at the cap and find it unsatisfiable.
+    """
+    sketch = Sketch(
+        name="cap-escape",
+        chunks=(
+            Chunk.variable(VariableSpec("A", one_of=OneOf(("a", "b")), max_tokens=2)),
+            Chunk.variable(VariableSpec("B", one_of=OneOf(("c", "d")), max_tokens=2)),
+        ),
+    )
+    return sketch, random_backend(3)
+
+
+def pinned_families():
+    """(family, source, backend, extra config) for the pinned-output test."""
+    for seed in range(20):
+        sketch, backend = random_fixture(seed)
+        yield "random", sketch, backend, {}
+        yield "random-cap3", sketch, backend, {"global_max_tokens": 3}
+    for seed in range(5):
+        sketch, backend = random_fixture(100 + seed)
+        yield "topk", sketch, TopK(backend, 2), {}
+        yield "topk", *truncated_fixture(seed), {}
+    instance = dungeon.suite(0)[0]
+    yield (
+        "dungeon",
+        dungeon.dungeon_source(instance),
+        dungeon.dungeon_backend(instance),
+        {},
+    )
+    sketch, backend = cap_escape_fixture()
+    yield "cap-escape", sketch, backend, {"global_max_tokens": 1}
+
+
+def pinned_digests() -> dict[str, str]:
+    hashes: dict[str, "hashlib._Hash"] = {}
+    for family, source, backend, extra in pinned_families():
+        for label, config in decoder_configs():
+            if label == f"{VAR}-{PROPOSAL_EXHAUSTIVE}" and config["width"] == 2:
+                # the enumeration does not depend on the width, and repeating
+                # it at width 2 would add a second to the test
+                continue
+            fingerprint = decode_fingerprint(source, backend, **config, **extra)
+            key = f"{family}/{label}"
+            hashes.setdefault(key, hashlib.sha256()).update(fingerprint.encode())
+    return {key: h.hexdigest() for key, h in hashes.items()}
+
+
+# sha256 per family and decoder of every decode's fingerprint, recorded
+# before argmax became width-1 beam and var and beamvar began sharing one
+# search loop; any change to a token, a float bit, a span, an alternative,
+# a truncation count or a trace node changes one of these
+PINNED_DIGESTS = {
+    "random/argmax": "f8ee7b704ef8c70cce28456dfa511b372c1aadbabc7e50a72e78a23a765ed5d1",
+    "random/beam": "94599b3a207d5a58e88bed5d456945243b11b2ddf2a9e257f3843f5fb7d9e078",
+    "random/beamvar": "cb58e7f993ad19cea36ed90d7c9e2517579a2d9bd7b9106213da53dec2daf153",
+    "random/var-branch": "2134745a95a02075f95be336ad1aad29ef784a4f23e632da31cad6156eb46e13",
+    "random/var-sample": "3d72a27278e72a31f24057d33032960e2352e2bc863bbf7fe190158fa73c094e",
+    "random/var-exhaustive": "55bd6a852a9e53ad3b5a42acadd1a2652d63b74cd7bfb48d1b2b9ca799d8d81a",
+    "random-cap3/argmax": "50c596456d291539f8de5fce8243f894740e39c50b81e1014df90c84e6672506",
+    "random-cap3/beam": "3dd5b9cc721600b9feb9fe7c6024df653878515402d31f74f507d98daf803d7d",
+    "random-cap3/beamvar": "3dd5b9cc721600b9feb9fe7c6024df653878515402d31f74f507d98daf803d7d",
+    "random-cap3/var-branch": "3dd5b9cc721600b9feb9fe7c6024df653878515402d31f74f507d98daf803d7d",
+    "random-cap3/var-sample": "3dd5b9cc721600b9feb9fe7c6024df653878515402d31f74f507d98daf803d7d",
+    "random-cap3/var-exhaustive": "89b214f77bdcee1cd69147ab811bd41dff661288edbf95c7226fd26ec9e61656",
+    "topk/argmax": "b04f8ea70f6372af56c3f73af44c1853846f455420e99745c4ceb2b329bc9904",
+    "topk/beam": "7888565d26558eddea8928fb71d4206760eef87cfe88dfed7d6b6f0d25f62c0b",
+    "topk/beamvar": "0ba8d355ffb41c060bc82e58426791ff132c5de8ef152e60b6bb28ad7f2ac0f2",
+    "topk/var-branch": "2b9b24c3381f3af01e07c840534625462e4cd6916e7bd91ed20a181de5777c20",
+    "topk/var-sample": "14461ccc1641151d2316ae81549cd8d258d08115919a1e68cc6eab014cb4183e",
+    "topk/var-exhaustive": "135429a37fa9d16e7fe9a56c434f181da37b138645eb99bab417abe3e35c8d28",
+    "dungeon/argmax": "9f2a73e2166a810b2e4a8ee0db4f6900b20448e7fd633db33554c9708126c905",
+    "dungeon/beam": "bc23ae47c5778fc75d7aed1a542842f89b298e0af3ed47f61004a5f8f9bde53b",
+    "dungeon/beamvar": "31b845165a2dabbbe729a31625324b52dc59b011143d1d99bde301df15a884da",
+    "dungeon/var-branch": "31b845165a2dabbbe729a31625324b52dc59b011143d1d99bde301df15a884da",
+    "dungeon/var-sample": "34e9f7633da12730858dd1929462a8f80e4ff36d5c56b8add217d4ef4b5f9b4e",
+    "dungeon/var-exhaustive": "67775b264b1996766b70b9e8080b82a315e09f7209c75ba0aaa9ca016c236bbf",
+    "cap-escape/argmax": "ba9d52e0a29b229cd701e7075ab360ab1946b084072bbcff2df46db614aa262b",
+    "cap-escape/beam": "09968c1ace0d73b8d3a9049a121191174c1bdce02fca50551f97d8648cdd3316",
+    "cap-escape/beamvar": "ba6979393552a145ef3a1304aff5a194c7905b86e2874f2017deeb8af7e29c57",
+    "cap-escape/var-branch": "93e7d082f14c7003af417db7a6ab48827ab58436455b08b79d98621c140fb062",
+    "cap-escape/var-sample": "317cad4cae8d43063087c8e679a9486b705d4a815227240b948b9b64d543152f",
+    "cap-escape/var-exhaustive": "3eb3b9d64922c9eefd7c2beac0fe3ec0299627c5af639ea71376c166bc2bc740",
+}
+
+
+def test_decoder_outputs_are_pinned():
+    assert pinned_digests() == PINNED_DIGESTS
+
+
+def test_truncated_distributions_fall_back_to_whole_members(monkeypatch):
+    calls = []
+    fallback = _Engine.fallback_completions
+
+    def counted(self, h):
+        calls.append(h.open_state.partial_value)
+        return fallback(self, h)
+
+    monkeypatch.setattr(_Engine, "fallback_completions", counted)
+    for label, config in decoder_configs(widths=(1, 2)):
+        for seed in range(3):
+            sketch, backend = truncated_fixture(seed)
+            calls.clear()
+            result = decode(sketch, backend, DecoderConfig(**config))
+            assert calls, (label, config, seed)
+            for h in (result.best, *result.alternatives):
+                assert h.bindings.value("X") in OFF_TOP_MEMBERS
+            assert decode(sketch, backend, DecoderConfig(**config)) == result
