@@ -1,16 +1,24 @@
 """Sketch-aware decoding strategies over a shared hypothesis engine.
 
-Four strategies fill a sketch's variables:
+Four strategies fill a sketch's variables.  They differ in the expansion
+unit (one token or a whole variable value) and in what a selection keeps,
+and they run on two loops:
 
-* ``argmax``  -- greedy: the single best allowed token at every step.
-* ``beam``    -- a token-level beam inside each variable, committing the
-  best finished candidate before moving on.
-* ``var``     -- variable-level search: every surviving hypothesis
-  proposes whole variable values, and a global top-n selection runs once
-  per variable.
-* ``beamvar`` -- a token-level beam across the whole template in which the
-  beam width is re-divided every step among pools of hypotheses grouped by
-  the variable they are currently decoding.
+* ``beam``    -- ``_decode_beam``: a token-level beam inside each variable
+  that commits the best finished value before the next variable opens; the
+  other finished values of the last variable are the alternatives.
+* ``argmax``  -- the same loop at width 1: greedy, the single best allowed
+  token at every step.
+* ``var``     -- ``_decode_search`` over whole variable values: every
+  surviving hypothesis proposes values (branch, sampled or exhaustive),
+  and the top n are kept once per variable.
+* ``beamvar`` -- ``_decode_search`` over tokens, across the whole template:
+  the beam width is re-divided every step among pools of hypotheses
+  grouped by the variable they are currently decoding.
+
+Every selection goes through one pooled rule (``_Engine.select``).  In
+``beam`` and ``var`` all candidates of a step are on the same variable, so
+their single pool's top n is the global top n.
 
 Deterministic chunks are forced but still likelihood-scored, so a
 hypothesis whose committed values make later fixed text improbable pays
@@ -20,10 +28,11 @@ the template.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .constraints import MAX_TOKENS, compute_mask, advance
 from .errors import DeadEnd, TemplateUnsatisfiable
@@ -31,8 +40,6 @@ from .lm import LMBackend
 from .scoring import Hypothesis, ScoreParams, rank_hypotheses
 from .sketch import Bindings, StaticSketchSource, as_source, next_pending_chunks
 from .trace import NullRecorder, TraceRecorder
-
-NEG_INF = float("-inf")
 
 ARGMAX = "argmax"
 BEAM = "beam"
@@ -122,17 +129,6 @@ def default_token_cap(source, backend: LMBackend) -> int:
 # --- shared primitives ------------------------------------------------------
 
 
-def separate_done(hyps: Sequence[Hypothesis]) -> tuple[list[Hypothesis], list[Hypothesis]]:
-    """Partition into (done, active).  Done hypotheses are never expanded."""
-    done = [h for h in hyps if h.done]
-    active = [h for h in hyps if not h.done]
-    return done, active
-
-
-def _best_done_score(done: Sequence[Hypothesis], score: ScoreParams) -> float:
-    return max((h.normalized_score(score) for h in done), default=NEG_INF)
-
-
 def _should_halt(
     active: Sequence[Hypothesis],
     done: Sequence[Hypothesis],
@@ -144,13 +140,14 @@ def _should_halt(
         return True
     if not done:
         return False
-    best_done = _best_done_score(done, score)
+    best_done = max(h.normalized_score(score) for h in done)
     best_bound = max(h.score_upper_bound(score, horizon) for h in active)
     return best_bound < best_done
 
 
 class _Engine:
-    """Plumbing shared by every decoder: settling, expansion, tracing."""
+    """Plumbing shared by every decoder: settling, expansion, selection,
+    tracing."""
 
     def __init__(self, source, backend: LMBackend, config: DecoderConfig):
         self.source = source
@@ -220,9 +217,10 @@ class _Engine:
     ) -> list[tuple[int, float]] | None:
         """Allowed (token, logprob) pairs, best-first.
 
-        Returns None when a constrained variable meets an empty truncated
-        distribution, in which case the caller must fall back to scoring
-        whole member completions.
+        A complete distribution is filtered through the token mask.  A
+        truncated one is filtered by prefix tests instead, and when none of
+        its tokens is allowed the result is None: the caller must fall back
+        to scoring whole member completions.
         May raise DeadEnd when no vocabulary token can extend the value.
         """
         state = h.open_state
@@ -230,7 +228,7 @@ class _Engine:
         if state.index is None:
             # every token is allowed, as the unconstrained mask says
             return list(dist.entries)
-        if self.backend.caps.supports_full_distribution:
+        if dist.complete:
             mask = compute_mask(state, self.backend.vocab)
             return [(t, lp) for (t, lp) in dist.entries if t in mask]
         vocab = self.backend.vocab
@@ -301,6 +299,15 @@ class _Engine:
             )
         return out
 
+    def child(self, h: Hypothesis, token: int, logprob: float) -> "_Cand":
+        """h extended by one token, with that token's text for the trace."""
+        return _Cand(
+            hyp=self.apply_token(h, token, logprob),
+            parent_node=h.node_id,
+            token_text=self.backend.vocab.token_text(token),
+            logprob=logprob,
+        )
+
     def expand_top(self, h: Hypothesis, n: int) -> list["_Cand"]:
         """Children of h by its n best allowed continuations.
 
@@ -315,37 +322,41 @@ class _Engine:
                 return self.fallback_completions(h)[:n]
             except DeadEnd:
                 return []
-        vocab = self.backend.vocab
-        out = []
-        for t, lp in pairs[:n]:
-            child = self.apply_token(h, t, lp)
-            out.append(
-                _Cand(
-                    hyp=child,
-                    parent_node=h.node_id,
-                    token_text=vocab.token_text(t),
-                    logprob=lp,
-                )
-            )
-        return out
+        return [self.child(h, t, lp) for t, lp in pairs[:n]]
 
-    # -- trace bookkeeping -----------------------------------------------
+    # -- selection -------------------------------------------------------
+
+    def select(self, cands: Sequence["_Cand"], width: int) -> list[Hypothesis]:
+        """The best live candidates of each variable pool, the width split
+        among the pools by ``allocate_pools``."""
+        if not cands:
+            return []
+        by_pool: dict[int, list[_Cand]] = {}
+        for c in cands:
+            by_pool.setdefault(_pool_key(c.hyp), []).append(c)
+        pools = [Pool(variable_index=k, members=by_pool[k]) for k in sorted(by_pool)]
+        kept: list[Hypothesis] = []
+        for pool, w in zip(pools, allocate_pools(pools, width)):
+            members = sorted(pool.members, key=lambda c: c.hyp.rank_key(self.score))
+            alive = [i for i, c in enumerate(members) if not c.hyp.dead]
+            kept.extend(self.record_selection(members, set(alive[:w])))
+        return kept
 
     def record_selection(
-        self, cands: Sequence["_Cand"], kept: set[int], pool_index: int | None
-    ) -> list["_Cand"]:
-        """Emit trace nodes in rank order; survivors get their new node id."""
-        finalized = []
+        self, cands: Sequence["_Cand"], kept: set[int]
+    ) -> list[Hypothesis]:
+        """Emit trace nodes in rank order; survivors come back with their
+        new node id."""
+        survivors = []
         for rank, c in enumerate(cands):
             status = "expanded" if rank in kept else "pruned"
             norm = c.hyp.normalized_score(self.score)
-            pool = pool_index if pool_index is not None else _pool_key(c.hyp)
             nid = self.recorder.add(
-                c.parent_node, c.token_text, c.logprob, norm, pool, status
+                c.parent_node, c.token_text, c.logprob, norm, _pool_key(c.hyp), status
             )
             if rank in kept:
-                finalized.append(replace(c, hyp=c.hyp.with_node(nid)))
-        return finalized
+                survivors.append(c.hyp.with_node(nid))
+        return survivors
 
 
 @dataclass(frozen=True)
@@ -457,15 +468,7 @@ def _propose_sampled(eng: _Engine, h: Hypothesis, n: int) -> list[_Cand]:
                 weights = [1.0] * len(pairs)
             pick = rng.choices(range(len(pairs)), weights=weights)[0]
             t, lp = pairs[pick]
-            child = eng.apply_token(cur.hyp, t, lp)
-            cur = cur.merged(
-                _Cand(
-                    hyp=child,
-                    parent_node=cur.hyp.node_id,
-                    token_text=eng.backend.vocab.token_text(t),
-                    logprob=lp,
-                )
-            )
+            cur = cur.merged(eng.child(cur.hyp, t, lp))
         if not cur.hyp.dead and cur.hyp.tokens not in seen:
             seen[cur.hyp.tokens] = cur
     return list(seen.values())
@@ -490,17 +493,7 @@ def _propose_exhaustive(eng: _Engine, h: Hypothesis) -> list[_Cand]:
                 rec(cur.merged(option))
             return
         for t, lp in pairs:
-            child = eng.apply_token(cur.hyp, t, lp)
-            rec(
-                cur.merged(
-                    _Cand(
-                        hyp=child,
-                        parent_node=cur.hyp.node_id,
-                        token_text=eng.backend.vocab.token_text(t),
-                        logprob=lp,
-                    )
-                )
-            )
+            rec(cur.merged(eng.child(cur.hyp, t, lp)))
 
     rec(_Cand(hyp=h, parent_node=h.node_id, token_text="", logprob=0.0))
     return out
@@ -517,28 +510,6 @@ def _propose(eng: _Engine, h: Hypothesis, n: int) -> list[_Cand]:
 # --- decoders ----------------------------------------------------------------
 
 
-def expand_det(h: Hypothesis, source, backend: LMBackend, config: DecoderConfig | None = None) -> Hypothesis:
-    """Force the pending deterministic run of a hypothesis.
-
-    No-op when the next pending chunk is a variable.  Marks the hypothesis
-    done when the template has no chunks left.  Exposed for tests and
-    callers that drive decoding manually; decoders use the same engine
-    internally.
-    """
-    eng = _Engine(as_source(source), backend, config or DecoderConfig(kind=ARGMAX, width=1))
-    settled = eng.settle(h)
-    if settled.open_spec is not None and h.open_spec is None:
-        # settle also opens the next variable; expand_det only forces text
-        return replace(
-            settled,
-            open_spec=None,
-            open_state=None,
-            open_start=0,
-            open_raw=0.0,
-        )
-    return settled
-
-
 def _finish(
     eng: _Engine, done: list[Hypothesis]
 ) -> DecodeResult:
@@ -553,54 +524,21 @@ def _finish(
     )
 
 
-def _decode_argmax(eng: _Engine) -> DecodeResult:
-    h = eng.settle(Hypothesis())
-    while not h.done:
-        if h.dead:
-            raise TemplateUnsatisfiable("the greedy path died before completion")
-        cands = eng.expand_top(h, 1)
-        if not cands:
-            raise TemplateUnsatisfiable("no token can legally continue the template")
-        kept = eng.record_selection(cands, {0}, None)
-        h = kept[0].hyp
-        if h.open_spec is None and not h.dead:
-            h = eng.settle(h)
-    return _finish(eng, [h])
-
-
-def _beam_variable(
-    eng: _Engine, h: Hypothesis, width: int
-) -> list[Hypothesis]:
-    """Token-level beam inside one variable; returns finished candidates."""
-    active = [h]
-    finished: list[Hypothesis] = []
-    while active:
-        if _should_halt(active, finished, eng.score, eng.cap):
-            break
-        cands: list[_Cand] = []
-        for s in active:
-            cands.extend(eng.expand_top(s, width))
-        cands.sort(key=lambda c: c.hyp.rank_key(eng.score))
-        alive = [i for i, c in enumerate(cands) if not c.hyp.dead]
-        kept_idx = set(alive[:width])
-        kept = eng.record_selection(cands, kept_idx, None)
-        active = []
-        for c in kept:
-            if c.hyp.open_spec is None:
-                finished.append(c.hyp)
-            else:
-                active.append(c.hyp)
-    return finished
-
-
 def _decode_beam(eng: _Engine) -> DecodeResult:
+    """argmax and beam: a token-level beam inside each variable, whose best
+    finished value is committed before the next variable opens."""
     width = eng.config.width
     h = eng.settle(Hypothesis())
     alternatives: list[Hypothesis] = []
     while not h.done:
         if h.dead:
             raise TemplateUnsatisfiable("the committed path died before completion")
-        finished = _beam_variable(eng, h, width)
+        active, finished = [h], []
+        while not _should_halt(active, finished, eng.score, eng.cap):
+            cands = [c for s in active for c in eng.expand_top(s, width)]
+            kept = eng.select(cands, width)
+            finished += [k for k in kept if k.open_spec is None]
+            active = [k for k in kept if k.open_spec is not None]
         if not finished:
             raise TemplateUnsatisfiable(
                 f"no candidate finished variable {h.open_spec.name!r}"
@@ -609,73 +547,37 @@ def _decode_beam(eng: _Engine) -> DecodeResult:
         h = eng.settle(ranked[0])
         alternatives = ranked[1:]
     finals = [h] + [eng.settle(a) for a in alternatives]
-    finals = [f for f in finals if f.done]
-    return _finish(eng, finals)
+    return _finish(eng, [f for f in finals if f.done])
 
 
-def _decode_var(eng: _Engine) -> DecodeResult:
+def _decode_search(eng: _Engine, expand, steps) -> DecodeResult:
+    """var and beamvar: every live hypothesis is expanded by
+    ``expand(eng, h, width)`` and a pooled selection keeps the best, across
+    the whole template.
+
+    ``steps`` bounds the loop.  beamvar's token steps stop at the global
+    token cap; var's variable steps run until the search ends, because a
+    token that closes its variable is never truncated, so a value-level
+    step may finish a template past the cap.
+    """
     width = eng.config.width
     active = [eng.settle(Hypothesis())]
     done: list[Hypothesis] = []
-    while True:
-        settled = [eng.settle(h) for h in active]
-        settled = [h for h in settled if not h.dead]
-        newly_done, active = separate_done(settled)
-        done.extend(newly_done)
-        if _should_halt(active, done, eng.score, eng.cap):
-            break
-        cands: list[_Cand] = []
-        for h in active:
-            cands.extend(_propose(eng, h, width))
-        cands.sort(key=lambda c: c.hyp.rank_key(eng.score))
-        alive = [i for i, c in enumerate(cands) if not c.hyp.dead]
-        kept_idx = set(alive[:width])
-        kept = eng.record_selection(cands, kept_idx, None)
-        active = [c.hyp for c in kept]
-        if not active:
-            break
-    return _finish(eng, done)
-
-
-def _decode_beamvar(eng: _Engine) -> DecodeResult:
-    width = eng.config.width
-    active = [eng.settle(Hypothesis())]
-    done: list[Hypothesis] = []
-    for _ in range(eng.cap):
-        settled = [eng.settle(h) for h in active]
-        settled = [h for h in settled if not h.dead]
-        newly_done, active = separate_done(settled)
-        done.extend(newly_done)
+    for _ in steps:
+        settled = [h for h in map(eng.settle, active) if not h.dead]
+        done.extend(h for h in settled if h.done)
+        active = [h for h in settled if not h.done]
         if _should_halt(active, done, eng.score, eng.cap):
             active = []
             break
-        cands: list[_Cand] = []
-        for s in active:
-            cands.extend(eng.expand_top(s, width))
-        if not cands:
-            active = []
-            break
-        by_pool: dict[int, list[_Cand]] = {}
-        for c in cands:
-            by_pool.setdefault(_pool_key(c.hyp), []).append(c)
-        keys = sorted(by_pool)
-        pools = [Pool(variable_index=k, members=by_pool[k]) for k in keys]
-        widths = allocate_pools(pools, width)
-        selected: list[Hypothesis] = []
-        for pool, w in zip(pools, widths):
-            members = sorted(pool.members, key=lambda c: c.hyp.rank_key(eng.score))
-            alive = [i for i, c in enumerate(members) if not c.hyp.dead]
-            kept_idx = set(alive[:w])
-            kept = eng.record_selection(members, kept_idx, pool.variable_index)
-            selected.extend(c.hyp for c in kept)
-        active = selected
-    # anything still open when the loop ends hit the global cap
-    leftovers = [eng.settle(h) for h in active if not h.dead]
-    for h in leftovers:
-        if not h.done and not h.dead:
+        cands = [c for h in active for c in expand(eng, h, width)]
+        active = eng.select(cands, width)
+    # anything still open when the steps run out hit the global cap
+    for h in map(eng.settle, active):
+        if h.done:
+            done.append(h)
+        elif not h.dead:
             eng.truncated += 1
-    newly_done, _ = separate_done(leftovers)
-    done.extend(newly_done)
     return _finish(eng, done)
 
 
@@ -683,13 +585,11 @@ def decode(sketch_or_source, backend: LMBackend, config: DecoderConfig | None = 
     """Run the configured decoder over a sketch or chunk source."""
     config = config or DecoderConfig()
     eng = _Engine(as_source(sketch_or_source), backend, config)
-    if config.kind == ARGMAX:
-        return _decode_argmax(eng)
-    if config.kind == BEAM:
+    if config.kind in (ARGMAX, BEAM):
         return _decode_beam(eng)
     if config.kind == VAR:
-        return _decode_var(eng)
-    return _decode_beamvar(eng)
+        return _decode_search(eng, _propose, itertools.count())
+    return _decode_search(eng, _Engine.expand_top, range(eng.cap))
 
 
 def decode_argmax(sketch_or_source, backend, **kw) -> DecodeResult:

@@ -8,6 +8,11 @@ The backend protocol (``LMBackend``) is three methods:
   ``next_distribution`` call per token;
 - ``tokenize(text)``: token ids for forced text.
 
+A backend declares nothing else about itself: each distribution says
+whether it covers the whole vocabulary (``TokenDistribution.complete``) or
+is a truncated top-k slice, as a remote service returns it, and the
+decoders filter it accordingly.
+
 Local backends expose complete next-token distributions over a fixed
 vocabulary.  Both exist to create exactly reproducible desk-scale
 distributions -- the table model by explicit enumeration, the n-gram model
@@ -126,18 +131,10 @@ class TokenDistribution:
         return self.entries[0]
 
 
-@dataclass(frozen=True)
-class BackendCaps:
-    supports_full_distribution: bool
-    top_k_limit: int | None
-    supports_forced_scoring: bool
-
-
 class LMBackend:
     """Base class: autoregressive scoring over a token vocabulary."""
 
     vocab: Vocabulary
-    caps: BackendCaps
 
     def next_distribution(self, prefix: Sequence[int]) -> TokenDistribution:
         raise NotImplementedError
@@ -192,11 +189,6 @@ class TableLM(LMBackend):
         check_rows: bool = True,
     ):
         self.vocab = vocab
-        self.caps = BackendCaps(
-            supports_full_distribution=True,
-            top_k_limit=None,
-            supports_forced_scoring=True,
-        )
         self._lookup = rows.get if isinstance(rows, Mapping) else rows
         self._rows = rows if isinstance(rows, Mapping) else None
         self._default = tuple(default_row)
@@ -281,11 +273,6 @@ class NGramLM(LMBackend):
         if order < 1:
             raise ModelFileError("order must be >= 1")
         self.vocab = vocab
-        self.caps = BackendCaps(
-            supports_full_distribution=True,
-            top_k_limit=None,
-            supports_forced_scoring=True,
-        )
         self.order = order
         self._unigram = (Counter(corpus_tokens), len(corpus_tokens))
         follow: dict[tuple[int, ...], Counter] = {}

@@ -22,7 +22,7 @@ from typing import Sequence
 import requests
 
 from .errors import BackendUnavailable, ContextTooLong, ForcedScoringUnsupported
-from .lm import NEG_INF, BackendCaps, LMBackend, TokenDistribution
+from .lm import NEG_INF, LMBackend, TokenDistribution
 
 API_KEY_ENV = "SKETCHDEC_API_KEY"
 # texts whose service tokenization is kept; the oldest is dropped first, so a
@@ -85,11 +85,6 @@ class RemoteCompletionsLM(LMBackend):
         self.backoff_base = backoff_base
         self.session = session or requests.Session()
         self.vocab = TokenRegistry(eos_text=eos_text)
-        self.caps = BackendCaps(
-            supports_full_distribution=False,
-            top_k_limit=top_k,
-            supports_forced_scoring=True,
-        )
         self._tokenize_cache: dict[str, list[int]] = {}
         self._rng = random.Random(0x5EED)
 

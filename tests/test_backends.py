@@ -317,13 +317,6 @@ def test_ngram_corpus_token_outside_vocab(tmp_path):
         NGramLM.from_file(str(path))
 
 
-def test_backend_caps_surface():
-    table = table_fixture()
-    assert table.caps.supports_full_distribution
-    assert table.caps.supports_forced_scoring
-    assert table.caps.top_k_limit is None
-
-
 # --- one-pass forced scoring against the per-token reference -----------------
 
 

@@ -4,9 +4,15 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import isolated_greedy, random_backend, random_fixture, stable_unit
+from conftest import (
+    isolated_greedy,
+    random_backend,
+    random_fixture,
+    random_sketch,
+    stable_unit,
+)
 from sketchdec.constraints import compute_mask
 from sketchdec.decoders import (
     ARGMAX,
@@ -26,12 +32,10 @@ from sketchdec.decoders import (
     decode_beamvar,
     decode_var,
     default_token_cap,
-    expand_det,
     _Engine,
 )
 from sketchdec.errors import TemplateUnsatisfiable
 from sketchdec.lm import (
-    BackendCaps,
     LMBackend,
     NGramLM,
     TableLM,
@@ -319,19 +323,22 @@ def dotted_sketch() -> Sketch:
     )
 
 
-def test_expand_det_forces_only_deterministic_text():
+def test_settle_forces_only_deterministic_text():
     backend = hand_table()
-    source = StaticSketchSource(dotted_sketch())
-    h = expand_det(Hypothesis(), source, backend)
+    sketch = dotted_sketch()
+    eng = _Engine(StaticSketchSource(sketch), backend, DecoderConfig())
+    h = eng.settle(Hypothesis())
+    # the text up to the variable is forced, and the variable is opened
     assert h.rendered() == "."
-    assert h.open_spec is None
+    assert h.tokens == tuple(backend.tokenize("."))
+    assert h.open_spec == sketch.chunks[1].var
     assert not h.done
 
 
-def test_expand_det_marks_exhausted_template_done():
+def test_settle_marks_exhausted_template_done():
     backend = hand_table()
     sketch = dotted_sketch()
-    source = StaticSketchSource(sketch)
+    eng = _Engine(StaticSketchSource(sketch), backend, DecoderConfig())
     h = Hypothesis()
     h = h.with_forced_span(backend.tokenize("."), [-1.0], ".")
     h = h.with_open_variable(sketch.chunks[1].var)
@@ -339,10 +346,10 @@ def test_expand_det_marks_exhausted_template_done():
 
     h = h.with_variable_token(1, -1.0, MaskState("x", 1, None))
     h = h.with_closed_variable()
-    h = expand_det(h, source, backend)  # forces the trailing "."
+    h = eng.settle(h)  # forces the trailing "." and finds nothing after it
     assert h.rendered() == ".x."
-    h = expand_det(h, source, backend)
     assert h.done
+    assert eng.settle(h) is h
 
 
 def test_global_cap_kills_open_hypotheses():
@@ -431,11 +438,6 @@ class TopK(LMBackend):
         self.inner = inner
         self.k = k
         self.vocab = inner.vocab
-        self.caps = BackendCaps(
-            supports_full_distribution=False,
-            top_k_limit=k,
-            supports_forced_scoring=True,
-        )
 
     def next_distribution(self, prefix):
         entries = self.inner.next_distribution(prefix).entries[: self.k]
@@ -562,7 +564,7 @@ def pinned_families():
 
 
 def pinned_digests() -> dict[str, str]:
-    hashes: dict[str, "hashlib._Hash"] = {}
+    hashes = {}
     for family, source, backend, extra in pinned_families():
         for label, config in decoder_configs():
             if label == f"{VAR}-{PROPOSAL_EXHAUSTIVE}" and config["width"] == 2:
@@ -575,10 +577,10 @@ def pinned_digests() -> dict[str, str]:
     return {key: h.hexdigest() for key, h in hashes.items()}
 
 
-# sha256 per family and decoder of every decode's fingerprint, recorded
-# before argmax became width-1 beam and var and beamvar began sharing one
-# search loop; any change to a token, a float bit, a span, an alternative,
-# a truncation count or a trace node changes one of these
+# sha256 per family and decoder of every decode's fingerprint: any change
+# to a token, a float bit, a span, an alternative, a truncation count or a
+# trace node changes one of these, so re-record them only for an intended
+# change of decoder output
 PINNED_DIGESTS = {
     "random/argmax": "f8ee7b704ef8c70cce28456dfa511b372c1aadbabc7e50a72e78a23a765ed5d1",
     "random/beam": "94599b3a207d5a58e88bed5d456945243b11b2ddf2a9e257f3843f5fb7d9e078",
@@ -635,3 +637,44 @@ def test_truncated_distributions_fall_back_to_whole_members(monkeypatch):
             for h in (result.best, *result.alternatives):
                 assert h.bindings.value("X") in OFF_TOP_MEMBERS
             assert decode(sketch, backend, DecoderConfig(**config)) == result
+
+
+def check_invariants(h: Hypothesis, sketch: Sketch) -> None:
+    """Spans tile the tokens, the raw score is the sum of the token
+    log-probabilities, and every OneOf value is a member."""
+    ends = [0] + [s.end for s in h.spans]
+    assert [s.start for s in h.spans] == ends[:-1]
+    assert ends[-1] == len(h.tokens)
+    assert all(s.start <= s.end for s in h.spans)
+    assert math.isclose(h.raw_score, math.fsum(h.logprobs), rel_tol=0.0, abs_tol=1e-9)
+    members = {
+        c.var.name: c.var.one_of.members
+        for c in sketch.chunks
+        if c.is_var and c.var.one_of is not None
+    }
+    for b in h.bindings:
+        if b.name in members:
+            assert b.value in members[b.name]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    labelled=st.sampled_from(list(decoder_configs())),
+    cap=st.one_of(st.none(), st.integers(1, 12)),
+)
+def test_decode_invariants(seed, labelled, cap):
+    _, config = labelled
+    sketch = random_sketch(random.Random(seed))
+    backend = random_backend(seed)
+    config = DecoderConfig(global_max_tokens=cap, **config)
+    try:
+        result = decode(sketch, backend, config)
+    except TemplateUnsatisfiable:
+        with pytest.raises(TemplateUnsatisfiable):
+            decode(sketch, backend, config)
+        return
+    for h in (result.best, *result.alternatives):
+        assert h.done
+        check_invariants(h, sketch)
+    assert decode(sketch, backend, config) == result
