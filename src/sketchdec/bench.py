@@ -9,6 +9,7 @@ metadata field so the data payload is reproducible under fixed seeds.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +26,8 @@ REPORT_NOTE = (
 
 TASKS = ("fig1", "sudoku", "dungeon", "json")
 _REQUIRED_KEYS = ("task", "seed", "decoder", "width", "alpha", "beta")
+_INTEGER_KEYS = ("seed", "width")
+_NUMBER_KEYS = ("alpha", "beta")
 # tasks whose fixtures exist for more than one backend kind
 _BACKEND_CHOICES = {"fig1": ("table",), "json": ("table", "ngram")}
 
@@ -53,6 +56,12 @@ def parse_manifest(raw) -> list[dict]:
         unknown = [k for k in row if k not in _REQUIRED_KEYS + ("backend",)]
         if unknown:
             raise ManifestError(f"row {i} has unknown keys {unknown}")
+        for key in _INTEGER_KEYS:
+            if isinstance(row[key], bool) or not isinstance(row[key], int):
+                raise ManifestError(f"row {i}: {key!r} must be an integer")
+        for key in _NUMBER_KEYS:
+            if not _finite_number(row[key]):
+                raise ManifestError(f"row {i}: {key!r} must be a finite number")
         if row["task"] not in TASKS:
             raise ManifestError(f"row {i}: unknown task {row['task']!r}")
         if row["decoder"] not in (ARGMAX, BEAM, VAR, BEAMVAR):
@@ -66,6 +75,15 @@ def parse_manifest(raw) -> list[dict]:
                 )
         rows.append(row)
     return rows
+
+
+def _finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def load_manifest(path: str | Path) -> list[dict]:

@@ -213,24 +213,24 @@ class _Engine:
     # -- variable expansion --------------------------------------------------
 
     def allowed_continuations(
-        self, h: Hypothesis
+        self, h: Hypothesis, n: int | None = None
     ) -> list[tuple[int, float]] | None:
         """Allowed (token, logprob) pairs, best-first.
 
-        A complete distribution is filtered through the token mask.  A
-        truncated one is filtered by prefix tests instead, and when none of
-        its tokens is allowed the result is None: the caller must fall back
-        to scoring whole member completions.
+        An unconstrained variable allows every token, and only the n best
+        are read when n is given.  A complete distribution is read through
+        the token mask.  A truncated one is filtered by prefix tests
+        instead, and when none of its tokens is allowed the result is None:
+        the caller must fall back to scoring whole member completions.
         May raise DeadEnd when no vocabulary token can extend the value.
         """
         state = h.open_state
         dist = self.backend.next_distribution(h.tokens)
         if state.index is None:
             # every token is allowed, as the unconstrained mask says
-            return list(dist.entries)
+            return list(dist.entries if n is None else dist.top(n))
         if dist.complete:
-            mask = compute_mask(state, self.backend.vocab)
-            return [(t, lp) for (t, lp) in dist.entries if t in mask]
+            return list(dist.allowed(compute_mask(state, self.backend.vocab)))
         vocab = self.backend.vocab
         out = []
         for t, lp in dist.entries:
@@ -314,7 +314,7 @@ class _Engine:
         Returns [] when the hypothesis is at a dead end.
         """
         try:
-            pairs = self.allowed_continuations(h)
+            pairs = self.allowed_continuations(h, n)
         except DeadEnd:
             return []
         if pairs is None:
@@ -454,11 +454,12 @@ def _propose_sampled(eng: _Engine, h: Hypothesis, n: int) -> list[_Cand]:
         while not cur.hyp.dead and cur.hyp.open_spec is not None:
             try:
                 pairs = eng.allowed_continuations(cur.hyp)
+                if pairs is None:
+                    options = eng.fallback_completions(cur.hyp)
             except DeadEnd:
                 cur = replace(cur, hyp=cur.hyp.as_dead())
                 break
             if pairs is None:
-                options = eng.fallback_completions(cur.hyp)
                 weights = [math.exp(o.logprob / cfg.temperature) for o in options]
                 pick = rng.choices(range(len(options)), weights=weights)[0]
                 cur = cur.merged(options[pick])
@@ -486,10 +487,12 @@ def _propose_exhaustive(eng: _Engine, h: Hypothesis) -> list[_Cand]:
             return
         try:
             pairs = eng.allowed_continuations(cur.hyp)
+            if pairs is None:
+                options = eng.fallback_completions(cur.hyp)
         except DeadEnd:
             return
         if pairs is None:
-            for option in eng.fallback_completions(cur.hyp):
+            for option in options:
                 rec(cur.merged(option))
             return
         for t, lp in pairs:

@@ -13,12 +13,26 @@ whether it covers the whole vocabulary (``TokenDistribution.complete``) or
 is a truncated top-k slice, as a remote service returns it, and the
 decoders filter it accordingly.
 
+A distribution is read best-first, by descending log-probability and then
+ascending id, through three operations:
+
+- ``logprob(i)``: token i's log-probability, None when it has none;
+- ``top(n)``: the n best entries;
+- ``allowed(mask)``: the entries whose ids are in a token mask, best-first.
+
+``entries``, the whole best-first tuple, is there too.  The table model and
+the remote backend build it up front (``TokenDistribution.from_pairs``).
+The n-gram model's distribution is sparse: it keeps the context's follower
+counts and builds ``entries`` only when asked.  ``logprob`` is one lookup,
+``top(n)`` takes the sorted observed followers and then unseen ids in id
+order (every unseen token shares one smaller probability), and
+``allowed(mask)`` sorts only the mask's ids, so a constrained step costs
+its mask and an unconstrained step costs n, not the vocabulary.
+
 Local backends expose complete next-token distributions over a fixed
 vocabulary.  Both exist to create exactly reproducible desk-scale
 distributions -- the table model by explicit enumeration, the n-gram model
-by counting a small corpus.  The n-gram model's ``next_distribution`` sorts
-only the context's observed followers: every unseen token shares one
-smaller probability, so those follow in id order without a sort.
+by counting a small corpus.
 """
 from __future__ import annotations
 
@@ -27,8 +41,8 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, filterfalse, repeat
-from typing import Callable, Mapping, Sequence
+from itertools import chain, filterfalse, islice, repeat
+from typing import AbstractSet, Callable, Mapping, Sequence
 
 from .errors import ModelFileError, UnsegmentableText
 
@@ -103,23 +117,34 @@ def greedy_tokenize(vocab: Vocabulary, text: str) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
+def _best_first(pair: tuple[int, float]) -> tuple[float, int]:
+    return (-pair[1], pair[0])
+
+
 class TokenDistribution:
     """Next-token log-probabilities, sorted best-first.
 
     ``complete`` means the entries cover the whole vocabulary and their
     probabilities sum to one; truncated (top-k) distributions set it False.
+    Two distributions are equal when their entries and ``complete`` are,
+    whichever of them is sparse.
     """
 
-    entries: tuple[tuple[int, float], ...]
-    complete: bool
+    __slots__ = ("_entries", "complete")
+
+    def __init__(self, entries: Sequence[tuple[int, float]], complete: bool):
+        self._entries = tuple(entries)
+        self.complete = complete
 
     @classmethod
     def from_pairs(
         cls, pairs: Sequence[tuple[int, float]], complete: bool
     ) -> "TokenDistribution":
-        ordered = tuple(sorted(pairs, key=lambda p: (-p[1], p[0])))
-        return cls(entries=ordered, complete=complete)
+        return cls(sorted(pairs, key=_best_first), complete)
+
+    @property
+    def entries(self) -> tuple[tuple[int, float], ...]:
+        return self._entries
 
     def logprob(self, index: int) -> float | None:
         for i, lp in self.entries:
@@ -127,8 +152,85 @@ class TokenDistribution:
                 return lp
         return None
 
+    def top(self, n: int) -> tuple[tuple[int, float], ...]:
+        """The n best entries: ``entries[:n]``."""
+        return self.entries[:n]
+
+    def allowed(self, mask: AbstractSet[int]) -> tuple[tuple[int, float], ...]:
+        """The entries whose ids are in ``mask``, best-first."""
+        return tuple(p for p in self.entries if p[0] in mask)
+
     def best(self) -> tuple[int, float]:
-        return self.entries[0]
+        return self.top(1)[0]
+
+    def __eq__(self, other):
+        if not isinstance(other, TokenDistribution):
+            return NotImplemented
+        return self.complete == other.complete and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.entries, self.complete))
+
+    def __repr__(self):
+        return f"TokenDistribution(entries={self.entries!r}, complete={self.complete!r})"
+
+
+class _SmoothedCounts(TokenDistribution):
+    """Add-1-smoothed distribution over one context's follower counts,
+    read without building its V entries.
+
+    With T the follower total and V the vocabulary size, token i has
+    probability (c_i+1)/(T+V), c_i its count.  An observed follower
+    (c_i >= 1) has at least 2/(T+V), strictly above the 1/(T+V) every
+    unseen token shares, so the best-first order is the observed followers
+    sorted by ``(-logprob, id)``, then the unseen ids ascending.  Each
+    log-probability is the float ``NGramLM.score_forced`` computes.
+    """
+
+    __slots__ = ("_counts", "_total", "_v")
+
+    def __init__(self, counts: Counter, total: int, v: int):
+        self._entries = None
+        self.complete = True
+        self._counts = counts
+        self._total = total
+        self._v = v
+
+    @property
+    def entries(self) -> tuple[tuple[int, float], ...]:
+        if self._entries is None:
+            self._entries = self.top(self._v)
+        return self._entries
+
+    def logprob(self, index: int) -> float | None:
+        if not 0 <= index < self._v:
+            return None
+        return math.log((self._counts.get(index, 0) + 1) / (self._total + self._v))
+
+    def _unseen_lp(self) -> float:
+        return math.log(1 / (self._total + self._v))
+
+    def _sorted_seen(self, ids) -> list[tuple[int, float]]:
+        """Observed followers among ids, best-first."""
+        counts, denom = self._counts, self._total + self._v
+        return sorted(
+            ((i, math.log((counts[i] + 1) / denom)) for i in ids), key=_best_first
+        )
+
+    def top(self, n: int) -> tuple[tuple[int, float], ...]:
+        seen = self._sorted_seen(self._counts)
+        if n <= len(seen):
+            return tuple(seen[:n])
+        unseen = filterfalse(self._counts.__contains__, range(self._v))
+        return tuple(
+            chain(seen, zip(islice(unseen, n - len(seen)), repeat(self._unseen_lp())))
+        )
+
+    def allowed(self, mask: AbstractSet[int]) -> tuple[tuple[int, float], ...]:
+        counts = self._counts
+        seen = self._sorted_seen([i for i in mask if i in counts])
+        unseen = sorted(i for i in mask if i not in counts)
+        return tuple(chain(seen, zip(unseen, repeat(self._unseen_lp()))))
 
 
 class LMBackend:
@@ -295,26 +397,9 @@ class NGramLM(LMBackend):
         return self._unigram
 
     def next_distribution(self, prefix: Sequence[int]) -> TokenDistribution:
-        """Built without sorting the vocabulary.
-
-        With T the context's follower total and V the vocabulary size, an
-        observed follower (count c >= 1) has smoothed probability
-        (c+1)/(T+V) >= 2/(T+V), strictly above the 1/(T+V) every unseen
-        token shares.  So the best-first order is the observed followers
-        sorted by ``(-logprob, id)``, then the unseen ids ascending, which
-        is the order ``TokenDistribution.from_pairs`` gives; each
-        log-probability equals the one ``score_forced`` computes.
-        """
+        """A sparse view of the context's counts: nothing V-wide is built."""
         counts, total = self._counts(prefix)
-        v = len(self.vocab)
-        seen = sorted(
-            ((i, math.log((c + 1) / (total + v))) for i, c in counts.items()),
-            key=lambda p: (-p[1], p[0]),
-        )
-        unseen = filterfalse(counts.__contains__, range(v))
-        unseen_lp = math.log(1 / (total + v))
-        entries = tuple(chain(seen, zip(unseen, repeat(unseen_lp))))
-        return TokenDistribution(entries=entries, complete=True)
+        return _SmoothedCounts(counts, total, len(self.vocab))
 
     def score_forced(
         self, prefix: Sequence[int], continuation: Sequence[int]

@@ -10,9 +10,29 @@ from __future__ import annotations
 import hashlib
 import random
 
+from hypothesis import strategies as st
+
 from sketchdec.constraints import MaskState, advance, compute_mask
 from sketchdec.lm import TableLM, Vocabulary
 from sketchdec.sketch import Chunk, OneOf, Sketch, VariableSpec
+
+
+# any JSON value: NaN and the infinities included, as ``json.loads`` reads them
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def or_junk(valid):
+    """The valid values, or any JSON value in their place."""
+    return st.one_of(valid, json_values)
 
 
 def stable_unit(*parts) -> float:

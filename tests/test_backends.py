@@ -411,6 +411,38 @@ def test_ngram_next_distribution_matches_full_sort(data, order):
     assert lm.next_distribution(tuple(prefix)) == want
 
 
+@given(st.data(), st.integers(1, 3))
+def test_ngram_view_reads_equal_materialised_reads(data, order):
+    """top, allowed and logprob of the sparse n-gram distribution against
+    the same reads of the whole sorted reference, with exact ==."""
+    vocab = data.draw(vocabularies(max_tokens=8))
+    ids = st.integers(0, len(vocab) - 1)
+    corpus = data.draw(st.lists(ids, max_size=16), "corpus")
+    prefix = data.draw(st.lists(ids, max_size=order + 1), "prefix")
+    if data.draw(st.booleans(), "EOS inside the prefix"):
+        prefix.insert(data.draw(st.integers(0, len(prefix))), vocab.eos_index)
+    n = data.draw(st.integers(0, len(vocab) + 1), "n")
+    mask = data.draw(st.frozensets(ids), "mask")
+    lm = NGramLM(vocab, order, corpus)
+    want = reference_ngram_distribution(vocab, order, corpus, prefix)
+    entries = want.entries
+    assert want.top(n) == entries[:n]
+    assert want.allowed(mask) == tuple(p for p in entries if p[0] in mask)
+    # each read on a fresh view, and again once entries are built
+    assert lm.next_distribution(prefix).top(n) == entries[:n]
+    assert lm.next_distribution(prefix).allowed(mask) == want.allowed(mask)
+    view = lm.next_distribution(prefix)
+    lps = dict(entries)
+    assert [view.logprob(i) for i in range(len(vocab))] == [
+        lps[i] for i in range(len(vocab))
+    ]
+    assert view.logprob(-1) is None and view.logprob(len(vocab)) is None
+    assert view.best() == entries[0]
+    assert view.entries == entries
+    assert (view.top(n), view.allowed(mask)) == (want.top(n), want.allowed(mask))
+    assert want == view and hash(want) == hash(view)
+
+
 def scan_tokenize(vocab: Vocabulary, text: str) -> list[int]:
     """Greedy segmentation trying every non-EOS token, longest first."""
     order = sorted(

@@ -3,16 +3,19 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import json_values, or_junk
 from sketchdec.bench import (
     REPORT_NOTE,
+    _config,
     load_manifest,
     parse_manifest,
     render_text,
     run_manifest,
     write_report,
 )
-from sketchdec.errors import ManifestError
+from sketchdec.errors import ManifestError, SketchdecError
 
 FIG1_ROW = {
     "task": "fig1",
@@ -115,3 +118,46 @@ def test_write_report_round_trips(tmp_path):
     assert payload["note"] == REPORT_NOTE
     assert payload["rows"] == list(report.rows)
     assert txt_path.read_text(encoding="utf-8") == render_text(report)
+
+
+# manifest rows with any field wrong in any way, some keys missing or extra
+_rows = st.fixed_dictionaries(
+    {},
+    optional={
+        "task": or_junk(st.sampled_from(["fig1", "sudoku", "dungeon", "json"])),
+        "seed": or_junk(st.integers(-2, 3)),
+        "decoder": or_junk(st.sampled_from(["argmax", "beam", "var", "beamvar"])),
+        "width": or_junk(st.integers(-1, 3)),
+        "alpha": or_junk(st.floats(-0.5, 1.5)),
+        "beta": or_junk(st.floats(-1.0, 2.0)),
+        "backend": or_junk(st.sampled_from(["table", "ngram"])),
+        "extra": json_values,
+    },
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(json_values, st.lists(or_junk(_rows), max_size=3)))
+def test_parse_manifest_parses_or_raises_a_package_error(raw):
+    """Every row parse_manifest accepts also makes a decoder configuration."""
+    try:
+        rows = parse_manifest(raw)
+        for r in rows:
+            _config(r)
+    except SketchdecError:
+        pass
+
+
+@pytest.mark.parametrize("key", ["width", "seed", "alpha", "beta"])
+@pytest.mark.parametrize("value", [None, "2", True, [1]])
+def test_parse_rejects_mistyped_numbers(key, value):
+    with pytest.raises(ManifestError, match=key):
+        parse_manifest([row(**{key: value})])
+
+
+def test_parse_rejects_non_finite_weights():
+    for value in (float("nan"), float("inf"), 10**400):
+        with pytest.raises(ManifestError):
+            parse_manifest([row(alpha=value)])
+        with pytest.raises(ManifestError):
+            parse_manifest([row(beta=value)])

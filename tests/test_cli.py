@@ -312,3 +312,13 @@ def test_unknown_decoder_choice(capsys):
         ["decode", "--sketch", LIST4, *BACKEND, "--decoder", "dfs"], capsys
     )
     assert code == 1
+
+
+def test_bench_mistyped_row_is_a_one_line_error(tmp_path, capsys):
+    rows = [{"task": "fig1", "seed": 0, "decoder": "argmax", "width": None, "alpha": 0.7, "beta": 0}]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(rows), encoding="utf-8")
+    code, out, err = run(["bench", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "'width' must be an integer" in err

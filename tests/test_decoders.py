@@ -657,16 +657,21 @@ def check_invariants(h: Hypothesis, sketch: Sketch) -> None:
             assert b.value in members[b.name]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
     labelled=st.sampled_from(list(decoder_configs())),
     cap=st.one_of(st.none(), st.integers(1, 12)),
+    top_k=st.sampled_from([None, 2, 3]),
 )
-def test_decode_invariants(seed, labelled, cap):
+def test_decode_invariants(seed, labelled, cap, top_k):
+    """On full and on truncated top-k backends, where a OneOf value can
+    come from whole-member fallback."""
     _, config = labelled
     sketch = random_sketch(random.Random(seed))
     backend = random_backend(seed)
+    if top_k is not None:
+        backend = TopK(backend, top_k)
     config = DecoderConfig(global_max_tokens=cap, **config)
     try:
         result = decode(sketch, backend, config)
@@ -678,3 +683,54 @@ def test_decode_invariants(seed, labelled, cap):
         assert h.done
         check_invariants(h, sketch)
     assert decode(sketch, backend, config) == result
+
+
+@pytest.mark.parametrize("proposal", [PROPOSAL_BRANCH, PROPOSAL_SAMPLE, PROPOSAL_EXHAUSTIVE])
+def test_fallback_dead_end_is_unsatisfiable(proposal):
+    """A truncated distribution under a global cap that no whole-member
+    completion fits: every proposal prunes the value, none leaks DeadEnd."""
+    sketch, backend = random_fixture(2)
+    config = DecoderConfig(
+        kind=VAR, width=1, proposal=proposal, global_max_tokens=2
+    )
+    with pytest.raises(TemplateUnsatisfiable):
+        decode(sketch, TopK(backend, 2), config)
+
+
+class Materialised(LMBackend):
+    """A backend's distributions rebuilt as whole sorted entry tuples, the
+    reference a sparse distribution is decoded against."""
+
+    def __init__(self, inner: LMBackend):
+        self.inner = inner
+        self.vocab = inner.vocab
+
+    def next_distribution(self, prefix):
+        entries = self.inner.next_distribution(prefix).entries
+        return TokenDistribution.from_pairs(list(entries), complete=True)
+
+    def score_forced(self, prefix, continuation):
+        return self.inner.score_forced(prefix, continuation)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    order=st.integers(1, 3),
+    cap=st.one_of(st.none(), st.integers(1, 12)),
+)
+def test_sparse_ngram_decodes_equal_materialised(seed, order, cap):
+    """Every decoder reads the n-gram view through top, allowed and
+    entries; each decode equals the one on whole sorted distributions."""
+    rng = random.Random(seed)
+    # three letters keep exhaustive enumeration of free variables small
+    sketch = random_sketch(rng, letters="abc")
+    vocab = random_backend(seed, letters="abc", merges=("ab",)).vocab
+    # a short corpus leaves many ids unseen, so ties are broken by id
+    corpus = [rng.randrange(len(vocab)) for _ in range(rng.randint(0, 30))]
+    sparse = NGramLM(vocab, order, corpus)
+    for _, config in decoder_configs():
+        config = dict(config, global_max_tokens=cap)
+        assert decode_fingerprint(sketch, sparse, **config) == decode_fingerprint(
+            sketch, Materialised(sparse), **config
+        )

@@ -1,14 +1,17 @@
 """Template parsing, serialization, instantiation, and chunk sources."""
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_sketch
+from conftest import json_values, or_junk, random_sketch
 from sketchdec.errors import (
     DuplicateAdjacentVariable,
     DynamicProgramError,
     EmptyDeterministicChunk,
     MissingBinding,
+    SketchdecError,
     SketchSyntaxError,
 )
 from sketchdec.sketch import (
@@ -274,3 +277,44 @@ def test_dynamic_run_shape_is_validated():
     )
     with pytest.raises(DynamicProgramError):
         next_pending_chunks(var_not_last, Bindings())
+
+
+# sketch-shaped documents with any field wrong in any way
+_chunk_objects = st.fixed_dictionaries(
+    {"kind": or_junk(st.sampled_from(["det", "var"]))},
+    optional={
+        "text": or_junk(st.text(max_size=4)),
+        "name": or_junk(st.sampled_from(["A", "B", "1x", ""])),
+        "stop": or_junk(st.lists(st.text(max_size=2), max_size=2)),
+        "max_tokens": or_junk(st.integers(-1, 4)),
+        "constraint": or_junk(
+            st.fixed_dictionaries(
+                {"one_of": or_junk(st.lists(st.text(max_size=2), max_size=3))}
+            )
+        ),
+        "extra": json_values,
+    },
+)
+_sketch_objects = st.fixed_dictionaries(
+    {
+        "name": or_junk(st.sampled_from(["s", ""])),
+        "chunks": or_junk(st.lists(_chunk_objects, max_size=4)),
+    },
+    optional={"extra": json_values},
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=40),
+        json_values.map(json.dumps),
+        _sketch_objects.map(json.dumps),
+    )
+)
+def test_parse_sketch_parses_or_raises_a_package_error(document):
+    try:
+        sketch = parse_sketch(document)
+    except SketchdecError:
+        return
+    assert parse_sketch(serialize_sketch(sketch)) == sketch
