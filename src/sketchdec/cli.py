@@ -178,15 +178,18 @@ def cmd_decode(args) -> int:
     width = _resolved_width(args)
     emit_tree = getattr(args, "emit_tree", None)
     sketch = load_sketch(args.sketch)
-    config = DecoderConfig(
-        kind=args.decoder,
-        width=width,
-        score=ScoreParams(alpha=args.alpha, beta=args.beta),
-        proposal=args.proposal,
-        seed=args.seed,
-        global_max_tokens=args.max_tokens,
-        record_tree=emit_tree is not None,
-    )
+    try:
+        config = DecoderConfig(
+            kind=args.decoder,
+            width=width,
+            score=ScoreParams(alpha=args.alpha, beta=args.beta),
+            proposal=args.proposal,
+            seed=args.seed,
+            global_max_tokens=args.max_tokens,
+            record_tree=emit_tree is not None,
+        )
+    except ValueError as e:
+        raise UsageError(f"bad decoder flags: {e}") from e
     backend = build_backend(args)
     result = decode(sketch, backend, config)
     if emit_tree is not None:

@@ -13,6 +13,10 @@ characters of those members are looked up as token texts.  The cost of
 a constrained step thus follows the size of that range and the longest
 token, and opening a OneOf variable builds no index.  Stop phrases are
 looked for only in the suffix the last token could have completed.
+
+``compute_mask`` itself keeps nothing.  The decoders memoise its result
+for the length of one decode, keyed by (members, partial value), and a
+key that raises DeadEnd raises it again on every lookup.
 """
 from __future__ import annotations
 

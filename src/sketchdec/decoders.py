@@ -20,6 +20,12 @@ Every selection goes through one pooled rule (``_Engine.select``).  In
 ``beam`` and ``var`` all candidates of a step are on the same variable, so
 their single pool's top n is the global top n.
 
+Within one decode, a OneOf step's token mask is computed once per
+(members, partial value) key and then looked up (``_Engine._mask``), the
+lazy form of a precomputed state-to-token index.  The memo stores only
+masks, lives and dies with the decode, and so needs no bound: it holds at
+most one entry per distinct constrained state the decode visits.
+
 Deterministic chunks are forced but still likelihood-scored, so a
 hypothesis whose committed values make later fixed text improbable pays
 for it, which is what lets the searching decoders anticipate the rest of
@@ -161,6 +167,8 @@ class _Engine:
             else default_token_cap(source, backend)
         )
         self.truncated = 0
+        # (OneOf members, partial value) -> mask, or the DeadEnd message
+        self._masks: dict[tuple[tuple[str, ...], str], frozenset[int] | str] = {}
 
     # -- settle: force pending deterministic runs, open the next variable --
 
@@ -230,7 +238,7 @@ class _Engine:
             # every token is allowed, as the unconstrained mask says
             return list(dist.entries if n is None else dist.top(n))
         if dist.complete:
-            return list(dist.allowed(compute_mask(state, self.backend.vocab)))
+            return list(dist.allowed(self._mask(state)))
         vocab = self.backend.vocab
         out = []
         for t, lp in dist.entries:
@@ -243,22 +251,37 @@ class _Engine:
             return out
         return None
 
+    def _mask(self, state) -> frozenset[int]:
+        """``compute_mask`` of a constrained state, computed once per key
+        for the life of the decode; a key that is a dead end raises
+        DeadEnd on every lookup."""
+        key = (state.index.members, state.partial_value)
+        mask = self._masks.get(key)
+        if mask is None:
+            try:
+                mask = compute_mask(state, self.backend.vocab)
+            except DeadEnd as e:
+                mask = str(e)
+            self._masks[key] = mask
+        if isinstance(mask, str):
+            raise DeadEnd(mask)
+        return mask
+
     def apply_token(self, h: Hypothesis, token: int, logprob: float) -> Hypothesis:
         """Append one variable token, closing or killing the chunk as ruled."""
         spec = h.open_spec
         new_state, verdict = advance(
             h.open_state, token, self.backend.vocab, spec.stop_phrases, spec.max_tokens
         )
-        h = h.with_variable_token(token, logprob, new_state)
         if verdict.closes_chunk:
             if verdict.status == MAX_TOKENS and new_state.constrained:
-                return h.as_dead()
-            h = h.with_closed_variable()
-        if h.m_total > self.cap and not h.done:
+                return h.with_variable_token(token, logprob, new_state).as_dead()
+            return h.with_closing_token(token, logprob, new_state)
+        h = h.with_variable_token(token, logprob, new_state)
+        if h.m_total > self.cap:
             # over the global cap with the template still open
-            if h.open_spec is not None or not verdict.closes_chunk:
-                self.truncated += 1
-                return h.as_dead(truncated=True)
+            self.truncated += 1
+            return h.as_dead(truncated=True)
         return h
 
     def fallback_completions(self, h: Hypothesis) -> list["_Cand"]:

@@ -33,6 +33,12 @@ Local backends expose complete next-token distributions over a fixed
 vocabulary.  Both exist to create exactly reproducible desk-scale
 distributions -- the table model by explicit enumeration, the n-gram model
 by counting a small corpus.
+
+The table model keeps the sorted distribution of every row it serves from
+its mapping, and of its default row, so a row is logged and sorted once
+per backend: that memo holds at most one entry per row of the model file
+plus one.  Rows served by a virtual (callable) lookup are sorted on every
+call and kept nowhere, because a lookup may serve any number of them.
 """
 from __future__ import annotations
 
@@ -262,6 +268,10 @@ def _logify(probs: Sequence[float]) -> tuple[float, ...]:
     return tuple(math.log(p) if p > 0.0 else NEG_INF for p in probs)
 
 
+def _distribution(probs: Sequence[float]) -> TokenDistribution:
+    return TokenDistribution.from_pairs(list(enumerate(_logify(probs))), complete=True)
+
+
 def _check_row(probs: Sequence[float], where: str) -> None:
     # ``not (p >= 0.0)`` also rejects NaN, which JSON files may spell out
     if any(
@@ -280,7 +290,8 @@ class TableLM(LMBackend):
     ``rows`` may be a mapping from prefix strings to rows, or a callable
     ``prefix -> row | None`` implementing the same lookup virtually (used
     by generated fixtures whose reachable context set is large).  A miss
-    falls back to the default row.
+    falls back to the default row.  A mapping is read as it stood when the
+    model was built: its rows are validated and their distributions kept.
     """
 
     def __init__(
@@ -295,6 +306,8 @@ class TableLM(LMBackend):
         self._rows = rows if isinstance(rows, Mapping) else None
         self._default = tuple(default_row)
         self._check = check_rows
+        # sorted distributions of mapping rows; None keys the default row
+        self._dists: dict[str | None, TokenDistribution] = {}
         _check_row(self._default, "default row")
         if len(self._default) != len(vocab):
             raise ModelFileError("default row length differs from vocabulary size")
@@ -317,8 +330,16 @@ class TableLM(LMBackend):
         return row
 
     def next_distribution(self, prefix: Sequence[int]) -> TokenDistribution:
-        pairs = list(enumerate(_logify(self._row(self.detokenize(prefix)))))
-        return TokenDistribution.from_pairs(pairs, complete=True)
+        key = self.detokenize(prefix)
+        if self._rows is None:
+            return _distribution(self._row(key))
+        row = self._rows.get(key)
+        if row is None:
+            key, row = None, self._default
+        dist = self._dists.get(key)
+        if dist is None:
+            dist = self._dists[key] = _distribution(row)
+        return dist
 
     def score_forced(
         self, prefix: Sequence[int], continuation: Sequence[int]

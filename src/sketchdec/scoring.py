@@ -6,6 +6,7 @@ a new one, which keeps branching decoders free of shared mutable state.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,8 +34,9 @@ class ScoreParams:
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError("alpha must lie in [0, 1]")
-        if self.beta < 0.0:
-            raise ValueError("beta must be >= 0")
+        # written so that NaN fails too
+        if not (0.0 <= self.beta < math.inf):
+            raise ValueError("beta must be a finite number >= 0")
 
 
 def normalization_weight(score: ScoreParams, m: int) -> float:
@@ -201,25 +203,26 @@ class Hypothesis:
             node_id=self.node_id if node_id is None else node_id,
         )
 
-    def with_closed_variable(self) -> "Hypothesis":
-        """Seal the open variable chunk into a span."""
-        spec = self.open_spec
-        state = self.open_state
+    def with_closing_token(
+        self, token: int, logprob: float, new_state: MaskState
+    ) -> "Hypothesis":
+        """Append the token that closes the open variable and seal the
+        variable into a span, in one step."""
         span = Span(
             chunk_ordinal=len(self.spans),
             kind="var",
-            name=spec.name,
-            text=state.partial_value,
+            name=self.open_spec.name,
+            text=new_state.partial_value,
             start=self.open_start,
-            end=len(self.tokens),
-            raw_logprob=self.open_raw,
+            end=len(self.tokens) + 1,
+            raw_logprob=self.open_raw + logprob,
         )
         return Hypothesis(
-            tokens=self.tokens,
-            logprobs=self.logprobs,
+            tokens=self.tokens + (token,),
+            logprobs=self.logprobs + (logprob,),
             spans=self.spans + (span,),
-            raw_score=self.raw_score,
-            m_vars=self.m_vars,
+            raw_score=self.raw_score + logprob,
+            m_vars=self.m_vars + 1,
             vars_done=self.vars_done + 1,
             open_spec=None,
             open_state=None,

@@ -1,4 +1,5 @@
 """Vocabulary handling, greedy segmentation, table and n-gram backends."""
+import itertools
 import json
 import math
 from collections import Counter
@@ -100,6 +101,43 @@ def test_table_callable_rows():
     lm = TableLM(Vocabulary(("", "a"), 0), rows, default_row=[0.5, 0.5])
     assert lm.next_distribution([1]).best() == (1, 0.0)
     assert lm.next_distribution([]).logprob(1) == math.log(0.5)
+
+
+@given(st.data(), st.lists(st.integers(0, 4), max_size=6))
+def test_table_row_memo_equals_fresh_rows(data, cuts):
+    vocab = data.draw(vocabularies())
+    ids = st.integers(0, len(vocab) - 1)
+    path = data.draw(st.lists(ids, max_size=4), "path")
+    rows = {
+        "".join(vocab.tokens[t] for t in path[:c]): data.draw(probability_rows(len(vocab)))
+        for c in cuts
+    }
+    default = data.draw(probability_rows(len(vocab)), "default")
+    lm = TableLM(vocab, rows, default_row=default)
+    prefixes = data.draw(st.lists(st.lists(ids, max_size=4), max_size=8), "prefixes")
+    # each prefix twice, so that the second read comes from the memo
+    for prefix in [path[:c] for c in range(len(path) + 1)] + prefixes * 2:
+        row = rows.get(lm.detokenize(prefix), default)
+        fresh = TokenDistribution.from_pairs(list(enumerate(_logify(row))), True)
+        assert lm.next_distribution(prefix) == fresh
+    assert len(lm._dists) <= len(rows) + 1
+
+
+def test_table_row_memo_is_bounded_by_the_model_file():
+    vocab = Vocabulary(("", "a", "b", "c"), 0)
+    rows = {"": [0.1, 0.2, 0.3, 0.4], "a": [0.4, 0.3, 0.2, 0.1], "ab": [0.7, 0.1, 0.1, 0.1]}
+    default = [0.25, 0.25, 0.25, 0.25]
+    # 200 distinct prefixes that no row names
+    unseen = [list(p) for p in itertools.product((1, 2, 3), repeat=5)][:200]
+    lm = TableLM(vocab, rows, default_row=default)
+    for prefix in unseen + [[], [1], [1, 2]]:
+        lm.next_distribution(prefix)
+    assert len(lm._dists) == len(rows) + 1
+    assert lm.next_distribution([1]) is lm.next_distribution([1])
+    virtual = TableLM(vocab, rows.get, default_row=default)
+    for prefix in unseen + [[], [1], [1, 2]]:
+        virtual.next_distribution(prefix)
+    assert virtual._dists == {}
 
 
 def test_table_row_validation():

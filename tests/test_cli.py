@@ -322,3 +322,28 @@ def test_bench_mistyped_row_is_a_one_line_error(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and "'width' must be an integer" in err
+
+
+@pytest.mark.parametrize(
+    "flags, word",
+    [
+        (["--width", "0"], "width"),
+        (["--width", "-3"], "width"),
+        (["--alpha", "1.5"], "alpha"),
+        (["--alpha", "nan"], "alpha"),
+        (["--beta", "nan"], "beta"),
+        (["--beta", "inf"], "beta"),
+        (["--beta", "-1"], "beta"),
+    ],
+)
+@pytest.mark.parametrize("command", ["decode", "tree"])
+def test_bad_numeric_flags_are_one_line_errors(command, flags, word, tmp_path, capsys):
+    tree = ["--emit-tree", str(tmp_path / "tree.ndjson")]
+    code, out, err = run(
+        [command, "--sketch", LIST4, *BACKEND, "--decoder", "beamvar", *flags, *tree],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and word in err and "Traceback" not in err
+    assert not (tmp_path / "tree.ndjson").exists()

@@ -13,6 +13,7 @@ from conftest import (
     random_sketch,
     stable_unit,
 )
+from sketchdec import decoders
 from sketchdec.constraints import compute_mask
 from sketchdec.decoders import (
     ARGMAX,
@@ -34,7 +35,7 @@ from sketchdec.decoders import (
     default_token_cap,
     _Engine,
 )
-from sketchdec.errors import TemplateUnsatisfiable
+from sketchdec.errors import DeadEnd, TemplateUnsatisfiable
 from sketchdec.lm import (
     LMBackend,
     NGramLM,
@@ -53,7 +54,7 @@ from sketchdec.sketch import (
     VariableSpec,
     instantiate,
 )
-from sketchdec.tasks import dungeon
+from sketchdec.tasks import dungeon, jsonfmt
 
 
 def test_config_validation():
@@ -344,8 +345,7 @@ def test_settle_marks_exhausted_template_done():
     h = h.with_open_variable(sketch.chunks[1].var)
     from sketchdec.constraints import MaskState
 
-    h = h.with_variable_token(1, -1.0, MaskState("x", 1, None))
-    h = h.with_closed_variable()
+    h = h.with_closing_token(1, -1.0, MaskState("x", 1, None))
     h = eng.settle(h)  # forces the trailing "." and finds nothing after it
     assert h.rendered() == ".x."
     assert h.done
@@ -637,6 +637,57 @@ def test_truncated_distributions_fall_back_to_whole_members(monkeypatch):
             for h in (result.best, *result.alternatives):
                 assert h.bindings.value("X") in OFF_TOP_MEMBERS
             assert decode(sketch, backend, DecoderConfig(**config)) == result
+
+
+def counted_masks(monkeypatch) -> list:
+    """Record the key of every ``compute_mask`` call the decoders make."""
+    keys = []
+
+    def counted(state, vocab):
+        keys.append((state.index.members, state.partial_value))
+        return compute_mask(state, vocab)
+
+    monkeypatch.setattr(decoders, "compute_mask", counted)
+    return keys
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        DecoderConfig(kind=VAR, width=3, proposal=PROPOSAL_EXHAUSTIVE),
+        DecoderConfig(kind=BEAMVAR, width=2),
+    ],
+    ids=["var-exhaustive-w3", "beamvar-w2"],
+)
+@pytest.mark.parametrize("record", jsonfmt.RECORDS[:3], ids=lambda r: r.name)
+def test_masks_are_computed_once_per_key(config, record, monkeypatch):
+    keys = counted_masks(monkeypatch)
+    backend = jsonfmt.record_backend(record)
+    reads = []
+    read = backend.next_distribution
+    monkeypatch.setattr(
+        backend, "next_distribution", lambda prefix: reads.append(prefix) or read(prefix)
+    )
+    decode(jsonfmt.build_sketch(record), backend, config)
+    assert len(keys) == len(set(keys))
+    # every variable is a OneOf, so each distribution read wants a mask:
+    # the reads beyond the distinct keys were served by the decode's memo
+    assert len(reads) > len(keys) > 0
+
+
+def test_dead_end_mask_raises_on_every_lookup(monkeypatch):
+    keys = counted_masks(monkeypatch)
+    vocab = Vocabulary(("", "a", "b"), eos_index=0)
+    backend = TableLM(vocab, {}, default_row=[0.25, 0.5, 0.25])
+    spec = VariableSpec("X", one_of=OneOf(("ac",)), max_tokens=3)
+    sketch = Sketch(name="s", chunks=(Chunk.variable(spec),))
+    eng = _Engine(StaticSketchSource(sketch), backend, DecoderConfig())
+    h = eng.apply_token(eng.settle(Hypothesis()), 1, -1.0)
+    # no token spells the "c" that "a" needs
+    for _ in range(3):
+        with pytest.raises(DeadEnd):
+            eng.allowed_continuations(h)
+    assert [partial for _, partial in keys] == ["a"]
 
 
 def check_invariants(h: Hypothesis, sketch: Sketch) -> None:

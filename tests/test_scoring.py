@@ -47,14 +47,19 @@ def test_score_params_validation():
         ScoreParams(beta=-1.0)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_score_params_reject_non_finite_beta(beta):
+    with pytest.raises(ValueError, match="beta"):
+        ScoreParams(beta=beta)
+
+
 def built_hypothesis() -> Hypothesis:
     spec = VariableSpec("X", max_tokens=8)
     h = Hypothesis()
     h = h.with_forced_span([5, 6], [-0.5, -0.25], "ab")
     h = h.with_open_variable(spec)
     h = h.with_variable_token(7, -1.0, MaskState("c", 1, None))
-    h = h.with_variable_token(8, -2.0, MaskState("cd", 2, None))
-    h = h.with_closed_variable()
+    h = h.with_closing_token(8, -2.0, MaskState("cd", 2, None))
     return h.with_forced_span([9], [-0.125], "e")
 
 
@@ -100,10 +105,14 @@ def test_transitions_change_only_their_fields():
         open_raw=h.open_raw - 1.0,
     )
     assert h.with_variable_token(4, -1.0, state, node_id=2).node_id == 2
-    closed = Span(len(h.spans), "var", "Y", "q", 5, 6, -0.5)
-    assert h.with_closed_variable() == replace(
+    closed = Span(len(h.spans), "var", "Y", "qr", 5, 7, -1.5)
+    assert h.with_closing_token(4, -1.0, MaskState("qr", 2, None)) == replace(
         h,
+        tokens=h.tokens + (4,),
+        logprobs=h.logprobs + (-1.0,),
         spans=h.spans + (closed,),
+        raw_score=h.raw_score - 1.0,
+        m_vars=h.m_vars + 1,
         vars_done=h.vars_done + 1,
         open_spec=None,
         open_state=None,
@@ -115,6 +124,104 @@ def test_transitions_change_only_their_fields():
     assert h.as_dead() == replace(h, truncated=False)
     assert fresh.as_dead(truncated=True) == replace(fresh, dead=True, truncated=True)
     assert h.with_node(7) == replace(h, node_id=7)
+
+
+def two_step_close(h: Hypothesis, token, logprob, new_state) -> Hypothesis:
+    """Reference for ``with_closing_token``: ``with_variable_token``, then
+    the variable sealed into a span by a second constructor call."""
+    h = h.with_variable_token(token, logprob, new_state)
+    span = Span(
+        chunk_ordinal=len(h.spans),
+        kind="var",
+        name=h.open_spec.name,
+        text=h.open_state.partial_value,
+        start=h.open_start,
+        end=len(h.tokens),
+        raw_logprob=h.open_raw,
+    )
+    return Hypothesis(
+        tokens=h.tokens,
+        logprobs=h.logprobs,
+        spans=h.spans + (span,),
+        raw_score=h.raw_score,
+        m_vars=h.m_vars,
+        vars_done=h.vars_done + 1,
+        open_spec=None,
+        open_state=None,
+        open_start=h.open_start,
+        open_raw=0.0,
+        done=h.done,
+        dead=h.dead,
+        truncated=h.truncated,
+        node_id=h.node_id,
+    )
+
+
+# log-probabilities and scores away from the default 0.0, -inf included
+negative = st.floats(max_value=0.0, exclude_max=True, allow_nan=False)
+text = st.text("abc", max_size=4)
+spans = st.builds(
+    Span,
+    chunk_ordinal=st.integers(0, 9),
+    kind=st.sampled_from(["det", "var"]),
+    name=st.none() | text,
+    text=text,
+    start=st.integers(0, 9),
+    end=st.integers(0, 9),
+    raw_logprob=negative,
+)
+
+
+@st.composite
+def open_hypotheses(draw) -> Hypothesis:
+    """An open hypothesis with every field off its default."""
+    n = draw(st.integers(1, 6))
+    spec = VariableSpec(draw(st.sampled_from(["X", "Y"])), max_tokens=8)
+    return Hypothesis(
+        tokens=tuple(draw(st.lists(st.integers(0, 50), min_size=n, max_size=n))),
+        logprobs=tuple(draw(st.lists(negative, min_size=n, max_size=n))),
+        spans=tuple(draw(st.lists(spans, min_size=1, max_size=3))),
+        raw_score=draw(negative),
+        m_vars=draw(st.integers(1, n)),
+        vars_done=draw(st.integers(1, 4)),
+        open_spec=spec,
+        open_state=MaskState(draw(text), draw(st.integers(1, 7)), None),
+        open_start=draw(st.integers(1, n)),
+        open_raw=draw(negative),
+        done=draw(st.booleans()),
+        dead=draw(st.booleans()),
+        truncated=draw(st.booleans()),
+        node_id=draw(st.integers(1, 99)),
+    )
+
+
+def exact_fields(h: Hypothesis) -> list:
+    """Every field of h, floats (inside spans too) as their exact hex."""
+    out = []
+    for f in dataclasses.fields(h):
+        value = getattr(h, f.name)
+        if isinstance(value, float):
+            value = value.hex()
+        elif f.name == "logprobs":
+            value = tuple(lp.hex() for lp in value)
+        elif f.name == "spans":
+            value = tuple((s, s.raw_logprob.hex()) for s in value)
+        out.append((f.name, value))
+    return out
+
+
+@given(
+    h=open_hypotheses(),
+    token=st.integers(0, 50),
+    logprob=negative,
+    value=text,
+)
+def test_closing_token_equals_two_step_close(h, token, logprob, value):
+    new_state = MaskState(value, h.open_state.tokens_emitted + 1, None)
+    fused = h.with_closing_token(token, logprob, new_state)
+    reference = two_step_close(h, token, logprob, new_state)
+    assert exact_fields(fused) == exact_fields(reference)
+    assert fused == reference
 
 
 def test_hypothesis_accumulates_tokens_and_score():
