@@ -85,6 +85,8 @@ class DecoderConfig:
             raise ValueError(f"unknown proposal policy {self.proposal!r}")
         if self.temperature <= 0.0:
             raise ValueError("temperature must be positive")
+        if self.global_max_tokens is not None and self.global_max_tokens < 1:
+            raise ValueError("global_max_tokens must be >= 1")
 
 
 @dataclass

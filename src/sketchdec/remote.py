@@ -6,10 +6,18 @@ a growing registry, and registry indices are what the decoders see.  Index
 0 is reserved for end-of-sequence (rendered as ``eos_text``, empty by
 default).
 
-Only the top-k log-probabilities are available per step, so the backend
-reports ``supports_full_distribution=False`` and decoders handle
-constrained variables by filtering candidate texts, falling back to
-forced-scoring whole constraint members when the filter comes up empty.
+Only the top-k log-probabilities are available per step, so each
+distribution the backend returns is truncated (``complete=False``) and
+decoders handle constrained variables by filtering candidate texts,
+falling back to forced-scoring whole constraint members when the filter
+comes up empty.
+
+The environment is read once per backend, at construction: the proxies
+for its one URL (honouring ``NO_PROXY``) and the CA bundle.  Every request
+then carries them explicitly, so ``requests`` does not scan the
+environment again on each call, and a later change to the environment is
+not seen.  ``.netrc`` is not consulted either, so a matching entry cannot
+replace the ``Bearer`` API key with Basic auth.
 """
 from __future__ import annotations
 
@@ -62,6 +70,15 @@ class RemoteCompletionsLM(LMBackend):
     The API key is read from the SKETCHDEC_API_KEY environment variable
     when not passed explicitly; requests are sent without an Authorization
     header if neither is present.
+
+    Proxies and the CA bundle are taken from the environment once, when the
+    backend is built, and the session's ``trust_env`` is switched off: later
+    changes to the environment are not seen, and ``.netrc`` is never read.
+    A session shared by several backends is read for each backend's URL as
+    its caller left it: the environment counts unless the caller had
+    switched ``trust_env`` off before the first backend was built.  Other
+    code that sends through a passed-in session afterwards gets no proxies
+    or ``.netrc`` from the environment either.
     """
 
     def __init__(
@@ -84,6 +101,16 @@ class RemoteCompletionsLM(LMBackend):
         self.retries = retries
         self.backoff_base = backoff_base
         self.session = session or requests.Session()
+        self._url = f"{self.base_url}/v1/completions"
+        # the session's trust_env before any backend switched it off, kept on
+        # the session, so a session shared by several backends is still
+        # read for each one's URL
+        self.session.trust_env = vars(self.session).setdefault(
+            "_sketchdec_trust_env", self.session.trust_env
+        )
+        env = self.session.merge_environment_settings(self._url, {}, None, None, None)
+        self._send_settings = {k: env[k] for k in ("proxies", "verify", "cert")}
+        self.session.trust_env = False
         self.vocab = TokenRegistry(eos_text=eos_text)
         self._tokenize_cache: dict[str, list[int]] = {}
         self._rng = random.Random(0x5EED)
@@ -91,7 +118,7 @@ class RemoteCompletionsLM(LMBackend):
     # -- transport -----------------------------------------------------------
 
     def _post(self, payload: dict) -> dict:
-        url = f"{self.base_url}/v1/completions"
+        url = self._url
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -102,7 +129,11 @@ class RemoteCompletionsLM(LMBackend):
                 time.sleep(delay * (1.0 + 0.25 * self._rng.random()))
             try:
                 resp = self.session.post(
-                    url, json=payload, headers=headers, timeout=self.timeout_s
+                    url,
+                    json=payload,
+                    headers=headers,
+                    timeout=self.timeout_s,
+                    **self._send_settings,
                 )
             except requests.RequestException as e:
                 last_error = e

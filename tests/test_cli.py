@@ -334,6 +334,8 @@ def test_bench_mistyped_row_is_a_one_line_error(tmp_path, capsys):
         (["--beta", "nan"], "beta"),
         (["--beta", "inf"], "beta"),
         (["--beta", "-1"], "beta"),
+        (["--max-tokens", "0"], "global_max_tokens"),
+        (["--max-tokens", "-3"], "global_max_tokens"),
     ],
 )
 @pytest.mark.parametrize("command", ["decode", "tree"])

@@ -68,7 +68,11 @@ def test_config_validation():
         DecoderConfig(proposal="psychic")
     with pytest.raises(ValueError):
         DecoderConfig(temperature=0.0)
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="global_max_tokens"):
+            DecoderConfig(global_max_tokens=cap)
     assert DecoderConfig(kind=ARGMAX, width=1).width == 1
+    assert DecoderConfig(global_max_tokens=1).global_max_tokens == 1
 
 
 def simple_sketch(max_tokens: int = 3) -> Sketch:

@@ -2,6 +2,7 @@
 import math
 
 import pytest
+import requests
 
 from mock_openai import MockCompletionsServer
 from sketchdec.decoders import DecoderConfig, decode
@@ -14,6 +15,9 @@ from sketchdec.lm import TableLM, Vocabulary
 from sketchdec import remote as remote_module
 from sketchdec.remote import RemoteCompletionsLM, TokenRegistry
 from sketchdec.tasks import fig1
+
+# the discard port: nothing listens there
+DEAD_URL = "http://127.0.0.1:9"
 
 
 def local_table() -> TableLM:
@@ -172,7 +176,14 @@ def test_other_client_errors_fail_fast(server):
     assert len(server.requests) == 1
 
 
-def test_bearer_header(server, monkeypatch):
+@pytest.mark.parametrize("netrc_entry", [False, True])
+def test_bearer_header(server, monkeypatch, tmp_path, netrc_entry):
+    if netrc_entry:
+        # requests would let a matching .netrc entry replace the header
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login user password netrc-secret\n")
+        netrc.chmod(0o600)
+        monkeypatch.setenv("NETRC", str(netrc))
     remote(server, api_key="secret-key").next_distribution(())
     assert server.auth_headers[-1] == "Bearer secret-key"
     monkeypatch.delenv("SKETCHDEC_API_KEY", raising=False)
@@ -180,9 +191,69 @@ def test_bearer_header(server, monkeypatch):
     assert server.auth_headers[-1] is None
 
 
+def test_environment_is_read_once_per_backend(server, monkeypatch):
+    lookups = []
+    real = requests.utils.get_environ_proxies
+
+    def counting(*args, **kwargs):
+        lookups.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(requests.sessions, "get_environ_proxies", counting)
+    monkeypatch.setattr(requests.utils, "get_environ_proxies", counting)
+    for _ in range(2):
+        before, sent = len(lookups), len(server.requests)
+        lm = remote(server)
+        toks = lm.tokenize("cab")
+        lm.next_distribution(toks)
+        for _ in range(6):
+            lm.score_forced(toks[:1], toks[1:])
+        assert len(server.requests) - sent == 8
+        assert len(lookups) - before <= 1
+
+
+def clear_proxy_environment(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+
+
+def test_proxies_are_read_at_construction(server, monkeypatch):
+    clear_proxy_environment(monkeypatch)
+    monkeypatch.setenv("HTTP_PROXY", DEAD_URL)
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    bypassing = remote(server, retries=0)
+    monkeypatch.delenv("NO_PROXY")
+    assert bypassing.next_distribution(()).entries  # not sent to the proxy
+
+    proxied = remote(server, retries=0)
+    monkeypatch.delenv("HTTP_PROXY")
+    with pytest.raises(BackendUnavailable):
+        proxied.next_distribution(())  # still sent to the dead proxy
+
+
+def test_shared_session_is_read_for_each_backend(monkeypatch):
+    clear_proxy_environment(monkeypatch)
+    monkeypatch.setenv("HTTP_PROXY", DEAD_URL)
+    monkeypatch.setenv("NO_PROXY", "bypassed.invalid")
+    session = requests.Session()
+    first = RemoteCompletionsLM("http://proxied.invalid", "m", session=session)
+    second = RemoteCompletionsLM("http://bypassed.invalid", "m", session=session)
+    third = RemoteCompletionsLM("http://proxied.invalid", "m", session=session)
+    assert first._send_settings["proxies"].get("http") == DEAD_URL
+    assert second._send_settings["proxies"] == {}
+    assert third._send_settings == first._send_settings
+    assert session.trust_env is False
+
+    opted_out = requests.Session()
+    opted_out.trust_env = False
+    lm = RemoteCompletionsLM("http://proxied.invalid", "m", session=opted_out)
+    assert "http" not in lm._send_settings["proxies"]
+
+
 def test_connection_refused_becomes_backend_unavailable():
     lm = RemoteCompletionsLM(
-        "http://127.0.0.1:9",  # discard port: nothing listens there
+        DEAD_URL,
         "mock-model",
         api_key="k",
         retries=1,
@@ -206,3 +277,4 @@ def test_full_decode_matches_local_backend():
             assert over_http.best.raw_score == pytest.approx(
                 local.best.raw_score, abs=1e-9
             )
+
