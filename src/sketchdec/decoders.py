@@ -20,6 +20,12 @@ Every selection goes through one pooled rule (``_Engine.select``).  In
 ``beam`` and ``var`` all candidates of a step are on the same variable, so
 their single pool's top n is the global top n.
 
+A candidate (``_Cand``) is a parent hypothesis plus one appended token and
+what ``advance`` made of it.  Its rank key, normalized score, pool and
+``dead`` are computed from the parent, and its ``Hypothesis`` is built only
+when selection keeps it, when a proposal extends it, or when it is a
+member fallback; most candidates of a wide search are pruned unbuilt.
+
 Within one decode, a OneOf step's token mask is computed once per
 (members, partial value) key and then looked up (``_Engine._mask``), the
 lazy form of a precomputed state-to-token index.  The memo stores only
@@ -37,13 +43,20 @@ import hashlib
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
-from .constraints import MAX_TOKENS, compute_mask, advance
+from .constraints import MAX_TOKENS, MaskState, compute_mask, advance
 from .errors import DeadEnd, TemplateUnsatisfiable
 from .lm import LMBackend
-from .scoring import Hypothesis, ScoreParams, rank_hypotheses
+from .scoring import (
+    NEG_INF,
+    Hypothesis,
+    ScoreParams,
+    normalized_score,
+    rank_hypotheses,
+    rank_key,
+)
 from .sketch import Bindings, StaticSketchSource, as_source, next_pending_chunks
 from .trace import NullRecorder, TraceRecorder
 
@@ -269,22 +282,37 @@ class _Engine:
             raise DeadEnd(mask)
         return mask
 
-    def apply_token(self, h: Hypothesis, token: int, logprob: float) -> Hypothesis:
-        """Append one variable token, closing or killing the chunk as ruled."""
+    def apply_token(self, h: Hypothesis, token: int, logprob: float) -> "_Cand":
+        """The child of h by one variable token, closing or killing the
+        chunk as ruled; its Hypothesis is built on first use."""
         spec = h.open_spec
+        vocab = self.backend.vocab
         new_state, verdict = advance(
-            h.open_state, token, self.backend.vocab, spec.stop_phrases, spec.max_tokens
+            h.open_state, token, vocab, spec.stop_phrases, spec.max_tokens
         )
         if verdict.closes_chunk:
-            if verdict.status == MAX_TOKENS and new_state.constrained:
-                return h.with_variable_token(token, logprob, new_state).as_dead()
-            return h.with_closing_token(token, logprob, new_state)
-        h = h.with_variable_token(token, logprob, new_state)
-        if h.m_total > self.cap:
+            # running out of tokens inside a OneOf value kills it
+            dead = verdict.status == MAX_TOKENS and new_state.constrained
+            closed, truncated = not dead, False
+        else:
+            closed = False
             # over the global cap with the template still open
-            self.truncated += 1
-            return h.as_dead(truncated=True)
-        return h
+            dead = truncated = len(h.tokens) >= self.cap
+            if truncated:
+                self.truncated += 1
+        return _Cand(
+            h,
+            token,
+            logprob,
+            new_state,
+            closed,
+            dead,
+            truncated,
+            None,
+            h.node_id,
+            vocab.token_text(token),
+            logprob,
+        )
 
     def fallback_completions(self, h: Hypothesis) -> list["_Cand"]:
         """Score whole member completions when the truncated distribution
@@ -305,33 +333,17 @@ class _Engine:
             for t, lp in zip(toks, lps):
                 if child.dead or child.open_spec is None:
                     break
-                child = self.apply_token(child, t, lp)
+                child = self.apply_token(child, t, lp).hyp
             if child.dead:
                 continue
-            out.append(
-                _Cand(
-                    hyp=child,
-                    parent_node=h.node_id,
-                    token_text=suffix,
-                    logprob=sum(lps),
-                )
-            )
-        out.sort(key=lambda c: c.hyp.rank_key(self.score))
+            out.append(_Cand.of(child, h.node_id, suffix, sum(lps)))
+        out.sort(key=lambda c: c.rank_key(self.score))
         if not out:
             raise DeadEnd(
                 f"no member completion fits within the token budget of "
                 f"variable {spec.name!r}"
             )
         return out
-
-    def child(self, h: Hypothesis, token: int, logprob: float) -> "_Cand":
-        """h extended by one token, with that token's text for the trace."""
-        return _Cand(
-            hyp=self.apply_token(h, token, logprob),
-            parent_node=h.node_id,
-            token_text=self.backend.vocab.token_text(token),
-            logprob=logprob,
-        )
 
     def expand_top(self, h: Hypothesis, n: int) -> list["_Cand"]:
         """Children of h by its n best allowed continuations.
@@ -347,7 +359,7 @@ class _Engine:
                 return self.fallback_completions(h)[:n]
             except DeadEnd:
                 return []
-        return [self.child(h, t, lp) for t, lp in pairs[:n]]
+        return [self.apply_token(h, t, lp) for t, lp in pairs[:n]]
 
     # -- selection -------------------------------------------------------
 
@@ -358,47 +370,177 @@ class _Engine:
             return []
         by_pool: dict[int, list[_Cand]] = {}
         for c in cands:
-            by_pool.setdefault(_pool_key(c.hyp), []).append(c)
+            by_pool.setdefault(c.pool_key(), []).append(c)
         pools = [Pool(variable_index=k, members=by_pool[k]) for k in sorted(by_pool)]
         kept: list[Hypothesis] = []
         for pool, w in zip(pools, allocate_pools(pools, width)):
-            members = sorted(pool.members, key=lambda c: c.hyp.rank_key(self.score))
-            alive = [i for i, c in enumerate(members) if not c.hyp.dead]
+            members = sorted(pool.members, key=lambda c: c.rank_key(self.score))
+            alive = [i for i, c in enumerate(members) if not c.dead]
             kept.extend(self.record_selection(members, set(alive[:w])))
         return kept
 
     def record_selection(
         self, cands: Sequence["_Cand"], kept: set[int]
     ) -> list[Hypothesis]:
-        """Emit trace nodes in rank order; survivors come back with their
+        """Emit trace nodes in rank order; survivors are built, with their
         new node id."""
         survivors = []
         for rank, c in enumerate(cands):
             status = "expanded" if rank in kept else "pruned"
-            norm = c.hyp.normalized_score(self.score)
+            norm = c.normalized_score(self.score)
             nid = self.recorder.add(
-                c.parent_node, c.token_text, c.logprob, norm, _pool_key(c.hyp), status
+                c.parent_node, c.token_text, c.logprob, norm, c.pool_key(), status
             )
             if rank in kept:
-                survivors.append(c.hyp.with_node(nid))
+                survivors.append(c.built(nid))
         return survivors
 
 
-@dataclass(frozen=True)
 class _Cand:
-    """One expansion: a child hypothesis plus tracing metadata."""
+    """One expansion: a child hypothesis plus the trace edge that reached it.
 
-    hyp: Hypothesis
-    parent_node: int
-    token_text: str
-    logprob: float
+    A child by one token holds its ``parent``, the ``token`` and its
+    log-probability, and the ``state`` and outcome of ``advance``
+    (``closed``: the variable is sealed; ``dead``, ``truncated``).  Rank key,
+    normalized score and pool are read from those, and the Hypothesis is
+    built only on demand: ``hyp`` when a proposal extends it, ``built``
+    when selection keeps it.  A candidate made from a hypothesis that
+    already exists (a member fallback, a proposal's start, a killed walk)
+    has no parent and reads everything from that hypothesis.
+
+    The trace edge (``parent_node``, ``token_text``, ``logprob``) spans
+    every token a proposal appended since the selection before it.
+    """
+
+    __slots__ = (
+        "parent",
+        "token",
+        "token_logprob",
+        "state",
+        "closed",
+        "dead",
+        "truncated",
+        "_hyp",
+        "parent_node",
+        "token_text",
+        "logprob",
+    )
+
+    def __init__(
+        self,
+        parent: Hypothesis | None,
+        token: int,
+        token_logprob: float,
+        state: MaskState | None,
+        closed: bool,
+        dead: bool,
+        truncated: bool,
+        hyp: Hypothesis | None,
+        parent_node: int,
+        token_text: str,
+        logprob: float,
+    ):
+        self.parent = parent
+        self.token = token
+        self.token_logprob = token_logprob
+        self.state = state
+        self.closed = closed
+        self.dead = dead
+        self.truncated = truncated
+        self._hyp = hyp
+        self.parent_node = parent_node
+        self.token_text = token_text
+        self.logprob = logprob
+
+    @classmethod
+    def of(
+        cls, h: Hypothesis, parent_node: int, token_text: str, logprob: float
+    ) -> "_Cand":
+        """A candidate for a hypothesis that is already built."""
+        return cls(
+            None,
+            0,
+            0.0,
+            None,
+            h.open_spec is None,
+            h.dead,
+            h.truncated,
+            h,
+            parent_node,
+            token_text,
+            logprob,
+        )
+
+    @property
+    def hyp(self) -> Hypothesis:
+        """The child hypothesis, built once and kept."""
+        if self._hyp is None:
+            self._hyp = self._build(None)
+        return self._hyp
+
+    def built(self, node_id: int) -> Hypothesis:
+        """The child hypothesis under trace node ``node_id``."""
+        if self._hyp is not None:
+            return self._hyp.with_node(node_id)
+        return self._build(node_id)
+
+    def _build(self, node_id: int | None) -> Hypothesis:
+        p = self.parent
+        if self.closed:
+            return p.with_closing_token(
+                self.token, self.token_logprob, self.state, node_id
+            )
+        h = p.with_variable_token(self.token, self.token_logprob, self.state, node_id)
+        return h.as_dead(self.truncated) if self.dead else h
+
+    @property
+    def tokens(self) -> tuple[int, ...]:
+        if self.parent is None:
+            return self._hyp.tokens
+        return self.parent.tokens + (self.token,)
+
+    def normalized_score(self, score: ScoreParams) -> float:
+        p = self.parent
+        if p is None:
+            return self._hyp.normalized_score(score)
+        if self.dead:
+            return NEG_INF
+        return normalized_score(
+            score, p.raw_score + self.token_logprob, len(p.tokens) + 1, p.m_vars + 1
+        )
+
+    def rank_key(self, score: ScoreParams) -> tuple:
+        if self.parent is None:
+            return self._hyp.rank_key(score)
+        return rank_key(self.normalized_score(score), self.tokens)
+
+    def pool_key(self) -> int:
+        if self.parent is None:
+            return _pool_key(self._hyp)
+        # the parent is open on variable vars_done; its child stays in that
+        # pool whether the token closes the variable or not
+        return self.parent.vars_done
 
     def merged(self, other: "_Cand") -> "_Cand":
+        """other, reached by this candidate's trace edge and then other's."""
         return _Cand(
-            hyp=other.hyp,
-            parent_node=self.parent_node,
-            token_text=self.token_text + other.token_text,
-            logprob=self.logprob + other.logprob,
+            other.parent,
+            other.token,
+            other.token_logprob,
+            other.state,
+            other.closed,
+            other.dead,
+            other.truncated,
+            other._hyp,
+            self.parent_node,
+            self.token_text + other.token_text,
+            self.logprob + other.logprob,
+        )
+
+    def killed(self) -> "_Cand":
+        """This candidate at a dead end."""
+        return _Cand.of(
+            self.hyp.as_dead(), self.parent_node, self.token_text, self.logprob
         )
 
 
@@ -459,10 +601,10 @@ def _propose_branch(eng: _Engine, h: Hypothesis, n: int) -> list[_Cand]:
     proposals = []
     for cand in firsts:
         cur = cand
-        while not cur.hyp.dead and cur.hyp.open_spec is not None:
+        while not cur.dead and not cur.closed:
             step = eng.expand_top(cur.hyp, 1)
             if not step:
-                cur = replace(cur, hyp=cur.hyp.as_dead())
+                cur = cur.killed()
                 break
             cur = cur.merged(step[0])
         proposals.append(cur)
@@ -475,14 +617,14 @@ def _propose_sampled(eng: _Engine, h: Hypothesis, n: int) -> list[_Cand]:
     seen: dict[tuple[int, ...], _Cand] = {}
     for j in range(n):
         rng = random.Random(_stable_seed(cfg.seed, h.tokens, j))
-        cur = _Cand(hyp=h, parent_node=h.node_id, token_text="", logprob=0.0)
-        while not cur.hyp.dead and cur.hyp.open_spec is not None:
+        cur = _Cand.of(h, h.node_id, "", 0.0)
+        while not cur.dead and not cur.closed:
             try:
                 pairs = eng.allowed_continuations(cur.hyp)
                 if pairs is None:
                     options = eng.fallback_completions(cur.hyp)
             except DeadEnd:
-                cur = replace(cur, hyp=cur.hyp.as_dead())
+                cur = cur.killed()
                 break
             if pairs is None:
                 weights = [math.exp(o.logprob / cfg.temperature) for o in options]
@@ -494,9 +636,9 @@ def _propose_sampled(eng: _Engine, h: Hypothesis, n: int) -> list[_Cand]:
                 weights = [1.0] * len(pairs)
             pick = rng.choices(range(len(pairs)), weights=weights)[0]
             t, lp = pairs[pick]
-            cur = cur.merged(eng.child(cur.hyp, t, lp))
-        if not cur.hyp.dead and cur.hyp.tokens not in seen:
-            seen[cur.hyp.tokens] = cur
+            cur = cur.merged(eng.apply_token(cur.hyp, t, lp))
+        if not cur.dead:
+            seen.setdefault(cur.tokens, cur)
     return list(seen.values())
 
 
@@ -505,15 +647,16 @@ def _propose_exhaustive(eng: _Engine, h: Hypothesis) -> list[_Cand]:
     out: list[_Cand] = []
 
     def rec(cur: _Cand) -> None:
-        if cur.hyp.dead:
+        if cur.dead:
             return
-        if cur.hyp.open_spec is None:
+        if cur.closed:
             out.append(cur)
             return
+        h = cur.hyp
         try:
-            pairs = eng.allowed_continuations(cur.hyp)
+            pairs = eng.allowed_continuations(h)
             if pairs is None:
-                options = eng.fallback_completions(cur.hyp)
+                options = eng.fallback_completions(h)
         except DeadEnd:
             return
         if pairs is None:
@@ -521,9 +664,9 @@ def _propose_exhaustive(eng: _Engine, h: Hypothesis) -> list[_Cand]:
                 rec(cur.merged(option))
             return
         for t, lp in pairs:
-            rec(cur.merged(eng.child(cur.hyp, t, lp)))
+            rec(cur.merged(eng.apply_token(h, t, lp)))
 
-    rec(_Cand(hyp=h, parent_node=h.node_id, token_text="", logprob=0.0))
+    rec(_Cand.of(h, h.node_id, "", 0.0))
     return out
 
 

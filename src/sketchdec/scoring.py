@@ -1,8 +1,11 @@
 """Hypothesis state and length-normalized scoring.
 
 A hypothesis owns the full token/log-probability history plus chunk
-bookkeeping.  Hypotheses are immutable values: every decoding step builds
-a new one, which keeps branching decoders free of shared mutable state.
+bookkeeping.  Hypotheses are immutable values: every step that keeps a
+hypothesis builds a new one, which keeps branching decoders free of shared
+mutable state.  The scoring arithmetic (``normalized_score``,
+``rank_key``) is written once, over plain totals, so that the decoders can
+rank a candidate child from its parent before deciding to build it.
 """
 from __future__ import annotations
 
@@ -48,6 +51,23 @@ def normalization_weight(score: ScoreParams, m: int) -> float:
     return ((score.beta + 1.0) ** score.alpha) / ((score.beta + m) ** score.alpha)
 
 
+def effective_m(score: ScoreParams, m_total: int, m_vars: int) -> int:
+    """The token count the normalization weight is taken at."""
+    return m_total if score.count_forced_tokens else m_vars
+
+
+def normalized_score(
+    score: ScoreParams, raw_score: float, m_total: int, m_vars: int
+) -> float:
+    """Normalized score of a live hypothesis with these totals."""
+    return normalization_weight(score, effective_m(score, m_total, m_vars)) * raw_score
+
+
+def rank_key(normalized: float, tokens: tuple[int, ...]) -> tuple:
+    """Sort key: higher normalized score, then shorter, then low token ids."""
+    return (-normalized, len(tokens), tokens)
+
+
 @dataclass(frozen=True)
 class Span:
     """One consumed chunk: its text/value and token extent."""
@@ -83,12 +103,12 @@ class Hypothesis:
         return len(self.tokens)
 
     def effective_m(self, score: ScoreParams) -> int:
-        return self.m_total if score.count_forced_tokens else self.m_vars
+        return effective_m(score, len(self.tokens), self.m_vars)
 
     def normalized_score(self, score: ScoreParams) -> float:
         if self.dead:
             return NEG_INF
-        return normalization_weight(score, self.effective_m(score)) * self.raw_score
+        return normalized_score(score, self.raw_score, len(self.tokens), self.m_vars)
 
     def score_upper_bound(self, score: ScoreParams, max_m: int) -> float:
         """Best normalized score any continuation could reach.
@@ -119,8 +139,7 @@ class Hypothesis:
         )
 
     def rank_key(self, score: ScoreParams):
-        """Sort key: higher normalized score, then shorter, then low token ids."""
-        return (-self.normalized_score(score), len(self.tokens), self.tokens)
+        return rank_key(self.normalized_score(score), self.tokens)
 
     # --- state transitions -------------------------------------------------
     # Direct constructor calls: dataclasses.replace scans the field list and
@@ -204,7 +223,11 @@ class Hypothesis:
         )
 
     def with_closing_token(
-        self, token: int, logprob: float, new_state: MaskState
+        self,
+        token: int,
+        logprob: float,
+        new_state: MaskState,
+        node_id: int | None = None,
     ) -> "Hypothesis":
         """Append the token that closes the open variable and seal the
         variable into a span, in one step."""
@@ -231,7 +254,7 @@ class Hypothesis:
             done=self.done,
             dead=self.dead,
             truncated=self.truncated,
-            node_id=self.node_id,
+            node_id=self.node_id if node_id is None else node_id,
         )
 
     def as_done(self) -> "Hypothesis":

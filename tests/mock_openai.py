@@ -14,6 +14,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from sketchdec.lm import TableLM, greedy_tokenize
 
+# how often the serving loop checks for shutdown: close() waits up to this
+# long (socketserver's default of 0.5 s made every teardown that long)
+POLL_INTERVAL_S = 0.02
+
 
 class MockCompletionsServer:
     def __init__(self, backend: TableLM, null_first_logprob: bool = False):
@@ -60,7 +64,11 @@ class MockCompletionsServer:
                 self._send(200, owner.answer(payload))
 
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        self.thread = threading.Thread(
+            target=self.httpd.serve_forever,
+            kwargs={"poll_interval": POLL_INTERVAL_S},
+            daemon=True,
+        )
         self.thread.start()
 
     @property
@@ -69,8 +77,10 @@ class MockCompletionsServer:
         return f"http://{host}:{port}"
 
     def close(self):
+        # shutdown() returns once serve_forever next polls its flag
         self.httpd.shutdown()
         self.httpd.server_close()
+        self.thread.join()
 
     def __enter__(self):
         return self

@@ -4,7 +4,9 @@ from importlib import resources
 
 import pytest
 
+from mock_openai import MockCompletionsServer
 from sketchdec.cli import entrypoint
+from sketchdec.lm import TableLM
 
 LIST4 = str(resources.files("sketchdec").joinpath("data", "list4.json"))
 TABLE = str(resources.files("sketchdec").joinpath("data", "fig1_table.json"))
@@ -205,6 +207,67 @@ def test_http_unreachable_is_backend_failure(monkeypatch, capsys):
         capsys,
     )
     assert code == 3
+
+
+@pytest.fixture
+def served_table(monkeypatch):
+    """The fig1 table behind the mock completions service."""
+    monkeypatch.setenv("SKETCHDEC_API_KEY", "k")
+    with MockCompletionsServer(TableLM.from_file(TABLE)) as server:
+        yield server
+
+
+def http_decode(server, *flags) -> list[str]:
+    backend = f"http:{server.base_url},model=m"
+    return ["decode", "--sketch", LIST4, "--backend", backend, *flags]
+
+
+def one_error_line(err: str, prefix: str) -> str:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), err
+    return lines[0]
+
+
+def test_http_decode_runs_against_the_mock(served_table, capsys):
+    code, out, err = run(http_decode(served_table, "--decoder", "argmax"), capsys)
+    assert code == 0 and err == ""
+    assert out.splitlines()[:3] == ["- Frisbee", "- Frisbee", "- Camera"]
+
+
+def test_http_failures_beyond_retries_exit_3(served_table, monkeypatch, capsys):
+    monkeypatch.setattr("time.sleep", lambda s: None)  # skip the backoff
+    served_table.fail_next = 3
+    code, out, err = run(http_decode(served_table, "--retries", "2"), capsys)
+    assert code == 3 and out == ""
+    line = one_error_line(err, "sketchdec: backend failure:")
+    assert "after 3 attempts" in line
+    assert len(served_table.requests) == 3
+
+
+@pytest.mark.parametrize(
+    "message, shown",
+    [
+        # ContextTooLong carries the service's message as it is
+        ("This model's maximum context length is 8 tokens", ": This model's"),
+        ("unknown model 'm'", " answered 400: unknown model 'm'"),
+    ],
+    ids=["context-length", "other"],
+)
+def test_http_client_errors_exit_3(message, shown, served_table, capsys):
+    served_table.error_once = (400, message)
+    code, out, err = run(http_decode(served_table, "--retries", "2"), capsys)
+    assert code == 3 and out == ""
+    line = one_error_line(err, "sketchdec: backend failure:")
+    assert shown in line and line.endswith(message)
+    # a client error is not retried
+    assert len(served_table.requests) == 1
+
+
+def test_http_unsatisfiable_template_exits_2(served_table, capsys):
+    code, out, err = run(http_decode(served_table, "--max-tokens", "1"), capsys)
+    assert code == 2 and out == ""
+    line = one_error_line(err, "sketchdec: decode failure:")
+    assert "no hypothesis completed the template" in line
 
 
 def small_manifest(tmp_path):

@@ -14,7 +14,7 @@ from conftest import (
     stable_unit,
 )
 from sketchdec import decoders
-from sketchdec.constraints import compute_mask
+from sketchdec.constraints import MAX_TOKENS, advance, compute_mask
 from sketchdec.decoders import (
     ARGMAX,
     BEAM,
@@ -686,12 +686,104 @@ def test_dead_end_mask_raises_on_every_lookup(monkeypatch):
     spec = VariableSpec("X", one_of=OneOf(("ac",)), max_tokens=3)
     sketch = Sketch(name="s", chunks=(Chunk.variable(spec),))
     eng = _Engine(StaticSketchSource(sketch), backend, DecoderConfig())
-    h = eng.apply_token(eng.settle(Hypothesis()), 1, -1.0)
+    h = eng.apply_token(eng.settle(Hypothesis()), 1, -1.0).hyp
     # no token spells the "c" that "a" needs
     for _ in range(3):
         with pytest.raises(DeadEnd):
             eng.allowed_continuations(h)
     assert [partial for _, partial in keys] == ["a"]
+
+
+def eager_child(eng: _Engine, h: Hypothesis, token: int, logprob: float) -> Hypothesis:
+    """Reference for the engine's candidates: the child built at once by
+    the transition rule, written out with the Hypothesis steps."""
+    spec = h.open_spec
+    new_state, verdict = advance(
+        h.open_state, token, eng.backend.vocab, spec.stop_phrases, spec.max_tokens
+    )
+    if verdict.closes_chunk:
+        if verdict.status == MAX_TOKENS and new_state.constrained:
+            return h.with_variable_token(token, logprob, new_state).as_dead()
+        return h.with_closing_token(token, logprob, new_state)
+    h = h.with_variable_token(token, logprob, new_state)
+    if h.m_total > eng.cap:
+        return h.as_dead(truncated=True)
+    return h
+
+
+member_sets = st.lists(
+    st.text("abcd", min_size=1, max_size=4), min_size=1, max_size=4, unique=True
+)
+
+
+@st.composite
+def child_specs(draw) -> VariableSpec:
+    """A free or a OneOf variable whose budget may run out mid-member."""
+    max_tokens = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        stops = draw(st.sampled_from([(), ("b",), ("cd",)]))
+        return VariableSpec("X", stop_phrases=stops, max_tokens=max_tokens)
+    return VariableSpec("X", one_of=OneOf(draw(member_sets)), max_tokens=max_tokens)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    spec=child_specs(),
+    headroom=st.integers(0, 4),
+    score=st.builds(
+        ScoreParams,
+        alpha=st.sampled_from([0.0, 0.7, 1.0]),
+        beta=st.sampled_from([0.0, 1.5]),
+        count_forced_tokens=st.booleans(),
+    ),
+    path=st.lists(st.integers(0, 6), max_size=4),
+)
+def test_candidates_ranked_unbuilt_equal_built_children(seed, spec, headroom, score, path):
+    """Every child along a walk (closing, continuing, dead at its token
+    budget, truncated over the cap) reads the same rank key, normalized
+    score, pool and death from its parent as from the Hypothesis built at
+    once, and builds to that Hypothesis."""
+    backend = random_backend(seed)
+    first = VariableSpec("W", one_of=OneOf(("ab",)), max_tokens=2)
+    sketch = Sketch(
+        name="s",
+        chunks=(
+            Chunk.variable(first),
+            Chunk.det("c"),
+            Chunk.variable(spec),
+            Chunk.det("d"),
+        ),
+    )
+    # the cap falls somewhere in X, so its children can be truncated
+    config = DecoderConfig(score=score, global_max_tokens=2 + headroom)
+    eng = _Engine(StaticSketchSource(sketch), backend, config)
+    # token 5 spells "ab", which closes W; settling forces "c" and opens X
+    h = eng.settle(eng.apply_token(eng.settle(Hypothesis()), 5, -0.25).hyp)
+    assert h.open_spec is spec and h.vars_done == 1 and not h.dead
+    for step in [*path, None]:
+        try:
+            mask = compute_mask(h.open_state, backend.vocab)
+        except DeadEnd:
+            return
+        continuing = []
+        for t, lp in backend.next_distribution(h.tokens).allowed(mask):
+            truncated = eng.truncated
+            cand = eng.apply_token(h, t, lp)
+            ref = eager_child(eng, h, t, lp)
+            assert eng.truncated - truncated == int(ref.truncated)
+            assert cand.rank_key(score) == ref.rank_key(score)
+            assert cand.normalized_score(score).hex() == ref.normalized_score(score).hex()
+            assert cand.pool_key() == decoders._pool_key(ref)
+            assert cand.dead == ref.dead
+            assert cand.closed == (ref.open_spec is None)
+            assert cand.built(41) == ref.with_node(41)
+            assert cand.hyp == ref
+            if not ref.dead and ref.open_spec is not None:
+                continuing.append(ref)
+        if step is None or not continuing:
+            return
+        h = continuing[step % len(continuing)]
 
 
 def check_invariants(h: Hypothesis, sketch: Sketch) -> None:
