@@ -23,8 +23,12 @@ their single pool's top n is the global top n.
 A candidate (``_Cand``) is a parent hypothesis plus one appended token and
 what ``advance`` made of it.  Its rank key, normalized score, pool and
 ``dead`` are computed from the parent, and its ``Hypothesis`` is built only
-when selection keeps it, when a proposal extends it, or when it is a
-member fallback; most candidates of a wide search are pruned unbuilt.
+when selection keeps it or a proposal extends it; most candidates of a wide
+search are pruned unbuilt.  A proposal walk passes the candidate it extends
+to the next step, so the step's one candidate also carries the trace edge
+from the walk's start; a member fallback is the candidate of the member's
+last token.  Selection ranks each candidate once, and the recorded node
+takes its score from that key.
 
 Within one decode, a OneOf step's token mask is computed once per
 (members, partial value) key and then looked up (``_Engine._mask``), the
@@ -44,11 +48,12 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
 
 from .constraints import MAX_TOKENS, MaskState, compute_mask, advance
 from .errors import DeadEnd, TemplateUnsatisfiable
-from .lm import LMBackend
+from .lm import LMBackend, ordered_sum
 from .scoring import (
     NEG_INF,
     Hypothesis,
@@ -204,7 +209,7 @@ class _Engine:
                 lps = self.backend.score_forced(h.tokens, toks)
                 h = h.with_forced_span(toks, lps, c.text)
                 texts.append(c.text)
-                total_lp += sum(lps)
+                total_lp += h.spans[-1].raw_logprob
             nid = self.recorder.add(
                 parent,
                 "".join(texts),
@@ -282,13 +287,16 @@ class _Engine:
             raise DeadEnd(mask)
         return mask
 
-    def apply_token(self, h: Hypothesis, token: int, logprob: float) -> "_Cand":
+    def apply_token(
+        self, h: Hypothesis, token: int, logprob: float, via: "_Cand | None" = None
+    ) -> "_Cand":
         """The child of h by one variable token, closing or killing the
-        chunk as ruled; its Hypothesis is built on first use."""
+        chunk as ruled; its Hypothesis is built on first use.  Its trace
+        edge starts at the token, or continues via's, the candidate that h
+        was built from."""
         spec = h.open_spec
-        vocab = self.backend.vocab
         new_state, verdict = advance(
-            h.open_state, token, vocab, spec.stop_phrases, spec.max_tokens
+            h.open_state, token, self.backend.vocab, spec.stop_phrases, spec.max_tokens
         )
         if verdict.closes_chunk:
             # running out of tokens inside a OneOf value kills it
@@ -300,23 +308,20 @@ class _Engine:
             dead = truncated = len(h.tokens) >= self.cap
             if truncated:
                 self.truncated += 1
+        if via is None:
+            start, edge_logprob = len(h.tokens), logprob
+        else:
+            start, edge_logprob = via.start, via.edge_logprob + logprob
         return _Cand(
-            h,
-            token,
-            logprob,
-            new_state,
-            closed,
-            dead,
-            truncated,
-            None,
-            h.node_id,
-            vocab.token_text(token),
-            logprob,
+            h, token, logprob, new_state, closed, dead, truncated, start, edge_logprob
         )
 
     def fallback_completions(self, h: Hypothesis) -> list["_Cand"]:
         """Score whole member completions when the truncated distribution
-        has no allowed token (one forced-scoring call per member)."""
+        has no allowed token (one forced-scoring call per member).
+
+        Each option is the candidate of its member's last token, with a
+        trace edge spanning the whole suffix."""
         state, spec = h.open_state, h.open_spec
         out: list[_Cand] = []
         for member in state.index.members:
@@ -329,14 +334,15 @@ class _Engine:
             if not toks or state.tokens_emitted + len(toks) > spec.max_tokens:
                 continue
             lps = self.backend.score_forced(h.tokens, toks)
-            child = h
-            for t, lp in zip(toks, lps):
-                if child.dead or child.open_spec is None:
+            cand = self.apply_token(h, toks[0], lps[0])
+            for t, lp in zip(toks[1:], lps[1:]):
+                if cand.dead or cand.closed:
                     break
-                child = self.apply_token(child, t, lp).hyp
-            if child.dead:
+                cand = self.apply_token(cand.hyp, t, lp, cand)
+            if cand.dead:
                 continue
-            out.append(_Cand.of(child, h.node_id, suffix, sum(lps)))
+            cand.edge_logprob = ordered_sum(lps)
+            out.append(cand)
         out.sort(key=lambda c: c.rank_key(self.score))
         if not out:
             raise DeadEnd(
@@ -345,8 +351,11 @@ class _Engine:
             )
         return out
 
-    def expand_top(self, h: Hypothesis, n: int) -> list["_Cand"]:
-        """Children of h by its n best allowed continuations.
+    def expand_top(
+        self, h: Hypothesis, n: int | None, via: "_Cand | None" = None
+    ) -> list["_Cand"]:
+        """Children of h by its n best allowed continuations (all of them
+        for n None), their trace edges continuing via's.
 
         Returns [] when the hypothesis is at a dead end.
         """
@@ -356,10 +365,10 @@ class _Engine:
             return []
         if pairs is None:
             try:
-                return self.fallback_completions(h)[:n]
+                return [o.after(via) for o in self.fallback_completions(h)[:n]]
             except DeadEnd:
                 return []
-        return [self.apply_token(h, t, lp) for t, lp in pairs[:n]]
+        return [self.apply_token(h, t, lp, via) for t, lp in pairs[:n]]
 
     # -- selection -------------------------------------------------------
 
@@ -374,102 +383,87 @@ class _Engine:
         pools = [Pool(variable_index=k, members=by_pool[k]) for k in sorted(by_pool)]
         kept: list[Hypothesis] = []
         for pool, w in zip(pools, allocate_pools(pools, width)):
-            members = sorted(pool.members, key=lambda c: c.rank_key(self.score))
-            alive = [i for i, c in enumerate(members) if not c.dead]
-            kept.extend(self.record_selection(members, set(alive[:w])))
+            ranked = sorted(
+                ((c.rank_key(self.score), c) for c in pool.members), key=itemgetter(0)
+            )
+            alive = [i for i, (_, c) in enumerate(ranked) if not c.dead]
+            kept.extend(self.record_selection(ranked, set(alive[:w])))
         return kept
 
     def record_selection(
-        self, cands: Sequence["_Cand"], kept: set[int]
+        self, ranked: Sequence[tuple[tuple, "_Cand"]], kept: set[int]
     ) -> list[Hypothesis]:
-        """Emit trace nodes in rank order; survivors are built, with their
-        new node id."""
+        """Emit trace nodes in rank order, each scored from its rank key;
+        survivors are built, with their new node id."""
         survivors = []
-        for rank, c in enumerate(cands):
-            status = "expanded" if rank in kept else "pruned"
-            norm = c.normalized_score(self.score)
-            nid = self.recorder.add(
-                c.parent_node, c.token_text, c.logprob, norm, c.pool_key(), status
-            )
+        token_text = self.backend.vocab.token_text
+        for rank, (key, c) in enumerate(ranked):
+            nid = 0
+            if self.config.record_tree:
+                nid = self.recorder.add(
+                    c.parent.node_id,
+                    "".join(map(token_text, c.tokens[c.start :])),
+                    c.edge_logprob,
+                    -key[0],
+                    c.pool_key(),
+                    "expanded" if rank in kept else "pruned",
+                )
             if rank in kept:
                 survivors.append(c.built(nid))
         return survivors
 
 
 class _Cand:
-    """One expansion: a child hypothesis plus the trace edge that reached it.
+    """One expansion: a parent hypothesis plus one appended token.
 
-    A child by one token holds its ``parent``, the ``token`` and its
-    log-probability, and the ``state`` and outcome of ``advance``
-    (``closed``: the variable is sealed; ``dead``, ``truncated``).  Rank key,
-    normalized score and pool are read from those, and the Hypothesis is
-    built only on demand: ``hyp`` when a proposal extends it, ``built``
-    when selection keeps it.  A candidate made from a hypothesis that
-    already exists (a member fallback, a proposal's start, a killed walk)
-    has no parent and reads everything from that hypothesis.
+    It holds the ``parent``, the ``token`` and its ``logprob``, and the
+    ``state`` and outcome of ``advance`` (``closed``: the variable is
+    sealed; ``dead``, ``truncated``).  Rank key, normalized score and pool
+    are read from those, and the Hypothesis is built only on demand:
+    ``hyp`` when a proposal extends it, ``built`` when selection keeps it.
 
-    The trace edge (``parent_node``, ``token_text``, ``logprob``) spans
-    every token a proposal appended since the selection before it.
+    The trace edge that reached it runs from token index ``start`` through
+    this token, under the parent's trace node (a hypothesis built during a
+    proposal keeps the node of the one it extends), with log-probability
+    ``edge_logprob``.  It spans every token a proposal appended since the
+    selection before it.
     """
 
     __slots__ = (
         "parent",
         "token",
-        "token_logprob",
+        "logprob",
         "state",
         "closed",
         "dead",
         "truncated",
+        "start",
+        "edge_logprob",
         "_hyp",
-        "parent_node",
-        "token_text",
-        "logprob",
     )
 
     def __init__(
         self,
-        parent: Hypothesis | None,
+        parent: Hypothesis,
         token: int,
-        token_logprob: float,
-        state: MaskState | None,
+        logprob: float,
+        state: MaskState,
         closed: bool,
         dead: bool,
         truncated: bool,
-        hyp: Hypothesis | None,
-        parent_node: int,
-        token_text: str,
-        logprob: float,
+        start: int,
+        edge_logprob: float,
     ):
         self.parent = parent
         self.token = token
-        self.token_logprob = token_logprob
+        self.logprob = logprob
         self.state = state
         self.closed = closed
         self.dead = dead
         self.truncated = truncated
-        self._hyp = hyp
-        self.parent_node = parent_node
-        self.token_text = token_text
-        self.logprob = logprob
-
-    @classmethod
-    def of(
-        cls, h: Hypothesis, parent_node: int, token_text: str, logprob: float
-    ) -> "_Cand":
-        """A candidate for a hypothesis that is already built."""
-        return cls(
-            None,
-            0,
-            0.0,
-            None,
-            h.open_spec is None,
-            h.dead,
-            h.truncated,
-            h,
-            parent_node,
-            token_text,
-            logprob,
-        )
+        self.start = start
+        self.edge_logprob = edge_logprob
+        self._hyp = None
 
     @property
     def hyp(self) -> Hypothesis:
@@ -487,73 +481,41 @@ class _Cand:
     def _build(self, node_id: int | None) -> Hypothesis:
         p = self.parent
         if self.closed:
-            return p.with_closing_token(
-                self.token, self.token_logprob, self.state, node_id
-            )
-        h = p.with_variable_token(self.token, self.token_logprob, self.state, node_id)
+            return p.with_closing_token(self.token, self.logprob, self.state, node_id)
+        h = p.with_variable_token(self.token, self.logprob, self.state, node_id)
         return h.as_dead(self.truncated) if self.dead else h
 
     @property
     def tokens(self) -> tuple[int, ...]:
-        if self.parent is None:
-            return self._hyp.tokens
         return self.parent.tokens + (self.token,)
 
     def normalized_score(self, score: ScoreParams) -> float:
-        p = self.parent
-        if p is None:
-            return self._hyp.normalized_score(score)
         if self.dead:
             return NEG_INF
+        p = self.parent
         return normalized_score(
-            score, p.raw_score + self.token_logprob, len(p.tokens) + 1, p.m_vars + 1
+            score, p.raw_score + self.logprob, len(p.tokens) + 1, p.m_vars + 1
         )
 
     def rank_key(self, score: ScoreParams) -> tuple:
-        if self.parent is None:
-            return self._hyp.rank_key(score)
         return rank_key(self.normalized_score(score), self.tokens)
 
     def pool_key(self) -> int:
-        if self.parent is None:
-            return _pool_key(self._hyp)
         # the parent is open on variable vars_done; its child stays in that
         # pool whether the token closes the variable or not
         return self.parent.vars_done
 
-    def merged(self, other: "_Cand") -> "_Cand":
-        """other, reached by this candidate's trace edge and then other's."""
-        return _Cand(
-            other.parent,
-            other.token,
-            other.token_logprob,
-            other.state,
-            other.closed,
-            other.dead,
-            other.truncated,
-            other._hyp,
-            self.parent_node,
-            self.token_text + other.token_text,
-            self.logprob + other.logprob,
-        )
+    def after(self, via: "_Cand | None") -> "_Cand":
+        """This member-fallback option, its trace edge continuing via's."""
+        if via is not None:
+            self.start = via.start
+            self.edge_logprob = via.edge_logprob + self.edge_logprob
+        return self
 
     def killed(self) -> "_Cand":
         """This candidate at a dead end."""
-        return _Cand.of(
-            self.hyp.as_dead(), self.parent_node, self.token_text, self.logprob
-        )
-
-
-def _pool_key(h: Hypothesis) -> int:
-    """Index of the variable a hypothesis is working on.
-
-    A hypothesis that just closed a variable (including one that finished
-    the template) still belongs to that variable's pool until the next
-    settling step.
-    """
-    if h.open_spec is None:
-        return max(h.vars_done - 1, 0)
-    return h.vars_done
+        self.dead, self._hyp = True, None
+        return self
 
 
 def allocate_pools(pools: Sequence[Pool], n: int) -> list[int]:
@@ -595,49 +557,48 @@ def _stable_seed(seed: int, tokens: tuple[int, ...], j: int) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
+def _draw(rng: random.Random, logprobs: Sequence[float], temperature: float) -> int:
+    """An index drawn with weight exp(lp / T), uniformly when every weight
+    underflows to 0."""
+    weights = [math.exp(lp / temperature) for lp in logprobs]
+    if not any(w > 0.0 for w in weights):
+        weights = [1.0] * len(weights)
+    return rng.choices(range(len(weights)), weights=weights)[0]
+
+
 def _propose_branch(eng: _Engine, h: Hypothesis, n: int) -> list[_Cand]:
     """n distinct first tokens, each continued greedily to the chunk end."""
-    firsts = eng.expand_top(h, n)
     proposals = []
-    for cand in firsts:
-        cur = cand
+    for cur in eng.expand_top(h, n):
         while not cur.dead and not cur.closed:
-            step = eng.expand_top(cur.hyp, 1)
-            if not step:
-                cur = cur.killed()
-                break
-            cur = cur.merged(step[0])
+            step = eng.expand_top(cur.hyp, 1, cur)
+            cur = step[0] if step else cur.killed()
         proposals.append(cur)
     return proposals
 
 
 def _propose_sampled(eng: _Engine, h: Hypothesis, n: int) -> list[_Cand]:
     """n temperature-scaled samples of the whole variable value."""
-    cfg = eng.config
+    temperature = eng.config.temperature
     seen: dict[tuple[int, ...], _Cand] = {}
     for j in range(n):
-        rng = random.Random(_stable_seed(cfg.seed, h.tokens, j))
-        cur = _Cand.of(h, h.node_id, "", 0.0)
-        while not cur.dead and not cur.closed:
+        rng = random.Random(_stable_seed(eng.config.seed, h.tokens, j))
+        cur: _Cand | None = None
+        while cur is None or not (cur.dead or cur.closed):
+            at = h if cur is None else cur.hyp
             try:
-                pairs = eng.allowed_continuations(cur.hyp)
+                pairs = eng.allowed_continuations(at)
                 if pairs is None:
-                    options = eng.fallback_completions(cur.hyp)
+                    options = eng.fallback_completions(at)
             except DeadEnd:
-                cur = cur.killed()
                 break
             if pairs is None:
-                weights = [math.exp(o.logprob / cfg.temperature) for o in options]
-                pick = rng.choices(range(len(options)), weights=weights)[0]
-                cur = cur.merged(options[pick])
-                continue
-            weights = [math.exp(lp / cfg.temperature) for _, lp in pairs]
-            if not any(w > 0.0 for w in weights):
-                weights = [1.0] * len(pairs)
-            pick = rng.choices(range(len(pairs)), weights=weights)[0]
-            t, lp = pairs[pick]
-            cur = cur.merged(eng.apply_token(cur.hyp, t, lp))
-        if not cur.dead:
+                lps = [o.edge_logprob for o in options]
+                cur = options[_draw(rng, lps, temperature)].after(cur)
+            else:
+                t, lp = pairs[_draw(rng, [lp for _, lp in pairs], temperature)]
+                cur = eng.apply_token(at, t, lp, cur)
+        if cur is not None and cur.closed:
             seen.setdefault(cur.tokens, cur)
     return list(seen.values())
 
@@ -646,27 +607,14 @@ def _propose_exhaustive(eng: _Engine, h: Hypothesis) -> list[_Cand]:
     """Every legal completion of the open variable chunk."""
     out: list[_Cand] = []
 
-    def rec(cur: _Cand) -> None:
-        if cur.dead:
-            return
-        if cur.closed:
-            out.append(cur)
-            return
-        h = cur.hyp
-        try:
-            pairs = eng.allowed_continuations(h)
-            if pairs is None:
-                options = eng.fallback_completions(h)
-        except DeadEnd:
-            return
-        if pairs is None:
-            for option in options:
-                rec(cur.merged(option))
-            return
-        for t, lp in pairs:
-            rec(cur.merged(eng.apply_token(h, t, lp)))
+    def rec(h: Hypothesis, via: _Cand | None) -> None:
+        for c in eng.expand_top(h, None, via):
+            if c.closed:
+                out.append(c)
+            elif not c.dead:
+                rec(c.hyp, c)
 
-    rec(_Cand.of(h, h.node_id, "", 0.0))
+    rec(h, None)
     return out
 
 

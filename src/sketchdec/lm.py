@@ -47,12 +47,25 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, filterfalse, islice, repeat
-from typing import AbstractSet, Callable, Mapping, Sequence
+from operator import add
+from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 from .errors import ModelFileError, UnsegmentableText
 
 NEG_INF = float("-inf")
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """The floats added left to right from 0.0.
+
+    From Python 3.12 the built-in ``sum`` compensates float rounding, so
+    its last bits differ from 3.10's and 3.11's.  Every score, model row
+    and report mean is added with this instead, so a decode has the same
+    float bits on every supported Python.
+    """
+    return reduce(add, values, 0.0)
 
 
 @dataclass(frozen=True)

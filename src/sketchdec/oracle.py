@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InstanceTooLarge, TemplateUnsatisfiable
-from .lm import LMBackend
+from .lm import LMBackend, ordered_sum
 from .scoring import ScoreParams
 from .sketch import Binding, Bindings, as_source
 
@@ -137,7 +137,7 @@ def oracle_decode(
     best: OracleResult | None = None
     for tokens, var_tokens in completions:
         lps = backend.score_forced((), tokens)
-        raw = sum(lps)
+        raw = ordered_sum(lps)
         m = len(tokens) if score.count_forced_tokens else var_tokens
         if m == 0:
             weight = 1.0

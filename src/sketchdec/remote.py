@@ -30,7 +30,7 @@ from typing import Sequence
 import requests
 
 from .errors import BackendUnavailable, ContextTooLong, ForcedScoringUnsupported
-from .lm import NEG_INF, LMBackend, TokenDistribution
+from .lm import NEG_INF, LMBackend, TokenDistribution, ordered_sum
 
 API_KEY_ENV = "SKETCHDEC_API_KEY"
 # texts whose service tokenization is kept; the oldest is dropped first, so a
@@ -284,7 +284,7 @@ class RemoteCompletionsLM(LMBackend):
             p == reg.token_text(t) for (p, _), t in zip(region, continuation)
         ):
             return [float(v) for _, v in region]
-        total = sum(float(v) for _, v in region)
+        total = ordered_sum(float(v) for _, v in region)
         return [total] + [0.0] * (len(continuation) - 1)
 
 

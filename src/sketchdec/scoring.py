@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .constraints import MaskState
+from .lm import ordered_sum
 from .sketch import Binding, Bindings, VariableSpec
 
 NEG_INF = float("-inf")
@@ -150,10 +151,9 @@ class Hypothesis:
         tokens: Sequence[int],
         logprobs: Sequence[float],
         text: str,
-        node_id: int | None = None,
     ) -> "Hypothesis":
         start = len(self.tokens)
-        raw = sum(logprobs)
+        raw = ordered_sum(logprobs)
         span = Span(
             chunk_ordinal=len(self.spans),
             kind="det",
@@ -177,7 +177,7 @@ class Hypothesis:
             done=self.done,
             dead=self.dead,
             truncated=self.truncated,
-            node_id=self.node_id if node_id is None else node_id,
+            node_id=self.node_id,
         )
 
     def with_open_variable(self, spec: VariableSpec) -> "Hypothesis":

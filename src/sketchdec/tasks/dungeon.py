@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from ..decoders import DecoderConfig, decode
-from ..lm import TableLM, Vocabulary
+from ..lm import TableLM, Vocabulary, ordered_sum
 from ..scoring import ScoreParams
 from ..sketch import Chunk, DynamicSketchSource, OneOf, Sketch, VariableSpec
 
@@ -274,7 +274,7 @@ def _action_row(
             )
         else:
             weights[str(d)] = TINY
-    total = sum(weights.values())
+    total = ordered_sum(weights.values())
     row = []
     spread = (1.0 - ACTION_MASS) / (len(vocab.tokens) - len(weights))
     for t in vocab.tokens:
@@ -402,7 +402,7 @@ def run_dungeon_task(
                 mean_steps=(
                     sum(steps_list) / len(steps_list) if steps_list else None
                 ),
-                mean_normalized_score=sum(norms) / len(norms),
+                mean_normalized_score=ordered_sum(norms) / len(norms),
             )
         )
     return reports

@@ -9,7 +9,6 @@ likelihood.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -204,9 +203,3 @@ def materialize_table() -> dict:
         "contexts": {k: recorder.seen[k] for k in sorted(recorder.seen)},
         "default": _uniform_row(vocab),
     }
-
-
-def write_table(path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(materialize_table(), f, ensure_ascii=False, indent=1, sort_keys=True)
-        f.write("\n")

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 
 from ..decoders import DecoderConfig, decode
-from ..lm import NGramLM, TableLM, Vocabulary, greedy_tokenize
+from ..lm import NGramLM, TableLM, Vocabulary, greedy_tokenize, ordered_sum
 from ..scoring import ScoreParams
 from ..sketch import Chunk, OneOf, Sketch, VariableSpec, instantiate
 
@@ -138,7 +138,7 @@ def build_sketch(record: Record) -> Sketch:
 
 
 def _spread_row(vocab: Vocabulary, favored: dict[str, float]) -> list[float]:
-    mass = sum(favored.values())
+    mass = ordered_sum(favored.values())
     spread = (1.0 - mass) / (len(vocab.tokens) - len(favored))
     return [favored.get(t, spread) for t in vocab.tokens]
 
@@ -196,22 +196,6 @@ def ngram_backend() -> NGramLM:
         corpus.extend(greedy_tokenize(vocab, text))
         corpus.append(vocab.eos_index)
     return NGramLM(vocab, order=2, corpus_tokens=corpus)
-
-
-def empty_field_fixture() -> tuple[Sketch, TableLM]:
-    """Free-text field whose backend ends it immediately: quoted empty value."""
-    vocab = Vocabulary(tokens=("", "a", "b", '{"note": "', '"}'), eos_index=0)
-    sketch = Sketch(
-        name="json-empty",
-        chunks=(
-            Chunk.det('{"note": "'),
-            Chunk.variable(VariableSpec(name="NOTE", max_tokens=4)),
-            Chunk.det('"}'),
-        ),
-    )
-    eos_heavy = [0.96, 0.01, 0.01, 0.01, 0.01]
-    backend = TableLM(vocab, {}, default_row=eos_heavy)
-    return sketch, backend
 
 
 # --- checking and reporting ----------------------------------------------------

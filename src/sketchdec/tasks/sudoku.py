@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from ..decoders import DecoderConfig, decode
-from ..lm import TableLM, Vocabulary
+from ..lm import TableLM, Vocabulary, ordered_sum
 from ..scoring import ScoreParams
 from ..sketch import Bindings, Chunk, OneOf, Sketch, VariableSpec
 
@@ -37,7 +37,7 @@ def _row(prefix: str) -> list[float]:
         (DIGIT_PREFERENCE**i) * (USED_PENALTY if d in used else 1.0)
         for i, d in enumerate(DIGITS)
     ]
-    total = sum(weights)
+    total = ordered_sum(weights)
     row = [EOS_MASS]
     row.extend(DIGIT_MASS * w / total for w in weights)
     row.extend((SPACE_MASS, NEWLINE_MASS))
@@ -179,26 +179,6 @@ def solved(instance: SudokuInstance, bindings: Bindings) -> bool:
     return sorted(values) == sorted(DIGITS)
 
 
-def reordered_sketch(instance: SudokuInstance, name: str = "sudoku-reordered") -> Sketch:
-    """Transform: present all fixed cells first, then the blanks.
-
-    Exposed for experimentation with decoding order; no accuracy claim is
-    attached to it.
-    """
-    fixed_part = " ".join(c for c in instance.cells if c is not None)
-    chunks: list[Chunk] = [Chunk.det(fixed_part + "\n")]
-    for pos in instance.blanks:
-        chunks.append(
-            Chunk.variable(
-                VariableSpec(
-                    name=f"C{pos + 1}", one_of=OneOf(members=DIGITS), max_tokens=1
-                )
-            )
-        )
-        chunks.append(Chunk.det("\n" if pos == instance.blanks[-1] else " "))
-    return Sketch(name=name, chunks=tuple(chunks))
-
-
 SUITE_BLANKS = (1, 2, 2, 3, 3, 4, 4, 5, 5, 6)
 
 
@@ -246,7 +226,7 @@ def run_sudoku_task(
                 width=config.width,
                 solved_count=wins,
                 total=len(instances),
-                mean_normalized_score=sum(norms) / len(norms),
+                mean_normalized_score=ordered_sum(norms) / len(norms),
             )
         )
     return reports

@@ -24,10 +24,6 @@ class TraceNode:
 class DecodingTree:
     nodes: tuple[TraceNode, ...]
 
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
     def to_ndjson(self) -> str:
         lines = []
         for n in self.nodes:

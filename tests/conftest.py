@@ -13,7 +13,7 @@ import random
 from hypothesis import strategies as st
 
 from sketchdec.constraints import MaskState, advance, compute_mask
-from sketchdec.lm import TableLM, Vocabulary
+from sketchdec.lm import TableLM, Vocabulary, ordered_sum
 from sketchdec.sketch import Chunk, OneOf, Sketch, VariableSpec
 
 
@@ -51,7 +51,7 @@ def random_backend(
 
     def rows(prefix: str) -> list[float]:
         weights = [stable_unit(seed, prefix, i) for i in range(len(tokens))]
-        total = sum(weights)
+        total = ordered_sum(weights)
         return [w / total for w in weights]
 
     return TableLM(vocab, rows, default_row=rows(""), check_rows=False)
@@ -123,7 +123,7 @@ def isolated_greedy(sketch: Sketch, backend) -> tuple[str, dict, tuple, float]:
     for chunk in sketch.chunks:
         if chunk.is_det:
             toks = backend.tokenize(chunk.text)
-            raw += sum(backend.score_forced(prefix, toks))
+            raw += ordered_sum(backend.score_forced(prefix, toks))
             prefix.extend(toks)
             pieces.append(chunk.text)
             continue

@@ -1,4 +1,5 @@
 """Decoding strategies: greedy, beam, variable-level, and pooled beam."""
+import builtins
 import hashlib
 import math
 import random
@@ -42,6 +43,7 @@ from sketchdec.lm import (
     TableLM,
     TokenDistribution,
     Vocabulary,
+    ordered_sum,
 )
 from sketchdec.scoring import Hypothesis, ScoreParams, rank_hypotheses
 from sketchdec.sketch import (
@@ -285,6 +287,17 @@ def test_sampled_proposals_are_deterministic():
     ]
 
 
+def test_sampled_fallback_draw_is_uniform_when_every_weight_underflows():
+    # at this temperature exp(lp / T) is 0.0 for every member completion
+    sketch, backend = truncated_fixture(0)
+    config = DecoderConfig(
+        kind=VAR, width=2, proposal=PROPOSAL_SAMPLE, temperature=0.001
+    )
+    result = decode(sketch, backend, config)
+    assert result.best.bindings.value("X") in OFF_TOP_MEMBERS
+    assert decode(sketch, backend, config) == result
+
+
 def test_exhaustive_proposals_cover_every_completion():
     vocab = Vocabulary(("", "a", "b"), eos_index=0)
     backend = TableLM(vocab, {}, default_row=[0.2, 0.4, 0.4])
@@ -396,7 +409,7 @@ def test_tree_recorded_only_on_request():
         sketch, backend, DecoderConfig(kind=BEAMVAR, width=2, record_tree=True)
     )
     assert traced.tree is not None
-    assert traced.tree.node_count > 1
+    assert len(traced.tree.nodes) > 1
     assert traced.best.tokens == plain.best.tokens
 
 
@@ -466,7 +479,7 @@ def truncated_fixture(seed: int) -> tuple[Sketch, TopK]:
         weights = [stable_unit(seed, prefix, i) for i in range(len(vocab))]
         weights[1] += 2.0
         weights[2] += 2.0
-        total = sum(weights)
+        total = ordered_sum(weights)
         return [w / total for w in weights]
 
     inner = TableLM(vocab, rows, default_row=rows(""), check_rows=False)
@@ -623,6 +636,21 @@ def test_decoder_outputs_are_pinned():
     assert pinned_digests() == PINNED_DIGESTS
 
 
+def test_pinned_outputs_hold_under_compensated_sum(monkeypatch):
+    """From Python 3.12 the built-in sum compensates float rounding; with
+    such a sum, every decode must still have the pinned float bits."""
+    plain_sum = builtins.sum
+
+    def compensated_sum(values, start=0):
+        values = list(values)
+        if start == 0 and values and all(type(v) is float for v in values):
+            return math.fsum(values)
+        return plain_sum(values, start)
+
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert pinned_digests() == PINNED_DIGESTS
+
+
 def test_truncated_distributions_fall_back_to_whole_members(monkeypatch):
     calls = []
     fallback = _Engine.fallback_completions
@@ -774,7 +802,11 @@ def test_candidates_ranked_unbuilt_equal_built_children(seed, spec, headroom, sc
             assert eng.truncated - truncated == int(ref.truncated)
             assert cand.rank_key(score) == ref.rank_key(score)
             assert cand.normalized_score(score).hex() == ref.normalized_score(score).hex()
-            assert cand.pool_key() == decoders._pool_key(ref)
+            # a child that closed its variable stays in that variable's pool
+            closed_pool = max(ref.vars_done - 1, 0)
+            assert cand.pool_key() == (
+                ref.vars_done if ref.open_spec is not None else closed_pool
+            )
             assert cand.dead == ref.dead
             assert cand.closed == (ref.open_spec is None)
             assert cand.built(41) == ref.with_node(41)

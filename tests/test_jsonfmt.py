@@ -5,7 +5,8 @@ import pytest
 
 from sketchdec.constraints import MaskState, compute_mask
 from sketchdec.decoders import DecoderConfig, decode, decode_argmax
-from sketchdec.sketch import instantiate
+from sketchdec.lm import TableLM, Vocabulary
+from sketchdec.sketch import Chunk, Sketch, VariableSpec, instantiate
 from sketchdec.tasks import jsonfmt
 
 
@@ -82,8 +83,24 @@ def test_any_backend_yields_schema_conformant_output():
         assert jsonfmt.extract_json(result.text) is not None
 
 
+def empty_field_fixture() -> tuple[Sketch, TableLM]:
+    """Free-text field whose backend ends it immediately: quoted empty value."""
+    vocab = Vocabulary(tokens=("", "a", "b", '{"note": "', '"}'), eos_index=0)
+    sketch = Sketch(
+        name="json-empty",
+        chunks=(
+            Chunk.det('{"note": "'),
+            Chunk.variable(VariableSpec(name="NOTE", max_tokens=4)),
+            Chunk.det('"}'),
+        ),
+    )
+    eos_heavy = [0.96, 0.01, 0.01, 0.01, 0.01]
+    backend = TableLM(vocab, {}, default_row=eos_heavy)
+    return sketch, backend
+
+
 def test_empty_field_still_renders_closed_quotes():
-    sketch, backend = jsonfmt.empty_field_fixture()
+    sketch, backend = empty_field_fixture()
     result = decode_argmax(sketch, backend)
     assert result.text == '{"note": ""}'
     assert json.loads(result.text) == {"note": ""}

@@ -77,13 +77,12 @@ def test_transitions_change_only_their_fields():
     )
     replace = dataclasses.replace
     span = Span(len(h.spans), "det", None, "zz", 6, 8, -0.75)
-    assert h.with_forced_span([1, 2], [-0.5, -0.25], "zz", node_id=4) == replace(
+    assert h.with_forced_span([1, 2], [-0.5, -0.25], "zz") == replace(
         h,
         tokens=h.tokens + (1, 2),
         logprobs=h.logprobs + (-0.5, -0.25),
         spans=h.spans + (span,),
         raw_score=h.raw_score - 0.75,
-        node_id=4,
     )
     assert h.with_forced_span([1], [-0.5], "z") == replace(
         h,

@@ -2,7 +2,7 @@
 import pytest
 
 from sketchdec.decoders import decode_argmax, decode_beamvar
-from sketchdec.sketch import Binding, Bindings
+from sketchdec.sketch import Binding, Bindings, Chunk, OneOf, Sketch, VariableSpec
 from sketchdec.tasks import sudoku
 
 
@@ -85,9 +85,27 @@ def test_task_report_counts():
     )
 
 
+def reordered_sketch(instance, name: str = "sudoku-reordered") -> Sketch:
+    """Transform: present all fixed cells first, then the blanks."""
+    fixed_part = " ".join(c for c in instance.cells if c is not None)
+    chunks = [Chunk.det(fixed_part + "\n")]
+    for pos in instance.blanks:
+        chunks.append(
+            Chunk.variable(
+                VariableSpec(
+                    name=f"C{pos + 1}",
+                    one_of=OneOf(members=sudoku.DIGITS),
+                    max_tokens=1,
+                )
+            )
+        )
+        chunks.append(Chunk.det("\n" if pos == instance.blanks[-1] else " "))
+    return Sketch(name=name, chunks=tuple(chunks))
+
+
 def test_reordered_sketch_shape():
     instance, _, _ = sudoku.gen_sudoku(2, 3)
-    sketch = sudoku.reordered_sketch(instance)
+    sketch = reordered_sketch(instance)
     assert sketch.chunks[0].is_det
     names = [c.var.name for c in sketch.chunks if c.is_var]
     assert names == [f"C{pos + 1}" for pos in instance.blanks]

@@ -1,8 +1,10 @@
 """Decoding-tree capture and its NDJSON rendering."""
 import json
 
-from sketchdec.decoders import ARGMAX, BEAMVAR, DecoderConfig, decode
-from sketchdec.lm import TableLM, Vocabulary
+import pytest
+
+from sketchdec.decoders import ARGMAX, BEAMVAR, VAR, DecoderConfig, decode
+from sketchdec.lm import TableLM, Vocabulary, ordered_sum
 from sketchdec.sketch import Chunk, OneOf, Sketch, VariableSpec
 from sketchdec.trace import DecodingTree, NullRecorder, TraceNode, TraceRecorder
 
@@ -12,7 +14,7 @@ NDJSON_KEYS = ["id", "parent", "token_text", "logprob", "norm_score", "pool", "s
 def test_recorder_root_is_eager():
     rec = TraceRecorder()
     tree = rec.tree()
-    assert tree.node_count == 1
+    assert len(tree.nodes) == 1
     root = tree.nodes[0]
     assert (root.id, root.parent, root.status) == (0, None, "expanded")
 
@@ -104,3 +106,53 @@ def test_tree_round_trips_through_ndjson():
     parsed = [json.loads(line) for line in result.tree.to_ndjson().splitlines()]
     rebuilt = DecodingTree(nodes=tuple(TraceNode(**d) for d in parsed))
     assert rebuilt == result.tree
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        DecoderConfig(kind=VAR, width=2, proposal="branch", record_tree=True),
+        DecoderConfig(kind=VAR, width=2, proposal="exhaustive", record_tree=True),
+        DecoderConfig(kind=BEAMVAR, width=2, record_tree=True),
+    ],
+    ids=["var-branch", "var-exhaustive", "beamvar"],
+)
+def test_value_closed_by_rendered_eos_shows_its_edge(config):
+    """The node of a value closed by an EOS that renders as text ends in
+    that text, and its log-probability adds the edge's tokens in order."""
+    vocab = Vocabulary(("</s>", "a", "b", "."), eos_index=0)
+    rows = {".ab": [0.7, 0.1, 0.1, 0.1]}
+    backend = TableLM(vocab, rows, default_row=[0.1, 0.5, 0.3, 0.1])
+    # "ab" is complete but "abb" extends it, so only EOS closes it
+    members = OneOf(("ab", "abb", "ba"))
+    sketch = Sketch(
+        name="s",
+        chunks=(
+            Chunk.det("."),
+            Chunk.variable(VariableSpec("X", one_of=members, max_tokens=4)),
+            Chunk.det("."),
+        ),
+    )
+    result = decode(sketch, backend, config)
+    nodes = {}
+    for line in result.tree.to_ndjson().splitlines():
+        node = json.loads(line)
+        nodes[node["id"]] = node
+    path = []
+    node_id = result.best.node_id
+    while node_id is not None:
+        path.append(nodes[node_id])
+        node_id = nodes[node_id]["parent"]
+    value_node = next(n for n in path if n["token_text"].endswith("</s>"))
+    span = result.best.spans[1]
+    assert (span.name, span.text, span.end - span.start) == ("X", "ab", 3)
+    lps = result.best.logprobs[span.start : span.end]
+    if config.kind == BEAMVAR:
+        # a token step's edge is its one token
+        assert value_node["token_text"] == "</s>"
+        assert value_node["logprob"] == lps[-1]
+    else:
+        # a proposal's edge spans the whole value, from the forced "."
+        assert nodes[value_node["parent"]]["status"] == "forced"
+        assert value_node["token_text"] == "ab</s>"
+        assert value_node["logprob"] == ordered_sum(lps)
