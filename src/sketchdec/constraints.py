@@ -14,9 +14,10 @@ a constrained step thus follows the size of that range and the longest
 token, and opening a OneOf variable builds no index.  Stop phrases are
 looked for only in the suffix the last token could have completed.
 
-``compute_mask`` itself keeps nothing.  The decoders memoise its result
-for the length of one decode, keyed by (members, partial value), and a
-key that raises DeadEnd raises it again on every lookup.
+The OneOf rule is written once, in ``one_of_move``.  A move does not
+depend on the chunk's token count, so the decoders keep moves and masks in
+a per-decode index keyed by (members, partial value); this module keeps
+nothing.
 """
 from __future__ import annotations
 
@@ -47,6 +48,8 @@ class TerminationVerdict:
 
 
 VERDICT_CONTINUE = TerminationVerdict(CONTINUE)
+VERDICT_MEMBER = TerminationVerdict(MEMBER_COMPLETE)
+VERDICT_MAX_TOKENS = TerminationVerdict(MAX_TOKENS)
 
 
 class PrefixIndex:
@@ -139,6 +142,37 @@ def compute_mask(state: MaskState, vocab) -> frozenset[int]:
     return frozenset(allowed)
 
 
+def one_of_move(
+    state: MaskState, token_index: int, vocab
+) -> tuple[str, bool, bool] | None:
+    """(new value, closes the chunk, is a member) for a token appended to
+    a OneOf partial value, or None when the token is not in its mask.
+
+    EOS adds no text and closes a complete member; any other token must
+    leave a prefix of a member, and closes one that cannot be extended.
+    """
+    index, partial = state.index, state.partial_value
+    if token_index == vocab.eos_index:
+        return (partial, True, True) if index.is_member(partial) else None
+    value = partial + vocab.token_text(token_index)
+    if not index.is_prefix(value):
+        return None
+    member = index.is_member(value)
+    return value, member and not index.is_extendable(value), member
+
+
+def one_of_step(
+    state: MaskState, move: tuple[str, bool, bool], max_tokens: int
+) -> tuple[MaskState, TerminationVerdict]:
+    """The state and verdict after a legal ``one_of_move``; at the token
+    budget a member completes and a non-member is cut off."""
+    value, closes, member = move
+    new = MaskState(value, state.tokens_emitted + 1, state.index)
+    if closes or new.tokens_emitted >= max_tokens:
+        return new, VERDICT_MEMBER if member else VERDICT_MAX_TOKENS
+    return new, VERDICT_CONTINUE
+
+
 def _first_stop_hit(
     value: str, added: int, stop_phrases: Sequence[str]
 ) -> str | None:
@@ -169,25 +203,11 @@ def advance(
     """
     is_eos = token_index == vocab.eos_index
     if state.index is not None:
-        if is_eos:
-            if not state.index.is_member(state.partial_value):
-                raise IllegalToken("EOS before a member was completed")
-            new = MaskState(state.partial_value, state.tokens_emitted + 1, state.index)
-            return new, TerminationVerdict(MEMBER_COMPLETE)
-        text = vocab.token_text(token_index)
-        value = state.partial_value + text
-        if not state.index.is_prefix(value):
-            raise IllegalToken(
-                f"token {text!r} leaves every member (partial {state.partial_value!r})"
-            )
-        new = MaskState(value, state.tokens_emitted + 1, state.index)
-        if state.index.is_member(value) and not state.index.is_extendable(value):
-            return new, TerminationVerdict(MEMBER_COMPLETE)
-        if new.tokens_emitted >= max_tokens:
-            if state.index.is_member(value):
-                return new, TerminationVerdict(MEMBER_COMPLETE)
-            return new, TerminationVerdict(MAX_TOKENS)
-        return new, VERDICT_CONTINUE
+        move = one_of_move(state, token_index, vocab)
+        if move is None:
+            what = "EOS" if is_eos else repr(vocab.token_text(token_index))
+            raise IllegalToken(f"{what} leaves every member ({state.partial_value!r})")
+        return one_of_step(state, move, max_tokens)
 
     if is_eos:
         new = MaskState(state.partial_value, state.tokens_emitted + 1, None)
@@ -199,7 +219,7 @@ def advance(
     if phrase is not None:
         return new, TerminationVerdict(STOP_PHRASE, phrase=phrase)
     if new.tokens_emitted >= max_tokens:
-        return new, TerminationVerdict(MAX_TOKENS)
+        return new, VERDICT_MAX_TOKENS
     return new, VERDICT_CONTINUE
 
 

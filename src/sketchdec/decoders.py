@@ -21,7 +21,7 @@ Every selection goes through one pooled rule (``_Engine.select``).  In
 their single pool's top n is the global top n.
 
 A candidate (``_Cand``) is a parent hypothesis plus one appended token and
-what ``advance`` made of it.  Its rank key, normalized score, pool and
+what the step made of it.  Its rank key, normalized score, pool and
 ``dead`` are computed from the parent, and its ``Hypothesis`` is built only
 when selection keeps it or a proposal extends it; most candidates of a wide
 search are pruned unbuilt.  A proposal walk passes the candidate it extends
@@ -30,11 +30,13 @@ from the walk's start; a member fallback is the candidate of the member's
 last token.  Selection ranks each candidate once, and the recorded node
 takes its score from that key.
 
-Within one decode, a OneOf step's token mask is computed once per
-(members, partial value) key and then looked up (``_Engine._mask``), the
-lazy form of a precomputed state-to-token index.  The memo stores only
-masks, lives and dies with the decode, and so needs no bound: it holds at
-most one entry per distinct constrained state the decode visits.
+Within one decode, OneOf steps share one index (``_Engine._entry``), the
+lazy form of a state-to-token index: per (members, partial value), each
+token's ``one_of_move``, found on first test, and the full token mask,
+built on first need.  A read of the n best allowed tokens walks the
+distribution best-first against the entry and stops at n, so only reads
+of every allowed token build masks; a OneOf child takes its move from the
+entry.  The index lives and dies with the decode, and so needs no bound.
 
 Deterministic chunks are forced but still likelihood-scored, so a
 hypothesis whose committed values make later fixed text improbable pays
@@ -51,7 +53,8 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Sequence
 
-from .constraints import MAX_TOKENS, MaskState, compute_mask, advance
+from .constraints import MAX_TOKENS, MaskState, advance, compute_mask
+from .constraints import one_of_move, one_of_step
 from .errors import DeadEnd, TemplateUnsatisfiable
 from .lm import LMBackend, ordered_sum
 from .scoring import (
@@ -187,8 +190,9 @@ class _Engine:
             else default_token_cap(source, backend)
         )
         self.truncated = 0
-        # (OneOf members, partial value) -> mask, or the DeadEnd message
-        self._masks: dict[tuple[tuple[str, ...], str], frozenset[int] | str] = {}
+        # (id of the OneOf members, partial value) -> index entry, which
+        # holds the members and so keeps their id from being reused
+        self._index: dict[tuple[int, str], _OneOfEntry] = {}
 
     # -- settle: force pending deterministic runs, open the next variable --
 
@@ -243,12 +247,12 @@ class _Engine:
     def allowed_continuations(
         self, h: Hypothesis, n: int | None = None
     ) -> list[tuple[int, float]] | None:
-        """Allowed (token, logprob) pairs, best-first.
+        """Allowed (token, logprob) pairs, best-first: the n best, or all.
 
-        An unconstrained variable allows every token, and only the n best
-        are read when n is given.  A complete distribution is read through
-        the token mask.  A truncated one is filtered by prefix tests
-        instead, and when none of its tokens is allowed the result is None:
+        An unconstrained variable allows every token.  Under OneOf, a
+        complete distribution is walked best-first against the decode's
+        index until n tokens pass, or else read through the token mask.  A
+        truncated one gives the tokens that pass, and if none does, None:
         the caller must fall back to scoring whole member completions.
         May raise DeadEnd when no vocabulary token can extend the value.
         """
@@ -257,35 +261,21 @@ class _Engine:
         if state.index is None:
             # every token is allowed, as the unconstrained mask says
             return list(dist.entries if n is None else dist.top(n))
-        if dist.complete:
-            return list(dist.allowed(self._mask(state)))
-        vocab = self.backend.vocab
-        out = []
-        for t, lp in dist.entries:
-            if t == vocab.eos_index:
-                if state.index.is_member(state.partial_value):
-                    out.append((t, lp))
-            elif state.index.is_prefix(state.partial_value + vocab.token_text(t)):
-                out.append((t, lp))
-        if out:
-            return out
-        return None
+        entry = self._entry(state)
+        if not dist.complete:
+            return [p for p in dist.entries if entry.accepts(p[0])] or None
+        pairs = None if n is None else dist.first(n, entry.accepts)
+        # None: all are wanted, or the walk cannot tell them without the
+        # mask; empty: it saw every token, and the mask raises DeadEnd
+        return list(pairs or dist.allowed(entry.mask()))
 
-    def _mask(self, state) -> frozenset[int]:
-        """``compute_mask`` of a constrained state, computed once per key
-        for the life of the decode; a key that is a dead end raises
-        DeadEnd on every lookup."""
-        key = (state.index.members, state.partial_value)
-        mask = self._masks.get(key)
-        if mask is None:
-            try:
-                mask = compute_mask(state, self.backend.vocab)
-            except DeadEnd as e:
-                mask = str(e)
-            self._masks[key] = mask
-        if isinstance(mask, str):
-            raise DeadEnd(mask)
-        return mask
+    def _entry(self, state: MaskState) -> "_OneOfEntry":
+        """The index entry of a constrained state, made on first use."""
+        key = (id(state.index.members), state.partial_value)
+        entry = self._index.get(key)
+        if entry is None:
+            entry = self._index[key] = _OneOfEntry(state, self.backend.vocab)
+        return entry
 
     def apply_token(
         self, h: Hypothesis, token: int, logprob: float, via: "_Cand | None" = None
@@ -294,10 +284,15 @@ class _Engine:
         chunk as ruled; its Hypothesis is built on first use.  Its trace
         edge starts at the token, or continues via's, the candidate that h
         was built from."""
-        spec = h.open_spec
-        new_state, verdict = advance(
-            h.open_state, token, self.backend.vocab, spec.stop_phrases, spec.max_tokens
-        )
+        spec, state = h.open_spec, h.open_state
+        move = None if state.index is None else self._entry(state)[token]
+        if move is None:
+            # a free variable, or an illegal token, which advance rejects
+            new_state, verdict = advance(
+                state, token, self.backend.vocab, spec.stop_phrases, spec.max_tokens
+            )
+        else:
+            new_state, verdict = one_of_step(state, move, spec.max_tokens)
         if verdict.closes_chunk:
             # running out of tokens inside a OneOf value kills it
             dead = verdict.status == MAX_TOKENS and new_state.constrained
@@ -413,11 +408,40 @@ class _Engine:
         return survivors
 
 
+class _OneOfEntry(dict):
+    """One state of the decode's OneOf index: token -> ``one_of_move``
+    (None when illegal), filled on first lookup, and the state's token mask
+    once a read needs every allowed token (or a dead end's message)."""
+
+    __slots__ = ("state", "vocab", "_mask")
+
+    def __init__(self, state: MaskState, vocab):
+        self.state, self.vocab, self._mask = state, vocab, None
+
+    def __missing__(self, token: int) -> tuple[str, bool, bool] | None:
+        move = self[token] = one_of_move(self.state, token, self.vocab)
+        return move
+
+    def accepts(self, token: int) -> bool:
+        return self[token] is not None
+
+    def mask(self) -> frozenset[int]:
+        """``compute_mask`` of the state, once; a dead end raises again."""
+        if self._mask is None:
+            try:
+                self._mask = compute_mask(self.state, self.vocab)
+            except DeadEnd as e:
+                self._mask = str(e)
+        if isinstance(self._mask, str):
+            raise DeadEnd(self._mask)
+        return self._mask
+
+
 class _Cand:
     """One expansion: a parent hypothesis plus one appended token.
 
     It holds the ``parent``, the ``token`` and its ``logprob``, and the
-    ``state`` and outcome of ``advance`` (``closed``: the variable is
+    ``state`` and outcome of the step (``closed``: the variable is
     sealed; ``dead``, ``truncated``).  Rank key, normalized score and pool
     are read from those, and the Hypothesis is built only on demand:
     ``hyp`` when a proposal extends it, ``built`` when selection keeps it.

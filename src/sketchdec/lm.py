@@ -14,10 +14,12 @@ is a truncated top-k slice, as a remote service returns it, and the
 decoders filter it accordingly.
 
 A distribution is read best-first, by descending log-probability and then
-ascending id, through three operations:
+ascending id, through four operations:
 
 - ``logprob(i)``: token i's log-probability, None when it has none;
 - ``top(n)``: the n best entries;
+- ``first(n, accept)``: the n best entries whose ids pass a predicate, or
+  None when only a full mask can tell them;
 - ``allowed(mask)``: the entries whose ids are in a token mask, best-first.
 
 ``entries``, the whole best-first tuple, is there too.  The table model and
@@ -25,9 +27,9 @@ the remote backend build it up front (``TokenDistribution.from_pairs``).
 The n-gram model's distribution is sparse: it keeps the context's follower
 counts and builds ``entries`` only when asked.  ``logprob`` is one lookup,
 ``top(n)`` takes the sorted observed followers and then unseen ids in id
-order (every unseen token shares one smaller probability), and
-``allowed(mask)`` sorts only the mask's ids, so a constrained step costs
-its mask and an unconstrained step costs n, not the vocabulary.
+order (every unseen token shares one smaller probability), ``first`` tests
+only the observed followers, and ``allowed(mask)`` sorts only the mask's
+ids, so no step costs the vocabulary.
 
 Local backends expose complete next-token distributions over a fixed
 vocabulary.  Both exist to create exactly reproducible desk-scale
@@ -175,6 +177,10 @@ class TokenDistribution:
         """The n best entries: ``entries[:n]``."""
         return self.entries[:n]
 
+    def first(self, n: int, accept: Callable[[int], bool]) -> tuple | None:
+        """The n best entries whose ids pass ``accept``; fewer if fewer do."""
+        return tuple(islice((p for p in self.entries if accept(p[0])), n))
+
     def allowed(self, mask: AbstractSet[int]) -> tuple[tuple[int, float], ...]:
         """The entries whose ids are in ``mask``, best-first."""
         return tuple(p for p in self.entries if p[0] in mask)
@@ -244,6 +250,16 @@ class _SmoothedCounts(TokenDistribution):
         return tuple(
             chain(seen, zip(islice(unseen, n - len(seen)), repeat(self._unseen_lp())))
         )
+
+    def first(self, n: int, accept: Callable[[int], bool]) -> tuple | None:
+        """The n best accepted observed followers, which outrank every
+        unseen id; None when fewer than n pass."""
+        # ids ascending, then stably by descending count, which orders the
+        # log-probabilities
+        ids = sorted(self._counts)
+        ids.sort(key=self._counts.__getitem__, reverse=True)
+        out = list(islice(filter(accept, ids), n))
+        return tuple(self._sorted_seen(out)) if len(out) == n else None
 
     def allowed(self, mask: AbstractSet[int]) -> tuple[tuple[int, float], ...]:
         counts = self._counts

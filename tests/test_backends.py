@@ -421,14 +421,20 @@ def test_ngram_score_forced_matches_reference(data, order):
     assert lm.score_forced(tuple(prefix), cont) == lm.score_forced(prefix, cont)
 
 
-def reference_ngram_distribution(vocab, order, corpus, prefix) -> TokenDistribution:
-    """Count the context's followers in the corpus, smooth every vocabulary
-    entry, take logs and sort the whole vocabulary."""
+def reference_followers(order, corpus, prefix) -> list[int]:
+    """Every corpus token that follows the prefix's context."""
     k = order - 1
     context = list(prefix[len(prefix) - k :])
     follow = [corpus[i] for i in range(k, len(corpus)) if corpus[i - k : i] == context]
     if len(prefix) < k or not follow:
         follow = corpus  # unseen or too-short context: the unigram backoff
+    return follow
+
+
+def reference_ngram_distribution(vocab, order, corpus, prefix) -> TokenDistribution:
+    """Count the context's followers in the corpus, smooth every vocabulary
+    entry, take logs and sort the whole vocabulary."""
+    follow = reference_followers(order, corpus, prefix)
     counts = Counter(follow)
     v = len(vocab)
     probs = [(counts.get(i, 0) + 1) / (len(follow) + v) for i in range(v)]
@@ -479,6 +485,45 @@ def test_ngram_view_reads_equal_materialised_reads(data, order):
     assert view.entries == entries
     assert (view.top(n), view.allowed(mask)) == (want.top(n), want.allowed(mask))
     assert want == view and hash(want) == hash(view)
+
+
+@given(st.data())
+def test_table_first_equals_masked_prefix(data):
+    """first(n, accept) of a table row, with -inf entries and tied
+    log-probabilities, against allowed(mask)[:n]."""
+    vocab = data.draw(vocabularies(max_tokens=8))
+    row = data.draw(probability_rows(len(vocab)), "row")
+    mask = data.draw(st.frozensets(st.integers(0, len(vocab) - 1)), "mask")
+    dist = TableLM(vocab, {}, default_row=row).next_distribution([])
+    for n in range(1, 6):
+        assert dist.first(n, mask.__contains__) == dist.allowed(mask)[:n]
+
+
+@given(st.data(), st.integers(1, 3))
+def test_ngram_first_reads_observed_followers_only(data, order):
+    """first(n, accept) of the sparse n-gram view tests only observed
+    followers: it equals allowed(mask)[:n] of the sorted reference, and is
+    None exactly when fewer than n observed followers lie in the mask."""
+    vocab = data.draw(vocabularies(max_tokens=8))
+    ids = st.integers(0, len(vocab) - 1)
+    corpus = data.draw(st.lists(ids, max_size=16), "corpus")
+    prefix = data.draw(st.lists(ids, max_size=order + 1), "prefix")
+    if data.draw(st.booleans(), "EOS inside the prefix"):
+        prefix.insert(data.draw(st.integers(0, len(prefix))), vocab.eos_index)
+    mask = data.draw(st.frozensets(ids), "mask")
+    lm = NGramLM(vocab, order, corpus)
+    want = reference_ngram_distribution(vocab, order, corpus, prefix)
+    observed = set(reference_followers(order, corpus, prefix))
+    for n in range(1, 6):
+        tested = []
+        got = lm.next_distribution(prefix).first(
+            n, lambda i: tested.append(i) or i in mask
+        )
+        assert set(tested) <= observed
+        if len(observed & mask) < n:
+            assert got is None
+        else:
+            assert got == want.allowed(mask)[:n]
 
 
 def scan_tokenize(vocab: Vocabulary, text: str) -> list[int]:

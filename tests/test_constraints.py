@@ -1,6 +1,6 @@
 """Token masks, termination verdicts, and the prefix index."""
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sketchdec.constraints import (
     CONTINUE,
@@ -14,9 +14,11 @@ from sketchdec.constraints import (
     compute_mask,
     validate_value,
 )
+from sketchdec.decoders import DecoderConfig, _Engine
 from sketchdec.errors import DeadEnd, IllegalToken
-from sketchdec.lm import Vocabulary
-from sketchdec.sketch import OneOf, VariableSpec
+from sketchdec.lm import TableLM, Vocabulary
+from sketchdec.scoring import Hypothesis
+from sketchdec.sketch import Chunk, OneOf, Sketch, StaticSketchSource, VariableSpec
 
 
 # the largest code point: a member-range end computed by padding a prefix
@@ -346,3 +348,52 @@ def test_member_range_mask_equals_full_scan(vocab, members, data):
             compute_mask(state, vocab)
     else:
         assert compute_mask(state, vocab) == want
+
+
+# --- the decoders' per-decode OneOf index against compute_mask and advance ---
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    vocab=mask_vocabularies(),
+    members=st.sets(st.text(ALPHABET, min_size=1, max_size=5), min_size=1, max_size=8),
+    max_tokens=st.integers(1, 4),
+    data=st.data(),
+)
+def test_one_of_index_agrees_with_mask_and_advance(vocab, members, max_tokens, data):
+    """On every partial value a walk of legal moves reaches, the index
+    accepts exactly the mask's tokens, and each child's value, token count
+    and closed or dead outcome are what ``advance`` makes of the token."""
+    spec = VariableSpec("X", one_of=OneOf(tuple(members)), max_tokens=max_tokens)
+    sketch = Sketch(name="s", chunks=(Chunk.variable(spec),))
+    backend = TableLM(vocab, {}, default_row=[1 / len(vocab)] * len(vocab))
+    eng = _Engine(StaticSketchSource(sketch), backend, DecoderConfig())
+    h = eng.settle(Hypothesis())
+    while True:
+        state = h.open_state
+        entry = eng._entry(state)
+        accepted = {t for t in range(len(vocab)) if entry.accepts(t)}
+        if accepted:
+            assert compute_mask(state, vocab) == accepted
+        else:
+            with pytest.raises(DeadEnd):
+                compute_mask(state, vocab)
+        continuing = []
+        for t in range(len(vocab)):
+            try:
+                want, verdict = advance(state, t, vocab, (), max_tokens)
+            except IllegalToken:
+                assert t not in accepted
+                with pytest.raises(IllegalToken):
+                    eng.apply_token(h, t, -1.0)
+                continue
+            assert t in accepted
+            child = eng.apply_token(h, t, -1.0)
+            assert child.state == want
+            dead = verdict.status == MAX_TOKENS
+            assert (child.closed, child.dead) == (verdict.closes_chunk and not dead, dead)
+            if not verdict.closes_chunk:
+                continuing.append(child)
+        if not continuing:
+            return
+        h = data.draw(st.sampled_from(continuing), "next").hyp

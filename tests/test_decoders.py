@@ -43,6 +43,8 @@ from sketchdec.lm import (
     TableLM,
     TokenDistribution,
     Vocabulary,
+    _SmoothedCounts,
+    greedy_tokenize,
     ordered_sum,
 )
 from sketchdec.scoring import Hypothesis, ScoreParams, rank_hypotheses
@@ -702,9 +704,59 @@ def test_masks_are_computed_once_per_key(config, record, monkeypatch):
     )
     decode(jsonfmt.build_sketch(record), backend, config)
     assert len(keys) == len(set(keys))
-    # every variable is a OneOf, so each distribution read wants a mask:
-    # the reads beyond the distinct keys were served by the decode's memo
-    assert len(reads) > len(keys) > 0
+    # every variable is a OneOf: the reads beyond the distinct keys were
+    # served by the decode's index without building a mask
+    assert len(reads) > len(keys)
+
+
+def large_ngram_fixture() -> tuple[Sketch, NGramLM]:
+    """An order-2 n-gram model over 703 tokens (EOS, letters and letter
+    pairs) and a template whose one variable is a OneOf of 150 members."""
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    pairs = [a + b for a in letters for b in letters]
+    vocab = Vocabulary(("",) + tuple(letters) + tuple(pairs), eos_index=0)
+    rng = random.Random(7)
+    members = set()
+    while len(members) < 150:
+        members.add("".join(rng.choice(letters) for _ in range(rng.randint(3, 6))))
+    # the template's text around every member, with a random token between
+    corpus = []
+    for member in sorted(members) * 2:
+        corpus += greedy_tokenize(vocab, "ab" + member + "cd")
+        corpus.append(rng.randrange(1, len(vocab)))
+    spec = VariableSpec("X", one_of=OneOf(tuple(members)), max_tokens=7)
+    sketch = Sketch(
+        name="large", chunks=(Chunk.det("ab"), Chunk.variable(spec), Chunk.det("cd"))
+    )
+    return sketch, NGramLM(vocab, 2, corpus)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [DecoderConfig(kind=ARGMAX, width=1), DecoderConfig(kind=BEAMVAR, width=2)],
+    ids=["argmax", "beamvar-w2"],
+)
+def test_top_n_reads_build_fewer_masks_than_reads(config, monkeypatch):
+    """A read that wants the n best allowed tokens walks the sparse n-gram
+    view against the index, so most reads build no mask."""
+    keys = counted_masks(monkeypatch)
+    sketch, backend = large_ngram_fixture()
+    reads = []
+    read = backend.next_distribution
+    monkeypatch.setattr(
+        backend, "next_distribution", lambda prefix: reads.append(prefix) or read(prefix)
+    )
+    decode(sketch, backend, config)
+    assert len(keys) == len(set(keys))
+    assert len(keys) < len(reads)
+
+
+def test_pinned_outputs_hold_on_the_full_mask_path(monkeypatch):
+    """With every best-first walk declined, each constrained read goes
+    through the full token mask, and every decode is the same."""
+    monkeypatch.setattr(TokenDistribution, "first", lambda self, n, accept: None)
+    monkeypatch.setattr(_SmoothedCounts, "first", lambda self, n, accept: None)
+    assert pinned_digests() == PINNED_DIGESTS
 
 
 def test_dead_end_mask_raises_on_every_lookup(monkeypatch):

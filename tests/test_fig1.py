@@ -78,5 +78,6 @@ def test_materialized_table_payload():
     for row in payload["contexts"].values():
         assert len(row) == 9
         assert sum(row) == pytest.approx(1.0, abs=1e-9)
-    bundled = json.load(open(data_path("fig1_table.json"), encoding="utf-8"))
+    with open(data_path("fig1_table.json"), encoding="utf-8") as f:
+        bundled = json.load(f)
     assert bundled["contexts"].keys() == payload["contexts"].keys()
