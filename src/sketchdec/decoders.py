@@ -38,6 +38,12 @@ distribution best-first against the entry and stops at n, so only reads
 of every allowed token build masks; a OneOf child takes its move from the
 entry.  The index lives and dies with the decode, and so needs no bound.
 
+Every hypothesis carries the text its tokens render to, and the engine
+hands it to the backend (``text=h.text``), so a backend keyed by prefix
+text does not join the prefix again on every call.  A forced chunk appends
+its own text; a variable token appends ``backend.detokenize((token,))``,
+kept per decode (``_Engine._pieces``).
+
 Deterministic chunks are forced but still likelihood-scored, so a
 hypothesis whose committed values make later fixed text improbable pays
 for it, which is what lets the searching decoders anticipate the rest of
@@ -190,6 +196,7 @@ class _Engine:
             else default_token_cap(source, backend)
         )
         self.truncated = 0
+        self._pieces = _Pieces(backend.detokenize)
         # (id of the OneOf members, partial value) -> index entry, which
         # holds the members and so keeps their id from being reused
         self._index: dict[tuple[int, str], _OneOfEntry] = {}
@@ -210,7 +217,7 @@ class _Engine:
             parent = h.node_id
             for c in det_chunks:
                 toks = self.backend.tokenize(c.text)
-                lps = self.backend.score_forced(h.tokens, toks)
+                lps = self.backend.score_forced(h.tokens, toks, text=h.text)
                 h = h.with_forced_span(toks, lps, c.text)
                 texts.append(c.text)
                 total_lp += h.spans[-1].raw_logprob
@@ -257,7 +264,7 @@ class _Engine:
         May raise DeadEnd when no vocabulary token can extend the value.
         """
         state = h.open_state
-        dist = self.backend.next_distribution(h.tokens)
+        dist = self.backend.next_distribution(h.tokens, text=h.text)
         if state.index is None:
             # every token is allowed, as the unconstrained mask says
             return list(dist.entries if n is None else dist.top(n))
@@ -308,7 +315,16 @@ class _Engine:
         else:
             start, edge_logprob = via.start, via.edge_logprob + logprob
         return _Cand(
-            h, token, logprob, new_state, closed, dead, truncated, start, edge_logprob
+            h,
+            token,
+            self._pieces[token],
+            logprob,
+            new_state,
+            closed,
+            dead,
+            truncated,
+            start,
+            edge_logprob,
         )
 
     def fallback_completions(self, h: Hypothesis) -> list["_Cand"]:
@@ -328,7 +344,7 @@ class _Engine:
             toks = self.backend.tokenize(suffix)
             if not toks or state.tokens_emitted + len(toks) > spec.max_tokens:
                 continue
-            lps = self.backend.score_forced(h.tokens, toks)
+            lps = self.backend.score_forced(h.tokens, toks, text=h.text)
             cand = self.apply_token(h, toks[0], lps[0])
             for t, lp in zip(toks[1:], lps[1:]):
                 if cand.dead or cand.closed:
@@ -408,6 +424,20 @@ class _Engine:
         return survivors
 
 
+class _Pieces(dict):
+    """token -> the backend's rendering of that token alone, filled on first
+    lookup: what a variable token appends to a hypothesis's text."""
+
+    __slots__ = ("detokenize",)
+
+    def __init__(self, detokenize):
+        self.detokenize = detokenize
+
+    def __missing__(self, token: int) -> str:
+        piece = self[token] = self.detokenize((token,))
+        return piece
+
+
 class _OneOfEntry(dict):
     """One state of the decode's OneOf index: token -> ``one_of_move``
     (None when illegal), filled on first lookup, and the state's token mask
@@ -440,11 +470,12 @@ class _OneOfEntry(dict):
 class _Cand:
     """One expansion: a parent hypothesis plus one appended token.
 
-    It holds the ``parent``, the ``token`` and its ``logprob``, and the
-    ``state`` and outcome of the step (``closed``: the variable is
-    sealed; ``dead``, ``truncated``).  Rank key, normalized score and pool
-    are read from those, and the Hypothesis is built only on demand:
-    ``hyp`` when a proposal extends it, ``built`` when selection keeps it.
+    It holds the ``parent``, the ``token`` with its rendering ``piece`` and
+    its ``logprob``, and the ``state`` and outcome of the step (``closed``:
+    the variable is sealed; ``dead``, ``truncated``).  Rank key, normalized
+    score and pool are read from those, and the Hypothesis is built only on
+    demand: ``hyp`` when a proposal extends it, ``built`` when selection
+    keeps it.
 
     The trace edge that reached it runs from token index ``start`` through
     this token, under the parent's trace node (a hypothesis built during a
@@ -456,6 +487,7 @@ class _Cand:
     __slots__ = (
         "parent",
         "token",
+        "piece",
         "logprob",
         "state",
         "closed",
@@ -470,6 +502,7 @@ class _Cand:
         self,
         parent: Hypothesis,
         token: int,
+        piece: str,
         logprob: float,
         state: MaskState,
         closed: bool,
@@ -480,6 +513,7 @@ class _Cand:
     ):
         self.parent = parent
         self.token = token
+        self.piece = piece
         self.logprob = logprob
         self.state = state
         self.closed = closed
@@ -504,9 +538,10 @@ class _Cand:
 
     def _build(self, node_id: int | None) -> Hypothesis:
         p = self.parent
+        args = (self.token, self.logprob, self.state, self.piece, node_id)
         if self.closed:
-            return p.with_closing_token(self.token, self.logprob, self.state, node_id)
-        h = p.with_variable_token(self.token, self.logprob, self.state, node_id)
+            return p.with_closing_token(*args)
+        h = p.with_variable_token(*args)
         return h.as_dead(self.truncated) if self.dead else h
 
     @property

@@ -2,11 +2,22 @@
 
 The backend protocol (``LMBackend``) is three methods:
 
-- ``next_distribution(prefix)``: the next-token distribution after a prefix;
-- ``score_forced(prefix, continuation)``: per-token log-probabilities of a
-  forced continuation, computed in one pass over it rather than by one
-  ``next_distribution`` call per token;
+- ``next_distribution(prefix, text=None)``: the next-token distribution
+  after a prefix;
+- ``score_forced(prefix, continuation, text=None)``: per-token
+  log-probabilities of a forced continuation, computed in one pass over it
+  rather than by one ``next_distribution`` call per token;
 - ``tokenize(text)``: token ids for forced text.
+
+``text``, when given, is ``detokenize(prefix)``, which the caller already
+holds: the decoders carry each hypothesis's text along with its tokens.  A
+backend that conditions on the prefix string (the table model, the remote
+service) reads it instead of joining the prefix again; one that conditions
+on token ids ignores it; and a caller that passes none gets the join.  Two
+rendering rules make the carried text equal to the join: ``detokenize``
+concatenates per-token pieces, ``detokenize((t,))`` for each token t, so a
+text grows by one piece per token; and forced text round-trips,
+``detokenize(tokenize(s)) == s``, so a forced chunk adds its own text.
 
 A backend declares nothing else about itself: each distribution says
 whether it covers the whole vocabulary (``TokenDistribution.complete``) or
@@ -273,16 +284,24 @@ class LMBackend:
 
     vocab: Vocabulary
 
-    def next_distribution(self, prefix: Sequence[int]) -> TokenDistribution:
+    def next_distribution(
+        self, prefix: Sequence[int], text: str | None = None
+    ) -> TokenDistribution:
+        """The next-token distribution after ``prefix``; ``text``, when
+        given, is ``detokenize(prefix)``."""
         raise NotImplementedError
 
     def score_forced(
-        self, prefix: Sequence[int], continuation: Sequence[int]
+        self,
+        prefix: Sequence[int],
+        continuation: Sequence[int],
+        text: str | None = None,
     ) -> list[float]:
         """Per-token log-probabilities of a forced continuation.
 
         Entry i equals ``next_distribution(prefix + continuation[:i])``'s
         log-probability of ``continuation[i]``, -inf where it has none.
+        ``text``, when given, is ``detokenize(prefix)``.
         """
         raise NotImplementedError
 
@@ -290,6 +309,8 @@ class LMBackend:
         return greedy_tokenize(self.vocab, text)
 
     def detokenize(self, tokens: Sequence[int]) -> str:
+        """The tokens' pieces concatenated; EOS renders as its vocabulary
+        string."""
         return "".join(self.vocab.tokens[t] for t in tokens)
 
 
@@ -315,6 +336,12 @@ def _check_row(probs: Sequence[float], where: str) -> None:
 
 class TableLM(LMBackend):
     """Lookup model: the detokenized prefix string selects a probability row.
+
+    The key is the ``text`` a caller passes (the decoders pass each
+    hypothesis's carried text), or else ``detokenize(prefix)``.  Both
+    spell every token, EOS included, by its vocabulary string, and forced
+    text round-trips through ``tokenize`` (greedy segmentation spells the
+    text exactly), so the two keys are equal.
 
     ``rows`` may be a mapping from prefix strings to rows, or a callable
     ``prefix -> row | None`` implementing the same lookup virtually (used
@@ -358,8 +385,10 @@ class TableLM(LMBackend):
             _check_row(row, f"virtual context {key!r}")
         return row
 
-    def next_distribution(self, prefix: Sequence[int]) -> TokenDistribution:
-        key = self.detokenize(prefix)
+    def next_distribution(
+        self, prefix: Sequence[int], text: str | None = None
+    ) -> TokenDistribution:
+        key = self.detokenize(prefix) if text is None else text
         if self._rows is None:
             return _distribution(self._row(key))
         row = self._rows.get(key)
@@ -371,11 +400,14 @@ class TableLM(LMBackend):
         return dist
 
     def score_forced(
-        self, prefix: Sequence[int], continuation: Sequence[int]
+        self,
+        prefix: Sequence[int],
+        continuation: Sequence[int],
+        text: str | None = None,
     ) -> list[float]:
         """One row lookup per forced token; the key grows by that token's text."""
         tokens = self.vocab.tokens
-        key = self.detokenize(prefix)
+        key = self.detokenize(prefix) if text is None else text
         out: list[float] = []
         for t in continuation:
             p = self._row(key)[t]
@@ -446,16 +478,23 @@ class NGramLM(LMBackend):
                 return hit
         return self._unigram
 
-    def next_distribution(self, prefix: Sequence[int]) -> TokenDistribution:
-        """A sparse view of the context's counts: nothing V-wide is built."""
+    def next_distribution(
+        self, prefix: Sequence[int], text: str | None = None
+    ) -> TokenDistribution:
+        """A sparse view of the context's counts: nothing V-wide is built.
+        The model reads token ids, so ``text`` is ignored."""
         counts, total = self._counts(prefix)
         return _SmoothedCounts(counts, total, len(self.vocab))
 
     def score_forced(
-        self, prefix: Sequence[int], continuation: Sequence[int]
+        self,
+        prefix: Sequence[int],
+        continuation: Sequence[int],
+        text: str | None = None,
     ) -> list[float]:
         """Smoothed probability of each forced token alone (never zero);
-        the context slides over the last order-1 tokens."""
+        the context slides over the last order-1 tokens.  ``text`` is
+        ignored."""
         k = self.order - 1
         v = len(self.vocab)
         ctx = list(prefix[len(prefix) - k :]) if len(prefix) >= k else list(prefix)

@@ -4,7 +4,9 @@ The service owns the tokenizer, so token identities are discovered at
 runtime: every distinct token string returned by the API is interned into
 a growing registry, and registry indices are what the decoders see.  Index
 0 is reserved for end-of-sequence (rendered as ``eos_text``, empty by
-default).
+default).  ``detokenize`` leaves end-of-sequence out whatever ``eos_text``
+is, so its piece is empty and no prompt contains it; the ``text`` a caller
+passes for a prefix must follow the same rule.
 
 Only the top-k log-probabilities are available per step, so each
 distribution the backend returns is truncated (``complete=False``) and
@@ -197,8 +199,10 @@ class RemoteCompletionsLM(LMBackend):
 
     # -- scoring ---------------------------------------------------------
 
-    def next_distribution(self, prefix: Sequence[int]) -> TokenDistribution:
-        prompt = self.detokenize(prefix)
+    def next_distribution(
+        self, prefix: Sequence[int], text: str | None = None
+    ) -> TokenDistribution:
+        prompt = self.detokenize(prefix) if text is None else text
         data = self._post(
             {
                 "model": self.model,
@@ -223,7 +227,10 @@ class RemoteCompletionsLM(LMBackend):
         return TokenDistribution.from_pairs(entries, complete=False)
 
     def score_forced(
-        self, prefix: Sequence[int], continuation: Sequence[int]
+        self,
+        prefix: Sequence[int],
+        continuation: Sequence[int],
+        text: str | None = None,
     ) -> list[float]:
         """Log-probabilities of a forced continuation via prompt echo.
 
@@ -240,7 +247,7 @@ class RemoteCompletionsLM(LMBackend):
             raise ForcedScoringUnsupported(
                 "forced scoring of end-of-sequence is not supported remotely"
             )
-        prefix_text = self.detokenize(prefix)
+        prefix_text = self.detokenize(prefix) if text is None else text
         cont_text = self.detokenize(continuation)
         data = self._post(
             {

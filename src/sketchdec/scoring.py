@@ -1,11 +1,12 @@
 """Hypothesis state and length-normalized scoring.
 
-A hypothesis owns the full token/log-probability history plus chunk
-bookkeeping.  Hypotheses are immutable values: every step that keeps a
-hypothesis builds a new one, which keeps branching decoders free of shared
-mutable state.  The scoring arithmetic (``normalized_score``,
-``rank_key``) is written once, over plain totals, so that the decoders can
-rank a candidate child from its parent before deciding to build it.
+A hypothesis owns the full token/log-probability history, the text those
+tokens render to, and chunk bookkeeping.  Hypotheses are immutable values:
+every step that keeps a hypothesis builds a new one, which keeps branching
+decoders free of shared mutable state.  The scoring arithmetic
+(``normalized_score``, ``rank_key``) is written once, over plain totals, so
+that the decoders can rank a candidate child from its parent before
+deciding to build it.
 """
 from __future__ import annotations
 
@@ -82,9 +83,14 @@ class Span:
     raw_logprob: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Hypothesis:
+    """One decode path.  ``text`` is the backend's rendering of ``tokens``
+    (``backend.detokenize(tokens)``), extended by every transition, so a
+    backend that keys on the prefix text never joins the whole prefix."""
+
     tokens: tuple[int, ...] = ()
+    text: str = ""
     logprobs: tuple[float, ...] = ()
     spans: tuple[Span, ...] = ()
     raw_score: float = 0.0
@@ -98,6 +104,46 @@ class Hypothesis:
     dead: bool = False
     truncated: bool = False
     node_id: int = 0
+
+    # The generated frozen __init__ makes one object.__setattr__ call per
+    # field, on every step of every decode; storing into __dict__ is about
+    # twice as fast.  Keys go in one by one, in field order: a single
+    # dict.update would replace the instance's key-sharing dict with a
+    # private one of more than twice the size.
+    def __init__(
+        self,
+        tokens: tuple[int, ...] = (),
+        text: str = "",
+        logprobs: tuple[float, ...] = (),
+        spans: tuple[Span, ...] = (),
+        raw_score: float = 0.0,
+        m_vars: int = 0,
+        vars_done: int = 0,
+        open_spec: VariableSpec | None = None,
+        open_state: MaskState | None = None,
+        open_start: int = 0,
+        open_raw: float = 0.0,
+        done: bool = False,
+        dead: bool = False,
+        truncated: bool = False,
+        node_id: int = 0,
+    ):
+        d = self.__dict__
+        d["tokens"] = tokens
+        d["text"] = text
+        d["logprobs"] = logprobs
+        d["spans"] = spans
+        d["raw_score"] = raw_score
+        d["m_vars"] = m_vars
+        d["vars_done"] = vars_done
+        d["open_spec"] = open_spec
+        d["open_state"] = open_state
+        d["open_start"] = open_start
+        d["open_raw"] = open_raw
+        d["done"] = done
+        d["dead"] = dead
+        d["truncated"] = truncated
+        d["node_id"] = node_id
 
     @property
     def m_total(self) -> int:
@@ -152,6 +198,8 @@ class Hypothesis:
         logprobs: Sequence[float],
         text: str,
     ) -> "Hypothesis":
+        """Append a forced chunk: its tokens, their log-probabilities, and
+        its text, which must be the backend's rendering of the tokens."""
         start = len(self.tokens)
         raw = ordered_sum(logprobs)
         span = Span(
@@ -165,6 +213,7 @@ class Hypothesis:
         )
         return Hypothesis(
             tokens=self.tokens + tuple(tokens),
+            text=self.text + text,
             logprobs=self.logprobs + tuple(logprobs),
             spans=self.spans + (span,),
             raw_score=self.raw_score + raw,
@@ -183,6 +232,7 @@ class Hypothesis:
     def with_open_variable(self, spec: VariableSpec) -> "Hypothesis":
         return Hypothesis(
             tokens=self.tokens,
+            text=self.text,
             logprobs=self.logprobs,
             spans=self.spans,
             raw_score=self.raw_score,
@@ -203,10 +253,14 @@ class Hypothesis:
         token: int,
         logprob: float,
         new_state: MaskState,
+        piece: str,
         node_id: int | None = None,
     ) -> "Hypothesis":
+        """Append one token of the open variable; ``piece`` is the
+        backend's rendering of the token, ``detokenize((token,))``."""
         return Hypothesis(
             tokens=self.tokens + (token,),
+            text=self.text + piece,
             logprobs=self.logprobs + (logprob,),
             spans=self.spans,
             raw_score=self.raw_score + logprob,
@@ -227,10 +281,12 @@ class Hypothesis:
         token: int,
         logprob: float,
         new_state: MaskState,
+        piece: str,
         node_id: int | None = None,
     ) -> "Hypothesis":
         """Append the token that closes the open variable and seal the
-        variable into a span, in one step."""
+        variable into a span, in one step; ``piece`` as in
+        ``with_variable_token``."""
         span = Span(
             chunk_ordinal=len(self.spans),
             kind="var",
@@ -242,6 +298,7 @@ class Hypothesis:
         )
         return Hypothesis(
             tokens=self.tokens + (token,),
+            text=self.text + piece,
             logprobs=self.logprobs + (logprob,),
             spans=self.spans + (span,),
             raw_score=self.raw_score + logprob,
@@ -271,6 +328,7 @@ class Hypothesis:
     ) -> "Hypothesis":
         return Hypothesis(
             tokens=self.tokens,
+            text=self.text,
             logprobs=self.logprobs,
             spans=self.spans,
             raw_score=self.raw_score,

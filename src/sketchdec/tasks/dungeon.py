@@ -165,10 +165,13 @@ def suite(seed: int = 0) -> list[DungeonInstance]:
 # --- dynamic sketch -----------------------------------------------------------
 
 
-def _action_spec(index: int) -> VariableSpec:
-    return VariableSpec(
-        name=f"ACTION_{index}", one_of=OneOf(members=ACTION_DIGITS), max_tokens=1
-    )
+# one spec per step, all over one OneOf, so a decode's constraint index
+# (keyed by the members tuple) shares its entries across hypotheses
+_ACTIONS = OneOf(members=ACTION_DIGITS)
+_ACTION_SPECS = tuple(
+    VariableSpec(name=f"ACTION_{index}", one_of=_ACTIONS, max_tokens=1)
+    for index in range(MAX_STEPS)
+)
 
 
 def dungeon_source(instance: DungeonInstance) -> DynamicSketchSource:
@@ -186,7 +189,7 @@ def dungeon_source(instance: DungeonInstance) -> DynamicSketchSource:
             neighbours = instance.hallways[node]
             if name not in values:
                 prompt = room_message(node, instance.rooms[node], neighbours)
-                return [Chunk.det(pending + prompt), Chunk.variable(_action_spec(index))]
+                return [Chunk.det(pending + prompt), Chunk.variable(_ACTION_SPECS[index])]
             action = values[name]
             index += 1
             steps += 1

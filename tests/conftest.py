@@ -43,10 +43,15 @@ def stable_unit(*parts) -> float:
 
 
 def random_backend(
-    seed: int, letters: str = "abcd", merges: tuple[str, ...] = ("ab", "cd")
+    seed: int,
+    letters: str = "abcd",
+    merges: tuple[str, ...] = ("ab", "cd"),
+    eos: str = "",
 ) -> TableLM:
-    """Full-support table model whose rows are a pure function of the prefix."""
-    tokens = ("",) + tuple(letters) + tuple(merges)
+    """Full-support table model whose rows are a pure function of the prefix.
+
+    Token 0 is EOS, rendered as ``eos``."""
+    tokens = (eos,) + tuple(letters) + tuple(merges)
     vocab = Vocabulary(tokens, eos_index=0)
 
     def rows(prefix: str) -> list[float]:

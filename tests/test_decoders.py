@@ -364,7 +364,7 @@ def test_settle_marks_exhausted_template_done():
     h = h.with_open_variable(sketch.chunks[1].var)
     from sketchdec.constraints import MaskState
 
-    h = h.with_closing_token(1, -1.0, MaskState("x", 1, None))
+    h = h.with_closing_token(1, -1.0, MaskState("x", 1, None), "x")
     h = eng.settle(h)  # forces the trailing "." and finds nothing after it
     assert h.rendered() == ".x."
     assert h.done
@@ -439,7 +439,9 @@ def test_unconstrained_continuations_equal_masked_entries(seed, ngram, prefix):
     spec = VariableSpec("X", stop_phrases=("d",))
     source = StaticSketchSource(Sketch("s", (Chunk.variable(spec),)))
     eng = _Engine(source, backend, DecoderConfig())
-    h = Hypothesis().with_forced_span(prefix, [0.0] * len(prefix), "")
+    h = Hypothesis().with_forced_span(
+        prefix, [0.0] * len(prefix), backend.detokenize(prefix)
+    )
     h = h.with_open_variable(spec)
     mask = compute_mask(h.open_state, backend.vocab)
     want = [(t, lp) for t, lp in backend.next_distribution(prefix).entries if t in mask]
@@ -458,12 +460,12 @@ class TopK(LMBackend):
         self.k = k
         self.vocab = inner.vocab
 
-    def next_distribution(self, prefix):
-        entries = self.inner.next_distribution(prefix).entries[: self.k]
+    def next_distribution(self, prefix, text=None):
+        entries = self.inner.next_distribution(prefix, text=text).entries[: self.k]
         return TokenDistribution(entries=entries, complete=False)
 
-    def score_forced(self, prefix, continuation):
-        return self.inner.score_forced(prefix, continuation)
+    def score_forced(self, prefix, continuation, text=None):
+        return self.inner.score_forced(prefix, continuation, text=text)
 
 
 OFF_TOP_MEMBERS = ("bd", "cd", "dc")
@@ -700,7 +702,9 @@ def test_masks_are_computed_once_per_key(config, record, monkeypatch):
     reads = []
     read = backend.next_distribution
     monkeypatch.setattr(
-        backend, "next_distribution", lambda prefix: reads.append(prefix) or read(prefix)
+        backend,
+        "next_distribution",
+        lambda prefix, **kw: reads.append(prefix) or read(prefix, **kw),
     )
     decode(jsonfmt.build_sketch(record), backend, config)
     assert len(keys) == len(set(keys))
@@ -744,7 +748,9 @@ def test_top_n_reads_build_fewer_masks_than_reads(config, monkeypatch):
     reads = []
     read = backend.next_distribution
     monkeypatch.setattr(
-        backend, "next_distribution", lambda prefix: reads.append(prefix) or read(prefix)
+        backend,
+        "next_distribution",
+        lambda prefix, **kw: reads.append(prefix) or read(prefix, **kw),
     )
     decode(sketch, backend, config)
     assert len(keys) == len(set(keys))
@@ -781,11 +787,12 @@ def eager_child(eng: _Engine, h: Hypothesis, token: int, logprob: float) -> Hypo
     new_state, verdict = advance(
         h.open_state, token, eng.backend.vocab, spec.stop_phrases, spec.max_tokens
     )
+    piece = eng.backend.detokenize((token,))
     if verdict.closes_chunk:
         if verdict.status == MAX_TOKENS and new_state.constrained:
-            return h.with_variable_token(token, logprob, new_state).as_dead()
-        return h.with_closing_token(token, logprob, new_state)
-    h = h.with_variable_token(token, logprob, new_state)
+            return h.with_variable_token(token, logprob, new_state, piece).as_dead()
+        return h.with_closing_token(token, logprob, new_state, piece)
+    h = h.with_variable_token(token, logprob, new_state, piece)
     if h.m_total > eng.cap:
         return h.as_dead(truncated=True)
     return h
@@ -936,12 +943,12 @@ class Materialised(LMBackend):
         self.inner = inner
         self.vocab = inner.vocab
 
-    def next_distribution(self, prefix):
-        entries = self.inner.next_distribution(prefix).entries
+    def next_distribution(self, prefix, text=None):
+        entries = self.inner.next_distribution(prefix, text=text).entries
         return TokenDistribution.from_pairs(list(entries), complete=True)
 
-    def score_forced(self, prefix, continuation):
-        return self.inner.score_forced(prefix, continuation)
+    def score_forced(self, prefix, continuation, text=None):
+        return self.inner.score_forced(prefix, continuation, text=text)
 
 
 @settings(max_examples=25, deadline=None)

@@ -257,11 +257,11 @@ def test_forced_scoring_walks_from_scratch_at_most_once_per_call(monkeypatch):
             return state
 
         def counted(method):
-            def call(prefix, *rest):
+            def call(prefix, *rest, **kw):
                 calls["backend"] += 1
                 if rest:
                     calls["forced"] += len(rest[0])
-                return method(prefix, *rest)
+                return method(prefix, *rest, **kw)
 
             return call
 
@@ -280,3 +280,40 @@ def test_forced_scoring_walks_from_scratch_at_most_once_per_call(monkeypatch):
         # no decoded transcript holds more than MAX_STEPS actions, and each
         # call replays the actions of its prefix at most once
         assert calls["replayed"] <= dungeon.MAX_STEPS * calls["backend"]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        DecoderConfig(kind="argmax", width=1),
+        DecoderConfig(kind="var", width=2, proposal="branch"),
+        DecoderConfig(kind="beamvar", width=2),
+    ],
+    ids=lambda c: c.kind,
+)
+def test_decode_detokenizes_no_prefix(config, monkeypatch):
+    """The decoders carry each hypothesis's text, so the table model keys
+    its rows without joining a prefix: ``detokenize`` only renders single
+    tokens, and the decode is the one the joined prefixes give."""
+    instance = dungeon.suite(0)[7]
+    # the reference backend drops the carried text and joins every prefix
+    reference = dungeon.dungeon_backend(instance)
+    for name in ("next_distribution", "score_forced"):
+        method = getattr(reference, name)
+        monkeypatch.setattr(
+            reference, name, lambda *args, text, _m=method: _m(*args)
+        )
+    joined = decode(dungeon.dungeon_source(instance), reference, config)
+    backend = dungeon.dungeon_backend(instance)
+    lengths = []
+    detokenize = backend.detokenize
+
+    def counting(tokens):
+        lengths.append(len(tokens))
+        return detokenize(tokens)
+
+    monkeypatch.setattr(backend, "detokenize", counting)
+    carried = decode(dungeon.dungeon_source(instance), backend, config)
+    assert lengths and max(lengths) == 1
+    assert carried == joined
+    assert carried.best.text == detokenize(carried.best.tokens)

@@ -1,5 +1,6 @@
 """Length normalization and hypothesis state transitions."""
 import dataclasses
+import inspect
 import math
 import random
 
@@ -58,8 +59,8 @@ def built_hypothesis() -> Hypothesis:
     h = Hypothesis()
     h = h.with_forced_span([5, 6], [-0.5, -0.25], "ab")
     h = h.with_open_variable(spec)
-    h = h.with_variable_token(7, -1.0, MaskState("c", 1, None))
-    h = h.with_closing_token(8, -2.0, MaskState("cd", 2, None))
+    h = h.with_variable_token(7, -1.0, MaskState("c", 1, None), "c")
+    h = h.with_closing_token(8, -2.0, MaskState("cd", 2, None), "d")
     return h.with_forced_span([9], [-0.125], "e")
 
 
@@ -69,7 +70,9 @@ def test_transitions_change_only_their_fields():
     state = MaskState("q", 1, None)
     # every field away from its default, so a dropped field shows
     h = dataclasses.replace(
-        built_hypothesis().with_open_variable(spec).with_variable_token(3, -0.5, state),
+        built_hypothesis()
+        .with_open_variable(spec)
+        .with_variable_token(3, -0.5, state, "q"),
         done=True,
         dead=True,
         truncated=True,
@@ -80,6 +83,7 @@ def test_transitions_change_only_their_fields():
     assert h.with_forced_span([1, 2], [-0.5, -0.25], "zz") == replace(
         h,
         tokens=h.tokens + (1, 2),
+        text=h.text + "zz",
         logprobs=h.logprobs + (-0.5, -0.25),
         spans=h.spans + (span,),
         raw_score=h.raw_score - 0.75,
@@ -87,6 +91,7 @@ def test_transitions_change_only_their_fields():
     assert h.with_forced_span([1], [-0.5], "z") == replace(
         h,
         tokens=h.tokens + (1,),
+        text=h.text + "z",
         logprobs=h.logprobs + (-0.5,),
         spans=h.spans + (Span(len(h.spans), "det", None, "z", 6, 7, -0.5),),
         raw_score=h.raw_score - 0.5,
@@ -94,20 +99,22 @@ def test_transitions_change_only_their_fields():
     assert h.with_open_variable(spec) == replace(
         h, open_spec=spec, open_state=MaskState.start(spec), open_start=6, open_raw=0.0
     )
-    assert h.with_variable_token(4, -1.0, state) == replace(
+    assert h.with_variable_token(4, -1.0, state, "r") == replace(
         h,
         tokens=h.tokens + (4,),
+        text=h.text + "r",
         logprobs=h.logprobs + (-1.0,),
         raw_score=h.raw_score - 1.0,
         m_vars=h.m_vars + 1,
         open_state=state,
         open_raw=h.open_raw - 1.0,
     )
-    assert h.with_variable_token(4, -1.0, state, node_id=2).node_id == 2
+    assert h.with_variable_token(4, -1.0, state, "r", node_id=2).node_id == 2
     closed = Span(len(h.spans), "var", "Y", "qr", 5, 7, -1.5)
-    assert h.with_closing_token(4, -1.0, MaskState("qr", 2, None)) == replace(
+    assert h.with_closing_token(4, -1.0, MaskState("qr", 2, None), "r") == replace(
         h,
         tokens=h.tokens + (4,),
+        text=h.text + "r",
         logprobs=h.logprobs + (-1.0,),
         spans=h.spans + (closed,),
         raw_score=h.raw_score - 1.0,
@@ -125,10 +132,62 @@ def test_transitions_change_only_their_fields():
     assert h.with_node(7) == replace(h, node_id=7)
 
 
-def two_step_close(h: Hypothesis, token, logprob, new_state) -> Hypothesis:
+def test_hypothesis_is_a_frozen_dataclass():
+    """The hand-written __init__ keeps the dataclass contract: one
+    parameter per field, in field order with the field's default, and
+    assignment still refused."""
+    h = built_hypothesis()
+    names = [f.name for f in dataclasses.fields(Hypothesis)]
+    assert "text" in names
+    params = list(inspect.signature(Hypothesis.__init__).parameters.values())[1:]
+    assert [p.name for p in params] == names
+    assert [p.default for p in params] == [f.default for f in dataclasses.fields(h)]
+    assert Hypothesis(*(getattr(h, n) for n in names)) == h
+    assert Hypothesis(**{n: getattr(h, n) for n in names}) == h
+    assert hash(dataclasses.replace(h)) == hash(h)
+    assert dataclasses.replace(h, text="zz") == Hypothesis(
+        **{**{n: getattr(h, n) for n in names}, "text": "zz"}
+    )
+    assert dataclasses.replace(h, text="zz") != h
+    for name in ("text", "tokens", "node_id"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(h, name, getattr(h, name))
+    with pytest.raises(TypeError):
+        Hypothesis(text="a", unknown=1)
+
+
+def test_every_transition_builds_through_init(monkeypatch):
+    """Each transition calls Hypothesis.__init__ exactly once, so a patched
+    __init__ (the benchmark's hypothesis counter) sees every step."""
+    calls = []
+    init = Hypothesis.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(self)
+        init(self, *args, **kwargs)
+
+    h = built_hypothesis().with_open_variable(VariableSpec("Y", max_tokens=4))
+    state = MaskState("q", 1, None)
+    transitions = {
+        "with_forced_span": lambda: h.with_forced_span([1], [-0.5], "z"),
+        "with_open_variable": lambda: h.with_open_variable(VariableSpec("Z")),
+        "with_variable_token": lambda: h.with_variable_token(4, -1.0, state, "q"),
+        "with_closing_token": lambda: h.with_closing_token(4, -1.0, state, "q"),
+        "as_done": h.as_done,
+        "as_dead": h.as_dead,
+        "with_node": lambda: h.with_node(3),
+    }
+    monkeypatch.setattr(Hypothesis, "__init__", counting_init)
+    for name, step in transitions.items():
+        calls.clear()
+        child = step()
+        assert calls == [child], name
+
+
+def two_step_close(h: Hypothesis, token, logprob, new_state, piece) -> Hypothesis:
     """Reference for ``with_closing_token``: ``with_variable_token``, then
     the variable sealed into a span by a second constructor call."""
-    h = h.with_variable_token(token, logprob, new_state)
+    h = h.with_variable_token(token, logprob, new_state, piece)
     span = Span(
         chunk_ordinal=len(h.spans),
         kind="var",
@@ -140,6 +199,7 @@ def two_step_close(h: Hypothesis, token, logprob, new_state) -> Hypothesis:
     )
     return Hypothesis(
         tokens=h.tokens,
+        text=h.text,
         logprobs=h.logprobs,
         spans=h.spans + (span,),
         raw_score=h.raw_score,
@@ -178,6 +238,7 @@ def open_hypotheses(draw) -> Hypothesis:
     spec = VariableSpec(draw(st.sampled_from(["X", "Y"])), max_tokens=8)
     return Hypothesis(
         tokens=tuple(draw(st.lists(st.integers(0, 50), min_size=n, max_size=n))),
+        text=draw(st.text("abc", min_size=1, max_size=8)),
         logprobs=tuple(draw(st.lists(negative, min_size=n, max_size=n))),
         spans=tuple(draw(st.lists(spans, min_size=1, max_size=3))),
         raw_score=draw(negative),
@@ -214,11 +275,12 @@ def exact_fields(h: Hypothesis) -> list:
     token=st.integers(0, 50),
     logprob=negative,
     value=text,
+    piece=text,
 )
-def test_closing_token_equals_two_step_close(h, token, logprob, value):
+def test_closing_token_equals_two_step_close(h, token, logprob, value, piece):
     new_state = MaskState(value, h.open_state.tokens_emitted + 1, None)
-    fused = h.with_closing_token(token, logprob, new_state)
-    reference = two_step_close(h, token, logprob, new_state)
+    fused = h.with_closing_token(token, logprob, new_state, piece)
+    reference = two_step_close(h, token, logprob, new_state, piece)
     assert exact_fields(fused) == exact_fields(reference)
     assert fused == reference
 
@@ -231,6 +293,7 @@ def test_hypothesis_accumulates_tokens_and_score():
     assert h.m_vars == 2
     assert h.vars_done == 1
     assert h.rendered() == "abcde"
+    assert h.text == "abcde"
 
 
 def test_hypothesis_spans_and_bindings():
