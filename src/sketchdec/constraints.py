@@ -65,6 +65,16 @@ class PrefixIndex:
     def __init__(self, members: Iterable[str]):
         self.members = tuple(members)
 
+    # two indexes over the same members answer alike, so the states that
+    # hold them compare by value
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PrefixIndex):
+            return NotImplemented
+        return self.members is other.members or self.members == other.members
+
+    def __hash__(self) -> int:
+        return hash(self.members)
+
     def span(self, s: str) -> tuple[int, int]:
         """Index range of the members that start with s."""
         n = len(s)

@@ -24,19 +24,25 @@ A candidate (``_Cand``) is a parent hypothesis plus one appended token and
 what the step made of it.  Its rank key, normalized score, pool and
 ``dead`` are computed from the parent, and its ``Hypothesis`` is built only
 when selection keeps it or a proposal extends it; most candidates of a wide
-search are pruned unbuilt.  A proposal walk passes the candidate it extends
-to the next step, so the step's one candidate also carries the trace edge
-from the walk's start; a member fallback is the candidate of the member's
-last token.  Selection ranks each candidate once, and the recorded node
-takes its score from that key.
+search are pruned unbuilt.  All children of one parent are made in one
+batch (``_Engine.children``), which reads the parent's OneOf steps, cap
+test, trace edge and normalization weight once for all of them.  A
+proposal walk passes the candidate it extends to the next step, so the
+step's one candidate also carries the trace edge from the walk's start; a
+member fallback is the candidate of the member's last token.  Selection
+ranks each candidate once, and the recorded node takes its score from that
+key.  A sampled proposal's n samples walk one draw tree, so each node they
+visit reads its continuations once and makes each child once, however many
+samples pass through it.
 
 Within one decode, OneOf steps share one index (``_Engine._entry``), the
 lazy form of a state-to-token index: per (members, partial value), each
-token's ``one_of_move``, found on first test, and the full token mask,
-built on first need.  A read of the n best allowed tokens walks the
-distribution best-first against the entry and stops at n, so only reads
-of every allowed token build masks; a OneOf child takes its move from the
-entry.  The index lives and dies with the decode, and so needs no bound.
+token's ``one_of_move``, found on first test, the full token mask, built on
+first need, and each token's step per (token count, token budget).  A read
+of the n best allowed tokens walks the distribution best-first against the
+entry and stops at n, so only reads of every allowed token build masks; a
+OneOf child takes its step from the entry.  The index lives and dies with
+the decode, and so needs no bound.
 
 Every hypothesis carries the text its tokens render to, and the engine
 hands it to the backend (``text=h.text``), so a backend keyed by prefix
@@ -57,17 +63,18 @@ import math
 import random
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .constraints import MAX_TOKENS, MaskState, advance, compute_mask
-from .constraints import one_of_move, one_of_step
-from .errors import DeadEnd, TemplateUnsatisfiable
+from .constraints import MAX_TOKENS, MaskState, TerminationVerdict, advance
+from .constraints import compute_mask, one_of_move, one_of_step
+from .errors import DeadEnd, ForcedTextMisaligned, TemplateUnsatisfiable
 from .lm import LMBackend, ordered_sum
 from .scoring import (
     NEG_INF,
     Hypothesis,
     ScoreParams,
-    normalized_score,
+    effective_m,
+    normalization_weight,
     rank_hypotheses,
     rank_key,
 )
@@ -217,7 +224,12 @@ class _Engine:
             parent = h.node_id
             for c in det_chunks:
                 toks = self.backend.tokenize(c.text)
-                lps = self.backend.score_forced(h.tokens, toks, text=h.text)
+                try:
+                    lps = self.backend.score_forced(h.tokens, toks, text=h.text)
+                except ForcedTextMisaligned:
+                    # the service merges this value's end into the forced
+                    # text: this hypothesis cannot be scored, others may be
+                    return h.as_dead()
                 h = h.with_forced_span(toks, lps, c.text)
                 texts.append(c.text)
                 total_lp += h.spans[-1].raw_logprob
@@ -284,52 +296,79 @@ class _Engine:
             entry = self._index[key] = _OneOfEntry(state, self.backend.vocab)
         return entry
 
+    def children(
+        self,
+        h: Hypothesis,
+        pairs: Sequence[tuple[int, float]],
+        via: "_Cand | None" = None,
+    ) -> list["_Cand"]:
+        """The children of h by these (token, logprob) pairs, each closing
+        or killing the chunk as ruled; their Hypotheses are built on first
+        use.  Their trace edges start at the token, or continue via's, the
+        candidate that h was built from.
+
+        What depends only on h is done once: the OneOf steps from h's
+        state, the cap test, the trace edge's start, and the normalization
+        weight, since every child has one more token and variable token.
+        """
+        spec, state = h.open_spec, h.open_state
+        steps = None
+        if state.index is not None:
+            steps = self._entry(state).steps(state, spec.max_tokens)
+        n = len(h.tokens)
+        over_cap = n >= self.cap
+        if via is None:
+            start, base = n, None
+        else:
+            start, base = via.start, via.edge_logprob
+        score = self.score
+        weight = normalization_weight(score, effective_m(score, n + 1, h.m_vars + 1))
+        raw, pieces, vocab = h.raw_score, self._pieces, self.backend.vocab
+        out = []
+        for token, logprob in pairs:
+            if steps is None:
+                new_state, verdict = advance(
+                    state, token, vocab, spec.stop_phrases, spec.max_tokens
+                )
+            else:
+                new_state, verdict = steps[token]
+            if verdict.closes_chunk:
+                # running out of tokens inside a OneOf value kills it
+                dead = verdict.status == MAX_TOKENS and new_state.constrained
+                closed, truncated = not dead, False
+            else:
+                # over the global cap with the template still open
+                closed = False
+                dead = truncated = over_cap
+                if over_cap:
+                    self.truncated += 1
+            out.append(
+                _Cand(
+                    h,
+                    token,
+                    pieces[token],
+                    logprob,
+                    new_state,
+                    closed,
+                    dead,
+                    truncated,
+                    start,
+                    logprob if base is None else base + logprob,
+                    weight * (raw + logprob),
+                )
+            )
+        return out
+
     def apply_token(
         self, h: Hypothesis, token: int, logprob: float, via: "_Cand | None" = None
     ) -> "_Cand":
-        """The child of h by one variable token, closing or killing the
-        chunk as ruled; its Hypothesis is built on first use.  Its trace
-        edge starts at the token, or continues via's, the candidate that h
-        was built from."""
-        spec, state = h.open_spec, h.open_state
-        move = None if state.index is None else self._entry(state)[token]
-        if move is None:
-            # a free variable, or an illegal token, which advance rejects
-            new_state, verdict = advance(
-                state, token, self.backend.vocab, spec.stop_phrases, spec.max_tokens
-            )
-        else:
-            new_state, verdict = one_of_step(state, move, spec.max_tokens)
-        if verdict.closes_chunk:
-            # running out of tokens inside a OneOf value kills it
-            dead = verdict.status == MAX_TOKENS and new_state.constrained
-            closed, truncated = not dead, False
-        else:
-            closed = False
-            # over the global cap with the template still open
-            dead = truncated = len(h.tokens) >= self.cap
-            if truncated:
-                self.truncated += 1
-        if via is None:
-            start, edge_logprob = len(h.tokens), logprob
-        else:
-            start, edge_logprob = via.start, via.edge_logprob + logprob
-        return _Cand(
-            h,
-            token,
-            self._pieces[token],
-            logprob,
-            new_state,
-            closed,
-            dead,
-            truncated,
-            start,
-            edge_logprob,
-        )
+        """The one child of h by this token, as ``children`` makes it."""
+        return self.children(h, ((token, logprob),), via)[0]
 
     def fallback_completions(self, h: Hypothesis) -> list["_Cand"]:
         """Score whole member completions when the truncated distribution
-        has no allowed token (one forced-scoring call per member).
+        has no allowed token (one forced-scoring call per member); a member
+        the backend cannot align with h's text is skipped.
 
         Each option is the candidate of its member's last token, with a
         trace edge spanning the whole suffix."""
@@ -344,7 +383,10 @@ class _Engine:
             toks = self.backend.tokenize(suffix)
             if not toks or state.tokens_emitted + len(toks) > spec.max_tokens:
                 continue
-            lps = self.backend.score_forced(h.tokens, toks, text=h.text)
+            try:
+                lps = self.backend.score_forced(h.tokens, toks, text=h.text)
+            except ForcedTextMisaligned:
+                continue
             cand = self.apply_token(h, toks[0], lps[0])
             for t, lp in zip(toks[1:], lps[1:]):
                 if cand.dead or cand.closed:
@@ -354,11 +396,11 @@ class _Engine:
                 continue
             cand.edge_logprob = ordered_sum(lps)
             out.append(cand)
-        out.sort(key=lambda c: c.rank_key(self.score))
+        out.sort(key=_Cand.rank_key)
         if not out:
             raise DeadEnd(
-                f"no member completion fits within the token budget of "
-                f"variable {spec.name!r}"
+                f"no member completion of variable {spec.name!r} fits its "
+                f"token budget and can be scored"
             )
         return out
 
@@ -379,7 +421,7 @@ class _Engine:
                 return [o.after(via) for o in self.fallback_completions(h)[:n]]
             except DeadEnd:
                 return []
-        return [self.apply_token(h, t, lp, via) for t, lp in pairs[:n]]
+        return self.children(h, pairs[:n], via)
 
     # -- selection -------------------------------------------------------
 
@@ -395,7 +437,7 @@ class _Engine:
         kept: list[Hypothesis] = []
         for pool, w in zip(pools, allocate_pools(pools, width)):
             ranked = sorted(
-                ((c.rank_key(self.score), c) for c in pool.members), key=itemgetter(0)
+                ((c.rank_key(), c) for c in pool.members), key=itemgetter(0)
             )
             alive = [i for i, (_, c) in enumerate(ranked) if not c.dead]
             kept.extend(self.record_selection(ranked, set(alive[:w])))
@@ -440,13 +482,14 @@ class _Pieces(dict):
 
 class _OneOfEntry(dict):
     """One state of the decode's OneOf index: token -> ``one_of_move``
-    (None when illegal), filled on first lookup, and the state's token mask
-    once a read needs every allowed token (or a dead end's message)."""
+    (None when illegal), filled on first lookup; the state's token mask
+    once a read needs every allowed token (or a dead end's message); and
+    the steps from the entry per (token count, token budget)."""
 
-    __slots__ = ("state", "vocab", "_mask")
+    __slots__ = ("state", "vocab", "_mask", "_steps")
 
     def __init__(self, state: MaskState, vocab):
-        self.state, self.vocab, self._mask = state, vocab, None
+        self.state, self.vocab, self._mask, self._steps = state, vocab, None, {}
 
     def __missing__(self, token: int) -> tuple[str, bool, bool] | None:
         move = self[token] = one_of_move(self.state, token, self.vocab)
@@ -466,16 +509,44 @@ class _OneOfEntry(dict):
             raise DeadEnd(self._mask)
         return self._mask
 
+    def steps(self, state: MaskState, max_tokens: int) -> "_Steps":
+        """token -> (state, verdict) after the token, from a state of this
+        entry under this budget, shared by every hypothesis at the same
+        token count."""
+        key = (state.tokens_emitted, max_tokens)
+        steps = self._steps.get(key)
+        if steps is None:
+            steps = self._steps[key] = _Steps(self, state, max_tokens)
+        return steps
+
+
+class _Steps(dict):
+    """token -> ``one_of_step`` of its move, filled on first lookup; an
+    illegal token is handed to ``advance``, which rejects it."""
+
+    __slots__ = ("entry", "state", "max_tokens")
+
+    def __init__(self, entry: _OneOfEntry, state: MaskState, max_tokens: int):
+        self.entry, self.state, self.max_tokens = entry, state, max_tokens
+
+    def __missing__(self, token: int) -> tuple[MaskState, TerminationVerdict]:
+        move = self.entry[token]
+        if move is None:
+            return advance(self.state, token, self.entry.vocab, (), self.max_tokens)
+        step = self[token] = one_of_step(self.state, move, self.max_tokens)
+        return step
+
 
 class _Cand:
     """One expansion: a parent hypothesis plus one appended token.
 
     It holds the ``parent``, the ``token`` with its rendering ``piece`` and
-    its ``logprob``, and the ``state`` and outcome of the step (``closed``:
-    the variable is sealed; ``dead``, ``truncated``).  Rank key, normalized
-    score and pool are read from those, and the Hypothesis is built only on
-    demand: ``hyp`` when a proposal extends it, ``built`` when selection
-    keeps it.
+    its ``logprob``, the ``state`` and outcome of the step (``closed``:
+    the variable is sealed; ``dead``, ``truncated``), and ``norm``, the
+    child's normalized score while it lives, which the engine computes with
+    the parent's weight once per expansion.  Rank key and pool are read
+    from those, and the Hypothesis is built only on demand: ``hyp`` when a
+    proposal extends it, ``built`` when selection keeps it.
 
     The trace edge that reached it runs from token index ``start`` through
     this token, under the parent's trace node (a hypothesis built during a
@@ -495,6 +566,7 @@ class _Cand:
         "truncated",
         "start",
         "edge_logprob",
+        "norm",
         "_hyp",
     )
 
@@ -510,6 +582,7 @@ class _Cand:
         truncated: bool,
         start: int,
         edge_logprob: float,
+        norm: float,
     ):
         self.parent = parent
         self.token = token
@@ -521,6 +594,7 @@ class _Cand:
         self.truncated = truncated
         self.start = start
         self.edge_logprob = edge_logprob
+        self.norm = norm
         self._hyp = None
 
     @property
@@ -548,16 +622,13 @@ class _Cand:
     def tokens(self) -> tuple[int, ...]:
         return self.parent.tokens + (self.token,)
 
-    def normalized_score(self, score: ScoreParams) -> float:
-        if self.dead:
-            return NEG_INF
-        p = self.parent
-        return normalized_score(
-            score, p.raw_score + self.logprob, len(p.tokens) + 1, p.m_vars + 1
-        )
+    def normalized_score(self) -> float:
+        """The built child's ``normalized_score`` under the engine's
+        parameters: the same float operations, on the same operands."""
+        return NEG_INF if self.dead else self.norm
 
-    def rank_key(self, score: ScoreParams) -> tuple:
-        return rank_key(self.normalized_score(score), self.tokens)
+    def rank_key(self) -> tuple:
+        return rank_key(self.normalized_score(), self.tokens)
 
     def pool_key(self) -> int:
         # the parent is open on variable vars_done; its child stays in that
@@ -611,18 +682,14 @@ def allocate_pools(pools: Sequence[Pool], n: int) -> list[int]:
 # --- proposal policies (variable-level search) -------------------------------
 
 
-def _stable_seed(seed: int, tokens: tuple[int, ...], j: int) -> int:
-    payload = f"{seed}|{','.join(map(str, tokens))}|{j}".encode()
-    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
-
-
-def _draw(rng: random.Random, logprobs: Sequence[float], temperature: float) -> int:
-    """An index drawn with weight exp(lp / T), uniformly when every weight
-    underflows to 0."""
-    weights = [math.exp(lp / temperature) for lp in logprobs]
-    if not any(w > 0.0 for w in weights):
-        weights = [1.0] * len(weights)
-    return rng.choices(range(len(weights)), weights=weights)[0]
+def _sample_seeds(seed: int, tokens: tuple[int, ...], n: int) -> Iterator[int]:
+    """The seeds of a proposal's n samples, from the sha256 of
+    "seed|tokens|j"; the part before j is hashed once."""
+    common = hashlib.sha256(f"{seed}|{','.join(map(str, tokens))}|".encode())
+    for j in range(n):
+        digest = common.copy()
+        digest.update(str(j).encode())
+        yield int.from_bytes(digest.digest()[:8], "big")
 
 
 def _propose_branch(eng: _Engine, h: Hypothesis, n: int) -> list[_Cand]:
@@ -637,29 +704,83 @@ def _propose_branch(eng: _Engine, h: Hypothesis, n: int) -> list[_Cand]:
 
 
 def _propose_sampled(eng: _Engine, h: Hypothesis, n: int) -> list[_Cand]:
-    """n temperature-scaled samples of the whole variable value."""
+    """n temperature-scaled samples of the whole variable value.
+
+    The samples walk one draw tree: a node, keyed by the candidate that
+    reaches it (None for h), reads its continuations once, and each of its
+    children is made once, when it is first drawn.
+    """
     temperature = eng.config.temperature
+    tree: dict[_Cand | None, _DrawNode | None] = {}
     seen: dict[tuple[int, ...], _Cand] = {}
-    for j in range(n):
-        rng = random.Random(_stable_seed(eng.config.seed, h.tokens, j))
+    for seed in _sample_seeds(eng.config.seed, h.tokens, n):
+        rng = random.Random(seed)
         cur: _Cand | None = None
         while cur is None or not (cur.dead or cur.closed):
-            at = h if cur is None else cur.hyp
-            try:
-                pairs = eng.allowed_continuations(at)
-                if pairs is None:
-                    options = eng.fallback_completions(at)
-            except DeadEnd:
-                break
-            if pairs is None:
-                lps = [o.edge_logprob for o in options]
-                cur = options[_draw(rng, lps, temperature)].after(cur)
+            if cur in tree:
+                node = tree[cur]
             else:
-                t, lp = pairs[_draw(rng, [lp for _, lp in pairs], temperature)]
-                cur = eng.apply_token(at, t, lp, cur)
+                node = tree[cur] = _DrawNode.read(eng, h, cur, temperature)
+            if node is None:
+                break
+            cur = node.draw(eng, rng)
         if cur is not None and cur.closed:
+            # a member fallback's option and a token walk may spell one value
             seen.setdefault(cur.tokens, cur)
     return list(seen.values())
+
+
+class _DrawNode:
+    """One node of a sampled proposal's draw tree: the allowed
+    continuations of the hypothesis reached, their cumulative draw
+    weights exp(lp / T), and the children made so far."""
+
+    __slots__ = ("at", "via", "pairs", "cum", "children")
+
+    def __init__(
+        self,
+        at: Hypothesis,
+        via: _Cand | None,
+        pairs: list[tuple[int, float]] | None,
+        cum: list[float],
+        children: list[_Cand | None],
+    ):
+        self.at, self.via, self.pairs = at, via, pairs
+        self.cum, self.children = cum, children
+
+    @classmethod
+    def read(
+        cls, eng: _Engine, h: Hypothesis, via: _Cand | None, temperature: float
+    ) -> "_DrawNode | None":
+        """The node reached by via (h itself for None), or None at a dead
+        end.  A member fallback makes every option at once; the weights
+        are uniform when every one underflows to 0."""
+        at = h if via is None else via.hyp
+        try:
+            pairs = eng.allowed_continuations(at)
+            if pairs is None:
+                options = eng.fallback_completions(at)
+        except DeadEnd:
+            return None
+        if pairs is None:
+            weights = [math.exp(o.edge_logprob / temperature) for o in options]
+            children = [o.after(via) for o in options]
+        else:
+            weights = [math.exp(lp / temperature) for _, lp in pairs]
+            children = [None] * len(pairs)
+        if not any(w > 0.0 for w in weights):
+            weights = [1.0] * len(weights)
+        return cls(at, via, pairs, list(itertools.accumulate(weights)), children)
+
+    def draw(self, eng: _Engine, rng: random.Random) -> _Cand:
+        """One child, drawn by weight; made on its first draw."""
+        i = rng.choices(range(len(self.cum)), cum_weights=self.cum)[0]
+        child = self.children[i]
+        if child is None:
+            token, logprob = self.pairs[i]
+            child = eng.apply_token(self.at, token, logprob, self.via)
+            self.children[i] = child
+        return child
 
 
 def _propose_exhaustive(eng: _Engine, h: Hypothesis) -> list[_Cand]:

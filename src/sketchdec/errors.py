@@ -68,6 +68,13 @@ class ForcedScoringUnsupported(SketchdecError):
     """The backend cannot score a forced continuation."""
 
 
+class ForcedTextMisaligned(ForcedScoringUnsupported):
+    """The service split the prefix and a forced continuation into tokens
+    that do not end where the prefix does, so the continuation's
+    log-probabilities cannot be read apart from the prefix's: this one
+    prefix cannot be scored, though others may be."""
+
+
 class DeadEnd(SketchdecError):
     """No vocabulary token can legally extend the current partial value."""
 

@@ -31,7 +31,12 @@ from typing import Sequence
 
 import requests
 
-from .errors import BackendUnavailable, ContextTooLong, ForcedScoringUnsupported
+from .errors import (
+    BackendUnavailable,
+    ContextTooLong,
+    ForcedScoringUnsupported,
+    ForcedTextMisaligned,
+)
 from .lm import NEG_INF, LMBackend, TokenDistribution, ordered_sum
 
 API_KEY_ENV = "SKETCHDEC_API_KEY"
@@ -237,7 +242,10 @@ class RemoteCompletionsLM(LMBackend):
         The continuation region is located by character offset.  When the
         service tokenizes the region exactly as the registry does, scores
         are per token; otherwise the regional total is attributed to the
-        first continuation token so that sums are preserved.
+        first continuation token so that sums are preserved.  When the
+        service merges the prefix's last characters with the
+        continuation's first, ``ForcedTextMisaligned`` is raised: that
+        prefix cannot be scored, and a decoder drops only its hypothesis.
         """
         if not continuation:
             return []
@@ -275,12 +283,12 @@ class RemoteCompletionsLM(LMBackend):
                 start = i
                 break
         if start is None:
-            raise ForcedScoringUnsupported(
+            raise ForcedTextMisaligned(
                 "no token boundary aligns with the forced continuation"
             )
         region = list(zip(pieces[start:], logprobs[start:]))
         if "".join(p for p, _ in region) != cont_text:
-            raise ForcedScoringUnsupported(
+            raise ForcedTextMisaligned(
                 "echoed tokens do not reproduce the forced continuation"
             )
         if any(v is None for _, v in region):

@@ -15,7 +15,13 @@ from conftest import (
     stable_unit,
 )
 from sketchdec import decoders
-from sketchdec.constraints import MAX_TOKENS, advance, compute_mask
+from sketchdec.constraints import (
+    CONTINUE,
+    MAX_TOKENS,
+    MEMBER_COMPLETE,
+    advance,
+    compute_mask,
+)
 from sketchdec.decoders import (
     ARGMAX,
     BEAM,
@@ -36,7 +42,7 @@ from sketchdec.decoders import (
     default_token_cap,
     _Engine,
 )
-from sketchdec.errors import DeadEnd, TemplateUnsatisfiable
+from sketchdec.errors import DeadEnd, IllegalToken, TemplateUnsatisfiable
 from sketchdec.lm import (
     LMBackend,
     NGramLM,
@@ -573,6 +579,12 @@ def pinned_families():
         sketch, backend = random_fixture(100 + seed)
         yield "topk", sketch, TopK(backend, 2), {}
         yield "topk", *truncated_fixture(seed), {}
+    # caps under which var's samples draw one truncated child more than
+    # once; it is one candidate, so it is counted once
+    for seed, k, cap in ((135, 2, 8), (219, 2, 13), (262, 2, 9), (310, 3, 14)):
+        sketch, backend = random_fixture(seed)
+        yield "topk-cap", sketch, TopK(backend, k), {"global_max_tokens": cap}
+    yield "topk-cap", *truncated_fixture(0), {"global_max_tokens": 6}
     instance = dungeon.suite(0)[0]
     yield (
         "dungeon",
@@ -621,6 +633,12 @@ PINNED_DIGESTS = {
     "topk/var-branch": "2b9b24c3381f3af01e07c840534625462e4cd6916e7bd91ed20a181de5777c20",
     "topk/var-sample": "14461ccc1641151d2316ae81549cd8d258d08115919a1e68cc6eab014cb4183e",
     "topk/var-exhaustive": "135429a37fa9d16e7fe9a56c434f181da37b138645eb99bab417abe3e35c8d28",
+    "topk-cap/argmax": "56a06e54205454a8a498a9cd2a05f8895dd3c2c8ca581426134ce6172fed0973",
+    "topk-cap/beam": "82d88ce28a5c20b162a712fe7fd4af17c3a267259178866f23e4f8bd32f365ec",
+    "topk-cap/beamvar": "63852379b7ae5db9654f250c85f33780e30cd02fb8ac0fd80c552c8aaaf72b2b",
+    "topk-cap/var-branch": "a008a529bdf0525564b4cb89e9f91a0d45a4bfdd86d53935a11db266b32ab3c9",
+    "topk-cap/var-sample": "53162044d13bdc713df55a3208639d92a1edb01ff06dff5491e6b756302e50cf",
+    "topk-cap/var-exhaustive": "755eff801ceea226ed980c270bbf178880db5e3d516a431244af1fd6d68031ea",
     "dungeon/argmax": "9f2a73e2166a810b2e4a8ee0db4f6900b20448e7fd633db33554c9708126c905",
     "dungeon/beam": "bc23ae47c5778fc75d7aed1a542842f89b298e0af3ed47f61004a5f8f9bde53b",
     "dungeon/beamvar": "31b845165a2dabbbe729a31625324b52dc59b011143d1d99bde301df15a884da",
@@ -828,9 +846,10 @@ def child_specs(draw) -> VariableSpec:
 )
 def test_candidates_ranked_unbuilt_equal_built_children(seed, spec, headroom, score, path):
     """Every child along a walk (closing, continuing, dead at its token
-    budget, truncated over the cap) reads the same rank key, normalized
-    score, pool and death from its parent as from the Hypothesis built at
-    once, and builds to that Hypothesis."""
+    budget, truncated over the cap), made in one batch per parent, reads
+    the same rank key, normalized score, pool and death from its parent as
+    from the Hypothesis built at once, stores that Hypothesis's score bits,
+    and builds to that Hypothesis."""
     backend = random_backend(seed)
     first = VariableSpec("W", one_of=OneOf(("ab",)), max_tokens=2)
     sketch = Sketch(
@@ -854,13 +873,17 @@ def test_candidates_ranked_unbuilt_equal_built_children(seed, spec, headroom, sc
         except DeadEnd:
             return
         continuing = []
-        for t, lp in backend.next_distribution(h.tokens).allowed(mask):
-            truncated = eng.truncated
-            cand = eng.apply_token(h, t, lp)
-            ref = eager_child(eng, h, t, lp)
-            assert eng.truncated - truncated == int(ref.truncated)
-            assert cand.rank_key(score) == ref.rank_key(score)
-            assert cand.normalized_score(score).hex() == ref.normalized_score(score).hex()
+        pairs = backend.next_distribution(h.tokens).allowed(mask)
+        truncated = eng.truncated
+        cands = eng.children(h, pairs)
+        refs = [eager_child(eng, h, t, lp) for t, lp in pairs]
+        assert eng.truncated - truncated == sum(ref.truncated for ref in refs)
+        assert len(cands) == len(pairs)
+        for cand, ref in zip(cands, refs):
+            assert cand.rank_key() == ref.rank_key(score)
+            assert cand.normalized_score().hex() == ref.normalized_score(score).hex()
+            if not ref.dead:
+                assert cand.norm.hex() == ref.normalized_score(score).hex()
             # a child that closed its variable stays in that variable's pool
             closed_pool = max(ref.vars_done - 1, 0)
             assert cand.pool_key() == (
@@ -875,6 +898,56 @@ def test_candidates_ranked_unbuilt_equal_built_children(seed, spec, headroom, sc
         if step is None or not continuing:
             return
         h = continuing[step % len(continuing)]
+
+
+def test_one_of_steps_equal_advance_per_token_count_and_budget():
+    """The index keeps each OneOf step per (token count, token budget):
+    two specs sharing one members tuple under different budgets, and one
+    value reached by two tokens ("a"+"b") or by one ("ab"), each get
+    ``advance``'s state and verdict; hypotheses at the same count and
+    budget share the step."""
+    backend = random_backend(0)
+    vocab = backend.vocab
+    (a,), (b,), (ab,), (c,) = map(backend.tokenize, ("a", "b", "ab", "c"))
+    one_of = OneOf(("ab", "abc", "abcd"))
+    specs = [VariableSpec(n, one_of=one_of, max_tokens=m) for n, m in (("X", 3), ("Y", 4))]
+    sketch = Sketch(
+        name="s",
+        chunks=(Chunk.variable(specs[0]), Chunk.det("d"), Chunk.variable(specs[1])),
+    )
+    eng = _Engine(StaticSketchSource(sketch), backend, DecoderConfig())
+
+    def reach(spec, path) -> Hypothesis:
+        h = Hypothesis().with_open_variable(spec)
+        for t in path:
+            h = eng.apply_token(h, t, -0.5).hyp
+        return h
+
+    reached = [reach(spec, path) for spec in specs for path in ((a, b), (ab,))]
+    entry = eng._entry(reached[0].open_state)
+    for h in reached:
+        assert h.open_state.partial_value == "ab"
+        assert eng._entry(h.open_state) is entry
+        steps = entry.steps(h.open_state, h.open_spec.max_tokens)
+        for t in range(len(vocab)):
+            try:
+                want = advance(h.open_state, t, vocab, (), h.open_spec.max_tokens)
+            except IllegalToken:
+                with pytest.raises(IllegalToken):
+                    eng.apply_token(h, t, -0.5)
+                continue
+            assert steps[t] == want
+            assert eng.apply_token(h, t, -0.5).state == want[0]
+    # "c" completes "abc" at X's budget after "a"+"b", and continues
+    # toward "abcd" otherwise
+    statuses = [
+        entry.steps(h.open_state, h.open_spec.max_tokens)[c][1].status
+        for h in reached
+    ]
+    assert statuses == [MEMBER_COMPLETE, CONTINUE, CONTINUE, CONTINUE]
+    # a hypothesis that opens X on its own shares the first one's steps
+    again = reach(specs[0], (a, b))
+    assert again.open_state is reached[0].open_state
 
 
 def check_invariants(h: Hypothesis, sketch: Sketch) -> None:

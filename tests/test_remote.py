@@ -1,17 +1,24 @@
 """HTTP completions backend against an in-process mock service."""
 import math
+import random
 
 import pytest
 import requests
 
+from conftest import random_backend, random_sketch
 from mock_openai import MockCompletionsServer
-from sketchdec.decoders import DecoderConfig, decode
+from sketchdec.decoders import DecoderConfig, _Engine, decode
 from sketchdec.errors import (
     BackendUnavailable,
     ContextTooLong,
+    DeadEnd,
     ForcedScoringUnsupported,
+    ForcedTextMisaligned,
+    TemplateUnsatisfiable,
 )
 from sketchdec.lm import TableLM, Vocabulary
+from sketchdec.scoring import Hypothesis
+from sketchdec.sketch import Chunk, OneOf, Sketch, StaticSketchSource, VariableSpec
 from sketchdec import remote as remote_module
 from sketchdec.remote import RemoteCompletionsLM, TokenRegistry
 from sketchdec.tasks import fig1
@@ -130,6 +137,80 @@ def test_forced_scoring_rejects_merged_boundary(server):
     # the prompt "ab" comes back as one token: no boundary splits it
     with pytest.raises(ForcedScoringUnsupported):
         lm.score_forced([a], [b])
+
+
+def test_misaligned_forced_text_is_its_own_error(server):
+    lm = remote(server)
+    a, b = lm.vocab.intern("a"), lm.vocab.intern("b")
+    # "c" + "ab": the echo reproduces the text but no boundary ends the prefix
+    with pytest.raises(ForcedTextMisaligned):
+        lm.score_forced(lm.tokenize("c") + [a], [b])
+    # the refusals that do not depend on the prefix keep the parent class
+    with pytest.raises(ForcedScoringUnsupported) as refused:
+        lm.score_forced((), [lm.vocab.eos_index])
+    assert not isinstance(refused.value, ForcedTextMisaligned)
+
+
+def merged_boundary_fixture():
+    """A free V0 stopping at "a" before the forced "bd", over a table model
+    with an "ab" token: the service merges a value's last "a" with the
+    forced "b", so a value ending in "a" cannot be scored."""
+    return random_sketch(random.Random(3)), random_backend(3)
+
+
+def test_settle_kills_only_the_misaligned_hypothesis():
+    sketch, table = merged_boundary_fixture()
+    with MockCompletionsServer(table) as server:
+        lm = remote(server)
+        eng = _Engine(StaticSketchSource(sketch), lm, DecoderConfig())
+        h = eng.settle(Hypothesis())
+        assert h.text == "cd" and h.open_spec.name == "V0"
+        (a,), (ab,) = lm.tokenize("a"), lm.tokenize("ab")
+        merged = eng.settle(eng.apply_token(h, a, -1.0).hyp)
+        assert merged.dead and not merged.truncated and not merged.done
+        scored = eng.settle(eng.apply_token(h, ab, -1.0).hyp)
+        assert scored.done and scored.rendered() == "cdabbd"
+        assert eng.truncated == 0
+
+
+def test_decode_goes_on_past_a_misaligned_forced_chunk():
+    """Under every decoder, a hypothesis the service cannot align dies like
+    a dead end: no decode fails with a forced-scoring error, and beamvar
+    finds a value whose forced text can be scored."""
+    sketch, table = merged_boundary_fixture()
+    configs = [
+        {"kind": "argmax", "width": 1},
+        {"kind": "beam", "width": 2},
+        {"kind": "var", "width": 2, "proposal": "branch"},
+        {"kind": "var", "width": 2, "proposal": "sample"},
+        {"kind": "var", "width": 2, "proposal": "exhaustive"},
+    ]
+    with MockCompletionsServer(table) as server:
+        lm = remote(server)
+        result = decode(sketch, lm, DecoderConfig(kind="beamvar", width=2))
+        assert result.best.done and result.truncated_count == 0
+        value = result.bindings.value("V0")
+        assert result.text == f"cd{value}bd" and not value.endswith("a")
+        for config in configs:
+            try:
+                decode(sketch, lm, DecoderConfig(**config))
+            except TemplateUnsatisfiable:
+                pass
+
+
+def test_member_fallback_skips_a_misaligned_member(server):
+    lm = remote(server)
+    spec = VariableSpec("X", one_of=OneOf(("b", "c")), max_tokens=2)
+    sketch = Sketch(name="s", chunks=(Chunk.variable(spec),))
+    eng = _Engine(StaticSketchSource(sketch), lm, DecoderConfig())
+    toks = lm.tokenize("ca")
+    h = Hypothesis().with_forced_span(toks, [-1.0] * len(toks), "ca")
+    # "ca" + "b" comes back as "c", "ab": only "c" can be scored
+    options = eng.fallback_completions(h.with_open_variable(spec))
+    assert [o.state.partial_value for o in options] == ["c"]
+    only_b = VariableSpec("X", one_of=OneOf(("b",)), max_tokens=2)
+    with pytest.raises(DeadEnd):
+        eng.fallback_completions(h.with_open_variable(only_b))
 
 
 def test_forced_scoring_rejects_null_logprob_region():
