@@ -720,7 +720,8 @@ def _propose_sampled(eng: _Engine, h: Hypothesis, n: int) -> list[_Cand]:
             if cur in tree:
                 node = tree[cur]
             else:
-                node = tree[cur] = _DrawNode.read(eng, h, cur, temperature)
+                at = h if cur is None else cur.hyp
+                node = tree[cur] = _DrawNode.read(eng, at, cur, temperature)
             if node is None:
                 break
             cur = node.draw(eng, rng)
@@ -750,12 +751,12 @@ class _DrawNode:
 
     @classmethod
     def read(
-        cls, eng: _Engine, h: Hypothesis, via: _Cand | None, temperature: float
+        cls, eng: _Engine, at: Hypothesis, via: _Cand | None, temperature: float
     ) -> "_DrawNode | None":
-        """The node reached by via (h itself for None), or None at a dead
-        end.  A member fallback makes every option at once; the weights
-        are uniform when every one underflows to 0."""
-        at = h if via is None else via.hyp
+        """The node at hypothesis at, reached by via (None at the
+        proposal's start), or None at a dead end.  A member fallback makes
+        every option at once; the weights are uniform when every one
+        underflows to 0."""
         try:
             pairs = eng.allowed_continuations(at)
             if pairs is None:
