@@ -61,6 +61,7 @@ import hashlib
 import itertools
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -312,9 +313,10 @@ class _Engine:
         weight, since every child has one more token and variable token.
         """
         spec, state = h.open_spec, h.open_state
-        steps = None
+        entry = steps = None
         if state.index is not None:
-            steps = self._entry(state).steps(state, spec.max_tokens)
+            entry = self._entry(state)
+            steps = entry.steps[state.tokens_emitted, spec.max_tokens]
         n = len(h.tokens)
         over_cap = n >= self.cap
         if via is None:
@@ -326,12 +328,17 @@ class _Engine:
         raw, pieces, vocab = h.raw_score, self._pieces, self.backend.vocab
         out = []
         for token, logprob in pairs:
-            if steps is None:
-                new_state, verdict = advance(
-                    state, token, vocab, spec.stop_phrases, spec.max_tokens
-                )
-            else:
-                new_state, verdict = steps[token]
+            step = None if steps is None else steps.get(token)
+            if step is None:
+                move = None if entry is None else entry[token]
+                if move is None:
+                    # a free variable, or an illegal token, which advance rejects
+                    step = advance(
+                        state, token, vocab, spec.stop_phrases, spec.max_tokens
+                    )
+                else:
+                    step = steps[token] = one_of_step(state, move, spec.max_tokens)
+            new_state, verdict = step
             if verdict.closes_chunk:
                 # running out of tokens inside a OneOf value kills it
                 dead = verdict.status == MAX_TOKENS and new_state.constrained
@@ -484,12 +491,17 @@ class _OneOfEntry(dict):
     """One state of the decode's OneOf index: token -> ``one_of_move``
     (None when illegal), filled on first lookup; the state's token mask
     once a read needs every allowed token (or a dead end's message); and
-    the steps from the entry per (token count, token budget)."""
+    ``steps``, per (token count, token budget), token -> the ``one_of_step``
+    state and verdict, which the engine fills for every hypothesis at that
+    count."""
 
-    __slots__ = ("state", "vocab", "_mask", "_steps")
+    __slots__ = ("state", "vocab", "_mask", "steps")
 
     def __init__(self, state: MaskState, vocab):
-        self.state, self.vocab, self._mask, self._steps = state, vocab, None, {}
+        self.state, self.vocab, self._mask = state, vocab, None
+        self.steps: defaultdict[
+            tuple[int, int], dict[int, tuple[MaskState, TerminationVerdict]]
+        ] = defaultdict(dict)
 
     def __missing__(self, token: int) -> tuple[str, bool, bool] | None:
         move = self[token] = one_of_move(self.state, token, self.vocab)
@@ -508,33 +520,6 @@ class _OneOfEntry(dict):
         if isinstance(self._mask, str):
             raise DeadEnd(self._mask)
         return self._mask
-
-    def steps(self, state: MaskState, max_tokens: int) -> "_Steps":
-        """token -> (state, verdict) after the token, from a state of this
-        entry under this budget, shared by every hypothesis at the same
-        token count."""
-        key = (state.tokens_emitted, max_tokens)
-        steps = self._steps.get(key)
-        if steps is None:
-            steps = self._steps[key] = _Steps(self, state, max_tokens)
-        return steps
-
-
-class _Steps(dict):
-    """token -> ``one_of_step`` of its move, filled on first lookup; an
-    illegal token is handed to ``advance``, which rejects it."""
-
-    __slots__ = ("entry", "state", "max_tokens")
-
-    def __init__(self, entry: _OneOfEntry, state: MaskState, max_tokens: int):
-        self.entry, self.state, self.max_tokens = entry, state, max_tokens
-
-    def __missing__(self, token: int) -> tuple[MaskState, TerminationVerdict]:
-        move = self.entry[token]
-        if move is None:
-            return advance(self.state, token, self.entry.vocab, (), self.max_tokens)
-        step = self[token] = one_of_step(self.state, move, self.max_tokens)
-        return step
 
 
 class _Cand:

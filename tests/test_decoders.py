@@ -928,20 +928,21 @@ def test_one_of_steps_equal_advance_per_token_count_and_budget():
     for h in reached:
         assert h.open_state.partial_value == "ab"
         assert eng._entry(h.open_state) is entry
-        steps = entry.steps(h.open_state, h.open_spec.max_tokens)
+        steps = entry.steps[h.open_state.tokens_emitted, h.open_spec.max_tokens]
         for t in range(len(vocab)):
             try:
                 want = advance(h.open_state, t, vocab, (), h.open_spec.max_tokens)
             except IllegalToken:
                 with pytest.raises(IllegalToken):
                     eng.apply_token(h, t, -0.5)
+                assert t not in steps
                 continue
-            assert steps[t] == want
             assert eng.apply_token(h, t, -0.5).state == want[0]
+            assert steps[t] == want
     # "c" completes "abc" at X's budget after "a"+"b", and continues
     # toward "abcd" otherwise
     statuses = [
-        entry.steps(h.open_state, h.open_spec.max_tokens)[c][1].status
+        entry.steps[h.open_state.tokens_emitted, h.open_spec.max_tokens][c][1].status
         for h in reached
     ]
     assert statuses == [MEMBER_COMPLETE, CONTINUE, CONTINUE, CONTINUE]
