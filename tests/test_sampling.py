@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_fixture
 from sketchdec import decoders
@@ -138,6 +138,11 @@ def test_sample_seeds_equal_whole_hashes():
 
 
 @settings(max_examples=60, deadline=None)
+# a member fallback's option "b" continues by the token "a" to "ba", the
+# value of its sibling option: one proposal, not two
+@example(seed=157, truncated=False, top_k=2, cap=16, temperature=1.0, width=2)
+# every fallback weight underflows, so the draws are uniform
+@example(seed=0, truncated=True, top_k=None, cap=None, temperature=0.001, width=3)
 @given(
     seed=st.integers(0, 2**16),
     truncated=st.booleans(),
