@@ -140,9 +140,13 @@ def test_sample_seeds_equal_whole_hashes():
 @settings(max_examples=60, deadline=None)
 # a member fallback's option "b" continues by the token "a" to "ba", the
 # value of its sibling option: one proposal, not two
-@example(seed=157, truncated=False, top_k=2, cap=16, temperature=1.0, width=2)
+@example(
+    seed=157, truncated=False, top_k=2, cap=16, temperature=1.0, width=2, sample_seed=0
+)
 # every fallback weight underflows, so the draws are uniform
-@example(seed=0, truncated=True, top_k=None, cap=None, temperature=0.001, width=3)
+@example(
+    seed=0, truncated=True, top_k=None, cap=None, temperature=0.001, width=3, sample_seed=0
+)
 @given(
     seed=st.integers(0, 2**16),
     truncated=st.booleans(),
@@ -150,9 +154,10 @@ def test_sample_seeds_equal_whole_hashes():
     cap=st.one_of(st.none(), st.integers(1, 16)),
     temperature=st.sampled_from([1.0, 0.5, 0.001]),
     width=st.integers(1, 6),
+    sample_seed=st.integers(0, 2**16),
 )
 def test_draw_tree_equals_per_sample_walks(
-    seed, truncated, top_k, cap, temperature, width
+    seed, truncated, top_k, cap, temperature, width, sample_seed
 ):
     """On full and truncated backends (whose OneOf values come from member
     fallback), under global caps and at a temperature where every weight
@@ -168,7 +173,7 @@ def test_draw_tree_equals_per_sample_walks(
         kind=VAR,
         width=width,
         proposal=PROPOSAL_SAMPLE,
-        seed=seed,
+        seed=sample_seed,
         temperature=temperature,
         global_max_tokens=cap,
     )
