@@ -16,7 +16,8 @@ looked for only in the suffix the last token could have completed.
 
 The OneOf rule is written once, in ``one_of_move``.  A move does not
 depend on the chunk's token count, so the decoders keep moves and masks in
-a per-decode index keyed by (members, partial value); this module keeps
+a per-decode index keyed by (members, partial value), and each
+``one_of_step`` under it by token count and budget; this module keeps
 nothing.
 """
 from __future__ import annotations
@@ -64,16 +65,6 @@ class PrefixIndex:
 
     def __init__(self, members: Iterable[str]):
         self.members = tuple(members)
-
-    # two indexes over the same members answer alike, so the states that
-    # hold them compare by value
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PrefixIndex):
-            return NotImplemented
-        return self.members is other.members or self.members == other.members
-
-    def __hash__(self) -> int:
-        return hash(self.members)
 
     def span(self, s: str) -> tuple[int, int]:
         """Index range of the members that start with s."""

@@ -880,6 +880,7 @@ def test_candidates_ranked_unbuilt_equal_built_children(seed, spec, headroom, sc
         assert eng.truncated - truncated == sum(ref.truncated for ref in refs)
         assert len(cands) == len(pairs)
         for cand, ref in zip(cands, refs):
+            assert cand.truncated == ref.truncated
             assert cand.rank_key() == ref.rank_key(score)
             assert cand.normalized_score().hex() == ref.normalized_score(score).hex()
             if not ref.dead:
