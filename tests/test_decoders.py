@@ -594,6 +594,16 @@ def pinned_families():
     )
     sketch, backend = cap_escape_fixture()
     yield "cap-escape", sketch, backend, {"global_max_tokens": 1}
+    # the only decodes whose normalization weight counts variable tokens
+    # alone, at the default and at a non-default alpha and beta
+    for family, score in (
+        ("vars-only", ScoreParams(count_forced_tokens=False)),
+        ("vars-only-a1b2", ScoreParams(alpha=1.0, beta=2.0, count_forced_tokens=False)),
+    ):
+        for seed in range(4):
+            sketch, backend = random_fixture(200 + seed)
+            yield family, sketch, backend, {"score": score}
+            yield family, sketch, TopK(backend, 2), {"score": score}
 
 
 def pinned_digests() -> dict[str, str]:
@@ -651,6 +661,18 @@ PINNED_DIGESTS = {
     "cap-escape/var-branch": "93e7d082f14c7003af417db7a6ab48827ab58436455b08b79d98621c140fb062",
     "cap-escape/var-sample": "317cad4cae8d43063087c8e679a9486b705d4a815227240b948b9b64d543152f",
     "cap-escape/var-exhaustive": "3eb3b9d64922c9eefd7c2beac0fe3ec0299627c5af639ea71376c166bc2bc740",
+    "vars-only/argmax": "6c4902a0a51b5867edda50eb935737b2052a1dd12c2c8007e844bd9ec63bb99a",
+    "vars-only/beam": "ee8a96fc5324bce56eb068f096dc6a91e2f80f171d6a3f6f07c2dbe37d4ecece",
+    "vars-only/beamvar": "5c012e8df56eeb143ea4cd8352050647c6fed6fcf756cc868c6646f28a28f82f",
+    "vars-only/var-branch": "2fc0b8c45e85eba83b9585773697afda141fa1f7f5e64857f9b75b551a0f0822",
+    "vars-only/var-sample": "1b99730366c3f50c75c4d29418aedf58848da352940d459275e783b601bafebd",
+    "vars-only/var-exhaustive": "650ba2eb0ad473dd4c4c4b4a43cfed88fd830518229f84fb7f31c6bf08d7a9a7",
+    "vars-only-a1b2/argmax": "9c11348222b225c137390b0b763b21873970f7ad34d5180fde2b82eac0ec2ad2",
+    "vars-only-a1b2/beam": "1cf338fdb23a227f1e35eeae595688609ad937226eea41b89ee0f16efe8c226a",
+    "vars-only-a1b2/beamvar": "e5a371401a058a5fad528662185921798d7e65622176333edb0ce521b2933d95",
+    "vars-only-a1b2/var-branch": "1652dfd5cf5cd178b92935d8a7e17b7fae6ab4ba3b48899eb869b0027026edf4",
+    "vars-only-a1b2/var-sample": "0fafc69af2beda2dd865ca7aa059ca61074872951a9233d01e0b5a9942b3257b",
+    "vars-only-a1b2/var-exhaustive": "865ec69ecee55ea27a77f1c05b7f52c26360c7f6c284dd96815445227b6215b3",
 }
 
 
@@ -953,13 +975,18 @@ def test_one_of_steps_equal_advance_per_token_count_and_budget():
 
 
 def check_invariants(h: Hypothesis, sketch: Sketch) -> None:
-    """Spans tile the tokens, the raw score is the sum of the token
-    log-probabilities, and every OneOf value is a member."""
+    """Spans tile the tokens, each span's raw log-probability is the
+    left-to-right sum of its tokens', the raw score is the sum of the token
+    log-probabilities, the variable tokens are the var spans' tokens, and
+    every OneOf value is a member."""
     ends = [0] + [s.end for s in h.spans]
     assert [s.start for s in h.spans] == ends[:-1]
     assert ends[-1] == len(h.tokens)
     assert all(s.start <= s.end for s in h.spans)
+    for s in h.spans:
+        assert s.raw_logprob.hex() == ordered_sum(h.logprobs[s.start : s.end]).hex()
     assert math.isclose(h.raw_score, math.fsum(h.logprobs), rel_tol=0.0, abs_tol=1e-9)
+    assert h.m_vars == sum(s.end - s.start for s in h.spans if s.kind == "var")
     members = {
         c.var.name: c.var.one_of.members
         for c in sketch.chunks
