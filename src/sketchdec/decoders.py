@@ -74,7 +74,6 @@ from .scoring import (
     NEG_INF,
     Hypothesis,
     ScoreParams,
-    effective_m,
     normalization_weight,
     rank_hypotheses,
     rank_key,
@@ -245,7 +244,7 @@ class _Engine:
             h = h.with_node(nid)
             if h.m_total > self.cap:
                 self.truncated += 1
-                return h.as_dead(truncated=True)
+                return h.as_dead()
         if var_chunk is not None:
             return h.with_open_variable(var_chunk.var)
         return self._mark_done(h)
@@ -324,7 +323,7 @@ class _Engine:
         else:
             start, base = via.start, via.edge_logprob
         score = self.score
-        weight = normalization_weight(score, effective_m(score, n + 1, h.m_vars + 1))
+        weight = normalization_weight(score, h.effective_m(score) + 1)
         raw, pieces, vocab = h.raw_score, self._pieces, self.backend.vocab
         out = []
         for token, logprob in pairs:
@@ -342,11 +341,10 @@ class _Engine:
             if verdict.closes_chunk:
                 # running out of tokens inside a OneOf value kills it
                 dead = verdict.status == MAX_TOKENS and new_state.constrained
-                closed, truncated = not dead, False
+                closed = not dead
             else:
                 # over the global cap with the template still open
-                closed = False
-                dead = truncated = over_cap
+                closed, dead = False, over_cap
                 if over_cap:
                     self.truncated += 1
             out.append(
@@ -358,7 +356,6 @@ class _Engine:
                     new_state,
                     closed,
                     dead,
-                    truncated,
                     start,
                     logprob if base is None else base + logprob,
                     weight * (raw + logprob),
@@ -527,11 +524,11 @@ class _Cand:
 
     It holds the ``parent``, the ``token`` with its rendering ``piece`` and
     its ``logprob``, the ``state`` and outcome of the step (``closed``:
-    the variable is sealed; ``dead``, ``truncated``), and ``norm``, the
-    child's normalized score while it lives, which the engine computes with
-    the parent's weight once per expansion.  Rank key and pool are read
-    from those, and the Hypothesis is built only on demand: ``hyp`` when a
-    proposal extends it, ``built`` when selection keeps it.
+    the variable is sealed; ``dead``), and ``norm``, the child's normalized
+    score while it lives, which the engine computes with the parent's
+    weight once per expansion.  Rank key and pool are read from those, and
+    the Hypothesis is built only on demand: ``hyp`` when a proposal extends
+    it, ``built`` when selection keeps it.
 
     The trace edge that reached it runs from token index ``start`` through
     this token, under the parent's trace node (a hypothesis built during a
@@ -548,7 +545,6 @@ class _Cand:
         "state",
         "closed",
         "dead",
-        "truncated",
         "start",
         "edge_logprob",
         "norm",
@@ -564,7 +560,6 @@ class _Cand:
         state: MaskState,
         closed: bool,
         dead: bool,
-        truncated: bool,
         start: int,
         edge_logprob: float,
         norm: float,
@@ -576,7 +571,6 @@ class _Cand:
         self.state = state
         self.closed = closed
         self.dead = dead
-        self.truncated = truncated
         self.start = start
         self.edge_logprob = edge_logprob
         self.norm = norm
@@ -601,7 +595,7 @@ class _Cand:
         if self.closed:
             return p.with_closing_token(*args)
         h = p.with_variable_token(*args)
-        return h.as_dead(self.truncated) if self.dead else h
+        return h.as_dead() if self.dead else h
 
     @property
     def tokens(self) -> tuple[int, ...]:

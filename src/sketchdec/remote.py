@@ -47,7 +47,10 @@ TOKENIZE_CACHE_SIZE = 1024
 
 
 class TokenRegistry:
-    """Interns token strings; index 0 is end-of-sequence."""
+    """Interns token strings; index 0 is end-of-sequence.
+
+    Only strings the service returns are interned, so it holds at most the
+    service's distinct token strings plus EOS; it is never pruned."""
 
     def __init__(self, eos_text: str = ""):
         self.eos_index = 0

@@ -3,10 +3,9 @@
 A hypothesis owns the full token/log-probability history, the text those
 tokens render to, and chunk bookkeeping.  Hypotheses are immutable values:
 every step that keeps a hypothesis builds a new one, which keeps branching
-decoders free of shared mutable state.  The scoring arithmetic
-(``normalized_score``, ``rank_key``) is written once, over plain totals, so
-that the decoders can rank a candidate child from its parent before
-deciding to build it.
+decoders free of shared mutable state.  ``normalization_weight`` and
+``rank_key`` take plain numbers, so that the decoders can rank a candidate
+child from its parent's weight before deciding to build it.
 """
 from __future__ import annotations
 
@@ -53,18 +52,6 @@ def normalization_weight(score: ScoreParams, m: int) -> float:
     return ((score.beta + 1.0) ** score.alpha) / ((score.beta + m) ** score.alpha)
 
 
-def effective_m(score: ScoreParams, m_total: int, m_vars: int) -> int:
-    """The token count the normalization weight is taken at."""
-    return m_total if score.count_forced_tokens else m_vars
-
-
-def normalized_score(
-    score: ScoreParams, raw_score: float, m_total: int, m_vars: int
-) -> float:
-    """Normalized score of a live hypothesis with these totals."""
-    return normalization_weight(score, effective_m(score, m_total, m_vars)) * raw_score
-
-
 def rank_key(normalized: float, tokens: tuple[int, ...]) -> tuple:
     """Sort key: higher normalized score, then shorter, then low token ids."""
     return (-normalized, len(tokens), tokens)
@@ -87,22 +74,25 @@ class Span:
 class Hypothesis:
     """One decode path.  ``text`` is the backend's rendering of ``tokens``
     (``backend.detokenize(tokens)``), extended by every transition, so a
-    backend that keys on the prefix text never joins the whole prefix."""
+    backend that keys on the prefix text never joins the whole prefix.
+
+    The transitions keep the spans tiling the tokens: each span starts
+    where the one before it ends, the first at 0, and every token outside
+    them belongs to the open variable.  What follows from that is derived,
+    not stored: the open variable starts at the last span's end, its raw
+    log-probability is the sum of the log-probabilities from there, and
+    ``m_vars`` counts the tokens outside forced spans."""
 
     tokens: tuple[int, ...] = ()
     text: str = ""
     logprobs: tuple[float, ...] = ()
     spans: tuple[Span, ...] = ()
     raw_score: float = 0.0
-    m_vars: int = 0
     vars_done: int = 0
     open_spec: VariableSpec | None = None
     open_state: MaskState | None = None
-    open_start: int = 0
-    open_raw: float = 0.0
     done: bool = False
     dead: bool = False
-    truncated: bool = False
     node_id: int = 0
 
     # The generated frozen __init__ makes one object.__setattr__ call per
@@ -117,15 +107,11 @@ class Hypothesis:
         logprobs: tuple[float, ...] = (),
         spans: tuple[Span, ...] = (),
         raw_score: float = 0.0,
-        m_vars: int = 0,
         vars_done: int = 0,
         open_spec: VariableSpec | None = None,
         open_state: MaskState | None = None,
-        open_start: int = 0,
-        open_raw: float = 0.0,
         done: bool = False,
         dead: bool = False,
-        truncated: bool = False,
         node_id: int = 0,
     ):
         d = self.__dict__
@@ -134,28 +120,32 @@ class Hypothesis:
         d["logprobs"] = logprobs
         d["spans"] = spans
         d["raw_score"] = raw_score
-        d["m_vars"] = m_vars
         d["vars_done"] = vars_done
         d["open_spec"] = open_spec
         d["open_state"] = open_state
-        d["open_start"] = open_start
-        d["open_raw"] = open_raw
         d["done"] = done
         d["dead"] = dead
-        d["truncated"] = truncated
         d["node_id"] = node_id
 
     @property
     def m_total(self) -> int:
         return len(self.tokens)
 
+    @property
+    def m_vars(self) -> int:
+        """Tokens outside forced spans: the variables' tokens."""
+        return len(self.tokens) - sum(
+            s.end - s.start for s in self.spans if s.kind == "det"
+        )
+
     def effective_m(self, score: ScoreParams) -> int:
-        return effective_m(score, len(self.tokens), self.m_vars)
+        """The token count the normalization weight is taken at."""
+        return len(self.tokens) if score.count_forced_tokens else self.m_vars
 
     def normalized_score(self, score: ScoreParams) -> float:
         if self.dead:
             return NEG_INF
-        return normalized_score(score, self.raw_score, len(self.tokens), self.m_vars)
+        return normalization_weight(score, self.effective_m(score)) * self.raw_score
 
     def score_upper_bound(self, score: ScoreParams, max_m: int) -> float:
         """Best normalized score any continuation could reach.
@@ -217,15 +207,11 @@ class Hypothesis:
             logprobs=self.logprobs + tuple(logprobs),
             spans=self.spans + (span,),
             raw_score=self.raw_score + raw,
-            m_vars=self.m_vars,
             vars_done=self.vars_done,
             open_spec=self.open_spec,
             open_state=self.open_state,
-            open_start=self.open_start,
-            open_raw=self.open_raw,
             done=self.done,
             dead=self.dead,
-            truncated=self.truncated,
             node_id=self.node_id,
         )
 
@@ -236,15 +222,11 @@ class Hypothesis:
             logprobs=self.logprobs,
             spans=self.spans,
             raw_score=self.raw_score,
-            m_vars=self.m_vars,
             vars_done=self.vars_done,
             open_spec=spec,
             open_state=MaskState.start(spec),
-            open_start=len(self.tokens),
-            open_raw=0.0,
             done=self.done,
             dead=self.dead,
-            truncated=self.truncated,
             node_id=self.node_id,
         )
 
@@ -264,15 +246,11 @@ class Hypothesis:
             logprobs=self.logprobs + (logprob,),
             spans=self.spans,
             raw_score=self.raw_score + logprob,
-            m_vars=self.m_vars + 1,
             vars_done=self.vars_done,
             open_spec=self.open_spec,
             open_state=new_state,
-            open_start=self.open_start,
-            open_raw=self.open_raw + logprob,
             done=self.done,
             dead=self.dead,
-            truncated=self.truncated,
             node_id=self.node_id if node_id is None else node_id,
         )
 
@@ -287,14 +265,15 @@ class Hypothesis:
         """Append the token that closes the open variable and seal the
         variable into a span, in one step; ``piece`` as in
         ``with_variable_token``."""
+        start = self.spans[-1].end if self.spans else 0
         span = Span(
             chunk_ordinal=len(self.spans),
             kind="var",
             name=self.open_spec.name,
             text=new_state.partial_value,
-            start=self.open_start,
+            start=start,
             end=len(self.tokens) + 1,
-            raw_logprob=self.open_raw + logprob,
+            raw_logprob=ordered_sum(self.logprobs[start:]) + logprob,
         )
         return Hypothesis(
             tokens=self.tokens + (token,),
@@ -302,45 +281,35 @@ class Hypothesis:
             logprobs=self.logprobs + (logprob,),
             spans=self.spans + (span,),
             raw_score=self.raw_score + logprob,
-            m_vars=self.m_vars + 1,
             vars_done=self.vars_done + 1,
             open_spec=None,
             open_state=None,
-            open_start=self.open_start,
-            open_raw=0.0,
             done=self.done,
             dead=self.dead,
-            truncated=self.truncated,
             node_id=self.node_id if node_id is None else node_id,
         )
 
     def as_done(self) -> "Hypothesis":
-        return self._with_flags(True, self.dead, self.truncated, self.node_id)
+        return self._with_flags(True, self.dead, self.node_id)
 
-    def as_dead(self, truncated: bool = False) -> "Hypothesis":
-        return self._with_flags(self.done, True, truncated, self.node_id)
+    def as_dead(self) -> "Hypothesis":
+        return self._with_flags(self.done, True, self.node_id)
 
     def with_node(self, node_id: int) -> "Hypothesis":
-        return self._with_flags(self.done, self.dead, self.truncated, node_id)
+        return self._with_flags(self.done, self.dead, node_id)
 
-    def _with_flags(
-        self, done: bool, dead: bool, truncated: bool, node_id: int
-    ) -> "Hypothesis":
+    def _with_flags(self, done: bool, dead: bool, node_id: int) -> "Hypothesis":
         return Hypothesis(
             tokens=self.tokens,
             text=self.text,
             logprobs=self.logprobs,
             spans=self.spans,
             raw_score=self.raw_score,
-            m_vars=self.m_vars,
             vars_done=self.vars_done,
             open_spec=self.open_spec,
             open_state=self.open_state,
-            open_start=self.open_start,
-            open_raw=self.open_raw,
             done=done,
             dead=dead,
-            truncated=truncated,
             node_id=node_id,
         )
 

@@ -162,9 +162,6 @@ class Bindings:
         return f"Bindings({pairs})"
 
 
-EMPTY_BINDINGS = Bindings()
-
-
 @dataclass(frozen=True)
 class Sketch:
     """A named, validated chunk sequence with at least one variable."""
@@ -377,9 +374,6 @@ class DynamicSketchSource:
         except Exception as e:  # noqa: BLE001 - program faults become typed errors
             raise DynamicProgramError(f"dynamic program failed: {e!r}") from e
         return run
-
-
-SketchSource = StaticSketchSource | DynamicSketchSource
 
 
 def next_pending_chunks(source, bound: Bindings) -> tuple[Chunk, ...]:

@@ -820,9 +820,12 @@ def test_dead_end_mask_raises_on_every_lookup(monkeypatch):
     assert [partial for _, partial in keys] == ["a"]
 
 
-def eager_child(eng: _Engine, h: Hypothesis, token: int, logprob: float) -> Hypothesis:
+def eager_child(
+    eng: _Engine, h: Hypothesis, token: int, logprob: float
+) -> tuple[Hypothesis, bool]:
     """Reference for the engine's candidates: the child built at once by
-    the transition rule, written out with the Hypothesis steps."""
+    the transition rule, written out with the Hypothesis steps, and whether
+    the global cap truncated it."""
     spec = h.open_spec
     new_state, verdict = advance(
         h.open_state, token, eng.backend.vocab, spec.stop_phrases, spec.max_tokens
@@ -830,12 +833,13 @@ def eager_child(eng: _Engine, h: Hypothesis, token: int, logprob: float) -> Hypo
     piece = eng.backend.detokenize((token,))
     if verdict.closes_chunk:
         if verdict.status == MAX_TOKENS and new_state.constrained:
-            return h.with_variable_token(token, logprob, new_state, piece).as_dead()
-        return h.with_closing_token(token, logprob, new_state, piece)
+            dead = h.with_variable_token(token, logprob, new_state, piece).as_dead()
+            return dead, False
+        return h.with_closing_token(token, logprob, new_state, piece), False
     h = h.with_variable_token(token, logprob, new_state, piece)
     if h.m_total > eng.cap:
-        return h.as_dead(truncated=True)
-    return h
+        return h.as_dead(), True
+    return h, False
 
 
 member_sets = st.lists(
@@ -898,11 +902,14 @@ def test_candidates_ranked_unbuilt_equal_built_children(seed, spec, headroom, sc
         pairs = backend.next_distribution(h.tokens).allowed(mask)
         truncated = eng.truncated
         cands = eng.children(h, pairs)
-        refs = [eager_child(eng, h, t, lp) for t, lp in pairs]
-        assert eng.truncated - truncated == sum(ref.truncated for ref in refs)
+        refs, truncations = zip(*(eager_child(eng, h, t, lp) for t, lp in pairs))
+        assert eng.truncated - truncated == sum(truncations)
         assert len(cands) == len(pairs)
-        for cand, ref in zip(cands, refs):
-            assert cand.truncated == ref.truncated
+        for (token, logprob), cand, ref, cut in zip(pairs, cands, refs, truncations):
+            # made alone, the child counts its own truncation
+            before = eng.truncated
+            eng.apply_token(h, token, logprob)
+            assert eng.truncated - before == cut
             assert cand.rank_key() == ref.rank_key(score)
             assert cand.normalized_score().hex() == ref.normalized_score(score).hex()
             if not ref.dead:

@@ -167,7 +167,8 @@ def test_settle_kills_only_the_misaligned_hypothesis():
         assert h.text == "cd" and h.open_spec.name == "V0"
         (a,), (ab,) = lm.tokenize("a"), lm.tokenize("ab")
         merged = eng.settle(eng.apply_token(h, a, -1.0).hyp)
-        assert merged.dead and not merged.truncated and not merged.done
+        # dead without counting a truncation
+        assert merged.dead and not merged.done and eng.truncated == 0
         scored = eng.settle(eng.apply_token(h, ab, -1.0).hyp)
         assert scored.done and scored.rendered() == "cdabbd"
         assert eng.truncated == 0

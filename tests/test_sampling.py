@@ -66,8 +66,9 @@ def reference_proposals(eng: _Engine, h, n: int):
                 cur = options[draw(rng, lps, temperature)].after(cur)
             else:
                 t, lp = pairs[draw(rng, [lp for _, lp in pairs], temperature)]
+                before = eng.truncated
                 cur = eng.apply_token(at, t, lp, cur)
-                truncations["child", cur.tokens] = int(cur.truncated)
+                truncations["child", cur.tokens] = eng.truncated - before
         if cur is not None and cur.closed:
             seen.setdefault(cur.tokens, cur)
     return list(seen.values()), sum(truncations.values())

@@ -75,7 +75,6 @@ def test_transitions_change_only_their_fields():
         .with_variable_token(3, -0.5, state, "q"),
         done=True,
         dead=True,
-        truncated=True,
         node_id=11,
     )
     replace = dataclasses.replace
@@ -97,7 +96,7 @@ def test_transitions_change_only_their_fields():
         raw_score=h.raw_score - 0.5,
     )
     assert h.with_open_variable(spec) == replace(
-        h, open_spec=spec, open_state=MaskState.start(spec), open_start=6, open_raw=0.0
+        h, open_spec=spec, open_state=MaskState.start(spec)
     )
     assert h.with_variable_token(4, -1.0, state, "r") == replace(
         h,
@@ -105,10 +104,11 @@ def test_transitions_change_only_their_fields():
         text=h.text + "r",
         logprobs=h.logprobs + (-1.0,),
         raw_score=h.raw_score - 1.0,
-        m_vars=h.m_vars + 1,
         open_state=state,
-        open_raw=h.open_raw - 1.0,
     )
+    # the open variable's tokens count as variable tokens before it closes
+    assert h.m_vars == 3
+    assert h.with_variable_token(4, -1.0, state, "r").m_vars == 4
     assert h.with_variable_token(4, -1.0, state, "r", node_id=2).node_id == 2
     closed = Span(len(h.spans), "var", "Y", "qr", 5, 7, -1.5)
     assert h.with_closing_token(4, -1.0, MaskState("qr", 2, None), "r") == replace(
@@ -118,17 +118,14 @@ def test_transitions_change_only_their_fields():
         logprobs=h.logprobs + (-1.0,),
         spans=h.spans + (closed,),
         raw_score=h.raw_score - 1.0,
-        m_vars=h.m_vars + 1,
         vars_done=h.vars_done + 1,
         open_spec=None,
         open_state=None,
-        open_raw=0.0,
     )
     fresh = Hypothesis()
     assert fresh.as_done() == replace(fresh, done=True)
     assert fresh.as_dead() == replace(fresh, dead=True)
-    assert h.as_dead() == replace(h, truncated=False)
-    assert fresh.as_dead(truncated=True) == replace(fresh, dead=True, truncated=True)
+    assert h.as_dead() == h
     assert h.with_node(7) == replace(h, node_id=7)
 
 
@@ -138,7 +135,21 @@ def test_hypothesis_is_a_frozen_dataclass():
     assignment still refused."""
     h = built_hypothesis()
     names = [f.name for f in dataclasses.fields(Hypothesis)]
-    assert "text" in names
+    # only what the other fields cannot give: where the open variable
+    # starts, its raw sum and the variable token count are derived
+    assert names == [
+        "tokens",
+        "text",
+        "logprobs",
+        "spans",
+        "raw_score",
+        "vars_done",
+        "open_spec",
+        "open_state",
+        "done",
+        "dead",
+        "node_id",
+    ]
     params = list(inspect.signature(Hypothesis.__init__).parameters.values())[1:]
     assert [p.name for p in params] == names
     assert [p.default for p in params] == [f.default for f in dataclasses.fields(h)]
@@ -184,18 +195,21 @@ def test_every_transition_builds_through_init(monkeypatch):
         assert calls == [child], name
 
 
-def two_step_close(h: Hypothesis, token, logprob, new_state, piece) -> Hypothesis:
+def two_step_close(
+    h: Hypothesis, start: int, raw: float, token, logprob, new_state, piece
+) -> Hypothesis:
     """Reference for ``with_closing_token``: ``with_variable_token``, then
-    the variable sealed into a span by a second constructor call."""
+    the variable sealed into a span by a second constructor call, given
+    where the value opened and the raw sum of its tokens so far."""
     h = h.with_variable_token(token, logprob, new_state, piece)
     span = Span(
         chunk_ordinal=len(h.spans),
         kind="var",
         name=h.open_spec.name,
         text=h.open_state.partial_value,
-        start=h.open_start,
+        start=start,
         end=len(h.tokens),
-        raw_logprob=h.open_raw,
+        raw_logprob=raw + logprob,
     )
     return Hypothesis(
         tokens=h.tokens,
@@ -203,15 +217,11 @@ def two_step_close(h: Hypothesis, token, logprob, new_state, piece) -> Hypothesi
         logprobs=h.logprobs,
         spans=h.spans + (span,),
         raw_score=h.raw_score,
-        m_vars=h.m_vars,
         vars_done=h.vars_done + 1,
         open_spec=None,
         open_state=None,
-        open_start=h.open_start,
-        open_raw=0.0,
         done=h.done,
         dead=h.dead,
-        truncated=h.truncated,
         node_id=h.node_id,
     )
 
@@ -219,40 +229,48 @@ def two_step_close(h: Hypothesis, token, logprob, new_state, piece) -> Hypothesi
 # log-probabilities and scores away from the default 0.0, -inf included
 negative = st.floats(max_value=0.0, exclude_max=True, allow_nan=False)
 text = st.text("abc", max_size=4)
-spans = st.builds(
-    Span,
-    chunk_ordinal=st.integers(0, 9),
-    kind=st.sampled_from(["det", "var"]),
-    name=st.none() | text,
-    text=text,
-    start=st.integers(0, 9),
-    end=st.integers(0, 9),
-    raw_logprob=negative,
-)
+pieces = st.text("abc", min_size=1, max_size=4)
+states = st.builds(MaskState, text, st.integers(1, 7), st.none())
 
 
 @st.composite
-def open_hypotheses(draw) -> Hypothesis:
-    """An open hypothesis with every field off its default."""
-    n = draw(st.integers(1, 6))
-    spec = VariableSpec(draw(st.sampled_from(["X", "Y"])), max_tokens=8)
-    return Hypothesis(
-        tokens=tuple(draw(st.lists(st.integers(0, 50), min_size=n, max_size=n))),
-        text=draw(st.text("abc", min_size=1, max_size=8)),
-        logprobs=tuple(draw(st.lists(negative, min_size=n, max_size=n))),
-        spans=tuple(draw(st.lists(spans, min_size=1, max_size=3))),
-        raw_score=draw(negative),
-        m_vars=draw(st.integers(1, n)),
-        vars_done=draw(st.integers(1, 4)),
-        open_spec=spec,
-        open_state=MaskState(draw(text), draw(st.integers(1, 7)), None),
-        open_start=draw(st.integers(1, n)),
-        open_raw=draw(negative),
-        done=draw(st.booleans()),
-        dead=draw(st.booleans()),
-        truncated=draw(st.booleans()),
-        node_id=draw(st.integers(1, 99)),
+def open_hypotheses(draw) -> tuple[Hypothesis, int, float]:
+    """An open hypothesis with every field off its default, built through
+    the transitions: forced chunks and closed variables in any order, at
+    least one of them a variable, then an open variable with zero or more
+    tokens.  Returns it with the token index where the open value starts
+    and the left-to-right sum of the value's log-probabilities so far, both
+    counted while drawing."""
+    h = Hypothesis()
+    kinds = draw(
+        st.lists(st.sampled_from(["det", "var"]), min_size=1, max_size=4).filter(
+            lambda kinds: "var" in kinds
+        )
     )
+    for kind in kinds + ["open"]:
+        if kind == "det":
+            n = draw(st.integers(1, 3))
+            toks = draw(st.lists(st.integers(0, 50), min_size=n, max_size=n))
+            lps = draw(st.lists(negative, min_size=n, max_size=n))
+            h = h.with_forced_span(toks, lps, draw(pieces))
+            continue
+        h = h.with_open_variable(VariableSpec(draw(st.sampled_from(["X", "Y"]))))
+        start, raw = len(h.tokens), 0.0
+        for _ in range(draw(st.integers(0 if kind == "open" else 1, 3))):
+            logprob = draw(negative)
+            h = h.with_variable_token(
+                draw(st.integers(0, 50)), logprob, draw(states), draw(pieces)
+            )
+            raw += logprob
+        if kind == "var":
+            h = h.with_closing_token(
+                draw(st.integers(0, 50)), draw(negative), draw(states), draw(pieces)
+            )
+    if draw(st.booleans()):
+        h = h.as_done()
+    if draw(st.booleans()):
+        h = h.as_dead()
+    return h.with_node(draw(st.integers(1, 99))), start, raw
 
 
 def exact_fields(h: Hypothesis) -> list:
@@ -271,16 +289,17 @@ def exact_fields(h: Hypothesis) -> list:
 
 
 @given(
-    h=open_hypotheses(),
+    opened=open_hypotheses(),
     token=st.integers(0, 50),
     logprob=negative,
     value=text,
     piece=text,
 )
-def test_closing_token_equals_two_step_close(h, token, logprob, value, piece):
+def test_closing_token_equals_two_step_close(opened, token, logprob, value, piece):
+    h, start, raw = opened
     new_state = MaskState(value, h.open_state.tokens_emitted + 1, None)
     fused = h.with_closing_token(token, logprob, new_state, piece)
-    reference = two_step_close(h, token, logprob, new_state, piece)
+    reference = two_step_close(h, start, raw, token, logprob, new_state, piece)
     assert exact_fields(fused) == exact_fields(reference)
     assert fused == reference
 
