@@ -1,6 +1,13 @@
 """Template-guided decoding: search for maximum-likelihood variable
 assignments in sketches with deterministic text and typed holes, over
-pluggable autoregressive language-model backends."""
+pluggable autoregressive language-model backends.
+
+The HTTP backend, ``RemoteCompletionsLM`` in ``sketchdec.remote``, is
+imported on first use, so ``requests`` is loaded only by code that
+reaches for it; table and n-gram decoding never import it."""
+import importlib
+from typing import TYPE_CHECKING
+
 from .constraints import (
     CONTINUE,
     EOS_HIT,
@@ -45,7 +52,6 @@ from .errors import (
 )
 from .lm import LMBackend, NGramLM, TableLM, TokenDistribution, Vocabulary
 from .oracle import enumerate_completions, oracle_decode
-from .remote import RemoteCompletionsLM
 from .scoring import Hypothesis, ScoreParams, normalization_weight
 from .sketch import (
     Binding,
@@ -62,6 +68,10 @@ from .sketch import (
     serialize_sketch,
 )
 from .trace import DecodingTree, TraceNode
+
+if TYPE_CHECKING:
+    from . import remote
+    from .remote import RemoteCompletionsLM
 
 __all__ = [
     "ARGMAX",
@@ -126,3 +136,15 @@ __all__ = [
     "serialize_sketch",
     "validate_value",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: the HTTP backend and the requests stack load on first use
+    if name in ("remote", "RemoteCompletionsLM"):
+        module = importlib.import_module(".remote", __name__)
+        return module if name == "remote" else module.RemoteCompletionsLM
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), "remote", "RemoteCompletionsLM"})

@@ -48,7 +48,6 @@ from .errors import (
     UnsegmentableText,
 )
 from .lm import NGramLM, TableLM
-from .remote import API_KEY_ENV, RemoteCompletionsLM
 from .scoring import ScoreParams, normalization_weight
 from .sketch import load_sketch
 
@@ -156,6 +155,9 @@ def build_backend(args):
         return TableLM.from_file(parsed[1])
     if parsed[0] == "ngram":
         return NGramLM.from_file(parsed[1])
+    # imported here, so local backends never load the HTTP stack
+    from .remote import API_KEY_ENV, RemoteCompletionsLM
+
     if not os.environ.get(API_KEY_ENV):
         raise UsageError(f"{API_KEY_ENV} must be set for http backends")
     return RemoteCompletionsLM(

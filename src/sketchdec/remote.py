@@ -20,10 +20,14 @@ then carries them explicitly, so ``requests`` does not scan the
 environment again on each call, and a later change to the environment is
 not seen.  ``.netrc`` is not consulted either, so a matching entry cannot
 replace the ``Bearer`` API key with Basic auth.
+
+Each retried attempt is logged at INFO on the ``sketchdec.remote`` logger,
+with its cause and backoff delay; the library adds no handler.
 """
 from __future__ import annotations
 
 import json
+import logging
 import os
 import random
 import time
@@ -44,6 +48,8 @@ API_KEY_ENV = "SKETCHDEC_API_KEY"
 # long-running process holds a bounded cache while a decode's forced texts,
 # which recur across its steps, stay cached
 TOKENIZE_CACHE_SIZE = 1024
+
+logger = logging.getLogger(__name__)
 
 
 class TokenRegistry:
@@ -133,10 +139,16 @@ class RemoteCompletionsLM(LMBackend):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: Exception | None = None
+        cause = ""
         for attempt in range(self.retries + 1):
             if attempt:
                 delay = self.backoff_base * (2 ** (attempt - 1))
-                time.sleep(delay * (1.0 + 0.25 * self._rng.random()))
+                delay *= 1.0 + 0.25 * self._rng.random()
+                logger.info(
+                    "%s attempt %d of %d failed (%s); retrying in %.3f s",
+                    url, attempt, self.retries + 1, cause, delay,
+                )
+                time.sleep(delay)
             try:
                 resp = self.session.post(
                     url,
@@ -146,12 +158,13 @@ class RemoteCompletionsLM(LMBackend):
                     **self._send_settings,
                 )
             except requests.RequestException as e:
-                last_error = e
+                last_error, cause = e, type(e).__name__
                 continue
             if resp.status_code >= 500:
                 last_error = BackendUnavailable(
                     f"{url} answered {resp.status_code}"
                 )
+                cause = f"HTTP {resp.status_code}"
                 continue
             if resp.status_code >= 400:
                 detail = _error_detail(resp)
@@ -161,9 +174,13 @@ class RemoteCompletionsLM(LMBackend):
                     f"{url} answered {resp.status_code}: {detail}"
                 )
             try:
-                return resp.json()
+                data = resp.json()
             except ValueError as e:
                 raise BackendUnavailable(f"{url} returned malformed JSON: {e}") from e
+            # a malformed body is not retried, the same as malformed JSON
+            if not isinstance(data, dict):
+                raise BackendUnavailable(f"{url} returned JSON that is not an object")
+            return data
         raise BackendUnavailable(
             f"{url} unreachable after {self.retries + 1} attempts: {last_error}"
         )
@@ -194,7 +211,7 @@ class RemoteCompletionsLM(LMBackend):
         )
         lp = _choice_logprobs(data)
         pieces = lp.get("tokens")
-        if not isinstance(pieces, list) or "".join(pieces) != text:
+        if not isinstance(pieces, list) or "".join(_strings(pieces)) != text:
             raise ForcedScoringUnsupported(
                 "echo response does not reproduce the prompt text"
             )
@@ -221,8 +238,8 @@ class RemoteCompletionsLM(LMBackend):
             }
         )
         lp = _choice_logprobs(data)
-        tops = lp.get("top_logprobs") or []
-        if not tops or not isinstance(tops[0], dict):
+        tops = lp.get("top_logprobs")
+        if not isinstance(tops, list) or not tops or not isinstance(tops[0], dict):
             raise BackendUnavailable("completion response carries no top_logprobs")
         entries = []
         for text, logprob in tops[0].items():
@@ -231,7 +248,7 @@ class RemoteCompletionsLM(LMBackend):
                 if text == self.vocab.token_text(self.vocab.eos_index)
                 else self.vocab.intern(text)
             )
-            entries.append((idx, float(logprob)))
+            entries.append((idx, _logprob(logprob)))
         return TokenDistribution.from_pairs(entries, complete=False)
 
     def score_forced(
@@ -280,6 +297,11 @@ class RemoteCompletionsLM(LMBackend):
             and len(pieces) == len(logprobs) == len(offsets)
         ):
             raise ForcedScoringUnsupported("echo response lacks aligned logprobs")
+        _strings(pieces)
+        if not all(type(off) is int for off in offsets):
+            raise BackendUnavailable(
+                "completion response carries a non-integer text offset"
+            )
         start = None
         for i, off in enumerate(offsets):
             if off == len(prefix_text):
@@ -301,8 +323,8 @@ class RemoteCompletionsLM(LMBackend):
         if len(region) == len(continuation) and all(
             p == reg.token_text(t) for (p, _), t in zip(region, continuation)
         ):
-            return [float(v) for _, v in region]
-        total = ordered_sum(float(v) for _, v in region)
+            return [_logprob(v) for _, v in region]
+        total = ordered_sum(_logprob(v) for _, v in region)
         return [total] + [0.0] * (len(continuation) - 1)
 
 
@@ -310,10 +332,31 @@ def _choice_logprobs(data: dict) -> dict:
     choices = data.get("choices")
     if not isinstance(choices, list) or not choices:
         raise BackendUnavailable("completion response carries no choices")
+    if not isinstance(choices[0], dict):
+        raise BackendUnavailable("completion response's first choice is not an object")
     lp = choices[0].get("logprobs")
     if not isinstance(lp, dict):
         raise BackendUnavailable("completion response carries no logprobs block")
     return lp
+
+
+def _strings(pieces: list) -> list:
+    """The echoed token pieces, which must all be strings."""
+    for piece in pieces:
+        if not isinstance(piece, str):
+            raise BackendUnavailable(
+                f"completion response carries a non-string token: {piece!r:.80}"
+            )
+    return pieces
+
+
+def _logprob(value) -> float:
+    """A log-probability from a response body, which must be a JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise BackendUnavailable(
+            f"completion response carries a non-numeric log-probability: {value!r:.80}"
+        )
+    return float(value)
 
 
 def _error_detail(resp) -> str:

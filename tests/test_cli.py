@@ -263,6 +263,17 @@ def test_http_client_errors_exit_3(message, shown, served_table, capsys):
     assert len(served_table.requests) == 1
 
 
+def test_http_malformed_body_exits_3(served_table, capsys):
+    answer = served_table.answer
+    served_table.answer = lambda payload: [answer(payload)]
+    code, out, err = run(http_decode(served_table, "--retries", "2"), capsys)
+    assert code == 3 and out == ""
+    line = one_error_line(err, "sketchdec: backend failure:")
+    assert line.endswith("returned JSON that is not an object")
+    # a malformed body is not retried
+    assert len(served_table.requests) == 1
+
+
 def test_http_unsatisfiable_template_exits_2(served_table, capsys):
     code, out, err = run(http_decode(served_table, "--max-tokens", "1"), capsys)
     assert code == 2 and out == ""

@@ -1,4 +1,5 @@
 """HTTP completions backend against an in-process mock service."""
+import logging
 import math
 import random
 
@@ -256,6 +257,86 @@ def test_other_client_errors_fail_fast(server):
     with pytest.raises(BackendUnavailable):
         lm.next_distribution(())
     assert len(server.requests) == 1
+
+
+def corrupt(server, change):
+    """Pass every later answer of the mock service through ``change``."""
+    answer = server.answer
+    server.answer = lambda payload: change(answer(payload))
+
+
+def with_logprobs(key, value):
+    def change(body):
+        body["choices"][0]["logprobs"][key] = value
+        return body
+
+    return change
+
+
+def next_distribution(lm, toks):
+    return lm.next_distribution(toks)
+
+
+def tokenize(lm, toks):
+    return lm.tokenize("ba")  # not yet cached
+
+
+def score_forced(lm, toks):
+    return lm.score_forced(toks[:1], toks[1:])
+
+
+@pytest.mark.parametrize(
+    "change, call",
+    [
+        (lambda body: [body], next_distribution),
+        (lambda body: {"choices": [None]}, next_distribution),
+        (with_logprobs("top_logprobs", [{"a": "x"}]), next_distribution),
+        (with_logprobs("top_logprobs", [{"a": None}]), next_distribution),
+        (with_logprobs("top_logprobs", {"a": -1.0}), next_distribution),
+        (with_logprobs("tokens", [1, 2]), tokenize),
+        (with_logprobs("tokens", [1, 2]), score_forced),
+        (with_logprobs("token_logprobs", [-1.0, "x"]), score_forced),
+        (with_logprobs("text_offset", ["0", "1"]), score_forced),
+    ],
+    ids=[
+        "array-body",
+        "null-choice",
+        "string-top-logprob",
+        "null-top-logprob",
+        "top-logprobs-object",
+        "int-tokens-tokenize",
+        "int-tokens-score-forced",
+        "string-token-logprob",
+        "string-text-offset",
+    ],
+)
+def test_malformed_bodies_raise_backend_unavailable(server, change, call):
+    lm = remote(server, retries=2)
+    toks = lm.tokenize("cab")
+    corrupt(server, change)
+    before = len(server.requests)
+    with pytest.raises(BackendUnavailable, match="completion response|not an object"):
+        call(lm, toks)
+    assert len(server.requests) == before + 1  # not retried
+
+
+def test_retries_are_logged(server, caplog):
+    caplog.set_level(logging.INFO, logger="sketchdec.remote")
+    lm = remote(server, retries=3)
+    lm.next_distribution(())
+    assert caplog.records == []
+    server.fail_next = 2
+    lm.next_distribution(())
+    assert [r.levelno for r in caplog.records] == [logging.INFO] * 2
+    first, second = (r.getMessage() for r in caplog.records)
+    assert "attempt 1 of 4 failed (HTTP 500); retrying in " in first
+    assert "attempt 2 of 4 failed (HTTP 500); retrying in " in second
+    caplog.clear()
+    dead = RemoteCompletionsLM(DEAD_URL, "m", retries=1, backoff_base=0.001)
+    with pytest.raises(BackendUnavailable):
+        dead.next_distribution(())
+    (record,) = caplog.records
+    assert "attempt 1 of 2 failed (ConnectionError)" in record.getMessage()
 
 
 @pytest.mark.parametrize("netrc_entry", [False, True])
