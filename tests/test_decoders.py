@@ -575,6 +575,13 @@ def pinned_families():
         sketch, backend = random_fixture(seed)
         yield "random", sketch, backend, {}
         yield "random-cap3", sketch, backend, {"global_max_tokens": 3}
+    # one and two tokens under the default cap, where most decodes still
+    # succeed, so a change to what the cap means shows which decodes move
+    for seed in range(10):
+        sketch, backend = random_fixture(seed)
+        cap = default_token_cap(StaticSketchSource(sketch), backend)
+        for under in (1, 2):
+            yield f"random-cap-{under}", sketch, backend, {"global_max_tokens": cap - under}
     for seed in range(5):
         sketch, backend = random_fixture(100 + seed)
         yield "topk", sketch, TopK(backend, 2), {}
@@ -637,6 +644,18 @@ PINNED_DIGESTS = {
     "random-cap3/var-branch": "3dd5b9cc721600b9feb9fe7c6024df653878515402d31f74f507d98daf803d7d",
     "random-cap3/var-sample": "3dd5b9cc721600b9feb9fe7c6024df653878515402d31f74f507d98daf803d7d",
     "random-cap3/var-exhaustive": "89b214f77bdcee1cd69147ab811bd41dff661288edbf95c7226fd26ec9e61656",
+    "random-cap-1/argmax": "10d66201a9a4bb4b4aa225d502f8e31407974c196c581e4ae7c2a4a76158db6c",
+    "random-cap-1/beam": "aca38ca1a91227aea6864320a6b6ecc7a0e5bcad47b4f63253ea918dc68011df",
+    "random-cap-1/beamvar": "4b9a19d31402a904187ccf8591e5b247d92b6312f432446485446e12c3c6f582",
+    "random-cap-1/var-branch": "ab5e3c01e9d88dfc836354c296dba46a4dca9d1a6e4a23476eb7cd004b776af9",
+    "random-cap-1/var-sample": "8c61fbd2ee4043733ec7dd75c52a1a30e68b0b65e6295c678c824009b3bcde03",
+    "random-cap-1/var-exhaustive": "dfa86a1baabeb2d9e33f8953c082cf9b142c3664686e1aef7ffa07de0006b31c",
+    "random-cap-2/argmax": "e133fe7c8bd5269134db3e51642743fda9b0121c9632535a1db16e0817a313ad",
+    "random-cap-2/beam": "293964c524eebdb56d32df98708c9bcd3890ebc85608d3f15e227f08b5e3945e",
+    "random-cap-2/beamvar": "a2ee734ddca954213b5e3ca9389853d4f7be2a51edf92f550e0fb29ef09edd4f",
+    "random-cap-2/var-branch": "8b3c0b3f0d3b72e5323bfb6ac93acef5aca2242e6c4c96184fee9a4e77d50f88",
+    "random-cap-2/var-sample": "aa6e2ede89dab68b1751da1141bf95bdbb91fd51ca37ecb9c9a293579e35b96b",
+    "random-cap-2/var-exhaustive": "ad5ef62f08392149895f01bdb3cca33765de5092c487425a09658742d9905598",
     "topk/argmax": "b04f8ea70f6372af56c3f73af44c1853846f455420e99745c4ceb2b329bc9904",
     "topk/beam": "7888565d26558eddea8928fb71d4206760eef87cfe88dfed7d6b6f0d25f62c0b",
     "topk/beamvar": "0ba8d355ffb41c060bc82e58426791ff132c5de8ef152e60b6bb28ad7f2ac0f2",
