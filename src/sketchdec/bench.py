@@ -89,7 +89,7 @@ def _finite_number(value) -> bool:
 def load_manifest(path: str | Path) -> list[dict]:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ManifestError(f"cannot read manifest {path}: {e}") from e
     return parse_manifest(raw)
 

@@ -211,6 +211,8 @@ def cmd_score(args) -> int:
     sketch = load_sketch(args.sketch)
     try:
         data = json.loads(Path(args.bindings).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise UsageError(f"bindings file is not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise UsageError(f"bindings file is not valid JSON: {e}") from e
     if not isinstance(data, dict) or not all(

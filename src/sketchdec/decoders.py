@@ -69,9 +69,8 @@ from typing import Iterator, Sequence
 from .constraints import MAX_TOKENS, MaskState, TerminationVerdict, advance
 from .constraints import compute_mask, one_of_move, one_of_step
 from .errors import DeadEnd, ForcedTextMisaligned, TemplateUnsatisfiable
-from .lm import LMBackend, ordered_sum
+from .lm import NEG_INF, LMBackend, ordered_sum
 from .scoring import (
-    NEG_INF,
     Hypothesis,
     ScoreParams,
     normalization_weight,
@@ -79,7 +78,7 @@ from .scoring import (
     rank_key,
 )
 from .sketch import Bindings, StaticSketchSource, as_source, next_pending_chunks
-from .trace import NullRecorder, TraceRecorder
+from .trace import TraceRecorder
 
 ARGMAX = "argmax"
 BEAM = "beam"
@@ -196,7 +195,7 @@ class _Engine:
         self.backend = backend
         self.config = config
         self.score = config.score
-        self.recorder = TraceRecorder() if config.record_tree else NullRecorder()
+        self.recorder = TraceRecorder() if config.record_tree else None
         self.cap = (
             config.global_max_tokens
             if config.global_max_tokens is not None
@@ -219,9 +218,6 @@ class _Engine:
         det_chunks = [c for c in run if c.is_det]
         var_chunk = run[-1] if run[-1].is_var else None
         if det_chunks:
-            texts = []
-            total_lp = 0.0
-            parent = h.node_id
             for c in det_chunks:
                 toks = self.backend.tokenize(c.text)
                 try:
@@ -231,17 +227,16 @@ class _Engine:
                     # text: this hypothesis cannot be scored, others may be
                     return h.as_dead()
                 h = h.with_forced_span(toks, lps, c.text)
-                texts.append(c.text)
-                total_lp += h.spans[-1].raw_logprob
-            nid = self.recorder.add(
-                parent,
-                "".join(texts),
-                total_lp,
-                h.normalized_score(self.score),
-                h.vars_done,
-                "forced",
-            )
-            h = h.with_node(nid)
+            if self.recorder is not None:
+                nid = self.recorder.add(
+                    h.node_id,
+                    "".join(c.text for c in det_chunks),
+                    ordered_sum(s.raw_logprob for s in h.spans[-len(det_chunks) :]),
+                    h.normalized_score(self.score),
+                    h.vars_done,
+                    "forced",
+                )
+                h = h.with_node(nid)
             if h.m_total > self.cap:
                 self.truncated += 1
                 return h.as_dead()
@@ -251,6 +246,8 @@ class _Engine:
 
     def _mark_done(self, h: Hypothesis) -> Hypothesis:
         h = h.as_done()
+        if self.recorder is None:
+            return h
         nid = self.recorder.add(
             h.node_id,
             "",
@@ -431,43 +428,38 @@ class _Engine:
 
     def select(self, cands: Sequence["_Cand"], width: int) -> list[Hypothesis]:
         """The best live candidates of each variable pool, the width split
-        among the pools by ``allocate_pools``."""
+        among the pools by ``allocate_pools``.
+
+        A recorded tree gets one node per candidate, in rank order, scored
+        from its rank key; each survivor is built under its new node."""
         if not cands:
             return []
         by_pool: dict[int, list[_Cand]] = {}
         for c in cands:
             by_pool.setdefault(c.pool_key(), []).append(c)
         pools = [Pool(variable_index=k, members=by_pool[k]) for k in sorted(by_pool)]
+        recorder, token_text = self.recorder, self.backend.vocab.token_text
         kept: list[Hypothesis] = []
         for pool, w in zip(pools, allocate_pools(pools, width)):
             ranked = sorted(
                 ((c.rank_key(), c) for c in pool.members), key=itemgetter(0)
             )
             alive = [i for i, (_, c) in enumerate(ranked) if not c.dead]
-            kept.extend(self.record_selection(ranked, set(alive[:w])))
+            survivors = set(alive[:w])
+            for rank, (key, c) in enumerate(ranked):
+                nid = 0
+                if recorder is not None:
+                    nid = recorder.add(
+                        c.parent.node_id,
+                        "".join(map(token_text, c.tokens[c.start :])),
+                        c.edge_logprob,
+                        -key[0],
+                        c.pool_key(),
+                        "expanded" if rank in survivors else "pruned",
+                    )
+                if rank in survivors:
+                    kept.append(c.built(nid))
         return kept
-
-    def record_selection(
-        self, ranked: Sequence[tuple[tuple, "_Cand"]], kept: set[int]
-    ) -> list[Hypothesis]:
-        """Emit trace nodes in rank order, each scored from its rank key;
-        survivors are built, with their new node id."""
-        survivors = []
-        token_text = self.backend.vocab.token_text
-        for rank, (key, c) in enumerate(ranked):
-            nid = 0
-            if self.config.record_tree:
-                nid = self.recorder.add(
-                    c.parent.node_id,
-                    "".join(map(token_text, c.tokens[c.start :])),
-                    c.edge_logprob,
-                    -key[0],
-                    c.pool_key(),
-                    "expanded" if rank in kept else "pruned",
-                )
-            if rank in kept:
-                survivors.append(c.built(nid))
-        return survivors
 
 
 class _Pieces(dict):
@@ -798,7 +790,7 @@ def _finish(
     return DecodeResult(
         best=ranked[0],
         alternatives=tuple(ranked[1:]),
-        tree=eng.recorder.tree(),
+        tree=None if eng.recorder is None else eng.recorder.tree(),
         truncated_count=eng.truncated,
     )
 

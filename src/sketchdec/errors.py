@@ -9,8 +9,9 @@ class SketchdecError(Exception):
 class SketchSyntaxError(SketchdecError):
     """A sketch document failed to parse.
 
-    ``position`` is a character offset for JSON-level errors and a chunk
-    index for structural errors discovered after JSON decoding.
+    ``position`` is a character offset for JSON-level errors (a byte
+    offset for a file that is not UTF-8) and a chunk index for structural
+    errors discovered after JSON decoding.
     """
 
     def __init__(self, position: int, reason: str):

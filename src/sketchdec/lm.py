@@ -25,22 +25,21 @@ is a truncated top-k slice, as a remote service returns it, and the
 decoders filter it accordingly.
 
 A distribution is read best-first, by descending log-probability and then
-ascending id, through four operations:
+ascending id, through four reads, which are all the decoders make:
 
-- ``logprob(i)``: token i's log-probability, None when it has none;
+- ``entries``: every (id, log-probability) pair;
 - ``top(n)``: the n best entries;
 - ``first(n, accept)``: the n best entries whose ids pass a predicate, or
   None when only a full mask can tell them;
-- ``allowed(mask)``: the entries whose ids are in a token mask, best-first.
+- ``allowed(mask)``: the entries whose ids are in a token mask.
 
-``entries``, the whole best-first tuple, is there too.  The table model and
-the remote backend build it up front (``TokenDistribution.from_pairs``).
-The n-gram model's distribution is sparse: it keeps the context's follower
-counts and builds ``entries`` only when asked.  ``logprob`` is one lookup,
-``top(n)`` takes the sorted observed followers and then unseen ids in id
-order (every unseen token shares one smaller probability), ``first`` tests
-only the observed followers, and ``allowed(mask)`` sorts only the mask's
-ids, so no step costs the vocabulary.
+The table model and the remote backend build ``entries`` up front
+(``TokenDistribution.from_pairs``).  The n-gram model's distribution is
+sparse: it keeps the context's follower counts and builds ``entries`` only
+when asked.  ``top(n)`` takes the sorted observed followers and then unseen
+ids in id order (every unseen token shares one smaller probability),
+``first`` tests only the observed followers, and ``allowed(mask)`` sorts
+only the mask's ids, so no read but ``entries`` costs the vocabulary.
 
 Local backends expose complete next-token distributions over a fixed
 vocabulary.  Both exist to create exactly reproducible desk-scale
@@ -158,8 +157,6 @@ class TokenDistribution:
 
     ``complete`` means the entries cover the whole vocabulary and their
     probabilities sum to one; truncated (top-k) distributions set it False.
-    Two distributions are equal when their entries and ``complete`` are,
-    whichever of them is sparse.
     """
 
     __slots__ = ("_entries", "complete")
@@ -178,12 +175,6 @@ class TokenDistribution:
     def entries(self) -> tuple[tuple[int, float], ...]:
         return self._entries
 
-    def logprob(self, index: int) -> float | None:
-        for i, lp in self.entries:
-            if i == index:
-                return lp
-        return None
-
     def top(self, n: int) -> tuple[tuple[int, float], ...]:
         """The n best entries: ``entries[:n]``."""
         return self.entries[:n]
@@ -195,17 +186,6 @@ class TokenDistribution:
     def allowed(self, mask: AbstractSet[int]) -> tuple[tuple[int, float], ...]:
         """The entries whose ids are in ``mask``, best-first."""
         return tuple(p for p in self.entries if p[0] in mask)
-
-    def best(self) -> tuple[int, float]:
-        return self.top(1)[0]
-
-    def __eq__(self, other):
-        if not isinstance(other, TokenDistribution):
-            return NotImplemented
-        return self.complete == other.complete and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.entries, self.complete))
 
     def __repr__(self):
         return f"TokenDistribution(entries={self.entries!r}, complete={self.complete!r})"
@@ -237,11 +217,6 @@ class _SmoothedCounts(TokenDistribution):
         if self._entries is None:
             self._entries = self.top(self._v)
         return self._entries
-
-    def logprob(self, index: int) -> float | None:
-        if not 0 <= index < self._v:
-            return None
-        return math.log((self._counts.get(index, 0) + 1) / (self._total + self._v))
 
     def _unseen_lp(self) -> float:
         return math.log(1 / (self._total + self._v))
@@ -433,16 +408,7 @@ class TableLM(LMBackend):
 
     @classmethod
     def from_file(cls, path: str) -> "TableLM":
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                data = json.load(f)
-        except OSError as e:
-            raise ModelFileError(f"cannot read {path}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ModelFileError(f"{path} is not valid JSON: {e}") from e
-        if not isinstance(data, dict):
-            raise ModelFileError(f"{path}: table model must be a JSON object")
-        return cls.from_json(data)
+        return cls.from_json(_read_object(path, "table model"))
 
 
 class NGramLM(LMBackend):
@@ -542,6 +508,8 @@ class NGramLM(LMBackend):
                 text = f.read()
         except OSError as e:
             raise ModelFileError(f"cannot read corpus {corpus_path}: {e}") from e
+        except UnicodeDecodeError as e:
+            raise ModelFileError(f"corpus {corpus_path} is not UTF-8 text: {e}") from e
         pieces = list(text) if tokenizer == "char" else text.split()
         corpus: list[int] = []
         for piece in pieces:
@@ -553,13 +521,22 @@ class NGramLM(LMBackend):
 
     @classmethod
     def from_file(cls, path: str) -> "NGramLM":
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                data = json.load(f)
-        except OSError as e:
-            raise ModelFileError(f"cannot read {path}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ModelFileError(f"{path} is not valid JSON: {e}") from e
-        if not isinstance(data, dict):
-            raise ModelFileError(f"{path}: n-gram config must be a JSON object")
+        data = _read_object(path, "n-gram config")
         return cls.from_config(data, base_dir=os.path.dirname(path) or ".")
+
+
+def _read_object(path: str, what: str) -> dict:
+    """The JSON object in a model file; a file that cannot be read, is not
+    UTF-8 JSON, or holds no object raises ModelFileError."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            data = json.load(f)
+    except OSError as e:
+        raise ModelFileError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ModelFileError(f"{path} is not UTF-8 text: {e}") from e
+    except json.JSONDecodeError as e:
+        raise ModelFileError(f"{path} is not valid JSON: {e}") from e
+    if not isinstance(data, dict):
+        raise ModelFileError(f"{path}: {what} must be a JSON object")
+    return data

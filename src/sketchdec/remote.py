@@ -41,7 +41,7 @@ from .errors import (
     ForcedScoringUnsupported,
     ForcedTextMisaligned,
 )
-from .lm import NEG_INF, LMBackend, TokenDistribution, ordered_sum
+from .lm import LMBackend, TokenDistribution, ordered_sum
 
 API_KEY_ENV = "SKETCHDEC_API_KEY"
 # texts whose service tokenization is kept; the oldest is dropped first, so a
@@ -248,7 +248,7 @@ class RemoteCompletionsLM(LMBackend):
                 if text == self.vocab.token_text(self.vocab.eos_index)
                 else self.vocab.intern(text)
             )
-            entries.append((idx, _logprob(logprob)))
+            entries.append((idx, _number(logprob)))
         return TokenDistribution.from_pairs(entries, complete=False)
 
     def score_forced(
@@ -323,8 +323,8 @@ class RemoteCompletionsLM(LMBackend):
         if len(region) == len(continuation) and all(
             p == reg.token_text(t) for (p, _), t in zip(region, continuation)
         ):
-            return [_logprob(v) for _, v in region]
-        total = ordered_sum(_logprob(v) for _, v in region)
+            return [_number(v) for _, v in region]
+        total = ordered_sum(_number(v) for _, v in region)
         return [total] + [0.0] * (len(continuation) - 1)
 
 
@@ -350,7 +350,7 @@ def _strings(pieces: list) -> list:
     return pieces
 
 
-def _logprob(value) -> float:
+def _number(value) -> float:
     """A log-probability from a response body, which must be a JSON number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BackendUnavailable(

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .constraints import MaskState
-from .lm import ordered_sum
+from .lm import NEG_INF, ordered_sum
 from .sketch import Binding, Bindings, VariableSpec
-
-NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)

@@ -74,8 +74,6 @@ class Chunk:
 
     @classmethod
     def det(cls, text: str) -> "Chunk":
-        if text == "":
-            raise EmptyDeterministicChunk(-1, "deterministic chunk text is empty")
         return cls(kind="det", text=text)
 
     @classmethod
@@ -304,7 +302,12 @@ def serialize_sketch(sketch: Sketch) -> str:
 
 def load_sketch(path: str) -> Sketch:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_sketch(f.read())
+        try:
+            document = f.read()
+        except UnicodeDecodeError as e:
+            reason = f"{path} is not UTF-8 text: {e.reason}"
+            raise SketchSyntaxError(e.start, reason) from e
+    return parse_sketch(document)
 
 
 def instantiate(sketch: Sketch, bindings: Bindings | Mapping[str, str]) -> str:

@@ -161,45 +161,3 @@ def run_fig1_task(
         )
     return rows
 
-
-# --- bundled table fixture ---------------------------------------------------
-
-
-class _RecordingRows:
-    """Row callable that remembers every context it was asked about."""
-
-    def __init__(self, vocab: Vocabulary):
-        self.vocab = vocab
-        self.seen: dict[str, list[float]] = {}
-
-    def __call__(self, prefix: str) -> list[float]:
-        row = _row(self.vocab, prefix)
-        self.seen[prefix] = row
-        return row
-
-
-def materialize_table() -> dict:
-    """Dump the virtual table as a concrete JSON table file payload.
-
-    Runs every supported decoder over both bundled sketches so the
-    recorded contexts cover the prefixes those decodes visit; unseen
-    contexts fall back to the default row.
-    """
-    vocab = fig1_vocab()
-    recorder = _RecordingRows(vocab)
-    backend = TableLM(vocab, recorder, default_row=_uniform_row(vocab))
-    for sketch in (fig1_sketch(), list4_sketch()):
-        for kind, widths in (
-            ("argmax", (1,)),
-            ("beam", (1, 2, 3)),
-            ("var", (1, 2, 3)),
-            ("beamvar", (1, 2, 3)),
-        ):
-            for w in widths:
-                decode(sketch, backend, DecoderConfig(kind=kind, width=w))
-    return {
-        "vocab": list(vocab.tokens),
-        "eos": vocab.eos_index,
-        "contexts": {k: recorder.seen[k] for k in sorted(recorder.seen)},
-        "default": _uniform_row(vocab),
-    }

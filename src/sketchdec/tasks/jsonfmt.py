@@ -226,7 +226,7 @@ def free_run_tokens(backend, prompt: str, cap: int = 128) -> int:
     tokens = list(backend.tokenize(prompt))
     count = 0
     while count < cap:
-        index, _ = backend.next_distribution(tokens).best()
+        index, _ = backend.next_distribution(tokens).top(1)[0]
         if index == backend.vocab.eos_index:
             break
         tokens.append(index)

@@ -6,7 +6,7 @@ NDJSON rendering is deterministic for a given decode.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 @dataclass(frozen=True)
@@ -25,22 +25,7 @@ class DecodingTree:
     nodes: tuple[TraceNode, ...]
 
     def to_ndjson(self) -> str:
-        lines = []
-        for n in self.nodes:
-            lines.append(
-                json.dumps(
-                    {
-                        "id": n.id,
-                        "parent": n.parent,
-                        "token_text": n.token_text,
-                        "logprob": n.logprob,
-                        "norm_score": n.norm_score,
-                        "pool": n.pool,
-                        "status": n.status,
-                    },
-                    ensure_ascii=False,
-                )
-            )
+        lines = (json.dumps(asdict(n), ensure_ascii=False) for n in self.nodes)
         return "\n".join(lines) + "\n"
 
 
@@ -86,12 +71,3 @@ class TraceRecorder:
     def tree(self) -> DecodingTree:
         return DecodingTree(nodes=tuple(self._nodes))
 
-
-class NullRecorder:
-    """Recorder stand-in that drops every event."""
-
-    def add(self, parent, token_text, logprob, norm_score, pool, status) -> int:
-        return 0
-
-    def tree(self) -> None:
-        return None

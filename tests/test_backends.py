@@ -55,14 +55,19 @@ def test_tokenize_detokenize_round_trip(pieces):
     assert "".join(vocab.token_text(t) for t in tokens) == text
 
 
+def logprobs(dist: TokenDistribution) -> dict[int, float]:
+    """Each listed token's log-probability, read from the entries."""
+    return dict(dist.entries)
+
+
 def test_distribution_sorted_best_first_lowest_index_ties():
     dist = TokenDistribution.from_pairs(
         [(2, -1.0), (0, -0.5), (1, -1.0)], complete=True
     )
     assert dist.entries == ((0, -0.5), (1, -1.0), (2, -1.0))
-    assert dist.best() == (0, -0.5)
-    assert dist.logprob(2) == -1.0
-    assert dist.logprob(9) is None
+    assert dist.top(1) == ((0, -0.5),)
+    assert logprobs(dist)[2] == -1.0
+    assert 9 not in logprobs(dist)
 
 
 def table_fixture() -> TableLM:
@@ -77,21 +82,21 @@ def table_fixture() -> TableLM:
 def test_table_row_selected_by_detokenized_prefix():
     lm = table_fixture()
     dist = lm.next_distribution([1])
-    assert dist.best() == (2, math.log(0.5))
+    assert dist.entries[0] == (2, math.log(0.5))
     assert dist.complete
 
 
 def test_table_miss_falls_back_to_default():
     lm = table_fixture()
-    assert lm.next_distribution([2]).best() == (0, math.log(0.5))
-    assert lm.next_distribution([]).best() == (0, math.log(0.5))
+    assert lm.next_distribution([2]).entries[0] == (0, math.log(0.5))
+    assert lm.next_distribution([]).entries[0] == (0, math.log(0.5))
 
 
 def test_table_zero_probability_becomes_neg_inf():
     lm = TableLM(
         Vocabulary(("", "a"), 0), rows={}, default_row=[1.0, 0.0]
     )
-    assert lm.next_distribution([]).logprob(1) == float("-inf")
+    assert logprobs(lm.next_distribution([]))[1] == float("-inf")
 
 
 def test_table_callable_rows():
@@ -99,8 +104,8 @@ def test_table_callable_rows():
         return [0.0, 1.0] if prefix == "a" else None
 
     lm = TableLM(Vocabulary(("", "a"), 0), rows, default_row=[0.5, 0.5])
-    assert lm.next_distribution([1]).best() == (1, 0.0)
-    assert lm.next_distribution([]).logprob(1) == math.log(0.5)
+    assert lm.next_distribution([1]).entries[0] == (1, 0.0)
+    assert logprobs(lm.next_distribution([]))[1] == math.log(0.5)
 
 
 @given(st.data(), st.lists(st.integers(0, 4), max_size=6))
@@ -119,7 +124,8 @@ def test_table_row_memo_equals_fresh_rows(data, cuts):
     for prefix in [path[:c] for c in range(len(path) + 1)] + prefixes * 2:
         row = rows.get(lm.detokenize(prefix), default)
         fresh = TokenDistribution.from_pairs(list(enumerate(_logify(row))), True)
-        assert lm.next_distribution(prefix) == fresh
+        dist = lm.next_distribution(prefix)
+        assert (dist.entries, dist.complete) == (fresh.entries, fresh.complete)
     assert len(lm._dists) <= len(rows) + 1
 
 
@@ -161,7 +167,7 @@ def test_table_virtual_row_validation_toggle():
     with pytest.raises(ModelFileError):
         checked.next_distribution([])
     unchecked = TableLM(vocab, bad, default_row=[0.5, 0.5], check_rows=False)
-    assert unchecked.next_distribution([]).best()[0] == 0
+    assert unchecked.next_distribution([]).entries[0][0] == 0
 
 
 @pytest.mark.parametrize(
@@ -246,23 +252,23 @@ def ngram_fixture(order: int = 1) -> NGramLM:
 
 def test_unigram_add_one_smoothing():
     lm = ngram_fixture(order=1)
-    dist = lm.next_distribution([])
-    assert dist.logprob(0) == pytest.approx(math.log(3 / 6))
-    assert dist.logprob(1) == pytest.approx(math.log(2 / 6))
-    assert dist.logprob(2) == pytest.approx(math.log(1 / 6))
+    lps = logprobs(lm.next_distribution([]))
+    assert lps[0] == pytest.approx(math.log(3 / 6))
+    assert lps[1] == pytest.approx(math.log(2 / 6))
+    assert lps[2] == pytest.approx(math.log(1 / 6))
 
 
 def test_bigram_counts_and_backoff():
     lm = ngram_fixture(order=2)
     # after "a" the corpus continues with b once (contexts: a->b, b->a)
-    after_a = lm.next_distribution([0])
-    assert after_a.logprob(1) == pytest.approx(math.log(2 / 4))
-    assert after_a.logprob(0) == pytest.approx(math.log(1 / 4))
+    after_a = logprobs(lm.next_distribution([0]))
+    assert after_a[1] == pytest.approx(math.log(2 / 4))
+    assert after_a[0] == pytest.approx(math.log(1 / 4))
     # unseen context backs off to the smoothed unigram
-    after_eos = lm.next_distribution([2])
-    assert after_eos.logprob(0) == pytest.approx(math.log(3 / 6))
+    after_eos = logprobs(lm.next_distribution([2]))
+    assert after_eos[0] == pytest.approx(math.log(3 / 6))
     # shorter-than-context prefixes use the same backoff
-    assert lm.next_distribution([]).logprob(0) == pytest.approx(math.log(3 / 6))
+    assert logprobs(lm.next_distribution([]))[0] == pytest.approx(math.log(3 / 6))
 
 
 def test_ngram_rows_are_distributions():
@@ -299,7 +305,7 @@ def test_ngram_from_file_resolves_corpus_relative_to_config(tmp_path):
     assert lm.order == 2
     # EOS appended as the final vocabulary entry
     assert lm.vocab.tokens == ("a", "b", "")
-    assert lm.next_distribution([0]).logprob(1) == pytest.approx(math.log(2 / 4))
+    assert logprobs(lm.next_distribution([0]))[1] == pytest.approx(math.log(2 / 4))
 
 
 def test_ngram_word_tokenizer(tmp_path):
@@ -318,7 +324,7 @@ def test_ngram_word_tokenizer(tmp_path):
     )
     lm = NGramLM.from_file(str(path))
     after_to = lm.next_distribution([lm.vocab.index_of("to")])
-    assert after_to.best()[0] == lm.vocab.index_of("be")
+    assert after_to.entries[0][0] == lm.vocab.index_of("be")
 
 
 @pytest.mark.parametrize(
@@ -362,8 +368,8 @@ def reference_score_forced(lm, prefix, continuation) -> list[float]:
     """One ``next_distribution`` call per forced token."""
     out = []
     for i, t in enumerate(continuation):
-        lp = lm.next_distribution(list(prefix) + list(continuation[:i])).logprob(t)
-        out.append(float("-inf") if lp is None else lp)
+        dist = lm.next_distribution(list(prefix) + list(continuation[:i]))
+        out.append(logprobs(dist).get(t, float("-inf")))
     return out
 
 
@@ -452,13 +458,14 @@ def test_ngram_next_distribution_matches_full_sort(data, order):
     lm = NGramLM(vocab, order, corpus)
     want = reference_ngram_distribution(vocab, order, corpus, prefix)
     assert lm.next_distribution(prefix).entries == want.entries
-    assert lm.next_distribution(tuple(prefix)) == want
+    dist = lm.next_distribution(tuple(prefix))
+    assert (dist.entries, dist.complete) == (want.entries, want.complete)
 
 
 @given(st.data(), st.integers(1, 3))
 def test_ngram_view_reads_equal_materialised_reads(data, order):
-    """top, allowed and logprob of the sparse n-gram distribution against
-    the same reads of the whole sorted reference, with exact ==."""
+    """top and allowed of the sparse n-gram distribution against the same
+    reads of the whole sorted reference, with exact ==."""
     vocab = data.draw(vocabularies(max_tokens=8))
     ids = st.integers(0, len(vocab) - 1)
     corpus = data.draw(st.lists(ids, max_size=16), "corpus")
@@ -476,15 +483,8 @@ def test_ngram_view_reads_equal_materialised_reads(data, order):
     assert lm.next_distribution(prefix).top(n) == entries[:n]
     assert lm.next_distribution(prefix).allowed(mask) == want.allowed(mask)
     view = lm.next_distribution(prefix)
-    lps = dict(entries)
-    assert [view.logprob(i) for i in range(len(vocab))] == [
-        lps[i] for i in range(len(vocab))
-    ]
-    assert view.logprob(-1) is None and view.logprob(len(vocab)) is None
-    assert view.best() == entries[0]
-    assert view.entries == entries
+    assert view.entries == entries and view.complete == want.complete
     assert (view.top(n), view.allowed(mask)) == (want.top(n), want.allowed(mask))
-    assert want == view and hash(want) == hash(view)
 
 
 @given(st.data())

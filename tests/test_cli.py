@@ -174,6 +174,33 @@ def test_malformed_sketch_file(tmp_path, capsys):
     assert code == 1
 
 
+def not_utf8_argv(which: str, tmp_path) -> list[str]:
+    """A command line whose one input of kind ``which`` is not UTF-8."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"name": "caf\xe9"}')
+    if which == "corpus":
+        config = {"order": 2, "vocab": ["a"], "corpus_path": "bad.json", "tokenizer": "char"}
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(config), encoding="utf-8")
+        return ["decode", "--sketch", LIST4, "--backend", f"ngram:{model}"]
+    return {
+        "sketch": ["decode", "--sketch", str(bad), *BACKEND],
+        "table": ["decode", "--sketch", LIST4, "--backend", f"table:{bad}"],
+        "ngram": ["decode", "--sketch", LIST4, "--backend", f"ngram:{bad}"],
+        "manifest": ["bench", str(bad)],
+        "bindings": ["score", "--sketch", LIST4, *BACKEND, "--bindings", str(bad)],
+    }[which]
+
+
+@pytest.mark.parametrize(
+    "which", ["sketch", "table", "ngram", "corpus", "manifest", "bindings"]
+)
+def test_input_that_is_not_utf8_is_a_one_line_error(which, tmp_path, capsys):
+    code, out, err = run(not_utf8_argv(which, tmp_path), capsys)
+    assert code == 1 and out == ""
+    assert "utf-8" in one_error_line(err, "sketchdec: ").lower()
+
+
 def test_http_requires_api_key(monkeypatch, capsys):
     monkeypatch.delenv("SKETCHDEC_API_KEY", raising=False)
     code, out, err = run(

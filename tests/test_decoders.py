@@ -534,6 +534,14 @@ def _hyp_fingerprint(h: Hypothesis) -> tuple:
     )
 
 
+def _result_fingerprint(r) -> tuple:
+    return (
+        _hyp_fingerprint(r.best),
+        tuple(_hyp_fingerprint(a) for a in r.alternatives),
+        r.truncated_count,
+    )
+
+
 def decode_fingerprint(source, backend, **config) -> str:
     """Everything a decode shows: tokens, float bits, spans, alternatives,
     truncations and the NDJSON tree.  An unsatisfiable template shows only
@@ -542,14 +550,7 @@ def decode_fingerprint(source, backend, **config) -> str:
         r = decode(source, backend, DecoderConfig(record_tree=True, **config))
     except TemplateUnsatisfiable:
         return "unsatisfiable"
-    return repr(
-        (
-            _hyp_fingerprint(r.best),
-            tuple(_hyp_fingerprint(a) for a in r.alternatives),
-            r.truncated_count,
-            r.tree.to_ndjson(),
-        )
-    )
+    return repr((*_result_fingerprint(r), r.tree.to_ndjson()))
 
 
 def cap_escape_fixture() -> tuple[Sketch, TableLM]:
@@ -613,17 +614,22 @@ def pinned_families():
             yield family, sketch, TopK(backend, 2), {"score": score}
 
 
-def pinned_digests() -> dict[str, str]:
-    hashes = {}
+def pinned_runs():
+    """(family/decoder key, source, backend, config) of every pinned decode."""
     for family, source, backend, extra in pinned_families():
         for label, config in decoder_configs():
             if label == f"{VAR}-{PROPOSAL_EXHAUSTIVE}" and config["width"] == 2:
                 # the enumeration does not depend on the width, and repeating
                 # it at width 2 would add a second to the test
                 continue
-            fingerprint = decode_fingerprint(source, backend, **config, **extra)
-            key = f"{family}/{label}"
-            hashes.setdefault(key, hashlib.sha256()).update(fingerprint.encode())
+            yield f"{family}/{label}", source, backend, {**config, **extra}
+
+
+def pinned_digests() -> dict[str, str]:
+    hashes = {}
+    for key, source, backend, config in pinned_runs():
+        fingerprint = decode_fingerprint(source, backend, **config)
+        hashes.setdefault(key, hashlib.sha256()).update(fingerprint.encode())
     return {key: h.hexdigest() for key, h in hashes.items()}
 
 
@@ -697,6 +703,23 @@ PINNED_DIGESTS = {
 
 def test_decoder_outputs_are_pinned():
     assert pinned_digests() == PINNED_DIGESTS
+
+
+def test_trace_switch_leaves_decodes_unchanged():
+    """With the tree off, every pinned decode has the same tokens, float
+    bits, spans, alternatives and truncation count as with it on, and no
+    tree."""
+    for key, source, backend, config in pinned_runs():
+        shown = []
+        for record_tree in (True, False):
+            try:
+                r = decode(source, backend, DecoderConfig(record_tree=record_tree, **config))
+            except TemplateUnsatisfiable:
+                shown.append("unsatisfiable")
+                continue
+            assert (r.tree is not None) == record_tree, key
+            shown.append(_result_fingerprint(r))
+        assert shown[0] == shown[1], key
 
 
 def test_pinned_outputs_hold_under_compensated_sum(monkeypatch):

@@ -5,7 +5,7 @@ from importlib import resources
 import pytest
 
 from sketchdec.decoders import DecoderConfig, decode
-from sketchdec.lm import TableLM
+from sketchdec.lm import TableLM, Vocabulary
 from sketchdec.sketch import load_sketch
 from sketchdec.tasks import fig1
 
@@ -71,8 +71,49 @@ def test_bundled_table_matches_virtual_backend():
         assert a.best.raw_score == pytest.approx(b.best.raw_score, abs=1e-12)
 
 
+class _RecordingRows:
+    """Row callable that remembers every context it was asked about."""
+
+    def __init__(self, vocab: Vocabulary):
+        self.vocab = vocab
+        self.seen: dict[str, list[float]] = {}
+
+    def __call__(self, prefix: str) -> list[float]:
+        row = fig1._row(self.vocab, prefix)
+        self.seen[prefix] = row
+        return row
+
+
+def materialize_table() -> dict:
+    """Dump the virtual table as a concrete JSON table file payload.
+
+    Runs every supported decoder over both bundled sketches so the
+    recorded contexts cover the prefixes those decodes visit; unseen
+    contexts fall back to the default row.  ``fig1_table.json`` is this
+    payload.
+    """
+    vocab = fig1.fig1_vocab()
+    recorder = _RecordingRows(vocab)
+    backend = TableLM(vocab, recorder, default_row=fig1._uniform_row(vocab))
+    for sketch in (fig1.fig1_sketch(), fig1.list4_sketch()):
+        for kind, widths in (
+            ("argmax", (1,)),
+            ("beam", (1, 2, 3)),
+            ("var", (1, 2, 3)),
+            ("beamvar", (1, 2, 3)),
+        ):
+            for w in widths:
+                decode(sketch, backend, DecoderConfig(kind=kind, width=w))
+    return {
+        "vocab": list(vocab.tokens),
+        "eos": vocab.eos_index,
+        "contexts": {k: recorder.seen[k] for k in sorted(recorder.seen)},
+        "default": fig1._uniform_row(vocab),
+    }
+
+
 def test_materialized_table_payload():
-    payload = fig1.materialize_table()
+    payload = materialize_table()
     assert set(payload) == {"vocab", "eos", "contexts", "default"}
     assert payload["vocab"] == list(fig1.fig1_vocab().tokens)
     for row in payload["contexts"].values():
@@ -80,4 +121,4 @@ def test_materialized_table_payload():
         assert sum(row) == pytest.approx(1.0, abs=1e-9)
     with open(data_path("fig1_table.json"), encoding="utf-8") as f:
         bundled = json.load(f)
-    assert bundled["contexts"].keys() == payload["contexts"].keys()
+    assert bundled == payload

@@ -6,7 +6,7 @@ import pytest
 from sketchdec.decoders import ARGMAX, BEAMVAR, VAR, DecoderConfig, decode
 from sketchdec.lm import TableLM, Vocabulary, ordered_sum
 from sketchdec.sketch import Chunk, OneOf, Sketch, VariableSpec
-from sketchdec.trace import DecodingTree, NullRecorder, TraceNode, TraceRecorder
+from sketchdec.trace import DecodingTree, TraceNode, TraceRecorder
 
 NDJSON_KEYS = ["id", "parent", "token_text", "logprob", "norm_score", "pool", "status"]
 
@@ -24,12 +24,6 @@ def test_recorder_ids_are_sequential():
     ids = [rec.add(0, "t", -1.0, -1.0, 0, "expanded") for _ in range(5)]
     assert ids == [1, 2, 3, 4, 5]
     assert [n.id for n in rec.tree().nodes] == [0, 1, 2, 3, 4, 5]
-
-
-def test_null_recorder_drops_everything():
-    rec = NullRecorder()
-    assert rec.add(0, "t", -1.0, -1.0, 0, "expanded") == 0
-    assert rec.tree() is None
 
 
 def test_ndjson_shape():
