@@ -99,7 +99,8 @@ class Vocabulary:
         object.__setattr__(
             self, "_by_text", {t: i for i, t in enumerate(self.tokens)}
         )
-        # the longest token text bounds the lookups of a member-range mask
+        # the longest token text bounds the lookups of a member-range mask;
+        # at one character, greedy_tokenize looks each character up alone
         object.__setattr__(self, "_max_len", max(map(len, self.tokens)))
         # greedy segmentation candidates, keyed by first character and
         # longest-first within a key; EOS is excluded so forced text can
@@ -129,13 +130,21 @@ def greedy_tokenize(vocab: Vocabulary, text: str) -> list[int]:
     """Segment text by repeatedly taking the longest matching token.
 
     Ties cannot occur (token strings are unique).  Raises
-    UnsegmentableText at the first position with no match.
+    UnsegmentableText at the first position with no match.  When the
+    longest token is one character, each character is its own token, so
+    the text is segmented with one lookup per character; otherwise each
+    position tries the tokens that start with its character, longest first.
     """
+    by_first = vocab._by_first
+    if vocab._max_len == 1:
+        matches = list(map(by_first.get, text))
+        if None in matches:
+            raise UnsegmentableText(text, matches.index(None))
+        return [ids[0] for ids in matches]
     out: list[int] = []
     pos = 0
     n = len(text)
     tokens = vocab.tokens
-    by_first = vocab._by_first
     while pos < n:
         for i in by_first.get(text[pos], ()):
             tok = tokens[i]

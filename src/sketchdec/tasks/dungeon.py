@@ -12,14 +12,21 @@ while a width-2 search keeps the unassuming bridge room alive and exits
 via the shortest route.  Deterministic message characters are predicted
 almost surely, so transcript length differences cost little and action
 choices dominate hypothesis ranking.
+
+The backend (``DungeonLM``) keeps no state between calls.  Each call
+replays the actions of its prefix from the start; forced scoring then
+reads the rest of the transcript one segment at a time, taking the
+predicted characters in place and stepping the walk once per action.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..decoders import DecoderConfig, decode
-from ..lm import TableLM, Vocabulary, ordered_sum
+from ..lm import NEG_INF, TableLM, Vocabulary, ordered_sum
 from ..scoring import ScoreParams
 from ..sketch import Chunk, DynamicSketchSource, OneOf, Sketch, VariableSpec
 
@@ -293,38 +300,86 @@ def _det_row(vocab: Vocabulary, char: str) -> list[float]:
     return [DET_CHAR_MASS if t == char else spread for t in vocab.tokens]
 
 
-def dungeon_backend(instance: DungeonInstance) -> TableLM:
-    vocab = dungeon_vocab(instance)
-    uniform = [1.0 / len(vocab.tokens)] * len(vocab.tokens)
-    # built once per backend and dropped with it: every forced character
-    # fetches one of these rows, and every replayed step a room message
-    messages = tuple(
-        room_message(node, name, instance.hallways[node])
-        for node, name in enumerate(instance.rooms)
-    )
-    det_rows = {t: _det_row(vocab, t) for t in vocab.tokens if t}
-    # (transcript text up to the checkpoint, checkpoint), replaced whole so
-    # that text and checkpoint always come from one walk.  Forced scoring
-    # asks for each one-character extension of a prefix in turn, so a lookup
-    # resumes from the last segment start instead of replaying every action;
-    # a prefix off this walk (another hypothesis) walks from the start.
-    cursor = ("", _walk_transcript(instance, messages, ""))
+class DungeonLM(TableLM):
+    """The crafted backend: each row comes from replaying the transcript.
 
-    def rows(prefix: str) -> list[float]:
-        nonlocal cursor
-        text, checkpoint = cursor
-        on_walk = prefix.startswith(text)
-        walk = _walk_transcript(
-            instance, messages, prefix, checkpoint if on_walk else None
+    The row after a prefix is the action row at an action position, and
+    otherwise the det row of the segment's next character, or the uniform
+    row for a character outside the vocabulary.  The model keeps no state
+    between calls: a row lookup walks its prefix from the start (a decoded
+    transcript holds at most ``MAX_STEPS`` actions), and ``score_forced``
+    walks its prefix once and then scores the continuation one segment at
+    a time.  Every token but EOS is one character.
+    """
+
+    def __init__(self, instance: DungeonInstance):
+        vocab = dungeon_vocab(instance)
+        self._instance = instance
+        self._uniform = [1.0 / len(vocab.tokens)] * len(vocab.tokens)
+        # built once per backend and dropped with it: every lookup at a
+        # message character fetches one of these rows, and every replayed
+        # step a room message
+        self._messages = tuple(
+            room_message(node, name, instance.hallways[node])
+            for node, name in enumerate(instance.rooms)
         )
-        if not on_walk or walk[0] != len(text):
-            cursor = (prefix[: walk[0]], walk)
-        pos, node, _, visits, current = walk
-        if len(prefix) - pos == len(current):
-            return _action_row(vocab, instance, node, visits)
-        return det_rows.get(current[len(prefix) - pos], uniform)
+        self._det_rows = {t: _det_row(vocab, t) for t in vocab.tokens if t}
+        # a det row's entry for the character it predicts
+        self._det_logprob = math.log(DET_CHAR_MASS)
+        super().__init__(vocab, self._walk_row, self._uniform, check_rows=False)
 
-    return TableLM(vocab, rows, default_row=uniform, check_rows=False)
+    def _row_at(self, walk: _Walk, at: int) -> list[float]:
+        """The row at text position ``at``, which lies in ``walk``'s segment."""
+        pos, node, _, visits, current = walk
+        if at - pos == len(current):
+            return _action_row(self.vocab, self._instance, node, visits)
+        return self._det_rows.get(current[at - pos], self._uniform)
+
+    def _walk_row(self, prefix: str) -> list[float]:
+        walk = _walk_transcript(self._instance, self._messages, prefix)
+        return self._row_at(walk, len(prefix))
+
+    def score_forced(
+        self,
+        prefix: Sequence[int],
+        continuation: Sequence[int],
+        text: str | None = None,
+    ) -> list[float]:
+        """The rows ``next_distribution`` reads, from one walk of the prefix
+        and one resumed step per action the continuation takes."""
+        tokens = self.vocab.tokens
+        key = self.detokenize(prefix) if text is None else text
+        walk = _walk_transcript(self._instance, self._messages, key)
+        out: list[float] = []
+        at, i, n = len(key), 0, len(continuation)  # text and token positions
+        while i < n:
+            pos, current = walk[0], walk[4]
+            action_at = pos + len(current)
+            # k tokens up to the segment's action that spell its next k
+            # characters (so hold no EOS) each score the top entry of that
+            # character's det row
+            k = min(action_at - at, n - i)
+            spelt = "".join(map(tokens.__getitem__, continuation[i : i + k]))
+            if k and spelt == current[at - pos : at - pos + k]:
+                out += [self._det_logprob] * k
+                at += k
+                i += k
+                continue
+            t = continuation[i]
+            p = self._row_at(walk, at)[t]
+            out.append(math.log(p) if p > 0.0 else NEG_INF)
+            at += len(tokens[t])
+            i += 1
+            if at > action_at:  # the token took the action
+                taken = "".join(map(tokens.__getitem__, continuation[:i]))
+                walk = _walk_transcript(
+                    self._instance, self._messages, key + taken, walk
+                )
+        return out
+
+
+def dungeon_backend(instance: DungeonInstance) -> DungeonLM:
+    return DungeonLM(instance)
 
 
 # --- running ------------------------------------------------------------------

@@ -544,8 +544,23 @@ def scan_tokenize(vocab: Vocabulary, text: str) -> list[int]:
     return out
 
 
-@given(vocabularies(max_tokens=8), st.text("abcd", max_size=12))
+@st.composite
+def one_char_vocabularies(draw) -> Vocabulary:
+    """Every token one character, EOS spelt "" or as a character of its own,
+    which segmentation must never emit."""
+    texts = draw(st.lists(st.sampled_from("abcd"), max_size=4, unique=True))
+    eos_text = draw(st.sampled_from([""] + [c for c in "abcd" if c not in texts]))
+    eos = draw(st.integers(0, len(texts)))
+    return Vocabulary(tuple(texts[:eos] + [eos_text] + texts[eos:]), eos)
+
+
+@given(
+    st.one_of(vocabularies(max_tokens=8), one_char_vocabularies()),
+    st.text("abcd", max_size=12),
+)
 def test_indexed_greedy_tokenize_matches_full_scan(vocab, text):
+    """Both segmentation paths (the one-character lookup and the longest-
+    first loop) give the full scan's tokens, or fail where it fails."""
     try:
         want = scan_tokenize(vocab, text)
     except UnsegmentableText as e:
@@ -553,4 +568,6 @@ def test_indexed_greedy_tokenize_matches_full_scan(vocab, text):
             greedy_tokenize(vocab, text)
         assert got.value.position == e.position
     else:
-        assert greedy_tokenize(vocab, text) == want
+        got = greedy_tokenize(vocab, text)
+        assert got == want
+        assert vocab.eos_index not in got

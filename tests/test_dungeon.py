@@ -1,5 +1,6 @@
 """Graph-escape task: dynamic transcripts, greedy detours, searched exits."""
 import copy
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,7 +175,7 @@ def _fresh_walk_rows(instance: dungeon.DungeonInstance):
 
 
 def _assert_rows_match_fresh_walks(instance, prefixes):
-    """The backend's resumed walk gives the row a fresh walk gives, exactly."""
+    """The backend's row lookups give the reference walk's rows, exactly."""
     rows = dungeon.dungeon_backend(instance)._lookup
     fresh = _fresh_walk_rows(instance)
     for prefix in prefixes:
@@ -182,7 +183,8 @@ def _assert_rows_match_fresh_walks(instance, prefixes):
 
 
 @st.composite
-def walk_prefixes(draw):
+def walk_transcripts(draw):
+    """An instance and 1-3 transcripts of walks through it."""
     seed = draw(st.integers(0, 500))
     instance = dungeon.gen_dungeon(seed, draw(st.sampled_from((2, 3))))
     # each step either takes a valid hallway or picks any character,
@@ -199,9 +201,14 @@ def walk_prefixes(draw):
                 node = int(action)
             actions += action
         transcripts.append(_transcript(instance, actions))
-    # runs of one-character extensions, as forced scoring asks for them,
-    # interleaved across transcripts and starting anywhere, so the backend
-    # both extends and backtracks
+    return instance, transcripts
+
+
+@st.composite
+def walk_prefixes(draw):
+    instance, transcripts = draw(walk_transcripts())
+    # runs of one-character extensions interleaved across transcripts and
+    # starting anywhere, so consecutive lookups both extend and backtrack
     prefixes = []
     for _ in range(draw(st.integers(1, 8))):
         text = draw(st.sampled_from(transcripts))
@@ -238,8 +245,98 @@ def test_resumed_walk_through_exit_and_step_cap():
     )
 
 
+def _assert_forced_matches_reference(instance, prefix, continuation):
+    """Forced scores equal, bit for bit, the log of each token's entry in
+    the row a fresh walk gives, with the text passed and with it joined."""
+    backend = dungeon.dungeon_backend(instance)
+    fresh = _fresh_walk_rows(instance)
+    vocab = backend.vocab
+    text = "".join(vocab.tokens[t] for t in prefix)
+    want = []
+    for i, t in enumerate(continuation):
+        p = fresh(text + "".join(vocab.tokens[c] for c in continuation[:i]))[t]
+        want.append((math.log(p) if p > 0.0 else float("-inf")).hex())
+    for passed in (text, None):
+        got = backend.score_forced(prefix, continuation, text=passed)
+        assert [x.hex() for x in got] == want
+
+
+def _is_action_position(instance, text: str) -> bool:
+    messages = _messages(instance)
+    pos, _, _, _, current = dungeon._walk_transcript(instance, messages, text)
+    return len(text) - pos == len(current)
+
+
+@st.composite
+def forced_cases(draw):
+    """A prefix and a continuation cut from a walk's transcript, starting
+    anywhere or at an action, with tokens replaced and EOS tokens put in."""
+    instance, transcripts = draw(walk_transcripts())
+    text = draw(st.sampled_from(transcripts))
+    vocab = dungeon.dungeon_vocab(instance)
+    ids = st.integers(0, len(vocab) - 1)
+    actions = [
+        i for i in range(len(text) + 1) if _is_action_position(instance, text[:i])
+    ]
+    start = draw(st.one_of(st.integers(0, len(text)), st.sampled_from(actions)))
+    end = draw(st.integers(start, len(text)))
+    # a character outside the vocabulary ("-" of "-1") becomes any token
+    tokens = [vocab.index_of(c) for c in text]
+    tokens = [draw(ids) if t is None else t for t in tokens]
+    prefix, continuation = tokens[:start], tokens[start:end]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(continuation)))
+        if at < len(continuation) and draw(st.booleans()):
+            continuation[at] = draw(ids)
+        else:
+            continuation.insert(at, draw(st.one_of(st.just(vocab.eos_index), ids)))
+    return instance, prefix, continuation
+
+
+@settings(max_examples=80, deadline=None)
+@given(forced_cases())
+def test_segment_scoring_equals_per_token_reference(case):
+    _assert_forced_matches_reference(*case)
+
+
+def test_segment_scoring_over_whole_transcripts():
+    """Whole transcripts scored from the empty prefix, as a re-score of a
+    decode reads them: through invalid and non-digit actions (whose "-1"
+    the vocabulary cannot spell, so its "-" takes the uniform row), past
+    the exit and past the step cap, with EOS tokens on the way."""
+    instance = dungeon.gen_dungeon(0, 2)
+    vocab = dungeon.dungeon_vocab(instance)
+    invalid = "9" if 9 not in instance.hallways[instance.start] else "7"
+    escape = _transcript(instance, invalid + "x1" + str(instance.exit) + "x0")
+    lost = _transcript(instance, "x" * (dungeon.MAX_STEPS + 2))
+    assert "-1 is not" in escape and dungeon.LOSE_MESSAGE in lost
+    for text in (escape, lost):
+        tokens = [vocab.index_of(c) for c in text.replace("-", "x")]
+        _assert_forced_matches_reference(instance, [], tokens)
+        eos = vocab.eos_index
+        with_eos = [eos] + tokens[:300] + [eos, eos]
+        _assert_forced_matches_reference(instance, [], with_eos)
+    backend = dungeon.dungeon_backend(instance)
+    config = DecoderConfig(kind="beamvar", width=2)
+    result = decode(dungeon.dungeon_source(instance), backend, config)
+    _assert_forced_matches_reference(instance, [], list(result.best.tokens))
+
+
+def _actions_taken(instance, text: str, continuation) -> int:
+    """Tokens of a forced continuation that take an action: each is one
+    character (EOS takes none) read at an action position."""
+    vocab = dungeon.dungeon_vocab(instance)
+    taken = 0
+    for t in continuation:
+        taken += bool(vocab.tokens[t]) and _is_action_position(instance, text)
+        text += vocab.tokens[t]
+    return taken
+
+
 def test_forced_scoring_walks_from_scratch_at_most_once_per_call(monkeypatch):
-    """A decode re-walks from the start at most once per backend call."""
+    """A decode re-walks from the start at most once per backend call, and
+    forced scoring resumes its walk once per action it takes, not once per
+    character."""
     instance = dungeon.suite(0)[0]
     for config in (
         DecoderConfig(kind="argmax", width=1),
@@ -247,6 +344,7 @@ def test_forced_scoring_walks_from_scratch_at_most_once_per_call(monkeypatch):
     ):
         backend = dungeon.dungeon_backend(instance)
         calls = {"walks": 0, "fresh": 0, "replayed": 0, "backend": 0, "forced": 0}
+        forced = []  # (prefix text, continuation) of each forced call
         walk = dungeon._walk_transcript
 
         def counting_walk(instance, messages, prefix, resume=None):
@@ -261,6 +359,10 @@ def test_forced_scoring_walks_from_scratch_at_most_once_per_call(monkeypatch):
                 calls["backend"] += 1
                 if rest:
                     calls["forced"] += len(rest[0])
+                    text = kw.get("text")
+                    if text is None:
+                        text = backend.detokenize(prefix)
+                    forced.append((text, rest[0]))
                 return method(prefix, *rest, **kw)
 
             return call
@@ -270,12 +372,14 @@ def test_forced_scoring_walks_from_scratch_at_most_once_per_call(monkeypatch):
         monkeypatch.setattr(
             backend, "next_distribution", counted(backend.next_distribution)
         )
-        decode(dungeon.dungeon_source(instance), backend, config)
+        result = decode(dungeon.dungeon_source(instance), backend, config)
+        # a re-score of the decoded transcript takes every action in it
+        backend.score_forced((), result.best.tokens)
         monkeypatch.undo()
-        # many forced characters per call, each looked up through the walk,
-        # so one walk per character would break the bounds below
+        taken = sum(_actions_taken(instance, text, cont) for text, cont in forced)
+        assert taken >= len(result.bindings) > 0
         assert calls["forced"] > 10 * calls["backend"]
-        assert calls["walks"] >= calls["forced"]
+        assert calls["walks"] <= calls["backend"] + taken
         assert calls["fresh"] <= calls["backend"]
         # no decoded transcript holds more than MAX_STEPS actions, and each
         # call replays the actions of its prefix at most once
