@@ -332,6 +332,7 @@ class TableLM(LMBackend):
     by generated fixtures whose reachable context set is large).  A miss
     falls back to the default row.  A mapping is read as it stood when the
     model was built: its rows are validated and their distributions kept.
+    A virtual row is validated each time it is fetched.
     """
 
     def __init__(
@@ -339,19 +340,17 @@ class TableLM(LMBackend):
         vocab: Vocabulary,
         rows: Mapping[str, Sequence[float]] | Callable[[str], Sequence[float] | None],
         default_row: Sequence[float],
-        check_rows: bool = True,
     ):
         self.vocab = vocab
         self._lookup = rows.get if isinstance(rows, Mapping) else rows
         self._rows = rows if isinstance(rows, Mapping) else None
         self._default = tuple(default_row)
-        self._check = check_rows
         # sorted distributions of mapping rows; None keys the default row
         self._dists: dict[str | None, TokenDistribution] = {}
         _check_row(self._default, "default row")
         if len(self._default) != len(vocab):
             raise ModelFileError("default row length differs from vocabulary size")
-        if isinstance(rows, Mapping) and check_rows:
+        if isinstance(rows, Mapping):
             for key, row in rows.items():
                 if len(row) != len(vocab):
                     raise ModelFileError(
@@ -363,7 +362,7 @@ class TableLM(LMBackend):
         row = self._lookup(key)
         if row is None:
             return self._default
-        if self._rows is None and self._check:
+        if self._rows is None:
             if len(row) != len(self.vocab):
                 raise ModelFileError(f"virtual row for {key!r} has wrong length")
             _check_row(row, f"virtual context {key!r}")

@@ -241,14 +241,11 @@ class RemoteCompletionsLM(LMBackend):
         tops = lp.get("top_logprobs")
         if not isinstance(tops, list) or not tops or not isinstance(tops[0], dict):
             raise BackendUnavailable("completion response carries no top_logprobs")
-        entries = []
-        for text, logprob in tops[0].items():
-            idx = (
-                self.vocab.eos_index
-                if text == self.vocab.token_text(self.vocab.eos_index)
-                else self.vocab.intern(text)
-            )
-            entries.append((idx, _number(logprob)))
+        # the registry interns the EOS text at its index, so EOS maps too
+        entries = [
+            (self.vocab.intern(piece), _number(logprob))
+            for piece, logprob in tops[0].items()
+        ]
         return TokenDistribution.from_pairs(entries, complete=False)
 
     def score_forced(

@@ -13,20 +13,22 @@ via the shortest route.  Deterministic message characters are predicted
 almost surely, so transcript length differences cost little and action
 choices dominate hypothesis ranking.
 
-The backend (``DungeonLM``) keeps no state between calls.  Each call
-replays the actions of its prefix from the start; forced scoring then
-reads the rest of the transcript one segment at a time, taking the
-predicted characters in place and stepping the walk once per action.
+The template's program and the backend take each action through one
+step rule, so the backend predicts the text the template forces next.
+The backend (``DungeonLM``) keeps no state between calls: each call
+walks its text once from the start, and forced scoring reads the
+continuation one segment at a time.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ..decoders import DecoderConfig, decode
-from ..lm import NEG_INF, TableLM, Vocabulary, ordered_sum
+from ..lm import NEG_INF, LMBackend, TokenDistribution, Vocabulary, ordered_sum
+from ..lm import _distribution
 from ..scoring import ScoreParams
 from ..sketch import Chunk, DynamicSketchSource, OneOf, Sketch, VariableSpec
 
@@ -181,32 +183,52 @@ _ACTION_SPECS = tuple(
 )
 
 
+def _messages(instance: DungeonInstance) -> tuple[str, ...]:
+    return tuple(
+        room_message(node, name, instance.hallways[node])
+        for node, name in enumerate(instance.rooms)
+    )
+
+
+def _step(
+    instance: DungeonInstance,
+    messages: tuple[str, ...],
+    node: int,
+    steps: int,
+    target: int,
+) -> tuple[int, str]:
+    """The ``steps``-th action, to room ``target`` (-1 for a non-digit).
+
+    Returns the node after it and the text after it: the newline, a
+    correction for an invalid room (the walk stays put), and then the next
+    prompt, the lose message at the step cap, or nothing at the exit.
+    """
+    neighbours = instance.hallways[node]
+    text = "\n"
+    if target in neighbours:
+        node = target
+    else:
+        text += invalid_message(target, instance.rooms[node], neighbours)
+    if instance.rooms[node] == "Exit":
+        return node, text
+    if steps >= MAX_STEPS:
+        return node, text + LOSE_MESSAGE
+    return node, text + messages[node]
+
+
 def dungeon_source(instance: DungeonInstance) -> DynamicSketchSource:
+    messages = _messages(instance)
+
     def program(values: dict[str, str], seed: int) -> list[Chunk]:
-        node = instance.start
-        steps = 0
-        pending = ""
-        index = 0
-        while True:
+        # text before the last binding was already emitted with earlier runs
+        node, text = instance.start, messages[instance.start]
+        for steps, spec in enumerate(_ACTION_SPECS, 1):
+            if spec.name not in values:
+                return [Chunk.det(text), Chunk.variable(spec)]
+            node, text = _step(instance, messages, node, steps, int(values[spec.name]))
             if instance.rooms[node] == "Exit":
-                return [Chunk.det(pending)] if pending else []
-            if steps >= MAX_STEPS:
-                return [Chunk.det(pending + LOSE_MESSAGE)]
-            name = f"ACTION_{index}"
-            neighbours = instance.hallways[node]
-            if name not in values:
-                prompt = room_message(node, instance.rooms[node], neighbours)
-                return [Chunk.det(pending + prompt), Chunk.variable(_ACTION_SPECS[index])]
-            action = values[name]
-            index += 1
-            steps += 1
-            # text before this binding was already emitted with earlier runs
-            pending = "\n"
-            target = int(action)
-            if target in neighbours:
-                node = target
-            else:
-                pending += invalid_message(target, instance.rooms[node], neighbours)
+                break
+        return [Chunk.det(text)]
 
     return DynamicSketchSource(program, seed=instance.seed, name="dungeon")
 
@@ -227,50 +249,32 @@ def dungeon_vocab(instance: DungeonInstance) -> Vocabulary:
     return Vocabulary(tokens=("",) + tuple(sorted(set(corpus))), eos_index=0)
 
 
-# (pos, node, steps, visits, current): see _walk_transcript
-_Walk = tuple[int, int, int, dict[int, int], str]
+_Segment = tuple[int, int, dict[int, int], str]  # (pos, node, visits, current)
 
 
-def _walk_transcript(
-    instance: DungeonInstance,
-    messages: tuple[str, ...],
-    prefix: str,
-    resume: _Walk | None = None,
-) -> _Walk:
-    """Replay a transcript prefix against the instance.
+def _segments(
+    instance: DungeonInstance, messages: tuple[str, ...], text: str
+) -> Iterator[_Segment]:
+    """Walk ``text`` once, yielding each segment it reaches.
 
-    ``messages[node]`` is ``room_message`` for that node.  Returns the walk
-    state at the start of the segment ``prefix`` ends in: (pos, node,
-    steps, visits, current), where ``current`` is the segment's text from
-    ``pos`` up to the next action and ``visits`` counts arrivals per node.
-    ``resume`` is such a state for a shorter prefix of ``prefix``; the walk
-    then replays only the actions after it.  Costs O(actions replayed),
-    not O(characters).  A returned state is never mutated afterwards: a
-    move copies ``visits``.
+    ``current`` is the segment's text from ``pos`` up to its action, at
+    ``pos + len(current)``; ``visits`` counts arrivals per node and is
+    updated in place by the next step.  The walk goes on past the exit
+    and the step cap, as a model asked about such a text would.
     """
-    if resume is None:
-        node = instance.start
-        resume = (0, node, 0, {node: 1}, messages[node])
-    pos, node, steps, visits, current = resume
-    while len(prefix) > pos + len(current):
-        action_char = prefix[pos + len(current)]
-        pos += len(current) + 1
+    node, steps, pos = instance.start, 0, 0
+    visits, current = {node: 1}, messages[node]
+    while True:
+        yield pos, node, visits, current
+        pos += len(current) + 1  # past the segment's action
+        if len(text) < pos:
+            return
+        action = text[pos - 1]
         steps += 1
-        tail = "\n"
-        neighbours = instance.hallways[node]
-        target = int(action_char) if action_char.isdigit() else -1
-        if target in neighbours:
-            node = target
-            visits = {**visits, node: visits.get(node, 0) + 1}
-        else:
-            tail += invalid_message(target, instance.rooms[node], neighbours)
-        if instance.rooms[node] == "Exit":
-            current = tail
-        elif steps >= MAX_STEPS:
-            current = tail + LOSE_MESSAGE
-        else:
-            current = tail + messages[node]
-    return pos, node, steps, visits, current
+        target = int(action) if action.isdigit() else -1
+        if target in instance.hallways[node]:
+            visits[target] = visits.get(target, 0) + 1
+        node, current = _step(instance, messages, node, steps, target)
 
 
 def _action_row(
@@ -300,44 +304,43 @@ def _det_row(vocab: Vocabulary, char: str) -> list[float]:
     return [DET_CHAR_MASS if t == char else spread for t in vocab.tokens]
 
 
-class DungeonLM(TableLM):
-    """The crafted backend: each row comes from replaying the transcript.
+class DungeonLM(LMBackend):
+    """The crafted backend: each row comes from walking the transcript.
 
-    The row after a prefix is the action row at an action position, and
+    The row after a text is the action row at an action position, and
     otherwise the det row of the segment's next character, or the uniform
     row for a character outside the vocabulary.  The model keeps no state
-    between calls: a row lookup walks its prefix from the start (a decoded
-    transcript holds at most ``MAX_STEPS`` actions), and ``score_forced``
-    walks its prefix once and then scores the continuation one segment at
-    a time.  Every token but EOS is one character.
+    between calls: each call walks its text once from the start, through
+    at most ``MAX_STEPS`` actions in a decoded transcript; ``score_forced``
+    walks prefix and continuation as one text.  Every token but EOS is one
+    character.
     """
 
     def __init__(self, instance: DungeonInstance):
-        vocab = dungeon_vocab(instance)
+        self.vocab = vocab = dungeon_vocab(instance)
         self._instance = instance
         self._uniform = [1.0 / len(vocab.tokens)] * len(vocab.tokens)
-        # built once per backend and dropped with it: every lookup at a
-        # message character fetches one of these rows, and every replayed
-        # step a room message
-        self._messages = tuple(
-            room_message(node, name, instance.hallways[node])
-            for node, name in enumerate(instance.rooms)
-        )
+        # built once per backend and dropped with it: every row at a
+        # message character is one of these, and every step reads a message
+        self._messages = _messages(instance)
         self._det_rows = {t: _det_row(vocab, t) for t in vocab.tokens if t}
         # a det row's entry for the character it predicts
         self._det_logprob = math.log(DET_CHAR_MASS)
-        super().__init__(vocab, self._walk_row, self._uniform, check_rows=False)
 
-    def _row_at(self, walk: _Walk, at: int) -> list[float]:
-        """The row at text position ``at``, which lies in ``walk``'s segment."""
-        pos, node, _, visits, current = walk
+    def _row_at(self, segment: _Segment, at: int) -> list[float]:
+        """The row at text position ``at``, which lies in ``segment``."""
+        pos, node, visits, current = segment
         if at - pos == len(current):
             return _action_row(self.vocab, self._instance, node, visits)
         return self._det_rows.get(current[at - pos], self._uniform)
 
-    def _walk_row(self, prefix: str) -> list[float]:
-        walk = _walk_transcript(self._instance, self._messages, prefix)
-        return self._row_at(walk, len(prefix))
+    def next_distribution(
+        self, prefix: Sequence[int], text: str | None = None
+    ) -> TokenDistribution:
+        key = self.detokenize(prefix) if text is None else text
+        for segment in _segments(self._instance, self._messages, key):
+            pass
+        return _distribution(self._row_at(segment, len(key)))
 
     def score_forced(
         self,
@@ -345,36 +348,32 @@ class DungeonLM(TableLM):
         continuation: Sequence[int],
         text: str | None = None,
     ) -> list[float]:
-        """The rows ``next_distribution`` reads, from one walk of the prefix
-        and one resumed step per action the continuation takes."""
-        tokens = self.vocab.tokens
+        """The rows ``next_distribution`` reads, from one walk of the
+        prefix and continuation together."""
+        tokens, eos = self.vocab.tokens, self.vocab.eos_index
         key = self.detokenize(prefix) if text is None else text
-        walk = _walk_transcript(self._instance, self._messages, key)
+        walked = key + "".join(map(tokens.__getitem__, continuation))
         out: list[float] = []
         at, i, n = len(key), 0, len(continuation)  # text and token positions
-        while i < n:
-            pos, current = walk[0], walk[4]
+        for segment in _segments(self._instance, self._messages, walked):
+            pos, _, _, current = segment
             action_at = pos + len(current)
-            # k tokens up to the segment's action that spell its next k
-            # characters (so hold no EOS) each score the top entry of that
-            # character's det row
-            k = min(action_at - at, n - i)
-            spelt = "".join(map(tokens.__getitem__, continuation[i : i + k]))
-            if k and spelt == current[at - pos : at - pos + k]:
-                out += [self._det_logprob] * k
-                at += k
-                i += k
-                continue
-            t = continuation[i]
-            p = self._row_at(walk, at)[t]
-            out.append(math.log(p) if p > 0.0 else NEG_INF)
-            at += len(tokens[t])
-            i += 1
-            if at > action_at:  # the token took the action
-                taken = "".join(map(tokens.__getitem__, continuation[:i]))
-                walk = _walk_transcript(
-                    self._instance, self._messages, key + taken, walk
-                )
+            while i < n and at <= action_at:
+                # k tokens up to the segment's action that hold no EOS spell
+                # the next k characters; where those are the segment's, each
+                # scores the top entry of that character's det row
+                k = min(action_at - at, n - i)
+                same = walked[at : at + k] == current[at - pos : at - pos + k]
+                if k and same and eos not in continuation[i : i + k]:
+                    out += [self._det_logprob] * k
+                    at += k
+                    i += k
+                    continue
+                t = continuation[i]
+                p = self._row_at(segment, at)[t]
+                out.append(math.log(p) if p > 0.0 else NEG_INF)
+                at += len(tokens[t])
+                i += 1
         return out
 
 
@@ -406,7 +405,7 @@ def replay_actions(instance: DungeonInstance, actions: list[str]) -> int | None:
 def run_dungeon(
     instance: DungeonInstance,
     config: DecoderConfig,
-    backend: TableLM | None = None,
+    backend: LMBackend | None = None,
 ) -> tuple[int | None, float]:
     """Decode the escape transcript; replay the chosen actions.
 

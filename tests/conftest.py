@@ -59,7 +59,7 @@ def random_backend(
         total = ordered_sum(weights)
         return [w / total for w in weights]
 
-    return TableLM(vocab, rows, default_row=rows(""), check_rows=False)
+    return TableLM(vocab, rows, default_row=rows(""))
 
 
 def _random_members(rng: random.Random, letters: str) -> tuple[str, ...]:

@@ -160,14 +160,12 @@ def test_table_row_validation():
         TableLM(vocab, rows={"x": [0.9, 0.2]}, default_row=[0.5, 0.5])
 
 
-def test_table_virtual_row_validation_toggle():
+def test_table_virtual_row_validation():
     vocab = Vocabulary(("", "a"), 0)
     bad = lambda prefix: [0.9, 0.2]  # noqa: E731 - deliberate inline stub
     checked = TableLM(vocab, bad, default_row=[0.5, 0.5])
     with pytest.raises(ModelFileError):
         checked.next_distribution([])
-    unchecked = TableLM(vocab, bad, default_row=[0.5, 0.5], check_rows=False)
-    assert unchecked.next_distribution([]).entries[0][0] == 0
 
 
 @pytest.mark.parametrize(

@@ -492,7 +492,7 @@ def truncated_fixture(seed: int) -> tuple[Sketch, TopK]:
         total = ordered_sum(weights)
         return [w / total for w in weights]
 
-    inner = TableLM(vocab, rows, default_row=rows(""), check_rows=False)
+    inner = TableLM(vocab, rows, default_row=rows(""))
     sketch = Sketch(
         name="truncated",
         chunks=(

@@ -1,9 +1,8 @@
 """Graph-escape task: dynamic transcripts, greedy detours, searched exits."""
-import copy
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sketchdec.decoders import DecoderConfig, decode
 from sketchdec.tasks import dungeon
@@ -95,6 +94,68 @@ def test_decoded_transcript_matches_replay():
         assert result.text == expected_transcript(instance, actions)
 
 
+@st.composite
+def action_strings(draw):
+    """An instance and digit actions: valid moves, non-neighbour digits
+    and moves to the exit when it is next door, running on past the exit
+    and the step cap."""
+    instance = dungeon.gen_dungeon(
+        draw(st.integers(0, 500)), draw(st.sampled_from((2, 3)))
+    )
+    node, actions = instance.start, []
+    for _ in range(draw(st.integers(0, dungeon.MAX_STEPS + 2))):
+        hallways = instance.hallways[node]
+        invalid = [d for d in range(10) if d not in hallways]
+        onward = (instance.exit,) if instance.exit in hallways else hallways
+        kind = draw(st.sampled_from((hallways, invalid, onward)))
+        target = draw(st.sampled_from(kind))
+        if target in hallways:
+            node = target
+        actions.append(str(target))
+    return instance, actions
+
+
+_FIXED = dungeon.gen_dungeon(0, 2)  # the start's only neighbours are 0 and 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(action_strings())
+@example((_FIXED, ["2", "1", str(_FIXED.exit), "0"]))
+@example((_FIXED, ["2"] * (dungeon.MAX_STEPS + 1)))
+def test_source_and_model_take_the_same_steps(case):
+    """The template's runs, joined with the actions, spell the expected
+    transcript; the model's walk of it reaches an action position exactly
+    where the template opens a variable, and predicts each forced
+    character as the top entry of its det row."""
+    instance, actions = case
+    source = dungeon.dungeon_source(instance)
+    values, text, opened = {}, "", []
+    while True:
+        run = source.program(values, source.seed)
+        text += "".join(chunk.text for chunk in run if chunk.is_det)
+        if not run[-1].is_var:
+            break
+        opened.append(len(text))
+        if len(values) == len(actions):
+            break
+        values[run[-1].var.name] = actions[len(values)]
+        text += actions[len(values) - 1]
+    assert text == expected_transcript(instance, actions)
+
+    walk = dungeon._segments(instance, _messages(instance), text)
+    action_at = [pos + len(current) for pos, _, _, current in walk]
+    # past the exit or the step cap the model would still read an action
+    assert action_at[-1] == len(text)
+    assert action_at[:-1] == [at for at in opened if at < len(text)]
+    backend = dungeon.dungeon_backend(instance)
+    top = math.log(dungeon.DET_CHAR_MASS)
+    for i, char in enumerate(text):
+        if i not in opened:
+            prefix = text[:i]
+            dist = backend.next_distribution(backend.tokenize(prefix), text=prefix)
+            assert dist.top(1) == ((backend.vocab.index_of(char), top),)
+
+
 def test_search_exits_faster_than_greedy():
     instance = dungeon.suite(0)[0]
     greedy_steps, greedy_norm = dungeon.run_dungeon(
@@ -130,12 +191,18 @@ def _transcript(instance: dungeon.DungeonInstance, actions: str) -> str:
     Actions need not be valid rooms or digits, and the walk goes on past the
     exit and the step cap, as a model asked about such a prefix would.
     """
-    messages = _messages(instance)
-    # text always ends where a segment starts; [4] is that segment's text
+    # text always ends where a segment starts; [3] is that segment's text
     text = ""
     for action in actions:
-        text += dungeon._walk_transcript(instance, messages, text)[4] + action
-    return text + dungeon._walk_transcript(instance, messages, text)[4]
+        text += _last_segment(instance, text)[3] + action
+    return text + _last_segment(instance, text)[3]
+
+
+def _last_segment(instance: dungeon.DungeonInstance, text: str):
+    """The segment the model's walk of ``text`` ends in."""
+    for segment in dungeon._segments(instance, _messages(instance), text):
+        pass
+    return segment
 
 
 def _fresh_walk_rows(instance: dungeon.DungeonInstance):
@@ -174,12 +241,19 @@ def _fresh_walk_rows(instance: dungeon.DungeonInstance):
     return rows
 
 
+def _log_bits(row) -> list[str]:
+    return [(math.log(p) if p > 0.0 else float("-inf")).hex() for p in row]
+
+
 def _assert_rows_match_fresh_walks(instance, prefixes):
-    """The backend's row lookups give the reference walk's rows, exactly."""
-    rows = dungeon.dungeon_backend(instance)._lookup
+    """The backend's distributions carry the reference walk's rows, as
+    log-probabilities equal bit for bit.  The model reads the passed text
+    alone, which need not be tokenizable ("-" of "-1" is no token)."""
+    backend = dungeon.dungeon_backend(instance)
     fresh = _fresh_walk_rows(instance)
     for prefix in prefixes:
-        assert rows(prefix) == fresh(prefix)
+        entries = sorted(backend.next_distribution((), text=prefix).entries)
+        assert [lp.hex() for _, lp in entries] == _log_bits(fresh(prefix))
 
 
 @st.composite
@@ -220,23 +294,21 @@ def walk_prefixes(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(walk_prefixes())
-def test_resumed_walk_rows_equal_fresh_walk_rows(case):
+def test_walk_rows_equal_fresh_walk_rows(case):
     instance, prefixes = case
     _assert_rows_match_fresh_walks(instance, prefixes)
 
 
-def test_resumed_walk_through_exit_and_step_cap():
+def test_walk_through_exit_and_step_cap():
     instance = dungeon.gen_dungeon(0, 2)
     invalid = "9" if 9 not in instance.hallways[instance.start] else "7"
     escape = _transcript(instance, invalid + "1" + str(instance.exit) + "x0")
     lost = _transcript(instance, "x" * (dungeon.MAX_STEPS + 2))
     assert dungeon.LOSE_MESSAGE in lost
     assert dungeon.replay_actions(instance, [invalid, "1", str(instance.exit)]) == 3
-    messages = _messages(instance)
-    start = dungeon._walk_transcript(instance, messages, "")
-    kept = copy.deepcopy(start)
-    assert dungeon._walk_transcript(instance, messages, escape, start)[2] == 5
-    assert start == kept  # a checkpoint is never mutated by a resumed walk
+    # the walk steps all five actions, past the exit
+    segments = dungeon._segments(instance, _messages(instance), escape)
+    assert len(list(segments)) == 6
     _assert_rows_match_fresh_walks(
         instance,
         [escape[:i] for i in range(len(escape) + 1)]
@@ -262,8 +334,7 @@ def _assert_forced_matches_reference(instance, prefix, continuation):
 
 
 def _is_action_position(instance, text: str) -> bool:
-    messages = _messages(instance)
-    pos, _, _, _, current = dungeon._walk_transcript(instance, messages, text)
+    pos, _, _, current = _last_segment(instance, text)
     return len(text) - pos == len(current)
 
 
@@ -322,68 +393,62 @@ def test_segment_scoring_over_whole_transcripts():
     _assert_forced_matches_reference(instance, [], list(result.best.tokens))
 
 
-def _actions_taken(instance, text: str, continuation) -> int:
-    """Tokens of a forced continuation that take an action: each is one
-    character (EOS takes none) read at an action position."""
-    vocab = dungeon.dungeon_vocab(instance)
-    taken = 0
-    for t in continuation:
-        taken += bool(vocab.tokens[t]) and _is_action_position(instance, text)
-        text += vocab.tokens[t]
-    return taken
+def _actions_in(text: str) -> int:
+    """Actions a decoded transcript holds: every prompt ends in "You:",
+    and an action follows each prompt but the last when the text ends on
+    it."""
+    return text.count("You:") - text.endswith("You:")
 
 
-def test_forced_scoring_walks_from_scratch_at_most_once_per_call(monkeypatch):
-    """A decode re-walks from the start at most once per backend call, and
-    forced scoring resumes its walk once per action it takes, not once per
-    character."""
+def test_one_walk_per_backend_call(monkeypatch):
+    """Each backend call walks its text once from the start, stepping at
+    most the actions that text holds, and forced scoring reads many
+    characters per call."""
     instance = dungeon.suite(0)[0]
     for config in (
         DecoderConfig(kind="argmax", width=1),
         DecoderConfig(kind="beamvar", width=2),
     ):
         backend = dungeon.dungeon_backend(instance)
-        calls = {"walks": 0, "fresh": 0, "replayed": 0, "backend": 0, "forced": 0}
-        forced = []  # (prefix text, continuation) of each forced call
-        walk = dungeon._walk_transcript
+        calls = []  # the text, walks and steps of each backend call
+        forced = 0
+        segments = dungeon._segments
 
-        def counting_walk(instance, messages, prefix, resume=None):
-            calls["walks"] += 1
-            calls["fresh"] += resume is None
-            state = walk(instance, messages, prefix, resume)
-            calls["replayed"] += state[2] - (0 if resume is None else resume[2])
-            return state
+        def counting_segments(instance, messages, text):
+            record = calls[-1]
+            record["walks"] += 1
+            for stepped, segment in enumerate(segments(instance, messages, text)):
+                record["steps"] += stepped > 0
+                yield segment
 
         def counted(method):
             def call(prefix, *rest, **kw):
-                calls["backend"] += 1
+                nonlocal forced
+                text = kw.get("text")
+                if text is None:
+                    text = backend.detokenize(prefix)
                 if rest:
-                    calls["forced"] += len(rest[0])
-                    text = kw.get("text")
-                    if text is None:
-                        text = backend.detokenize(prefix)
-                    forced.append((text, rest[0]))
+                    forced += len(rest[0])
+                    text += "".join(backend.vocab.tokens[t] for t in rest[0])
+                calls.append({"text": text, "walks": 0, "steps": 0})
                 return method(prefix, *rest, **kw)
 
             return call
 
-        monkeypatch.setattr(dungeon, "_walk_transcript", counting_walk)
+        monkeypatch.setattr(dungeon, "_segments", counting_segments)
         monkeypatch.setattr(backend, "score_forced", counted(backend.score_forced))
         monkeypatch.setattr(
             backend, "next_distribution", counted(backend.next_distribution)
         )
         result = decode(dungeon.dungeon_source(instance), backend, config)
-        # a re-score of the decoded transcript takes every action in it
+        # a re-score of the decoded transcript steps every action in it
         backend.score_forced((), result.best.tokens)
         monkeypatch.undo()
-        taken = sum(_actions_taken(instance, text, cont) for text, cont in forced)
-        assert taken >= len(result.bindings) > 0
-        assert calls["forced"] > 10 * calls["backend"]
-        assert calls["walks"] <= calls["backend"] + taken
-        assert calls["fresh"] <= calls["backend"]
-        # no decoded transcript holds more than MAX_STEPS actions, and each
-        # call replays the actions of its prefix at most once
-        assert calls["replayed"] <= dungeon.MAX_STEPS * calls["backend"]
+        assert forced > 10 * len(calls)
+        for call in calls:
+            assert call["walks"] == 1
+            assert call["steps"] <= _actions_in(call["text"]) <= dungeon.MAX_STEPS
+        assert calls[-1]["steps"] == len(result.bindings) > 0
 
 
 @pytest.mark.parametrize(

@@ -58,6 +58,22 @@ def test_registry_reserves_eos():
     assert len(reg) == 3
 
 
+def test_service_eos_text_maps_to_the_eos_index():
+    """A service that spells EOS as ``eos_text`` gets it back as EOS."""
+    vocab = Vocabulary(("</s>", "a", "b"), eos_index=0)
+    table = TableLM(vocab, {}, default_row=[0.5, 0.3, 0.2])
+    with MockCompletionsServer(table) as service:
+        lm = remote(service, eos_text="</s>")
+        dist = lm.next_distribution([])
+    assert dist.entries == (
+        (0, math.log(0.5)),
+        (1, math.log(0.3)),
+        (2, math.log(0.2)),
+    )
+    assert lm.vocab.eos_index == 0 and lm.vocab.token_text(0) == "</s>"
+    assert len(lm.vocab) == 3
+
+
 def test_caps_and_lazy_construction(server):
     lm = remote(server)
     assert server.requests == []  # constructing makes no calls
