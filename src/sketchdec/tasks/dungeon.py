@@ -15,9 +15,10 @@ choices dominate hypothesis ranking.
 
 The template's program and the backend take each action through one
 step rule, so the backend predicts the text the template forces next.
-The backend (``DungeonLM``) keeps no state between calls: each call
+The backend (``DungeonLM``) keeps no per-hypothesis state: each call
 walks its text once from the start, and forced scoring reads the
-continuation one segment at a time.
+continuation one segment at a time.  It keeps only a bounded memo of
+action rows, keyed by model state.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from typing import Iterator, Sequence
 
 from ..decoders import DecoderConfig, decode
 from ..lm import NEG_INF, LMBackend, TokenDistribution, Vocabulary, ordered_sum
-from ..lm import _distribution
+from ..lm import _distribution, _logify
 from ..scoring import ScoreParams
 from ..sketch import Chunk, DynamicSketchSource, OneOf, Sketch, VariableSpec
 
@@ -40,6 +41,10 @@ VISIT_DISCOUNT = 0.05  # per prior visit of the candidate room
 DET_CHAR_MASS = 0.95  # predicted next message character
 ACTION_MASS = 0.97
 TINY = 1e-9
+
+# a bound, because the model's walk goes on past the exit and the step
+# cap, so a scored text can reach states that no decode reaches
+ACTION_MEMO_SIZE = 256
 
 ROOM_NAMES = (
     "Cellar",
@@ -290,13 +295,18 @@ def _action_row(
             weights[str(d)] = TINY
     total = ordered_sum(weights.values())
     row = []
-    spread = (1.0 - ACTION_MASS) / (len(vocab.tokens) - len(weights))
+    spread = _action_spread(vocab)
     for t in vocab.tokens:
         if t in weights:
             row.append(ACTION_MASS * weights[t] / total)
         else:
             row.append(spread)
     return row
+
+
+def _action_spread(vocab: Vocabulary) -> float:
+    """An action row's probability of each token that is not a digit."""
+    return (1.0 - ACTION_MASS) / (len(vocab.tokens) - len(ACTION_DIGITS))
 
 
 def _det_row(vocab: Vocabulary, char: str) -> list[float]:
@@ -309,11 +319,13 @@ class DungeonLM(LMBackend):
 
     The row after a text is the action row at an action position, and
     otherwise the det row of the segment's next character, or the uniform
-    row for a character outside the vocabulary.  The model keeps no state
-    between calls: each call walks its text once from the start, through
-    at most ``MAX_STEPS`` actions in a decoded transcript; ``score_forced``
-    walks prefix and continuation as one text.  Every token but EOS is one
-    character.
+    row for a character outside the vocabulary.  The model keeps no
+    per-hypothesis state: each call walks its text once from the start,
+    through at most ``MAX_STEPS`` actions in a decoded transcript;
+    ``score_forced`` walks prefix and continuation as one text.  It keeps
+    only a FIFO memo of at most ``ACTION_MEMO_SIZE`` action rows, keyed by
+    the model state a row depends on: the node and its neighbours' visit
+    counts.  Every token but EOS is one character.
     """
 
     def __init__(self, instance: DungeonInstance):
@@ -326,13 +338,34 @@ class DungeonLM(LMBackend):
         self._det_rows = {t: _det_row(vocab, t) for t in vocab.tokens if t}
         # a det row's entry for the character it predicts
         self._det_logprob = math.log(DET_CHAR_MASS)
+        # every action row gives each other token the same entry, so the
+        # memo's rows share these pairs and differ only in their digits
+        self._digit_ids = tuple(map(vocab.index_of, ACTION_DIGITS))
+        spread = math.log(_action_spread(vocab))
+        self._spread_pairs = tuple(
+            (t, spread) for t in range(len(vocab)) if t not in self._digit_ids
+        )
+        # (node, *neighbour visits) -> (distribution, log-probabilities by id)
+        self._actions: dict[tuple, tuple[TokenDistribution, list[float]]] = {}
 
-    def _row_at(self, segment: _Segment, at: int) -> list[float]:
-        """The row at text position ``at``, which lies in ``segment``."""
-        pos, node, visits, current = segment
-        if at - pos == len(current):
-            return _action_row(self.vocab, self._instance, node, visits)
-        return self._det_rows.get(current[at - pos], self._uniform)
+    def _action(
+        self, node: int, visits: dict[int, int]
+    ) -> tuple[TokenDistribution, list[float]]:
+        """The action row at ``node``: its distribution and its
+        log-probabilities by id."""
+        key = (node, *[visits.get(n, 0) for n in self._instance.hallways[node]])
+        memo = self._actions.get(key)
+        if memo is None:
+            row = _action_row(self.vocab, self._instance, node, visits)
+            ids = self._digit_ids
+            pairs = [*zip(ids, _logify([row[t] for t in ids])), *self._spread_pairs]
+            lps = [lp for _, lp in sorted(pairs)]
+            dist = TokenDistribution.from_pairs(pairs, complete=True)
+            cache = self._actions
+            if len(cache) >= ACTION_MEMO_SIZE:
+                del cache[next(iter(cache))]
+            memo = cache[key] = (dist, lps)
+        return memo
 
     def next_distribution(
         self, prefix: Sequence[int], text: str | None = None
@@ -340,7 +373,11 @@ class DungeonLM(LMBackend):
         key = self.detokenize(prefix) if text is None else text
         for segment in _segments(self._instance, self._messages, key):
             pass
-        return _distribution(self._row_at(segment, len(key)))
+        pos, node, visits, current = segment
+        if len(key) - pos == len(current):
+            return self._action(node, visits)[0]
+        char = current[len(key) - pos]
+        return _distribution(self._det_rows.get(char, self._uniform))
 
     def score_forced(
         self,
@@ -356,7 +393,7 @@ class DungeonLM(LMBackend):
         out: list[float] = []
         at, i, n = len(key), 0, len(continuation)  # text and token positions
         for segment in _segments(self._instance, self._messages, walked):
-            pos, _, _, current = segment
+            pos, node, visits, current = segment
             action_at = pos + len(current)
             while i < n and at <= action_at:
                 # k tokens up to the segment's action that hold no EOS spell
@@ -370,8 +407,11 @@ class DungeonLM(LMBackend):
                     i += k
                     continue
                 t = continuation[i]
-                p = self._row_at(segment, at)[t]
-                out.append(math.log(p) if p > 0.0 else NEG_INF)
+                if at == action_at:
+                    out.append(self._action(node, visits)[1][t])
+                else:
+                    p = self._det_rows.get(current[at - pos], self._uniform)[t]
+                    out.append(math.log(p) if p > 0.0 else NEG_INF)
                 at += len(tokens[t])
                 i += 1
         return out

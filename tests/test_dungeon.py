@@ -486,3 +486,120 @@ def test_decode_detokenizes_no_prefix(config, monkeypatch):
     assert lengths and max(lengths) == 1
     assert carried == joined
     assert carried.best.text == detokenize(carried.best.tokens)
+
+
+def _action_positions(instance, text: str) -> list[int]:
+    """Where the model's walk of ``text`` reads an action, in order."""
+    walk = dungeon._segments(instance, _messages(instance), text)
+    positions = [pos + len(current) for pos, _, _, current in walk]
+    return [at for at in positions if at <= len(text)]
+
+
+def test_action_memo_stays_at_its_bound(monkeypatch):
+    """A scored text that walks far past the step cap, back and forth
+    between two rooms, raises visit counts at every action, so each action
+    reaches a model state of its own; the memo never holds more than its
+    bound, and rows read after an eviction are the reference walk's."""
+    instance = dungeon.gen_dungeon(0, 2)  # the start's neighbours are 0 and 1
+    assert instance.start in instance.hallways[0]
+    steps = dungeon.ACTION_MEMO_SIZE + 40
+    text = _transcript(instance, ("0" + str(instance.start)) * (steps // 2))
+    backend = dungeon.dungeon_backend(instance)
+    vocab = backend.vocab
+    tokens = [vocab.index_of(c) for c in text]
+    for at in _action_positions(instance, text):
+        backend.next_distribution(tokens[:at], text=text[:at])
+        assert len(backend._actions) <= dungeon.ACTION_MEMO_SIZE
+    assert len(backend._actions) == dungeon.ACTION_MEMO_SIZE
+    backend.score_forced((), tokens)
+    assert len(backend._actions) == dungeon.ACTION_MEMO_SIZE
+
+    monkeypatch.setattr(dungeon, "ACTION_MEMO_SIZE", 1)
+    short = text[: _action_positions(instance, text)[12]]
+    at = _action_positions(instance, short)
+    # each state read again after others evicted it, and read twice in a row
+    order = at + at[::-1] + [a for a in at for _ in range(2)]
+    _assert_rows_match_fresh_walks(instance, [short[:a] for a in order])
+    _assert_forced_matches_reference(instance, [], [vocab.index_of(c) for c in short])
+
+
+_SUITE_CONFIGS = (
+    DecoderConfig(kind="argmax", width=1),
+    DecoderConfig(kind="beamvar", width=2),
+    DecoderConfig(kind="var", width=2),
+)
+
+
+def test_memo_rows_decode_as_fresh_rows():
+    """One backend shared across a suite's decodes, with its rows kept
+    from decode to decode, gives the decodes of a fresh backend each."""
+    for instance in dungeon.suite(0):
+        shared = dungeon.dungeon_backend(instance)
+        for config in _SUITE_CONFIGS:
+            warm = decode(dungeon.dungeon_source(instance), shared, config)
+            fresh = dungeon.dungeon_backend(instance)
+            cold = decode(dungeon.dungeon_source(instance), fresh, config)
+            assert warm.best.tokens == cold.best.tokens
+            assert warm.bindings == cold.bindings
+            assert warm.best.raw_score.hex() == cold.best.raw_score.hex()
+
+
+def test_forced_action_entries_equal_distribution_entries():
+    """At each action of a decoded transcript, and past its exit, the
+    forced score of every token equals its entry in the distribution, bit
+    for bit, whichever of the two reads builds the row and whichever finds
+    it kept."""
+    instance = dungeon.suite(0)[0]
+    config = DecoderConfig(kind="argmax", width=1)
+    source = dungeon.dungeon_source(instance)
+    result = decode(source, dungeon.dungeon_backend(instance), config)
+    text, tokens = result.best.text, list(result.best.tokens)
+    positions = _action_positions(instance, text)
+    assert len(positions) == len(result.bindings) + 1 > 2
+
+    def distribution(backend, at):
+        dist = backend.next_distribution(tokens[:at], text=text[:at])
+        return {t: lp.hex() for t, lp in dist.entries}
+
+    def forced(backend, at):
+        return {
+            t: backend.score_forced(tokens[:at], [t], text=text[:at])[0].hex()
+            for t in range(len(backend.vocab))
+        }
+
+    for at in positions:
+        for first, second in ((distribution, forced), (forced, distribution)):
+            backend = dungeon.dungeon_backend(instance)
+            built = first(backend, at)
+            assert len(backend._actions) == 1
+            assert second(backend, at) == built
+            assert len(backend._actions) == 1
+
+
+def test_one_action_row_per_model_state(monkeypatch):
+    """A seed-0 suite pass builds each action row once per backend, one
+    per distinct model state, and a second pass over the same backends
+    builds none."""
+    instances = dungeon.suite(0)
+    backends = [dungeon.dungeon_backend(instance) for instance in instances]
+    built = []  # (instance index, node, neighbour visits) per row built
+    action_row = dungeon._action_row
+
+    def counting(vocab, instance, node, visits):
+        neighbours = tuple(visits.get(n, 0) for n in instance.hallways[node])
+        built.append((instances.index(instance), node, neighbours))
+        return action_row(vocab, instance, node, visits)
+
+    def suite_pass():
+        for instance, backend in zip(instances, backends):
+            for config in _SUITE_CONFIGS:
+                decode(dungeon.dungeon_source(instance), backend, config)
+
+    monkeypatch.setattr(dungeon, "_action_row", counting)
+    suite_pass()
+    assert len(built) == len(set(built)) == sum(len(b._actions) for b in backends)
+    assert len(built) == 162
+    assert max(len(b._actions) for b in backends) < dungeon.ACTION_MEMO_SIZE
+    built.clear()
+    suite_pass()
+    assert built == []
