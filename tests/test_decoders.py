@@ -570,6 +570,18 @@ def cap_escape_fixture() -> tuple[Sketch, TableLM]:
     return sketch, random_backend(3)
 
 
+def random_ngram_fixture(seed: int, order: int) -> tuple[Sketch, NGramLM]:
+    """A random sketch over three letters and an n-gram model of the given
+    order, counted from a short random corpus."""
+    rng = random.Random(seed)
+    # three letters keep exhaustive enumeration of free variables small
+    sketch = random_sketch(rng, letters="abc")
+    vocab = random_backend(seed, letters="abc", merges=("ab",)).vocab
+    # a short corpus leaves many ids unseen, so ties are broken by id
+    corpus = [rng.randrange(len(vocab)) for _ in range(rng.randint(0, 30))]
+    return sketch, NGramLM(vocab, order, corpus)
+
+
 def pinned_families():
     """(family, source, backend, extra config) for the pinned-output test."""
     for seed in range(20):
@@ -602,6 +614,10 @@ def pinned_families():
     )
     sketch, backend = cap_escape_fixture()
     yield "cap-escape", sketch, backend, {"global_max_tokens": 1}
+    # the sparse n-gram view, read best-first by every decoder
+    for seed in range(6):
+        for order in (1, 2, 3):
+            yield "ngram", *random_ngram_fixture(seed, order), {}
     # the only decodes whose normalization weight counts variable tokens
     # alone, at the default and at a non-default alpha and beta
     for family, score in (
@@ -686,6 +702,12 @@ PINNED_DIGESTS = {
     "cap-escape/var-branch": "93e7d082f14c7003af417db7a6ab48827ab58436455b08b79d98621c140fb062",
     "cap-escape/var-sample": "317cad4cae8d43063087c8e679a9486b705d4a815227240b948b9b64d543152f",
     "cap-escape/var-exhaustive": "3eb3b9d64922c9eefd7c2beac0fe3ec0299627c5af639ea71376c166bc2bc740",
+    "ngram/argmax": "c958ca9df7845093ac7e77c1c271164d452fc1b7a171e23f25ad455cbf5ef004",
+    "ngram/beam": "dc9ef7c9fa491ff5ac530bbbdc9b52ef36cdcb6ef968d439c3feadaa410ba8dd",
+    "ngram/beamvar": "e92ddd3beca7040d9309f41b5314edf75b78766f3634ff3cb18762f9432c82d3",
+    "ngram/var-branch": "a6195c56ec3c36d869ba6b6cee6e569a00cc6c3d3db573887774e56d6da88a9a",
+    "ngram/var-sample": "62a6ecbfd2c32eec10d8bc336719a8903bc978d8f63d7cc7ae39366f361f4a0d",
+    "ngram/var-exhaustive": "4c59b389fec83c3d7ef2a1b5a04a16f6dde5fe7e140772e1c63553cc727a7b1f",
     "vars-only/argmax": "6c4902a0a51b5867edda50eb935737b2052a1dd12c2c8007e844bd9ec63bb99a",
     "vars-only/beam": "ee8a96fc5324bce56eb068f096dc6a91e2f80f171d6a3f6f07c2dbe37d4ecece",
     "vars-only/beamvar": "5c012e8df56eeb143ea4cd8352050647c6fed6fcf756cc868c6646f28a28f82f",
@@ -1111,13 +1133,7 @@ class Materialised(LMBackend):
 def test_sparse_ngram_decodes_equal_materialised(seed, order, cap):
     """Every decoder reads the n-gram view through top, allowed and
     entries; each decode equals the one on whole sorted distributions."""
-    rng = random.Random(seed)
-    # three letters keep exhaustive enumeration of free variables small
-    sketch = random_sketch(rng, letters="abc")
-    vocab = random_backend(seed, letters="abc", merges=("ab",)).vocab
-    # a short corpus leaves many ids unseen, so ties are broken by id
-    corpus = [rng.randrange(len(vocab)) for _ in range(rng.randint(0, 30))]
-    sparse = NGramLM(vocab, order, corpus)
+    sketch, sparse = random_ngram_fixture(seed, order)
     for _, config in decoder_configs():
         config = dict(config, global_max_tokens=cap)
         assert decode_fingerprint(sketch, sparse, **config) == decode_fingerprint(
