@@ -756,17 +756,22 @@ class _DrawNode:
 
 
 def _propose_exhaustive(eng: _Engine, h: Hypothesis) -> list[_Cand]:
-    """Every legal completion of the open variable chunk."""
+    """Every legal completion of the open variable chunk, depth first.
+
+    The walk keeps its own stack of child iterators rather than recursing
+    through a closure, which would refer to itself and so keep the engine
+    and every candidate alive until the cyclic collector runs.
+    """
     out: list[_Cand] = []
-
-    def rec(h: Hypothesis, via: _Cand | None) -> None:
-        for c in eng.expand_top(h, None, via):
-            if c.closed:
-                out.append(c)
-            elif not c.dead:
-                rec(c.hyp, c)
-
-    rec(h, None)
+    stack = [iter(eng.expand_top(h, None))]
+    while stack:
+        c = next(stack[-1], None)
+        if c is None:
+            stack.pop()
+        elif c.closed:
+            out.append(c)
+        elif not c.dead:
+            stack.append(iter(eng.expand_top(c.hyp, None, c)))
     return out
 
 

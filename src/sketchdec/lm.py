@@ -35,11 +35,13 @@ ascending id, through four reads, which are all the decoders make:
 
 The table model and the remote backend build ``entries`` up front
 (``TokenDistribution.from_pairs``).  The n-gram model's distribution is
-sparse: it keeps the context's follower counts and builds ``entries`` only
-when asked.  ``top(n)`` takes the sorted observed followers and then unseen
-ids in id order (every unseen token shares one smaller probability),
-``first`` tests only the observed followers, and ``allowed(mask)`` sorts
-only the mask's ids, so no read but ``entries`` costs the vocabulary.
+sparse: it reads the context's row, the observed followers sorted
+best-first, which the model builds once per context and keeps, and builds
+``entries`` only when asked.  ``top(n)`` slices the row and then takes
+unseen ids in id order (every unseen token shares one smaller
+probability), ``first`` tests only the row's ids, and ``allowed(mask)``
+filters the row by the mask and sorts only the mask's unseen ids, so no
+read but ``entries`` costs the vocabulary.
 
 Local backends expose complete next-token distributions over a fixed
 vocabulary.  Both exist to create exactly reproducible desk-scale
@@ -201,22 +203,27 @@ class TokenDistribution:
 
 
 class _SmoothedCounts(TokenDistribution):
-    """Add-1-smoothed distribution over one context's follower counts,
-    read without building its V entries.
+    """Add-1-smoothed distribution of one n-gram context, read from the
+    context's row without building its V entries.
 
     With T the follower total and V the vocabulary size, token i has
     probability (c_i+1)/(T+V), c_i its count.  An observed follower
     (c_i >= 1) has at least 2/(T+V), strictly above the 1/(T+V) every
-    unseen token shares, so the best-first order is the observed followers
-    sorted by ``(-logprob, id)``, then the unseen ids ascending.  Each
+    unseen token shares, so the best-first order is the row -- the
+    observed followers and their log-probabilities sorted by
+    ``(-logprob, id)``, which ``NGramLM`` builds once per context and
+    shares between views -- then the unseen ids ascending.  Each
     log-probability is the float ``NGramLM.score_forced`` computes.
     """
 
-    __slots__ = ("_counts", "_total", "_v")
+    __slots__ = ("_row", "_counts", "_total", "_v")
 
-    def __init__(self, counts: Counter, total: int, v: int):
+    def __init__(
+        self, row: tuple[tuple[int, float], ...], counts: Counter, total: int, v: int
+    ):
         self._entries = None
         self.complete = True
+        self._row = row
         self._counts = counts
         self._total = total
         self._v = v
@@ -230,35 +237,29 @@ class _SmoothedCounts(TokenDistribution):
     def _unseen_lp(self) -> float:
         return math.log(1 / (self._total + self._v))
 
-    def _sorted_seen(self, ids) -> list[tuple[int, float]]:
-        """Observed followers among ids, best-first."""
-        counts, denom = self._counts, self._total + self._v
-        return sorted(
-            ((i, math.log((counts[i] + 1) / denom)) for i in ids), key=_best_first
-        )
-
     def top(self, n: int) -> tuple[tuple[int, float], ...]:
-        seen = self._sorted_seen(self._counts)
-        if n <= len(seen):
-            return tuple(seen[:n])
+        row = self._row
+        if n <= len(row):
+            return row[:n]
         unseen = filterfalse(self._counts.__contains__, range(self._v))
-        return tuple(
-            chain(seen, zip(islice(unseen, n - len(seen)), repeat(self._unseen_lp())))
+        return row + tuple(
+            zip(islice(unseen, n - len(row)), repeat(self._unseen_lp()))
         )
 
     def first(self, n: int, accept: Callable[[int], bool]) -> tuple | None:
-        """The n best accepted observed followers, which outrank every
+        """The n >= 1 best accepted observed followers, which outrank every
         unseen id; None when fewer than n pass."""
-        # ids ascending, then stably by descending count, which orders the
-        # log-probabilities
-        ids = sorted(self._counts)
-        ids.sort(key=self._counts.__getitem__, reverse=True)
-        out = list(islice(filter(accept, ids), n))
-        return tuple(self._sorted_seen(out)) if len(out) == n else None
+        out = []
+        for p in self._row:
+            if accept(p[0]):
+                out.append(p)
+                if len(out) == n:
+                    return tuple(out)
+        return None
 
     def allowed(self, mask: AbstractSet[int]) -> tuple[tuple[int, float], ...]:
         counts = self._counts
-        seen = self._sorted_seen([i for i in mask if i in counts])
+        seen = [p for p in self._row if p[0] in mask]
         unseen = sorted(i for i in mask if i not in counts)
         return tuple(chain(seen, zip(unseen, repeat(self._unseen_lp()))))
 
@@ -425,6 +426,11 @@ class NGramLM(LMBackend):
     Contexts never observed in the corpus back off to the add-1-smoothed
     unigram distribution; prefixes shorter than the context length use the
     same backoff.
+
+    The model keeps one best-first row per context it resolves a prefix
+    to: the context's observed followers with their log-probabilities,
+    sorted once, on the context's first read.  The memo is bounded by the
+    model, at most one row per observed (order-1)-gram plus the backoff's.
     """
 
     def __init__(self, vocab: Vocabulary, order: int, corpus_tokens: Sequence[int]):
@@ -442,23 +448,39 @@ class NGramLM(LMBackend):
         self._follow: dict[tuple[int, ...], tuple[Counter, int]] = {
             ctx: (counts, sum(counts.values())) for ctx, counts in follow.items()
         }
+        # best-first rows by context; None keys the unigram backoff
+        self._rows: dict[tuple[int, ...] | None, tuple[tuple[int, float], ...]] = {}
 
-    def _counts(self, prefix: Sequence[int]) -> tuple[Counter, int]:
-        """Follower counts of the prefix's context and their total."""
+    def _context(
+        self, prefix: Sequence[int]
+    ) -> tuple[tuple[int, ...] | None, tuple[Counter, int]]:
+        """The prefix's observed context (None for the unigram backoff),
+        its follower counts and their total."""
         k = self.order - 1
         if len(prefix) >= k:
-            hit = self._follow.get(tuple(prefix[len(prefix) - k :]))
+            ctx = tuple(prefix[len(prefix) - k :])
+            hit = self._follow.get(ctx)
             if hit is not None:
-                return hit
-        return self._unigram
+                return ctx, hit
+        return None, self._unigram
 
     def next_distribution(
         self, prefix: Sequence[int], text: str | None = None
     ) -> TokenDistribution:
-        """A sparse view of the context's counts: nothing V-wide is built.
-        The model reads token ids, so ``text`` is ignored."""
-        counts, total = self._counts(prefix)
-        return _SmoothedCounts(counts, total, len(self.vocab))
+        """A sparse view of the context's kept row: nothing V-wide is
+        built.  The model reads token ids, so ``text`` is ignored."""
+        ctx, (counts, total) = self._context(prefix)
+        v = len(self.vocab)
+        row = self._rows.get(ctx)
+        if row is None:
+            denom = total + v
+            row = self._rows[ctx] = tuple(
+                sorted(
+                    ((i, math.log((c + 1) / denom)) for i, c in counts.items()),
+                    key=_best_first,
+                )
+            )
+        return _SmoothedCounts(row, counts, total, v)
 
     def score_forced(
         self,
@@ -474,7 +496,7 @@ class NGramLM(LMBackend):
         ctx = list(prefix[len(prefix) - k :]) if len(prefix) >= k else list(prefix)
         out: list[float] = []
         for t in continuation:
-            counts, total = self._counts(ctx)
+            _, (counts, total) = self._context(ctx)
             out.append(math.log((counts.get(t, 0) + 1) / (total + v)))
             ctx.append(t)
             if len(ctx) > k:

@@ -460,29 +460,62 @@ def test_ngram_next_distribution_matches_full_sort(data, order):
     assert (dist.entries, dist.complete) == (want.entries, want.complete)
 
 
+def ngram_prefixes(data, vocab, order, count=2) -> list[list[int]]:
+    """Prefixes up to one token longer than the context, some with EOS."""
+    ids = st.integers(0, len(vocab) - 1)
+    prefixes = []
+    for _ in range(count):
+        prefix = data.draw(st.lists(ids, max_size=order + 1), "prefix")
+        if data.draw(st.booleans(), "EOS inside the prefix"):
+            prefix.insert(data.draw(st.integers(0, len(prefix))), vocab.eos_index)
+        prefixes.append(prefix)
+    return prefixes
+
+
 @given(st.data(), st.integers(1, 3))
 def test_ngram_view_reads_equal_materialised_reads(data, order):
     """top and allowed of the sparse n-gram distribution against the same
-    reads of the whole sorted reference, with exact ==."""
+    reads of the whole sorted reference, with exact ==.  One model reads
+    two prefixes in two rounds with different n and masks, so the second
+    round reads rows the first one kept."""
     vocab = data.draw(vocabularies(max_tokens=8))
     ids = st.integers(0, len(vocab) - 1)
     corpus = data.draw(st.lists(ids, max_size=16), "corpus")
-    prefix = data.draw(st.lists(ids, max_size=order + 1), "prefix")
-    if data.draw(st.booleans(), "EOS inside the prefix"):
-        prefix.insert(data.draw(st.integers(0, len(prefix))), vocab.eos_index)
-    n = data.draw(st.integers(0, len(vocab) + 1), "n")
-    mask = data.draw(st.frozensets(ids), "mask")
+    prefixes = ngram_prefixes(data, vocab, order)
+    sizes, masks = st.integers(0, len(vocab) + 1), st.frozensets(ids)
+    rounds = [(data.draw(sizes, "n"), data.draw(masks, "mask")) for _ in range(2)]
     lm = NGramLM(vocab, order, corpus)
-    want = reference_ngram_distribution(vocab, order, corpus, prefix)
-    entries = want.entries
-    assert want.top(n) == entries[:n]
-    assert want.allowed(mask) == tuple(p for p in entries if p[0] in mask)
-    # each read on a fresh view, and again once entries are built
-    assert lm.next_distribution(prefix).top(n) == entries[:n]
-    assert lm.next_distribution(prefix).allowed(mask) == want.allowed(mask)
-    view = lm.next_distribution(prefix)
-    assert view.entries == entries and view.complete == want.complete
-    assert (view.top(n), view.allowed(mask)) == (want.top(n), want.allowed(mask))
+    for n, mask in rounds:
+        for prefix in prefixes:
+            want = reference_ngram_distribution(vocab, order, corpus, prefix)
+            entries = want.entries
+            assert want.top(n) == entries[:n]
+            assert want.allowed(mask) == tuple(p for p in entries if p[0] in mask)
+            # each read on a fresh view, and again once entries are built
+            assert lm.next_distribution(prefix).top(n) == entries[:n]
+            assert lm.next_distribution(prefix).allowed(mask) == want.allowed(mask)
+            view = lm.next_distribution(prefix)
+            assert view.entries == entries and view.complete == want.complete
+            assert (view.top(n), view.allowed(mask)) == (want.top(n), want.allowed(mask))
+
+
+def test_ngram_row_memo_is_bounded_by_the_model():
+    vocab = Vocabulary(("", "a", "b", "c"), 0)
+    lm = NGramLM(vocab, 3, [1, 2, 1, 3, 1, 2])
+    # 200 distinct prefixes whose last two tokens the corpus never shows
+    unseen = [
+        list(p)
+        for p in itertools.product((0, 1, 2, 3), repeat=5)
+        if tuple(p[3:]) not in lm._follow
+    ][:200]
+    assert len(unseen) == 200
+    for prefix in unseen + [[], [1]]:
+        lm.next_distribution(prefix).top(2)
+    assert list(lm._rows) == [None]
+    for ctx in lm._follow:
+        lm.next_distribution([0, *ctx]).first(1, bool)
+    assert len(lm._rows) == len(lm._follow) + 1
+    assert lm.next_distribution([1, 2])._row is lm.next_distribution([3, 1, 2])._row
 
 
 @given(st.data())
@@ -505,23 +538,23 @@ def test_ngram_first_reads_observed_followers_only(data, order):
     vocab = data.draw(vocabularies(max_tokens=8))
     ids = st.integers(0, len(vocab) - 1)
     corpus = data.draw(st.lists(ids, max_size=16), "corpus")
-    prefix = data.draw(st.lists(ids, max_size=order + 1), "prefix")
-    if data.draw(st.booleans(), "EOS inside the prefix"):
-        prefix.insert(data.draw(st.integers(0, len(prefix))), vocab.eos_index)
-    mask = data.draw(st.frozensets(ids), "mask")
+    prefixes = ngram_prefixes(data, vocab, order)
+    # the second mask reads rows the first one kept
+    masks = data.draw(st.lists(st.frozensets(ids), min_size=2, max_size=2), "masks")
     lm = NGramLM(vocab, order, corpus)
-    want = reference_ngram_distribution(vocab, order, corpus, prefix)
-    observed = set(reference_followers(order, corpus, prefix))
-    for n in range(1, 6):
-        tested = []
-        got = lm.next_distribution(prefix).first(
-            n, lambda i: tested.append(i) or i in mask
-        )
-        assert set(tested) <= observed
-        if len(observed & mask) < n:
-            assert got is None
-        else:
-            assert got == want.allowed(mask)[:n]
+    for mask, prefix in itertools.product(masks, prefixes):
+        want = reference_ngram_distribution(vocab, order, corpus, prefix)
+        observed = set(reference_followers(order, corpus, prefix))
+        for n in range(1, 6):
+            tested = []
+            got = lm.next_distribution(prefix).first(
+                n, lambda i: tested.append(i) or i in mask
+            )
+            assert set(tested) <= observed
+            if len(observed & mask) < n:
+                assert got is None
+            else:
+                assert got == want.allowed(mask)[:n]
 
 
 def scan_tokenize(vocab: Vocabulary, text: str) -> list[int]:

@@ -1,5 +1,6 @@
 """Decoding strategies: greedy, beam, variable-level, and pooled beam."""
 import builtins
+import gc
 import hashlib
 import math
 import random
@@ -725,6 +726,23 @@ PINNED_DIGESTS = {
 
 def test_decoder_outputs_are_pinned():
     assert pinned_digests() == PINNED_DIGESTS
+
+
+@pytest.mark.parametrize("record_tree", [False, True], ids=["untraced", "traced"])
+def test_decodes_leave_nothing_to_the_cyclic_collector(record_tree):
+    """Every decoder kind and var proposal frees what its decode made by
+    reference counting alone: with the cyclic collector off, a decode
+    leaves no unreachable cycle behind."""
+    fixtures = [random_fixture(0), random_ngram_fixture(1, 2), truncated_fixture(0)]
+    gc.collect()
+    gc.disable()
+    try:
+        for sketch, backend in fixtures:
+            for label, config in decoder_configs(widths=(1, 2)):
+                decode(sketch, backend, DecoderConfig(record_tree=record_tree, **config))
+                assert gc.collect() == 0, (sketch.name, label)
+    finally:
+        gc.enable()
 
 
 def test_trace_switch_leaves_decodes_unchanged():
