@@ -420,6 +420,18 @@ class TableLM(LMBackend):
         return cls.from_json(_read_object(path, "table model"))
 
 
+class _Context:
+    """One n-gram context: its follower counts, their total (summed once,
+    here), and its best-first row, None until the context is first read."""
+
+    __slots__ = ("counts", "total", "row")
+
+    def __init__(self, counts: Counter):
+        self.counts = counts
+        self.total = sum(counts.values())
+        self.row: tuple[tuple[int, float], ...] | None = None
+
+
 class NGramLM(LMBackend):
     """Fixed-order n-gram model with add-1 smoothing over the vocabulary.
 
@@ -427,10 +439,11 @@ class NGramLM(LMBackend):
     unigram distribution; prefixes shorter than the context length use the
     same backoff.
 
-    The model keeps one best-first row per context it resolves a prefix
-    to: the context's observed followers with their log-probabilities,
-    sorted once, on the context's first read.  The memo is bounded by the
-    model, at most one row per observed (order-1)-gram plus the backoff's.
+    Each context it resolves a prefix to keeps one best-first row: its
+    observed followers with their log-probabilities, sorted once, on the
+    context's first read, and kept for the model's life.  The rows live on
+    the contexts, so they are bounded by the model: at most one per
+    observed (order-1)-gram plus the backoff's.
     """
 
     def __init__(self, vocab: Vocabulary, order: int, corpus_tokens: Sequence[int]):
@@ -438,49 +451,41 @@ class NGramLM(LMBackend):
             raise ModelFileError("order must be >= 1")
         self.vocab = vocab
         self.order = order
-        self._unigram = (Counter(corpus_tokens), len(corpus_tokens))
+        self._v = len(vocab)
+        self._unigram = _Context(Counter(corpus_tokens))
         follow: dict[tuple[int, ...], Counter] = {}
         k = order - 1
         for i in range(k, len(corpus_tokens)):
             ctx = tuple(corpus_tokens[i - k : i])
             follow.setdefault(ctx, Counter())[corpus_tokens[i]] += 1
-        # each context's follower total is summed once, here
-        self._follow: dict[tuple[int, ...], tuple[Counter, int]] = {
-            ctx: (counts, sum(counts.values())) for ctx, counts in follow.items()
-        }
-        # best-first rows by context; None keys the unigram backoff
-        self._rows: dict[tuple[int, ...] | None, tuple[tuple[int, float], ...]] = {}
+        self._follow = {ctx: _Context(counts) for ctx, counts in follow.items()}
 
-    def _context(
-        self, prefix: Sequence[int]
-    ) -> tuple[tuple[int, ...] | None, tuple[Counter, int]]:
-        """The prefix's observed context (None for the unigram backoff),
-        its follower counts and their total."""
+    def _context(self, prefix: Sequence[int]) -> _Context:
+        """The prefix's observed context, or the unigram backoff."""
         k = self.order - 1
         if len(prefix) >= k:
-            ctx = tuple(prefix[len(prefix) - k :])
-            hit = self._follow.get(ctx)
+            hit = self._follow.get(tuple(prefix[len(prefix) - k :]))
             if hit is not None:
-                return ctx, hit
-        return None, self._unigram
+                return hit
+        return self._unigram
 
     def next_distribution(
         self, prefix: Sequence[int], text: str | None = None
     ) -> TokenDistribution:
         """A sparse view of the context's kept row: nothing V-wide is
         built.  The model reads token ids, so ``text`` is ignored."""
-        ctx, (counts, total) = self._context(prefix)
-        v = len(self.vocab)
-        row = self._rows.get(ctx)
+        c = self._context(prefix)
+        v = self._v
+        row = c.row
         if row is None:
-            denom = total + v
-            row = self._rows[ctx] = tuple(
+            denom = c.total + v
+            row = c.row = tuple(
                 sorted(
-                    ((i, math.log((c + 1) / denom)) for i, c in counts.items()),
+                    ((i, math.log((n + 1) / denom)) for i, n in c.counts.items()),
                     key=_best_first,
                 )
             )
-        return _SmoothedCounts(row, counts, total, v)
+        return _SmoothedCounts(row, c.counts, c.total, v)
 
     def score_forced(
         self,
@@ -492,12 +497,12 @@ class NGramLM(LMBackend):
         the context slides over the last order-1 tokens.  ``text`` is
         ignored."""
         k = self.order - 1
-        v = len(self.vocab)
+        v = self._v
         ctx = list(prefix[len(prefix) - k :]) if len(prefix) >= k else list(prefix)
         out: list[float] = []
         for t in continuation:
-            _, (counts, total) = self._context(ctx)
-            out.append(math.log((counts.get(t, 0) + 1) / (total + v)))
+            c = self._context(ctx)
+            out.append(math.log((c.counts.get(t, 0) + 1) / (c.total + v)))
             ctx.append(t)
             if len(ctx) > k:
                 del ctx[0]

@@ -509,12 +509,13 @@ def test_ngram_row_memo_is_bounded_by_the_model():
         if tuple(p[3:]) not in lm._follow
     ][:200]
     assert len(unseen) == 200
+    contexts = [lm._unigram, *lm._follow.values()]
     for prefix in unseen + [[], [1]]:
         lm.next_distribution(prefix).top(2)
-    assert list(lm._rows) == [None]
+    assert [c.row is not None for c in contexts] == [True] + [False] * len(lm._follow)
     for ctx in lm._follow:
         lm.next_distribution([0, *ctx]).first(1, bool)
-    assert len(lm._rows) == len(lm._follow) + 1
+    assert all(c.row is not None for c in contexts)
     assert lm.next_distribution([1, 2])._row is lm.next_distribution([3, 1, 2])._row
 
 
