@@ -21,19 +21,20 @@ Every selection goes through one pooled rule (``_Engine.select``).  In
 their single pool's top n is the global top n.
 
 A candidate (``_Cand``) is a parent hypothesis plus one appended token and
-what the step made of it.  Its rank key, normalized score, pool and
-``dead`` are computed from the parent, and its ``Hypothesis`` is built only
-when selection keeps it or a proposal extends it; most candidates of a wide
+what the step made of it.  Its rank key, normalized score and ``dead`` are
+computed from the parent, and its ``Hypothesis`` is built only when
+selection keeps it or a proposal extends it; most candidates of a wide
 search are pruned unbuilt.  All children of one parent are made in one
 batch (``_Engine.children``), which reads the parent's OneOf steps, cap
-test, trace edge and normalization weight once for all of them.  A
-proposal walk passes the candidate it extends to the next step, so the
-step's one candidate also carries the trace edge from the walk's start; a
-member fallback is the candidate of the member's last token.  Selection
-ranks each candidate once, and the recorded node takes its score from that
-key.  A sampled proposal's n samples walk one draw tree, so each node they
-visit reads its continuations once and makes each child once, however many
-samples pass through it.
+test and normalization weight once for all of them.  A proposal walk
+extends the candidate of its last step, and a member fallback is the
+candidate of the member's last token.  Both loops hand selection each
+expanded hypothesis with its candidates: that hypothesis's variable is
+their pool, and in a recorded tree a candidate's edge is every token past
+it.  Selection ranks each candidate once, and the recorded node takes its
+score from that key.  A sampled proposal's n samples walk one draw tree,
+so each node they visit reads its continuations once and makes each child
+once, however many samples pass through it.
 
 Within one decode, OneOf steps share one index (``_Engine._entry``), the
 lazy form of a state-to-token index: per (members, partial value), each
@@ -294,19 +295,15 @@ class _Engine:
         return entry
 
     def children(
-        self,
-        h: Hypothesis,
-        pairs: Sequence[tuple[int, float]],
-        via: "_Cand | None" = None,
+        self, h: Hypothesis, pairs: Sequence[tuple[int, float]]
     ) -> list["_Cand"]:
         """The children of h by these (token, logprob) pairs, each closing
         or killing the chunk as ruled; their Hypotheses are built on first
-        use.  Their trace edges start at the token, or continue via's, the
-        candidate that h was built from.
+        use.
 
         What depends only on h is done once: the OneOf steps from h's
-        state, the cap test, the trace edge's start, and the normalization
-        weight, since every child has one more token and variable token.
+        state, the cap test, and the normalization weight, since every
+        child has one more token and variable token.
         """
         spec, state = h.open_spec, h.open_state
         entry = steps = None
@@ -315,10 +312,6 @@ class _Engine:
             steps = entry.steps[state.tokens_emitted, spec.max_tokens]
         n = len(h.tokens)
         over_cap = n >= self.cap
-        if via is None:
-            start, base = n, None
-        else:
-            start, base = via.start, via.edge_logprob
         score = self.score
         weight = normalization_weight(score, h.effective_m(score) + 1)
         raw, pieces, vocab = h.raw_score, self._pieces, self.backend.vocab
@@ -353,26 +346,21 @@ class _Engine:
                     new_state,
                     closed,
                     dead,
-                    start,
-                    logprob if base is None else base + logprob,
                     weight * (raw + logprob),
                 )
             )
         return out
 
-    def apply_token(
-        self, h: Hypothesis, token: int, logprob: float, via: "_Cand | None" = None
-    ) -> "_Cand":
+    def apply_token(self, h: Hypothesis, token: int, logprob: float) -> "_Cand":
         """The one child of h by this token, as ``children`` makes it."""
-        return self.children(h, ((token, logprob),), via)[0]
+        return self.children(h, ((token, logprob),))[0]
 
     def fallback_completions(self, h: Hypothesis) -> list["_Cand"]:
         """Score whole member completions when the truncated distribution
         has no allowed token (one forced-scoring call per member); a member
         the backend cannot align with h's text is skipped.
 
-        Each option is the candidate of its member's last token, with a
-        trace edge spanning the whole suffix."""
+        Each option is the candidate of its member's last token."""
         state, spec = h.open_state, h.open_spec
         out: list[_Cand] = []
         for member in state.index.members:
@@ -392,11 +380,9 @@ class _Engine:
             for t, lp in zip(toks[1:], lps[1:]):
                 if cand.dead or cand.closed:
                     break
-                cand = self.apply_token(cand.hyp, t, lp, cand)
-            if cand.dead:
-                continue
-            cand.edge_logprob = ordered_sum(lps)
-            out.append(cand)
+                cand = self.apply_token(cand.hyp, t, lp)
+            if not cand.dead:
+                out.append(cand)
         out.sort(key=_Cand.rank_key)
         if not out:
             raise DeadEnd(
@@ -405,11 +391,9 @@ class _Engine:
             )
         return out
 
-    def expand_top(
-        self, h: Hypothesis, n: int | None, via: "_Cand | None" = None
-    ) -> list["_Cand"]:
+    def expand_top(self, h: Hypothesis, n: int | None) -> list["_Cand"]:
         """Children of h by its n best allowed continuations (all of them
-        for n None), their trace edges continuing via's.
+        for n None).
 
         Returns [] when the hypothesis is at a dead end.
         """
@@ -419,42 +403,50 @@ class _Engine:
             return []
         if pairs is None:
             try:
-                return [o.after(via) for o in self.fallback_completions(h)[:n]]
+                return self.fallback_completions(h)[:n]
             except DeadEnd:
                 return []
-        return self.children(h, pairs[:n], via)
+        return self.children(h, pairs[:n])
 
     # -- selection -------------------------------------------------------
 
-    def select(self, cands: Sequence["_Cand"], width: int) -> list[Hypothesis]:
+    def select(
+        self, expansions: Sequence[tuple[Hypothesis, Sequence["_Cand"]]], width: int
+    ) -> list[Hypothesis]:
         """The best live candidates of each variable pool, the width split
         among the pools by ``allocate_pools``.
 
-        A recorded tree gets one node per candidate, in rank order, scored
-        from its rank key; each survivor is built under its new node."""
-        if not cands:
+        Each expansion is a hypothesis h with the candidates made from it,
+        which join the pool of h's open variable, closing or not.  A
+        recorded tree gets one node per candidate, in rank order, under h's
+        node: its edge is the tokens past h, with their log-probabilities
+        added in order, and its score comes from the rank key.  Each
+        survivor is built under its new node."""
+        by_pool: dict[int, list[tuple[Hypothesis, _Cand]]] = {}
+        for h, cands in expansions:
+            if cands:
+                by_pool.setdefault(h.vars_done, []).extend((h, c) for c in cands)
+        if not by_pool:
             return []
-        by_pool: dict[int, list[_Cand]] = {}
-        for c in cands:
-            by_pool.setdefault(c.pool_key(), []).append(c)
         pools = [Pool(variable_index=k, members=by_pool[k]) for k in sorted(by_pool)]
         recorder, token_text = self.recorder, self.backend.vocab.token_text
         kept: list[Hypothesis] = []
         for pool, w in zip(pools, allocate_pools(pools, width)):
             ranked = sorted(
-                ((c.rank_key(), c) for c in pool.members), key=itemgetter(0)
+                ((c.rank_key(), h, c) for h, c in pool.members), key=itemgetter(0)
             )
-            alive = [i for i, (_, c) in enumerate(ranked) if not c.dead]
+            alive = [i for i, (_, _, c) in enumerate(ranked) if not c.dead]
             survivors = set(alive[:w])
-            for rank, (key, c) in enumerate(ranked):
+            for rank, (key, h, c) in enumerate(ranked):
                 nid = 0
                 if recorder is not None:
+                    start = len(h.tokens)
                     nid = recorder.add(
-                        c.parent.node_id,
-                        "".join(map(token_text, c.tokens[c.start :])),
-                        c.edge_logprob,
+                        h.node_id,
+                        "".join(map(token_text, c.tokens[start:])),
+                        c.logprob_from(start),
                         -key[0],
-                        c.pool_key(),
+                        pool.variable_index,
                         "expanded" if rank in survivors else "pruned",
                     )
                 if rank in survivors:
@@ -518,15 +510,10 @@ class _Cand:
     its ``logprob``, the ``state`` and outcome of the step (``closed``:
     the variable is sealed; ``dead``), and ``norm``, the child's normalized
     score while it lives, which the engine computes with the parent's
-    weight once per expansion.  Rank key and pool are read from those, and
-    the Hypothesis is built only on demand: ``hyp`` when a proposal extends
-    it, ``built`` when selection keeps it.
-
-    The trace edge that reached it runs from token index ``start`` through
-    this token, under the parent's trace node (a hypothesis built during a
-    proposal keeps the node of the one it extends), with log-probability
-    ``edge_logprob``.  It spans every token a proposal appended since the
-    selection before it.
+    weight once per expansion.  The rank key is read from those, and the
+    Hypothesis is built only on demand: ``hyp`` when a proposal extends it
+    (keeping the trace node of the one it extends), ``built`` when
+    selection keeps it.
     """
 
     __slots__ = (
@@ -537,8 +524,6 @@ class _Cand:
         "state",
         "closed",
         "dead",
-        "start",
-        "edge_logprob",
         "norm",
         "_hyp",
     )
@@ -552,8 +537,6 @@ class _Cand:
         state: MaskState,
         closed: bool,
         dead: bool,
-        start: int,
-        edge_logprob: float,
         norm: float,
     ):
         self.parent = parent
@@ -563,8 +546,6 @@ class _Cand:
         self.state = state
         self.closed = closed
         self.dead = dead
-        self.start = start
-        self.edge_logprob = edge_logprob
         self.norm = norm
         self._hyp = None
 
@@ -601,17 +582,10 @@ class _Cand:
     def rank_key(self) -> tuple:
         return rank_key(self.normalized_score(), self.tokens)
 
-    def pool_key(self) -> int:
-        # the parent is open on variable vars_done; its child stays in that
-        # pool whether the token closes the variable or not
-        return self.parent.vars_done
-
-    def after(self, via: "_Cand | None") -> "_Cand":
-        """This member-fallback option, its trace edge continuing via's."""
-        if via is not None:
-            self.start = via.start
-            self.edge_logprob = via.edge_logprob + self.edge_logprob
-        return self
+    def logprob_from(self, start: int) -> float:
+        """The log-probability of this candidate's tokens from index start
+        through its own, added in order."""
+        return ordered_sum(self.parent.logprobs[start:]) + self.logprob
 
     def killed(self) -> "_Cand":
         """This candidate at a dead end."""
@@ -668,7 +642,7 @@ def _propose_branch(eng: _Engine, h: Hypothesis, n: int) -> list[_Cand]:
     proposals = []
     for cur in eng.expand_top(h, n):
         while not cur.dead and not cur.closed:
-            step = eng.expand_top(cur.hyp, 1, cur)
+            step = eng.expand_top(cur.hyp, 1)
             cur = step[0] if step else cur.killed()
         proposals.append(cur)
     return proposals
@@ -692,7 +666,7 @@ def _propose_sampled(eng: _Engine, h: Hypothesis, n: int) -> list[_Cand]:
                 node = tree[cur]
             else:
                 at = h if cur is None else cur.hyp
-                node = tree[cur] = _DrawNode.read(eng, at, cur, temperature)
+                node = tree[cur] = _DrawNode.read(eng, at, temperature)
             if node is None:
                 break
             cur = node.draw(eng, rng)
@@ -707,26 +681,25 @@ class _DrawNode:
     continuations of the hypothesis reached, their cumulative draw
     weights exp(lp / T), and the children made so far."""
 
-    __slots__ = ("at", "via", "pairs", "cum", "children")
+    __slots__ = ("at", "pairs", "cum", "children")
 
     def __init__(
         self,
         at: Hypothesis,
-        via: _Cand | None,
         pairs: list[tuple[int, float]] | None,
         cum: list[float],
         children: list[_Cand | None],
     ):
-        self.at, self.via, self.pairs = at, via, pairs
+        self.at, self.pairs = at, pairs
         self.cum, self.children = cum, children
 
     @classmethod
     def read(
-        cls, eng: _Engine, at: Hypothesis, via: _Cand | None, temperature: float
+        cls, eng: _Engine, at: Hypothesis, temperature: float
     ) -> "_DrawNode | None":
-        """The node at hypothesis at, reached by via (None at the
-        proposal's start), or None at a dead end.  A member fallback makes
-        every option at once; the weights are uniform when every one
+        """The node at hypothesis at, or None at a dead end.  A member
+        fallback makes every option at once, weighed by the log-probability
+        of its tokens past at; the weights are uniform when every one
         underflows to 0."""
         try:
             pairs = eng.allowed_continuations(at)
@@ -735,14 +708,15 @@ class _DrawNode:
         except DeadEnd:
             return None
         if pairs is None:
-            weights = [math.exp(o.edge_logprob / temperature) for o in options]
-            children = [o.after(via) for o in options]
+            start = len(at.tokens)
+            weights = [math.exp(o.logprob_from(start) / temperature) for o in options]
+            children = options
         else:
             weights = [math.exp(lp / temperature) for _, lp in pairs]
             children = [None] * len(pairs)
         if not any(w > 0.0 for w in weights):
             weights = [1.0] * len(weights)
-        return cls(at, via, pairs, list(itertools.accumulate(weights)), children)
+        return cls(at, pairs, list(itertools.accumulate(weights)), children)
 
     def draw(self, eng: _Engine, rng: random.Random) -> _Cand:
         """One child, drawn by weight; made on its first draw."""
@@ -750,7 +724,7 @@ class _DrawNode:
         child = self.children[i]
         if child is None:
             token, logprob = self.pairs[i]
-            child = eng.apply_token(self.at, token, logprob, self.via)
+            child = eng.apply_token(self.at, token, logprob)
             self.children[i] = child
         return child
 
@@ -771,7 +745,7 @@ def _propose_exhaustive(eng: _Engine, h: Hypothesis) -> list[_Cand]:
         elif c.closed:
             out.append(c)
         elif not c.dead:
-            stack.append(iter(eng.expand_top(c.hyp, None, c)))
+            stack.append(iter(eng.expand_top(c.hyp, None)))
     return out
 
 
@@ -811,8 +785,7 @@ def _decode_beam(eng: _Engine) -> DecodeResult:
             raise TemplateUnsatisfiable("the committed path died before completion")
         active, finished = [h], []
         while not _should_halt(active, finished, eng.score, eng.cap):
-            cands = [c for s in active for c in eng.expand_top(s, width)]
-            kept = eng.select(cands, width)
+            kept = eng.select([(s, eng.expand_top(s, width)) for s in active], width)
             finished += [k for k in kept if k.open_spec is None]
             active = [k for k in kept if k.open_spec is not None]
         if not finished:
@@ -846,8 +819,7 @@ def _decode_search(eng: _Engine, expand, steps) -> DecodeResult:
         if _should_halt(active, done, eng.score, eng.cap):
             active = []
             break
-        cands = [c for h in active for c in expand(eng, h, width)]
-        active = eng.select(cands, width)
+        active = eng.select([(h, expand(eng, h, width)) for h in active], width)
     # anything still open when the steps run out hit the global cap
     for h in map(eng.settle, active):
         if h.done:

@@ -47,7 +47,7 @@ def _row(prefix: str) -> list[float]:
 def sudoku_backend() -> TableLM:
     vocab = sudoku_vocab()
     uniform = [1.0 / len(vocab.tokens)] * len(vocab.tokens)
-    return TableLM(vocab, lambda prefix: _row(prefix), default_row=uniform)
+    return TableLM(vocab, _row, default_row=uniform)
 
 
 @dataclass(frozen=True)

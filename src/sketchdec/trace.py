@@ -11,6 +11,18 @@ from dataclasses import asdict, dataclass
 
 @dataclass(frozen=True)
 class TraceNode:
+    """One event of a decode.
+
+    A selection node ("expanded" or "pruned") is one candidate, under the
+    node of the hypothesis it was expanded from: ``token_text`` renders
+    every token past that hypothesis (one token in a token step, a whole
+    value in a variable step), and ``logprob`` adds those tokens'
+    log-probabilities in order.  A "forced" node holds the deterministic
+    text a settle appended, and the in-order sum of its chunks'
+    log-probabilities; a "done" node holds "" and 0.0.  ``norm_score`` is
+    the normalized score of the hypothesis reached.
+    """
+
     id: int
     parent: int | None
     token_text: str

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -684,7 +685,7 @@ PINNED_DIGESTS = {
     "topk/beamvar": "0ba8d355ffb41c060bc82e58426791ff132c5de8ef152e60b6bb28ad7f2ac0f2",
     "topk/var-branch": "2b9b24c3381f3af01e07c840534625462e4cd6916e7bd91ed20a181de5777c20",
     "topk/var-sample": "14461ccc1641151d2316ae81549cd8d258d08115919a1e68cc6eab014cb4183e",
-    "topk/var-exhaustive": "135429a37fa9d16e7fe9a56c434f181da37b138645eb99bab417abe3e35c8d28",
+    "topk/var-exhaustive": "e4d158ea6ae6239887e2ca990e697ea9fe02d07b55bcf9e7e4a9eedd8561f126",
     "topk-cap/argmax": "56a06e54205454a8a498a9cd2a05f8895dd3c2c8ca581426134ce6172fed0973",
     "topk-cap/beam": "82d88ce28a5c20b162a712fe7fd4af17c3a267259178866f23e4f8bd32f365ec",
     "topk-cap/beamvar": "63852379b7ae5db9654f250c85f33780e30cd02fb8ac0fd80c552c8aaaf72b2b",
@@ -985,6 +986,11 @@ def test_candidates_ranked_unbuilt_equal_built_children(seed, spec, headroom, sc
         truncated = eng.truncated
         cands = eng.children(h, pairs)
         refs, truncations = zip(*(eager_child(eng, h, t, lp) for t, lp in pairs))
+        # the pool of each child's node, as a traced selection records it
+        traced = _Engine(eng.source, backend, replace(config, record_tree=True))
+        traced.select([(h, cands)], 1)
+        pools = {n.token_text: n.pool for n in traced.recorder.tree().nodes[1:]}
+        assert len(pools) == len(cands)
         assert eng.truncated - truncated == sum(truncations)
         assert len(cands) == len(pairs)
         for (token, logprob), cand, ref, cut in zip(pairs, cands, refs, truncations):
@@ -998,7 +1004,7 @@ def test_candidates_ranked_unbuilt_equal_built_children(seed, spec, headroom, sc
                 assert cand.norm.hex() == ref.normalized_score(score).hex()
             # a child that closed its variable stays in that variable's pool
             closed_pool = max(ref.vars_done - 1, 0)
-            assert cand.pool_key() == (
+            assert pools[backend.vocab.token_text(token)] == (
                 ref.vars_done if ref.open_spec is not None else closed_pool
             )
             assert cand.dead == ref.dead

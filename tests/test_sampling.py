@@ -62,12 +62,12 @@ def reference_proposals(eng: _Engine, h, n: int):
                 # a member fallback truncates while it walks the members
                 truncations["node", at.tokens] = eng.truncated - before
             if pairs is None:
-                lps = [o.edge_logprob for o in options]
-                cur = options[draw(rng, lps, temperature)].after(cur)
+                lps = [o.logprob_from(len(at.tokens)) for o in options]
+                cur = options[draw(rng, lps, temperature)]
             else:
                 t, lp = pairs[draw(rng, [lp for _, lp in pairs], temperature)]
                 before = eng.truncated
-                cur = eng.apply_token(at, t, lp, cur)
+                cur = eng.apply_token(at, t, lp)
                 truncations["child", cur.tokens] = eng.truncated - before
         if cur is not None and cur.closed:
             seen.setdefault(cur.tokens, cur)
@@ -94,9 +94,7 @@ def proposal_fingerprint(c) -> tuple:
     return (
         c.tokens,
         c.logprob.hex(),
-        c.edge_logprob.hex(),
         c.normalized_score().hex(),
-        c.start,
         c.closed,
         c.dead,
     )

@@ -1,0 +1,77 @@
+"""Every function and class in ``src/`` has a caller: its name appears in
+``src/``, ``demos/`` or ``perfbench/`` outside its own definition."""
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# public wrappers kept for library users, though nothing here calls them
+ALLOWED = {"decode_beam"}
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _scan(node, enclosing, defined, named, where):
+    """Add node's definitions to defined as (name, where:line) and the names
+    it reads to named, leaving out a name read inside its own definition.
+    Only definitions under a where are collected."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, DEFINITIONS):
+            if where is not None:
+                defined.append((child.name, f"{where}:{child.lineno}"))
+            _scan(child, enclosing | {child.name}, defined, named, where)
+            continue
+        if isinstance(child, ast.Name):
+            name = child.id
+        elif isinstance(child, ast.Attribute):
+            name = child.attr
+        elif isinstance(child, ast.alias):
+            name = child.name.rpartition(".")[2]
+        else:
+            name = None
+        if name is not None and name not in enclosing:
+            named.add(name)
+        _scan(child, enclosing, defined, named, where)
+
+
+def unnamed_definitions(sources: dict[str, str], defining: set[str]) -> list[str]:
+    """The definitions in the defining sources that no source names, as
+    "name where:line"; dunder methods are called by the language."""
+    defined: list[tuple[str, str]] = []
+    named: set[str] = set()
+    for where, text in sources.items():
+        tree = ast.parse(text, where)
+        _scan(tree, frozenset(), defined, named, where if where in defining else None)
+    return [
+        f"{name} {at}"
+        for name, at in defined
+        if name not in named and not (name.startswith("__") and name.endswith("__"))
+    ]
+
+
+def test_the_scan_flags_a_name_read_only_by_its_own_definition():
+    sources = {
+        "lib.py": (
+            "def used(): return 1\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "class Thing:\n"
+            "    def method(self): return self.other()\n"
+            "    def other(self): return 2\n"
+            "    def __repr__(self): return 'x'\n"
+        ),
+        "demo.py": "from lib import used\nused()\nThing().method()\n",
+    }
+    assert unnamed_definitions(sources, {"lib.py"}) == ["recursive lib.py:2"]
+
+
+def test_every_src_definition_is_named_outside_itself():
+    sources = {
+        str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+        for folder in ("src", "demos", "perfbench")
+        for p in sorted((ROOT / folder).rglob("*.py"))
+    }
+    defining = {where for where in sources if where.startswith("src")}
+    flagged = unnamed_definitions(sources, defining)
+    assert [f for f in flagged if f.split()[0] not in ALLOWED] == []
+    # an allowlisted name that gains a caller, or goes, leaves the list
+    assert sorted(f.split()[0] for f in flagged) == sorted(ALLOWED)

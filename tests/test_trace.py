@@ -3,10 +3,12 @@ import json
 
 import pytest
 
+from conftest import random_fixture
 from sketchdec.decoders import ARGMAX, BEAMVAR, VAR, DecoderConfig, decode
 from sketchdec.lm import TableLM, Vocabulary, ordered_sum
 from sketchdec.sketch import Chunk, OneOf, Sketch, VariableSpec
 from sketchdec.trace import DecodingTree, TraceNode, TraceRecorder
+from test_decoders import TopK
 
 NDJSON_KEYS = ["id", "parent", "token_text", "logprob", "norm_score", "pool", "status"]
 
@@ -150,3 +152,28 @@ def test_value_closed_by_rendered_eos_shows_its_edge(config):
         assert nodes[value_node["parent"]]["status"] == "forced"
         assert value_node["token_text"] == "ab</s>"
         assert value_node["logprob"] == ordered_sum(lps)
+
+
+@pytest.mark.parametrize("proposal", ["branch", "sample", "exhaustive"])
+def test_best_path_edges_add_their_tokens_in_order(proposal):
+    """Over a top-2 backend, where some values are spelled by whole-member
+    fallback after a token walk, every selection node on the best path
+    holds its edge's token log-probabilities added in order, bit for bit."""
+    sketch, backend = random_fixture(103)
+    config = DecoderConfig(kind=VAR, width=3, proposal=proposal, record_tree=True)
+    result = decode(sketch, TopK(backend, 2), config)
+    best, nodes = result.best, result.tree.nodes
+    path = []
+    node_id = best.node_id
+    while node_id:
+        path.append(nodes[node_id])
+        node_id = nodes[node_id].parent
+    selected = [n for n in reversed(path) if n.status == "expanded"]
+    # a variable-level step selects one whole value per variable
+    spans = [s for s in best.spans if s.kind == "var"]
+    assert len(selected) == len(spans) > 0
+    for node, span in zip(selected, spans):
+        edge = best.tokens[span.start : span.end]
+        assert node.token_text == "".join(map(backend.vocab.token_text, edge))
+        lps = best.logprobs[span.start : span.end]
+        assert node.logprob.hex() == ordered_sum(lps).hex()
