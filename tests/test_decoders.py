@@ -986,13 +986,13 @@ def test_candidates_ranked_unbuilt_equal_built_children(seed, spec, headroom, sc
         truncated = eng.truncated
         cands = eng.children(h, pairs)
         refs, truncations = zip(*(eager_child(eng, h, t, lp) for t, lp in pairs))
+        assert eng.truncated - truncated == sum(truncations)
+        assert len(cands) == len(pairs)
         # the pool of each child's node, as a traced selection records it
         traced = _Engine(eng.source, backend, replace(config, record_tree=True))
         traced.select([(h, cands)], 1)
         pools = {n.token_text: n.pool for n in traced.recorder.tree().nodes[1:]}
         assert len(pools) == len(cands)
-        assert eng.truncated - truncated == sum(truncations)
-        assert len(cands) == len(pairs)
         for (token, logprob), cand, ref, cut in zip(pairs, cands, refs, truncations):
             # made alone, the child counts its own truncation
             before = eng.truncated
