@@ -620,6 +620,12 @@ def pinned_families():
     for seed in range(6):
         for order in (1, 2, 3):
             yield "ngram", *random_ngram_fixture(seed, order), {}
+    # the only decodes at a non-default alpha and beta
+    a1b2 = {"score": ScoreParams(alpha=1.0, beta=2.0)}
+    for seed in range(4):
+        sketch, backend = random_fixture(200 + seed)
+        yield "a1b2", sketch, backend, a1b2
+        yield "a1b2", sketch, TopK(backend, 2), a1b2
     # the only decodes whose normalization weight counts variable tokens
     # alone, at the default and at a non-default alpha and beta
     for family, score in (
@@ -710,6 +716,12 @@ PINNED_DIGESTS = {
     "ngram/var-branch": "a6195c56ec3c36d869ba6b6cee6e569a00cc6c3d3db573887774e56d6da88a9a",
     "ngram/var-sample": "62a6ecbfd2c32eec10d8bc336719a8903bc978d8f63d7cc7ae39366f361f4a0d",
     "ngram/var-exhaustive": "4c59b389fec83c3d7ef2a1b5a04a16f6dde5fe7e140772e1c63553cc727a7b1f",
+    "a1b2/argmax": "c84d1ec79e6626330877732063d979f3c691dcebc932befadfe1ce89dfcd96fc",
+    "a1b2/beam": "704802ce7ed926ac6b46d94f0126d1da8253d7d0ea07e0a995833e3f91c8a543",
+    "a1b2/beamvar": "e4d600615894effbc9b667fbe7f4099693d33e229f2a6ebcd15a26f25347678d",
+    "a1b2/var-branch": "590937332ac0ead88de19b05ac06fefa19aea3ebac7ed2a1df28a79b237dd7b2",
+    "a1b2/var-sample": "ea5fb0cc7ad3665d7d92176ad94543773e7a796c19e2066097b27105495a9373",
+    "a1b2/var-exhaustive": "e01be7561de6cf4c13dc317bbe177a23792146deca18b98b8e83d34f2b482ed4",
     "vars-only/argmax": "6c4902a0a51b5867edda50eb935737b2052a1dd12c2c8007e844bd9ec63bb99a",
     "vars-only/beam": "ee8a96fc5324bce56eb068f096dc6a91e2f80f171d6a3f6f07c2dbe37d4ecece",
     "vars-only/beamvar": "5c012e8df56eeb143ea4cd8352050647c6fed6fcf756cc868c6646f28a28f82f",
