@@ -107,7 +107,7 @@ def _config(row: dict) -> DecoderConfig:
 
 
 def _run_fig1(row: dict, config: DecoderConfig) -> dict:
-    out = fig1.run_fig1_task(score=config.score, configs=[config])[0]
+    out = fig1.run_fig1_task(configs=[config])[0]
     return {
         "duplicate": out.duplicate,
         "items": list(out.items),
@@ -116,9 +116,7 @@ def _run_fig1(row: dict, config: DecoderConfig) -> dict:
 
 
 def _run_sudoku(row: dict, config: DecoderConfig) -> dict:
-    report = sudoku.run_sudoku_task(
-        configs=[config], seed=int(row["seed"]), score=config.score
-    )[0]
+    report = sudoku.run_sudoku_task(configs=[config], seed=int(row["seed"]))[0]
     return {
         "solved": report.solved_count,
         "total": report.total,
@@ -127,9 +125,7 @@ def _run_sudoku(row: dict, config: DecoderConfig) -> dict:
 
 
 def _run_dungeon(row: dict, config: DecoderConfig) -> dict:
-    report = dungeon.run_dungeon_task(
-        configs=[config], seed=int(row["seed"]), score=config.score
-    )[0]
+    report = dungeon.run_dungeon_task(configs=[config], seed=int(row["seed"]))[0]
     return {
         "successes": report.successes,
         "total": report.total,

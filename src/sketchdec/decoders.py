@@ -100,7 +100,6 @@ class DecoderConfig:
     score: ScoreParams = field(default_factory=ScoreParams)
     proposal: str = PROPOSAL_BRANCH
     seed: int = 0
-    temperature: float = 1.0
     global_max_tokens: int | None = None
     record_tree: bool = False
 
@@ -117,8 +116,6 @@ class DecoderConfig:
             PROPOSAL_EXHAUSTIVE,
         ):
             raise ValueError(f"unknown proposal policy {self.proposal!r}")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
         if self.global_max_tokens is not None and self.global_max_tokens < 1:
             raise ValueError("global_max_tokens must be >= 1")
 
@@ -303,7 +300,7 @@ class _Engine:
 
         What depends only on h is done once: the OneOf steps from h's
         state, the cap test, and the normalization weight, since every
-        child has one more token and variable token.
+        child has one more token.
         """
         spec, state = h.open_spec, h.open_state
         entry = steps = None
@@ -312,8 +309,7 @@ class _Engine:
             steps = entry.steps[state.tokens_emitted, spec.max_tokens]
         n = len(h.tokens)
         over_cap = n >= self.cap
-        score = self.score
-        weight = normalization_weight(score, h.effective_m(score) + 1)
+        weight = normalization_weight(self.score, n + 1)
         raw, pieces, vocab = h.raw_score, self._pieces, self.backend.vocab
         out = []
         for token, logprob in pairs:
@@ -525,7 +521,6 @@ class _Cand:
         "closed",
         "dead",
         "norm",
-        "_hyp",
     )
 
     def __init__(
@@ -547,28 +542,20 @@ class _Cand:
         self.closed = closed
         self.dead = dead
         self.norm = norm
-        self._hyp = None
 
     @property
     def hyp(self) -> Hypothesis:
-        """The child hypothesis, built once and kept."""
-        if self._hyp is None:
-            self._hyp = self._build(None)
-        return self._hyp
+        """The child hypothesis under its parent's trace node."""
+        return self.built(None)
 
-    def built(self, node_id: int) -> Hypothesis:
-        """The child hypothesis under trace node ``node_id``."""
-        if self._hyp is not None:
-            return self._hyp.with_node(node_id)
-        return self._build(node_id)
-
-    def _build(self, node_id: int | None) -> Hypothesis:
+    def built(self, node_id: int | None) -> Hypothesis:
+        """The child hypothesis under trace node ``node_id`` (None: its
+        parent's).  Only live candidates are built."""
         p = self.parent
         args = (self.token, self.logprob, self.state, self.piece, node_id)
         if self.closed:
             return p.with_closing_token(*args)
-        h = p.with_variable_token(*args)
-        return h.as_dead() if self.dead else h
+        return p.with_variable_token(*args)
 
     @property
     def tokens(self) -> tuple[int, ...]:
@@ -589,7 +576,7 @@ class _Cand:
 
     def killed(self) -> "_Cand":
         """This candidate at a dead end."""
-        self.dead, self._hyp = True, None
+        self.dead = True
         return self
 
 
@@ -649,13 +636,13 @@ def _propose_branch(eng: _Engine, h: Hypothesis, n: int) -> list[_Cand]:
 
 
 def _propose_sampled(eng: _Engine, h: Hypothesis, n: int) -> list[_Cand]:
-    """n temperature-scaled samples of the whole variable value.
+    """n samples of the whole variable value, each token drawn by its
+    probability.
 
     The samples walk one draw tree: a node, keyed by the candidate that
     reaches it (None for h), reads its continuations once, and each of its
     children is made once, when it is first drawn.
     """
-    temperature = eng.config.temperature
     tree: dict[_Cand | None, _DrawNode | None] = {}
     seen: dict[tuple[int, ...], _Cand] = {}
     for seed in _sample_seeds(eng.config.seed, h.tokens, n):
@@ -666,7 +653,7 @@ def _propose_sampled(eng: _Engine, h: Hypothesis, n: int) -> list[_Cand]:
                 node = tree[cur]
             else:
                 at = h if cur is None else cur.hyp
-                node = tree[cur] = _DrawNode.read(eng, at, temperature)
+                node = tree[cur] = _DrawNode.read(eng, at)
             if node is None:
                 break
             cur = node.draw(eng, rng)
@@ -679,7 +666,7 @@ def _propose_sampled(eng: _Engine, h: Hypothesis, n: int) -> list[_Cand]:
 class _DrawNode:
     """One node of a sampled proposal's draw tree: the allowed
     continuations of the hypothesis reached, their cumulative draw
-    weights exp(lp / T), and the children made so far."""
+    weights exp(lp), and the children made so far."""
 
     __slots__ = ("at", "pairs", "cum", "children")
 
@@ -694,9 +681,7 @@ class _DrawNode:
         self.cum, self.children = cum, children
 
     @classmethod
-    def read(
-        cls, eng: _Engine, at: Hypothesis, temperature: float
-    ) -> "_DrawNode | None":
+    def read(cls, eng: _Engine, at: Hypothesis) -> "_DrawNode | None":
         """The node at hypothesis at, or None at a dead end.  A member
         fallback makes every option at once, weighed by the log-probability
         of its tokens past at; the weights are uniform when every one
@@ -709,10 +694,10 @@ class _DrawNode:
             return None
         if pairs is None:
             start = len(at.tokens)
-            weights = [math.exp(o.logprob_from(start) / temperature) for o in options]
+            weights = [math.exp(o.logprob_from(start)) for o in options]
             children = options
         else:
-            weights = [math.exp(lp / temperature) for _, lp in pairs]
+            weights = [math.exp(lp) for _, lp in pairs]
             children = [None] * len(pairs)
         if not any(w > 0.0 for w in weights):
             weights = [1.0] * len(weights)

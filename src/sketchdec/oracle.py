@@ -33,11 +33,11 @@ class OracleResult:
 
 def _variable_paths(
     token_texts: list[str], eos_index: int, spec
-) -> list[tuple[tuple[int, ...], str, int]]:
-    """All legal (tokens, value, var_token_count) paths for one variable."""
+) -> list[tuple[tuple[int, ...], str]]:
+    """All legal (tokens, value) paths for one variable."""
     members = spec.one_of.members if spec.one_of is not None else None
     stop_phrases = list(spec.stop_phrases)
-    out: list[tuple[tuple[int, ...], str, int]] = []
+    out: list[tuple[tuple[int, ...], str]] = []
 
     def is_member(s: str) -> bool:
         return any(m == s for m in members)
@@ -51,33 +51,32 @@ def _variable_paths(
     def stop_hit(s: str) -> bool:
         return any(p in s for p in stop_phrases)
 
-    def walk(tokens: tuple[int, ...], value: str, count: int) -> None:
+    def walk(tokens: tuple[int, ...], value: str) -> None:
         for t in range(len(token_texts)):
             if t == eos_index:
                 if members is None or is_member(value):
-                    out.append((tokens + (t,), value, count + 1))
+                    out.append((tokens + (t,), value))
                 continue
             new_value = value + token_texts[t]
             new_tokens = tokens + (t,)
-            new_count = count + 1
             if members is not None:
                 if not is_prefix(new_value):
                     continue
                 if is_member(new_value) and not is_extendable(new_value):
-                    out.append((new_tokens, new_value, new_count))
-                elif new_count >= spec.max_tokens:
+                    out.append((new_tokens, new_value))
+                elif len(new_tokens) >= spec.max_tokens:
                     if is_member(new_value):
-                        out.append((new_tokens, new_value, new_count))
+                        out.append((new_tokens, new_value))
                     # incomplete at the cap: dead path, excluded
                 else:
-                    walk(new_tokens, new_value, new_count)
+                    walk(new_tokens, new_value)
             else:
-                if stop_hit(new_value) or new_count >= spec.max_tokens:
-                    out.append((new_tokens, new_value, new_count))
+                if stop_hit(new_value) or len(new_tokens) >= spec.max_tokens:
+                    out.append((new_tokens, new_value))
                 else:
-                    walk(new_tokens, new_value, new_count)
+                    walk(new_tokens, new_value)
 
-    walk((), "", 0)
+    walk((), "")
     return out
 
 
@@ -85,22 +84,22 @@ def enumerate_completions(
     sketch_or_source,
     backend: LMBackend,
     cap: int = DEFAULT_COMPLETION_CAP,
-) -> list[tuple[tuple[int, ...], int]]:
-    """Every full-template (tokens, var_token_count) pair, unscored.
+) -> list[tuple[int, ...]]:
+    """Every full-template token sequence, unscored.
 
     Raises InstanceTooLarge as soon as the count passes ``cap``.
     """
     source = as_source(sketch_or_source)
     token_texts = list(backend.vocab.tokens)
     eos_index = backend.vocab.eos_index
-    out: list[tuple[tuple[int, ...], int]] = []
+    out: list[tuple[int, ...]] = []
 
-    def walk(bound: Bindings, tokens: tuple[int, ...], var_tokens: int) -> None:
+    def walk(bound: Bindings, tokens: tuple[int, ...]) -> None:
         run = source.pending(bound)
         if not run:
             if len(out) >= cap:
                 raise InstanceTooLarge(len(out) + 1, cap)
-            out.append((tokens, var_tokens))
+            out.append(tokens)
             return
         for c in run:
             if c.is_det:
@@ -109,17 +108,13 @@ def enumerate_completions(
         if last.is_det:
             if len(out) >= cap:
                 raise InstanceTooLarge(len(out) + 1, cap)
-            out.append((tokens, var_tokens))
+            out.append(tokens)
             return
         spec = last.var
-        for path, value, count in _variable_paths(token_texts, eos_index, spec):
-            walk(
-                bound.bind(Binding(name=spec.name, value=value)),
-                tokens + path,
-                var_tokens + count,
-            )
+        for path, value in _variable_paths(token_texts, eos_index, spec):
+            walk(bound.bind(Binding(name=spec.name, value=value)), tokens + path)
 
-    walk(Bindings(), (), 0)
+    walk(Bindings(), ())
     return out
 
 
@@ -135,10 +130,10 @@ def oracle_decode(
     completions = enumerate_completions(sketch_or_source, backend, cap=cap)
     best_key = None
     best: OracleResult | None = None
-    for tokens, var_tokens in completions:
+    for tokens in completions:
         lps = backend.score_forced((), tokens)
         raw = ordered_sum(lps)
-        m = len(tokens) if score.count_forced_tokens else var_tokens
+        m = len(tokens)
         if m == 0:
             weight = 1.0
         else:

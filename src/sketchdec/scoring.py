@@ -24,14 +24,13 @@ class ScoreParams:
 
     The weight applied to a raw score over m tokens is
     ``(beta + 1)^alpha / (beta + m)^alpha``: alpha=0 disables
-    normalization, beta=0 with alpha=1 averages per token.  When
-    ``count_forced_tokens`` is False only variable tokens count toward m
-    (a sensitivity knob; forced tokens count by default).
+    normalization, beta=0 with alpha=1 averages per token.  m counts every
+    token of the hypothesis, forced and variable alike, so the whole
+    template's likelihood is ranked.
     """
 
     alpha: float = 0.7
     beta: float = 0.0
-    count_forced_tokens: bool = True
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
@@ -77,9 +76,9 @@ class Hypothesis:
     The transitions keep the spans tiling the tokens: each span starts
     where the one before it ends, the first at 0, and every token outside
     them belongs to the open variable.  What follows from that is derived,
-    not stored: the open variable starts at the last span's end, its raw
-    log-probability is the sum of the log-probabilities from there, and
-    ``m_vars`` counts the tokens outside forced spans."""
+    not stored: the open variable starts at the last span's end, and its
+    raw log-probability is the sum of the log-probabilities from there.
+    The normalization weight is taken at ``len(tokens)``."""
 
     tokens: tuple[int, ...] = ()
     text: str = ""
@@ -129,21 +128,10 @@ class Hypothesis:
     def m_total(self) -> int:
         return len(self.tokens)
 
-    @property
-    def m_vars(self) -> int:
-        """Tokens outside forced spans: the variables' tokens."""
-        return len(self.tokens) - sum(
-            s.end - s.start for s in self.spans if s.kind == "det"
-        )
-
-    def effective_m(self, score: ScoreParams) -> int:
-        """The token count the normalization weight is taken at."""
-        return len(self.tokens) if score.count_forced_tokens else self.m_vars
-
     def normalized_score(self, score: ScoreParams) -> float:
         if self.dead:
             return NEG_INF
-        return normalization_weight(score, self.effective_m(score)) * self.raw_score
+        return normalization_weight(score, len(self.tokens)) * self.raw_score
 
     def score_upper_bound(self, score: ScoreParams, max_m: int) -> float:
         """Best normalized score any continuation could reach.
@@ -154,7 +142,7 @@ class Hypothesis:
         """
         if self.dead:
             return NEG_INF
-        m = max(self.effective_m(score), 1)
+        m = max(len(self.tokens), 1)
         horizon = max(max_m, m)
         if self.raw_score <= 0.0:
             return normalization_weight(score, horizon) * self.raw_score

@@ -332,7 +332,6 @@ class StaticSketchSource:
 
     def __init__(self, sketch: Sketch):
         self.sketch = sketch
-        self.name = sketch.name
 
     def pending(self, bound: Bindings) -> tuple[Chunk, ...]:
         idx = 0
@@ -354,26 +353,20 @@ class StaticSketchSource:
 class DynamicSketchSource:
     """Chunk source driven by a program.
 
-    The program is a callable ``(bindings_dict, seed) -> sequence of chunks``
+    The program is a callable ``(bindings_dict) -> sequence of chunks``
     returning the next run: zero or more deterministic chunks optionally
     followed by one variable chunk.  An empty return means the template is
-    complete.  The program must be a pure function of its arguments so that
-    branching decoders can replay it independently per hypothesis.
+    complete.  The program must be a pure function of the bindings so that
+    branching decoders can replay it independently per hypothesis; what
+    else it depends on, such as a seed or a task instance, it closes over.
     """
 
-    def __init__(
-        self,
-        program: Callable[[Mapping[str, str], int], Sequence[Chunk]],
-        seed: int = 0,
-        name: str = "dynamic",
-    ):
+    def __init__(self, program: Callable[[Mapping[str, str]], Sequence[Chunk]]):
         self.program = program
-        self.seed = seed
-        self.name = name
 
     def pending(self, bound: Bindings) -> tuple[Chunk, ...]:
         try:
-            run = tuple(self.program(bound.as_dict(), self.seed))
+            run = tuple(self.program(bound.as_dict()))
         except Exception as e:  # noqa: BLE001 - program faults become typed errors
             raise DynamicProgramError(f"dynamic program failed: {e!r}") from e
         return run

@@ -30,7 +30,6 @@ from typing import Iterator, Sequence
 from ..decoders import DecoderConfig, decode
 from ..lm import NEG_INF, LMBackend, TokenDistribution, Vocabulary, ordered_sum
 from ..lm import _distribution, _logify
-from ..scoring import ScoreParams
 from ..sketch import Chunk, DynamicSketchSource, OneOf, Sketch, VariableSpec
 
 MAX_STEPS = 10
@@ -118,7 +117,7 @@ def shortest_distance(instance: DungeonInstance) -> int:
 # --- generation ---------------------------------------------------------------
 
 
-def gen_dungeon(seed: int, distance: int = 2, n_rooms: int | None = None) -> DungeonInstance:
+def gen_dungeon(seed: int, distance: int = 2) -> DungeonInstance:
     """Dungeon whose shortest exit route has the requested length (2 or 3).
 
     Room 0 is a decoy corridor entrance (the greedy favourite), room 1 the
@@ -128,7 +127,7 @@ def gen_dungeon(seed: int, distance: int = 2, n_rooms: int | None = None) -> Dun
     if distance not in (2, 3):
         raise ValueError("supported shortest distances are 2 and 3")
     rng = random.Random(seed)
-    n = n_rooms if n_rooms is not None else rng.randint(8, 10)
+    n = rng.randint(8, 10)
     exit_node = n - 1
     reserved = {0, 1, exit_node} | ({2} if distance == 3 else set())
     start = rng.choice([i for i in range(n - 1) if i not in reserved])
@@ -163,7 +162,7 @@ def gen_dungeon(seed: int, distance: int = 2, n_rooms: int | None = None) -> Dun
     )
     if shortest_distance(instance) != distance:
         # a decorative edge spoiled the distance; retry deterministically
-        return gen_dungeon(seed + 7919, distance, n_rooms)
+        return gen_dungeon(seed + 7919, distance)
     return instance
 
 
@@ -224,7 +223,7 @@ def _step(
 def dungeon_source(instance: DungeonInstance) -> DynamicSketchSource:
     messages = _messages(instance)
 
-    def program(values: dict[str, str], seed: int) -> list[Chunk]:
+    def program(values: dict[str, str]) -> list[Chunk]:
         # text before the last binding was already emitted with earlier runs
         node, text = instance.start, messages[instance.start]
         for steps, spec in enumerate(_ACTION_SPECS, 1):
@@ -235,7 +234,7 @@ def dungeon_source(instance: DungeonInstance) -> DynamicSketchSource:
                 break
         return [Chunk.det(text)]
 
-    return DynamicSketchSource(program, seed=instance.seed, name="dungeon")
+    return DynamicSketchSource(program)
 
 
 # --- crafted backend ----------------------------------------------------------
@@ -472,13 +471,11 @@ class DungeonReport:
 def run_dungeon_task(
     configs: list[DecoderConfig] | None = None,
     seed: int = 0,
-    score: ScoreParams | None = None,
 ) -> list[DungeonReport]:
-    score = score or ScoreParams()
     configs = configs or [
-        DecoderConfig(kind="argmax", width=1, score=score),
-        DecoderConfig(kind="var", width=2, proposal="branch", score=score),
-        DecoderConfig(kind="beamvar", width=2, score=score),
+        DecoderConfig(kind="argmax", width=1),
+        DecoderConfig(kind="var", width=2, proposal="branch"),
+        DecoderConfig(kind="beamvar", width=2),
     ]
     instances = suite(seed)
     reports = []

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from ..decoders import DecoderConfig, decode
 from ..lm import TableLM, Vocabulary
-from ..scoring import ScoreParams
 from ..sketch import Chunk, Sketch, VariableSpec
 
 ITEM_PROBS = (
@@ -131,19 +130,14 @@ class Fig1Row:
     normalized_score: float
 
 
-def run_fig1_task(
-    backend: TableLM | None = None,
-    score: ScoreParams | None = None,
-    configs: list[DecoderConfig] | None = None,
-) -> list[Fig1Row]:
+def run_fig1_task(configs: list[DecoderConfig] | None = None) -> list[Fig1Row]:
     """Decode the packing list with each strategy and report repetitions."""
-    backend = backend or fig1_backend()
-    score = score or ScoreParams()
     if configs is None:
         configs = [
-            DecoderConfig(kind=kind, width=width, score=score)
+            DecoderConfig(kind=kind, width=width)
             for kind, width in (("argmax", 1), ("beam", 2), ("var", 2), ("beamvar", 2))
         ]
+    backend = fig1_backend()
     sketch = fig1_sketch()
     rows = []
     for config in configs:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from ..decoders import DecoderConfig, decode
 from ..lm import NGramLM, TableLM, Vocabulary, greedy_tokenize, ordered_sum
-from ..scoring import ScoreParams
 from ..sketch import Chunk, OneOf, Sketch, VariableSpec, instantiate
 
 NAMES = (
@@ -221,11 +220,12 @@ def extract_json(text: str) -> dict | None:
     return obj
 
 
-def free_run_tokens(backend, prompt: str, cap: int = 128) -> int:
-    """Greedy untemplated generation length, the baseline cost."""
+def free_run_tokens(backend, prompt: str) -> int:
+    """Greedy untemplated generation length, the baseline cost, counted up
+    to 128 tokens."""
     tokens = list(backend.tokenize(prompt))
     count = 0
-    while count < cap:
+    while count < 128:
         index, _ = backend.next_distribution(tokens).top(1)[0]
         if index == backend.vocab.eos_index:
             break
@@ -249,15 +249,13 @@ class JsonReport:
 def run_json_task(
     config: DecoderConfig | None = None,
     backend_kind: str = "table",
-    records: tuple[Record, ...] = RECORDS,
-    score: ScoreParams | None = None,
 ) -> JsonReport:
-    config = config or DecoderConfig(kind="var", width=2, score=score or ScoreParams())
+    config = config or DecoderConfig(kind="var", width=2)
     shared = ngram_backend() if backend_kind == "ngram" else None
     valid = correct = 0
     decoded_tokens = []
     baseline_tokens = []
-    for record in records:
+    for record in RECORDS:
         backend = shared if shared is not None else record_backend(record)
         sketch = build_sketch(record)
         result = decode(sketch, backend, config)
@@ -286,7 +284,7 @@ def run_json_task(
         width=config.width,
         valid=valid,
         correct=correct,
-        total=len(records),
+        total=len(RECORDS),
         mean_decoded_tokens=sum(decoded_tokens) / len(decoded_tokens),
         mean_baseline_tokens=(
             sum(baseline_tokens) / len(baseline_tokens) if baseline_tokens else None

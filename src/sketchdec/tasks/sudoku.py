@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from ..decoders import DecoderConfig, decode
 from ..lm import TableLM, Vocabulary, ordered_sum
-from ..scoring import ScoreParams
 from ..sketch import Bindings, Chunk, OneOf, Sketch, VariableSpec
 
 DIGITS = tuple(str(d) for d in range(1, 10))
@@ -202,13 +201,11 @@ class SudokuReport:
 def run_sudoku_task(
     configs: list[DecoderConfig] | None = None,
     seed: int = 0,
-    score: ScoreParams | None = None,
 ) -> list[SudokuReport]:
-    score = score or ScoreParams()
     configs = configs or [
-        DecoderConfig(kind="argmax", width=1, score=score),
-        DecoderConfig(kind="var", width=2, proposal="branch", score=score),
-        DecoderConfig(kind="beamvar", width=2, score=score),
+        DecoderConfig(kind="argmax", width=1),
+        DecoderConfig(kind="var", width=2, proposal="branch"),
+        DecoderConfig(kind="beamvar", width=2),
     ]
     instances = suite(seed)
     reports = []
@@ -219,7 +216,7 @@ def run_sudoku_task(
             result = decode(sketch, backend, config)
             if solved(instance, result.bindings):
                 wins += 1
-            norms.append(result.best.normalized_score(score))
+            norms.append(result.best.normalized_score(config.score))
         reports.append(
             SudokuReport(
                 decoder=config.kind,

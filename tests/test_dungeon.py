@@ -131,7 +131,7 @@ def test_source_and_model_take_the_same_steps(case):
     source = dungeon.dungeon_source(instance)
     values, text, opened = {}, "", []
     while True:
-        run = source.program(values, source.seed)
+        run = source.program(values)
         text += "".join(chunk.text for chunk in run if chunk.is_det)
         if not run[-1].is_var:
             break

@@ -28,10 +28,10 @@ def stable_seed(seed: int, tokens: tuple[int, ...], j: int) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
-def draw(rng: random.Random, logprobs, temperature: float) -> int:
-    """An index drawn with weight exp(lp / T), uniformly when every weight
+def draw(rng: random.Random, logprobs) -> int:
+    """An index drawn with weight exp(lp), uniformly when every weight
     underflows to 0."""
-    weights = [math.exp(lp / temperature) for lp in logprobs]
+    weights = [math.exp(lp) for lp in logprobs]
     if not any(w > 0.0 for w in weights):
         weights = [1.0] * len(weights)
     return rng.choices(range(len(weights)), weights=weights)[0]
@@ -43,7 +43,6 @@ def reference_proposals(eng: _Engine, h, n: int):
     Returns the proposals and the truncations the draw tree should count:
     each node's member fallback once, and each truncated child drawn once.
     """
-    temperature = eng.config.temperature
     seen = {}
     truncations = {}
     for j in range(n):
@@ -63,9 +62,9 @@ def reference_proposals(eng: _Engine, h, n: int):
                 truncations["node", at.tokens] = eng.truncated - before
             if pairs is None:
                 lps = [o.logprob_from(len(at.tokens)) for o in options]
-                cur = options[draw(rng, lps, temperature)]
+                cur = options[draw(rng, lps)]
             else:
-                t, lp = pairs[draw(rng, [lp for _, lp in pairs], temperature)]
+                t, lp = pairs[draw(rng, [lp for _, lp in pairs])]
                 before = eng.truncated
                 cur = eng.apply_token(at, t, lp)
                 truncations["child", cur.tokens] = eng.truncated - before
@@ -140,30 +139,30 @@ def test_sample_seeds_equal_whole_hashes():
 # a member fallback's option "b" continues by the token "a" to "ba", the
 # value of its sibling option: one proposal, not two
 @example(
-    seed=157, truncated=False, top_k=2, cap=16, temperature=1.0, width=2, sample_seed=0
+    seed=157, truncated=False, zero_rest=False, top_k=2, cap=16, width=2, sample_seed=0
 )
-# every fallback weight underflows, so the draws are uniform
+# every member completion scores -inf, so the fallback draws are uniform
 @example(
-    seed=0, truncated=True, top_k=None, cap=None, temperature=0.001, width=3, sample_seed=0
+    seed=0, truncated=True, zero_rest=True, top_k=None, cap=None, width=3, sample_seed=0
 )
 @given(
     seed=st.integers(0, 2**16),
     truncated=st.booleans(),
+    zero_rest=st.booleans(),
     top_k=st.sampled_from([None, 2, 3]),
     cap=st.one_of(st.none(), st.integers(1, 16)),
-    temperature=st.sampled_from([1.0, 0.5, 0.001]),
     width=st.integers(1, 6),
     sample_seed=st.integers(0, 2**16),
 )
 def test_draw_tree_equals_per_sample_walks(
-    seed, truncated, top_k, cap, temperature, width, sample_seed
+    seed, truncated, zero_rest, top_k, cap, width, sample_seed
 ):
     """On full and truncated backends (whose OneOf values come from member
-    fallback), under global caps and at a temperature where every weight
-    underflows, each proposal is the reference walk's, float bit for float
-    bit, and reads each prefix once."""
+    fallback), under global caps and where every member completion scores
+    -inf, each proposal is the reference walk's, float bit for float bit,
+    and reads each prefix once."""
     if truncated:
-        sketch, backend = truncated_fixture(seed % 5)
+        sketch, backend = truncated_fixture(seed % 5, zero_rest)
     else:
         sketch, backend = random_fixture(seed)
         if top_k is not None:
@@ -173,7 +172,6 @@ def test_draw_tree_equals_per_sample_walks(
         width=width,
         proposal=PROPOSAL_SAMPLE,
         seed=sample_seed,
-        temperature=temperature,
         global_max_tokens=cap,
     )
     with pytest.MonkeyPatch.context() as monkeypatch:

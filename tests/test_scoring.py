@@ -106,9 +106,6 @@ def test_transitions_change_only_their_fields():
         raw_score=h.raw_score - 1.0,
         open_state=state,
     )
-    # the open variable's tokens count as variable tokens before it closes
-    assert h.m_vars == 3
-    assert h.with_variable_token(4, -1.0, state, "r").m_vars == 4
     assert h.with_variable_token(4, -1.0, state, "r", node_id=2).node_id == 2
     closed = Span(len(h.spans), "var", "Y", "qr", 5, 7, -1.5)
     assert h.with_closing_token(4, -1.0, MaskState("qr", 2, None), "r") == replace(
@@ -309,7 +306,6 @@ def test_hypothesis_accumulates_tokens_and_score():
     assert h.tokens == (5, 6, 7, 8, 9)
     assert h.raw_score == pytest.approx(-3.875)
     assert h.m_total == 5
-    assert h.m_vars == 2
     assert h.vars_done == 1
     assert h.rendered() == "abcde"
     assert h.text == "abcde"
@@ -331,12 +327,11 @@ def test_hypothesis_spans_and_bindings():
     assert b.raw_logprob == pytest.approx(-3.0)
 
 
-def test_normalized_score_and_effective_m():
+def test_normalized_score_counts_every_token():
     h = built_hypothesis()
     full = ScoreParams(alpha=1.0, beta=0.0)
+    # three forced tokens and two variable tokens
     assert h.normalized_score(full) == pytest.approx(-3.875 / 5)
-    vars_only = ScoreParams(alpha=1.0, beta=0.0, count_forced_tokens=False)
-    assert h.normalized_score(vars_only) == pytest.approx(-3.875 / 2)
     assert h.as_dead().normalized_score(full) == float("-inf")
 
 

@@ -224,10 +224,10 @@ def test_static_source_trailing_det_run():
     assert run[0].text == "tail"
 
 
-def branching_program(values, seed):
-    # second variable depends on the first value; seed feeds the det text
+def branching_program(values):
+    # second variable depends on the first value
     if "A" not in values:
-        return [Chunk.det(f"s{seed}:"), Chunk.variable(VariableSpec("A", max_tokens=1))]
+        return [Chunk.det("s:"), Chunk.variable(VariableSpec("A", max_tokens=1))]
     if "B" not in values:
         members = ("x",) if values["A"] == "a" else ("y",)
         return [
@@ -239,7 +239,7 @@ def branching_program(values, seed):
 
 
 def test_dynamic_source_replays_identically():
-    source = DynamicSketchSource(branching_program, seed=3)
+    source = DynamicSketchSource(branching_program)
     bound = Bindings.from_values({"A": "a"})
     first = source.pending(bound)
     second = source.pending(bound)
@@ -250,14 +250,8 @@ def test_dynamic_source_replays_identically():
     assert source.pending(Bindings.from_values({"A": "a", "B": "x"})) == ()
 
 
-def test_dynamic_source_seed_changes_stream():
-    a = DynamicSketchSource(branching_program, seed=1).pending(Bindings())
-    b = DynamicSketchSource(branching_program, seed=2).pending(Bindings())
-    assert a[0].text == "s1:" and b[0].text == "s2:"
-
-
 def test_dynamic_program_faults_become_typed_errors():
-    def broken(values, seed):
+    def broken(values):
         raise RuntimeError("boom")
 
     with pytest.raises(DynamicProgramError):
@@ -265,12 +259,12 @@ def test_dynamic_program_faults_become_typed_errors():
 
 
 def test_dynamic_run_shape_is_validated():
-    bad_element = DynamicSketchSource(lambda v, s: ["not a chunk"])
+    bad_element = DynamicSketchSource(lambda v: ["not a chunk"])
     with pytest.raises(DynamicProgramError):
         next_pending_chunks(bad_element, Bindings())
 
     var_not_last = DynamicSketchSource(
-        lambda v, s: [
+        lambda v: [
             Chunk.variable(VariableSpec("A")),
             Chunk.det("tail"),
         ]

@@ -1,7 +1,15 @@
 """Every function and class in ``src/`` has a caller: its name appears in
-``src/``, ``demos/`` or ``perfbench/`` outside its own definition."""
+``src/``, ``demos/`` or ``perfbench/`` outside its own definition.  Every
+setting of the decoder configuration has a caller too: one of those files
+passes it by keyword."""
 import ast
+import dataclasses
 import pathlib
+
+import pytest
+
+from sketchdec.decoders import DecoderConfig
+from sketchdec.scoring import ScoreParams
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -64,12 +72,53 @@ def test_the_scan_flags_a_name_read_only_by_its_own_definition():
     assert unnamed_definitions(sources, {"lib.py"}) == ["recursive lib.py:2"]
 
 
-def test_every_src_definition_is_named_outside_itself():
-    sources = {
+def unset_fields(sources: dict[str, str], cls) -> list[str]:
+    """The fields of dataclass cls that no call in the sources passes by
+    keyword, to cls or to a ``replace``."""
+    passed = set()
+    for where, text in sources.items():
+        for node in ast.walk(ast.parse(text, where)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called in (cls.__name__, "replace"):
+                passed.update(k.arg for k in node.keywords if k.arg is not None)
+    return [f.name for f in dataclasses.fields(cls) if f.name not in passed]
+
+
+def program_sources() -> dict[str, str]:
+    return {
         str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
         for folder in ("src", "demos", "perfbench")
         for p in sorted((ROOT / folder).rglob("*.py"))
     }
+
+
+@dataclasses.dataclass
+class Pair:
+    first: int = 0
+    second: int = 0
+
+
+def test_the_scan_flags_a_field_no_call_passes():
+    sources = {
+        # a positional argument or a spread dict names no field
+        "a.py": "Pair(first=1)\nPair(1, 2)\n",
+        "b.py": "dataclasses.replace(p, **kw)\n",
+    }
+    assert unset_fields(sources, Pair) == ["second"]
+    sources["b.py"] = "replace(p, second=2)\n"
+    assert unset_fields(sources, Pair) == []
+
+
+@pytest.mark.parametrize("cls", [DecoderConfig, ScoreParams], ids=lambda c: c.__name__)
+def test_every_setting_is_passed_outside_the_tests(cls):
+    assert unset_fields(program_sources(), cls) == []
+
+
+def test_every_src_definition_is_named_outside_itself():
+    sources = program_sources()
     defining = {where for where in sources if where.startswith("src")}
     flagged = unnamed_definitions(sources, defining)
     assert [f for f in flagged if f.split()[0] not in ALLOWED] == []

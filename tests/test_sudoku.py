@@ -1,9 +1,11 @@
 """Digit-placement grid task: trap pairs punish greedy decoding."""
 import pytest
 
-from sketchdec.decoders import decode_argmax, decode_beamvar
+from sketchdec.decoders import DecoderConfig, decode, decode_argmax, decode_beamvar
+from sketchdec.lm import ordered_sum
+from sketchdec.scoring import ScoreParams
 from sketchdec.sketch import Binding, Bindings, Chunk, OneOf, Sketch, VariableSpec
-from sketchdec.tasks import sudoku
+from sketchdec.tasks import dungeon, sudoku
 
 
 def test_generated_instances_are_valid():
@@ -83,6 +85,29 @@ def test_task_report_counts():
         reports["beamvar"].mean_normalized_score
         > reports["argmax"].mean_normalized_score
     )
+
+
+def sudoku_decodes(config):
+    return [decode(sketch, backend, config) for _, sketch, backend in sudoku.suite(0)]
+
+
+def dungeon_decodes(config):
+    return [
+        decode(dungeon.dungeon_source(i), dungeon.dungeon_backend(i), config)
+        for i in dungeon.suite(0)
+    ]
+
+
+@pytest.mark.parametrize(
+    "run_task, decodes",
+    [(sudoku.run_sudoku_task, sudoku_decodes), (dungeon.run_dungeon_task, dungeon_decodes)],
+    ids=["sudoku", "dungeon"],
+)
+def test_task_mean_is_scored_under_the_configs_own_parameters(run_task, decodes):
+    config = DecoderConfig(kind="argmax", width=1, score=ScoreParams(alpha=1.0))
+    (report,) = run_task(configs=[config])
+    norms = [r.best.normalized_score(config.score) for r in decodes(config)]
+    assert report.mean_normalized_score.hex() == (ordered_sum(norms) / len(norms)).hex()
 
 
 def reordered_sketch(instance, name: str = "sudoku-reordered") -> Sketch:
