@@ -442,14 +442,12 @@ def replay_actions(instance: DungeonInstance, actions: list[str]) -> int | None:
 
 
 def run_dungeon(
-    instance: DungeonInstance,
-    config: DecoderConfig,
-    backend: LMBackend | None = None,
+    instance: DungeonInstance, config: DecoderConfig
 ) -> tuple[int | None, float]:
     """Decode the escape transcript; replay the chosen actions.
 
     Returns (steps to exit | None, best normalized score)."""
-    backend = backend or dungeon_backend(instance)
+    backend = dungeon_backend(instance)
     source = dungeon_source(instance)
     result = decode(source, backend, config)
     actions = [b.value for b in result.bindings]
