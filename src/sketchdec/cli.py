@@ -160,12 +160,15 @@ def build_backend(args):
 
     if not os.environ.get(API_KEY_ENV):
         raise UsageError(f"{API_KEY_ENV} must be set for http backends")
-    return RemoteCompletionsLM(
-        parsed[1],
-        parsed[2],
-        timeout_s=args.timeout_ms / 1000.0,
-        retries=args.retries,
-    )
+    try:
+        return RemoteCompletionsLM(
+            parsed[1],
+            parsed[2],
+            timeout_s=args.timeout_ms / 1000.0,
+            retries=args.retries,
+        )
+    except ValueError as e:
+        raise UsageError(f"bad backend flags: {e}") from e
 
 
 def _resolved_width(args) -> int:

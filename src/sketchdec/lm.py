@@ -52,7 +52,10 @@ The table model keeps the sorted distribution of every row it serves from
 its mapping, and of its default row, so a row is logged and sorted once
 per backend: that memo holds at most one entry per row of the model file
 plus one.  Rows served by a virtual (callable) lookup are sorted on every
-call and kept nowhere, because a lookup may serve any number of them.
+call and kept nowhere, because a lookup may serve any number of them.  A
+model whose row depends only on a small state of the text (the sudoku and
+fig1 models) is a ``StateTableLM``: it keeps one row per state, so its
+memo is bounded by the model's states.
 """
 from __future__ import annotations
 
@@ -60,6 +63,7 @@ import json
 import math
 import os
 from collections import Counter
+from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, filterfalse, islice, repeat
@@ -330,10 +334,12 @@ class TableLM(LMBackend):
 
     ``rows`` may be a mapping from prefix strings to rows, or a callable
     ``prefix -> row | None`` implementing the same lookup virtually (used
-    by generated fixtures whose reachable context set is large).  A miss
-    falls back to the default row.  A mapping is read as it stood when the
-    model was built: its rows are validated and their distributions kept.
-    A virtual row is validated each time it is fetched.
+    by the tests' generated fixtures, whose reachable context set is
+    large; a model whose row depends only on a small state of the prefix
+    is a ``StateTableLM``).  A miss falls back to the default row.  A
+    mapping is read as it stood when the model was built: its rows are
+    validated and their distributions kept.  A virtual row is validated
+    each time it is fetched.
     """
 
     def __init__(
@@ -418,6 +424,74 @@ class TableLM(LMBackend):
     @classmethod
     def from_file(cls, path: str) -> "TableLM":
         return cls.from_json(_read_object(path, "table model"))
+
+
+class StateTableLM(LMBackend):
+    """Lookup model whose row after a text depends only on a small model
+    state of that text.
+
+    ``state(text)`` names the state, and ``row(text)`` builds the row for
+    any text in it.  A state's row is built on the state's first read,
+    length-checked, validated, logged and sorted once, and kept for the
+    backend's life, so the kept rows are bounded by the model's states,
+    not by the texts read.  A state whose row is invalid keeps nothing and
+    raises ModelFileError on every read.  ``step(state, token)``, when
+    given, is the state after one more token, which ``score_forced``
+    carries along the continuation in place of ``state`` on the grown
+    text.  The key text is read as ``TableLM`` reads it, so a
+    ``TableLM`` over the same ``row`` gives the same floats.
+    """
+
+    def __init__(
+        self,
+        vocab: Vocabulary,
+        state: Callable[[str], Hashable],
+        row: Callable[[str], Sequence[float]],
+        step: Callable[[Hashable, int], Hashable] | None = None,
+    ):
+        self.vocab = vocab
+        self._state = state
+        self._row = row
+        self._step = step
+        # state -> (sorted distribution, log-probabilities by id)
+        self._kept: dict[Hashable, tuple[TokenDistribution, tuple[float, ...]]] = {}
+
+    def _read(
+        self, state: Hashable, text: str
+    ) -> tuple[TokenDistribution, tuple[float, ...]]:
+        kept = self._kept.get(state)
+        if kept is None:
+            row = self._row(text)
+            if len(row) != len(self.vocab):
+                raise ModelFileError(f"row of model state {state!r} has wrong length")
+            _check_row(row, f"model state {state!r}")
+            lps = _logify(row)
+            dist = TokenDistribution.from_pairs(list(enumerate(lps)), complete=True)
+            kept = self._kept[state] = (dist, lps)
+        return kept
+
+    def next_distribution(
+        self, prefix: Sequence[int], text: str | None = None
+    ) -> TokenDistribution:
+        key = self.detokenize(prefix) if text is None else text
+        return self._read(self._state(key), key)[0]
+
+    def score_forced(
+        self,
+        prefix: Sequence[int],
+        continuation: Sequence[int],
+        text: str | None = None,
+    ) -> list[float]:
+        """One kept row per forced token; the key grows by that token's text."""
+        tokens = self.vocab.tokens
+        key = self.detokenize(prefix) if text is None else text
+        state = self._state(key)
+        out: list[float] = []
+        for t in continuation:
+            out.append(self._read(state, key)[1][t])
+            key += tokens[t]
+            state = self._state(key) if self._step is None else self._step(state, t)
+        return out
 
 
 class _Context:

@@ -109,6 +109,10 @@ class RemoteCompletionsLM(LMBackend):
         backoff_base: float = 0.5,
         session: requests.Session | None = None,
     ):
+        if not timeout_s > 0:
+            raise ValueError(f"timeout_s must be positive, got {timeout_s!r}")
+        if retries < 0:
+            raise ValueError(f"retries must be non-negative, got {retries!r}")
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)

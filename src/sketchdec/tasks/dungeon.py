@@ -88,7 +88,6 @@ class DungeonInstance:
     start: int
     exit: int
     shortest: int
-    seed: int
 
     def __post_init__(self):
         if len(self.rooms) != len(self.hallways):
@@ -158,7 +157,6 @@ def gen_dungeon(seed: int, distance: int = 2) -> DungeonInstance:
         start=start,
         exit=exit_node,
         shortest=distance,
-        seed=seed,
     )
     if shortest_distance(instance) != distance:
         # a decorative edge spoiled the distance; retry deterministically

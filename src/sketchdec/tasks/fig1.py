@@ -6,14 +6,21 @@ line, so a greedy decoder that picks Frisbee for the first slot collides
 with the fixed line and repeats itself; searching decoders keep a runner-up
 hypothesis alive and dodge the repetition, ending with a higher template
 likelihood.
+
+The backend's row after a text depends only on whether the text is empty,
+ends with a dash (and which items it names), ends with a newline, or none
+of these, so it keeps one row per such state (a ``StateTableLM``): built
+on the state's first read and kept for the backend's life, at most 35
+rows.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 from ..decoders import DecoderConfig, decode
-from ..lm import TableLM, Vocabulary
+from ..lm import StateTableLM, Vocabulary
 from ..sketch import Chunk, Sketch, VariableSpec
 
 ITEM_PROBS = (
@@ -55,15 +62,22 @@ def _row(vocab: Vocabulary, prefix: str) -> list[float]:
     return _normalized_row(vocab, {NEWLINE: 0.97, "": 0.01})
 
 
-def _uniform_row(vocab: Vocabulary) -> list[float]:
-    return [1.0 / len(vocab.tokens)] * len(vocab.tokens)
+def _state(prefix: str) -> Hashable:
+    """What ``_row`` reads of a prefix: whether it is empty, ends with a
+    dash (and which items it names), ends with a newline, or none of
+    these; 35 states."""
+    if prefix == "":
+        return ""
+    if prefix.endswith(DASH):
+        return frozenset(name for name, _ in ITEM_PROBS if name in prefix)
+    if prefix.endswith(NEWLINE):
+        return NEWLINE
+    return None
 
 
-def fig1_backend() -> TableLM:
+def fig1_backend() -> StateTableLM:
     vocab = fig1_vocab()
-    return TableLM(
-        vocab, lambda prefix: _row(vocab, prefix), default_row=_uniform_row(vocab)
-    )
+    return StateTableLM(vocab, _state, lambda prefix: _row(vocab, prefix))
 
 
 def _item_var(name: str) -> VariableSpec:

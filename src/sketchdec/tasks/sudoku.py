@@ -7,6 +7,10 @@ following fixed cell holds the smallest, so a greedy decoder grabs the
 smallest digit at the blank and collides with the very next fixed cell.
 A width-2 search keeps the runner-up digit alive, sees the collision in
 the forced chunk's score, and recovers every time.
+
+The backend's row after a text depends only on the set of digits in it,
+so it keeps one row per digit set (a ``StateTableLM``): built on the
+set's first read and kept for the backend's life, at most 512 rows.
 """
 from __future__ import annotations
 
@@ -14,10 +18,11 @@ import random
 from dataclasses import dataclass
 
 from ..decoders import DecoderConfig, decode
-from ..lm import TableLM, Vocabulary, ordered_sum
+from ..lm import StateTableLM, Vocabulary, ordered_sum
 from ..sketch import Bindings, Chunk, OneOf, Sketch, VariableSpec
 
 DIGITS = tuple(str(d) for d in range(1, 10))
+_DIGIT_SET = frozenset(DIGITS)
 DIGIT_PREFERENCE = 0.75  # p(d) falls geometrically with the digit
 USED_PENALTY = 1e-9
 DIGIT_MASS = 0.94
@@ -43,10 +48,17 @@ def _row(prefix: str) -> list[float]:
     return row
 
 
-def sudoku_backend() -> TableLM:
+def sudoku_backend() -> StateTableLM:
+    """One kept row per digit set; forced scoring carries the set along
+    the continuation, one token's digits at a time."""
     vocab = sudoku_vocab()
-    uniform = [1.0 / len(vocab.tokens)] * len(vocab.tokens)
-    return TableLM(vocab, _row, default_row=uniform)
+    digits = [_DIGIT_SET.intersection(t) for t in vocab.tokens]
+    return StateTableLM(
+        vocab,
+        _DIGIT_SET.intersection,
+        _row,
+        step=lambda used, t: used | digits[t],
+    )
 
 
 @dataclass(frozen=True)
@@ -56,7 +68,6 @@ class SudokuInstance:
     cells: tuple[str | None, ...]
     solution: tuple[str, ...]
     blanks: tuple[int, ...]
-    seed: int
 
     def __post_init__(self):
         if len(self.cells) != 9:
@@ -74,7 +85,7 @@ def _separator(position: int) -> str:
     return "\n" if position % 3 == 2 else " "
 
 
-def build_sketch(instance: SudokuInstance, name: str = "sudoku") -> Sketch:
+def build_sketch(instance: SudokuInstance) -> Sketch:
     chunks: list[Chunk] = []
     det_buffer = ""
     for pos, cell in enumerate(instance.cells):
@@ -96,10 +107,10 @@ def build_sketch(instance: SudokuInstance, name: str = "sudoku") -> Sketch:
         det_buffer += _separator(pos)
     if det_buffer:
         chunks.append(Chunk.det(det_buffer))
-    return Sketch(name=name, chunks=tuple(chunks))
+    return Sketch(name="sudoku", chunks=tuple(chunks))
 
 
-def gen_sudoku(seed: int, blanks: int) -> tuple[SudokuInstance, Sketch, TableLM]:
+def gen_sudoku(seed: int, blanks: int) -> tuple[SudokuInstance, Sketch, StateTableLM]:
     """Adversarial instance with the requested number of blanks (1-6).
 
     Layout grammar: blank/fixed trap pairs, optional interleaved fixed
@@ -118,9 +129,7 @@ def gen_sudoku(seed: int, blanks: int) -> tuple[SudokuInstance, Sketch, TableLM]
         last = next(d for d in DIGITS if d not in fixed)
         cells: list[str | None] = list(fixed) + [None]
         solution = tuple(fixed) + (last,)
-        instance = SudokuInstance(
-            cells=tuple(cells), solution=solution, blanks=(8,), seed=seed
-        )
+        instance = SudokuInstance(cells=tuple(cells), solution=solution, blanks=(8,))
         return instance, build_sketch(instance), sudoku_backend()
 
     n_pairs = {2: 2, 3: 3, 4: 4, 5: 4, 6: 3}[blanks]
@@ -159,7 +168,6 @@ def gen_sudoku(seed: int, blanks: int) -> tuple[SudokuInstance, Sketch, TableLM]
         cells=tuple(cells),
         solution=tuple(solution_cells),
         blanks=tuple(blank_positions),
-        seed=seed,
     )
     return instance, build_sketch(instance), sudoku_backend()
 
@@ -181,7 +189,7 @@ def solved(instance: SudokuInstance, bindings: Bindings) -> bool:
 SUITE_BLANKS = (1, 2, 2, 3, 3, 4, 4, 5, 5, 6)
 
 
-def suite(seed: int = 0) -> list[tuple[SudokuInstance, Sketch, TableLM]]:
+def suite(seed: int = 0) -> list[tuple[SudokuInstance, Sketch, StateTableLM]]:
     """The 10-instance benchmark suite, blanks ranging over 1-6."""
     return [
         gen_sudoku(seed * 1000 + i, blanks)

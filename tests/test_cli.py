@@ -450,3 +450,26 @@ def test_bad_numeric_flags_are_one_line_errors(command, flags, word, tmp_path, c
     assert out == ""
     assert err.count("\n") == 1 and word in err and "Traceback" not in err
     assert not (tmp_path / "tree.ndjson").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, word",
+    [
+        (["--timeout-ms", "0"], "timeout"),
+        (["--timeout-ms", "-5"], "timeout"),
+        (["--retries", "-1"], "retries"),
+    ],
+)
+@pytest.mark.parametrize("command", ["decode", "tree"])
+def test_bad_http_flags_are_one_line_errors(
+    command, flags, word, served_table, tmp_path, capsys
+):
+    tree = ["--emit-tree", str(tmp_path / "tree.ndjson")]
+    argv = http_decode(served_table, "--decoder", "beamvar", *flags, *tree)
+    code, out, err = run([command, *argv[1:]], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and word in err and "Traceback" not in err
+    assert not (tmp_path / "tree.ndjson").exists()
+    # refused before any request is sent
+    assert served_table.requests == []

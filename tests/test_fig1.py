@@ -93,8 +93,9 @@ def materialize_table() -> dict:
     payload.
     """
     vocab = fig1.fig1_vocab()
+    uniform = [1.0 / len(vocab.tokens)] * len(vocab.tokens)
     recorder = _RecordingRows(vocab)
-    backend = TableLM(vocab, recorder, default_row=fig1._uniform_row(vocab))
+    backend = TableLM(vocab, recorder, default_row=uniform)
     for sketch in (fig1.fig1_sketch(), fig1.list4_sketch()):
         for kind, widths in (
             ("argmax", (1,)),
@@ -108,7 +109,7 @@ def materialize_table() -> dict:
         "vocab": list(vocab.tokens),
         "eos": vocab.eos_index,
         "contexts": {k: recorder.seen[k] for k in sorted(recorder.seen)},
-        "default": fig1._uniform_row(vocab),
+        "default": uniform,
     }
 
 

@@ -79,6 +79,15 @@ def test_caps_and_lazy_construction(server):
     assert server.requests == []  # constructing makes no calls
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [{"timeout_s": 0.0}, {"timeout_s": -0.005}, {"timeout_s": math.nan}, {"retries": -1}],
+)
+def test_bad_timeout_or_retries_is_refused_at_construction(setting):
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        RemoteCompletionsLM("http://127.0.0.1:9", "m", api_key="k", **setting)
+
+
 def test_tokenize_uses_service_segmentation(server):
     # trailing slash on the base url is normalized away
     lm = RemoteCompletionsLM(server.base_url + "/", "mock-model", api_key="k")
