@@ -69,7 +69,8 @@ from typing import Iterator, Sequence
 
 from .constraints import MAX_TOKENS, MaskState, TerminationVerdict, advance
 from .constraints import compute_mask, one_of_move, one_of_step
-from .errors import DeadEnd, ForcedTextMisaligned, TemplateUnsatisfiable
+from .errors import DeadEnd, ForcedTextMisaligned, InstanceTooLarge
+from .errors import TemplateUnsatisfiable
 from .lm import NEG_INF, LMBackend, ordered_sum
 from .scoring import (
     Hypothesis,
@@ -91,6 +92,9 @@ PROPOSAL_SAMPLE = "sample"
 PROPOSAL_EXHAUSTIVE = "exhaustive"
 
 DEFAULT_DYNAMIC_CAP = 4096
+# closed candidates one exhaustive walk may collect; the largest pinned walk
+# collects 9,331
+EXHAUSTIVE_MAX_COMPLETIONS = 65_536
 
 
 @dataclass(frozen=True)
@@ -715,7 +719,9 @@ class _DrawNode:
 
 
 def _propose_exhaustive(eng: _Engine, h: Hypothesis) -> list[_Cand]:
-    """Every legal completion of the open variable chunk, depth first.
+    """Every legal completion of the open variable chunk, depth first; a
+    walk that collects more than ``EXHAUSTIVE_MAX_COMPLETIONS`` raises
+    InstanceTooLarge.
 
     The walk keeps its own stack of child iterators rather than recursing
     through a closure, which would refer to itself and so keep the engine
@@ -729,6 +735,8 @@ def _propose_exhaustive(eng: _Engine, h: Hypothesis) -> list[_Cand]:
             stack.pop()
         elif c.closed:
             out.append(c)
+            if len(out) > EXHAUSTIVE_MAX_COMPLETIONS:
+                raise InstanceTooLarge(len(out), EXHAUSTIVE_MAX_COMPLETIONS)
         elif not c.dead:
             stack.append(iter(eng.expand_top(c.hyp, None)))
     return out

@@ -48,14 +48,14 @@ vocabulary.  Both exist to create exactly reproducible desk-scale
 distributions -- the table model by explicit enumeration, the n-gram model
 by counting a small corpus.
 
-The table model keeps the sorted distribution of every row it serves from
-its mapping, and of its default row, so a row is logged and sorted once
-per backend: that memo holds at most one entry per row of the model file
-plus one.  Rows served by a virtual (callable) lookup are sorted on every
-call and kept nowhere, because a lookup may serve any number of them.  A
-model whose row depends only on a small state of the text (the sudoku and
-fig1 models) is a ``StateTableLM``: it keeps one row per state, so its
-memo is bounded by the model's states.
+The table models (``StateTableLM``) keep one row per model state: a row
+is validated, logged and sorted on its state's first read, and kept for
+the backend's life.  ``TableLM``'s state is the key text when its mapping
+holds a row for it, and the default row otherwise, so that memo holds at
+most one entry per row of the model file plus one.  The sudoku and fig1
+models key each row by a small state of the text, so their memos are
+bounded by the model's states.  No backend here keys a row by the whole
+text, since a decode may read any number of texts.
 """
 from __future__ import annotations
 
@@ -323,109 +323,6 @@ def _check_row(probs: Sequence[float], where: str) -> None:
         raise ModelFileError(f"{where}: probabilities sum to {total!r}, not 1")
 
 
-class TableLM(LMBackend):
-    """Lookup model: the detokenized prefix string selects a probability row.
-
-    The key is the ``text`` a caller passes (the decoders pass each
-    hypothesis's carried text), or else ``detokenize(prefix)``.  Both
-    spell every token, EOS included, by its vocabulary string, and forced
-    text round-trips through ``tokenize`` (greedy segmentation spells the
-    text exactly), so the two keys are equal.
-
-    ``rows`` may be a mapping from prefix strings to rows, or a callable
-    ``prefix -> row | None`` implementing the same lookup virtually (used
-    by the tests' generated fixtures, whose reachable context set is
-    large; a model whose row depends only on a small state of the prefix
-    is a ``StateTableLM``).  A miss falls back to the default row.  A
-    mapping is read as it stood when the model was built: its rows are
-    validated and their distributions kept.  A virtual row is validated
-    each time it is fetched.
-    """
-
-    def __init__(
-        self,
-        vocab: Vocabulary,
-        rows: Mapping[str, Sequence[float]] | Callable[[str], Sequence[float] | None],
-        default_row: Sequence[float],
-    ):
-        self.vocab = vocab
-        self._lookup = rows.get if isinstance(rows, Mapping) else rows
-        self._rows = rows if isinstance(rows, Mapping) else None
-        self._default = tuple(default_row)
-        # sorted distributions of mapping rows; None keys the default row
-        self._dists: dict[str | None, TokenDistribution] = {}
-        _check_row(self._default, "default row")
-        if len(self._default) != len(vocab):
-            raise ModelFileError("default row length differs from vocabulary size")
-        if isinstance(rows, Mapping):
-            for key, row in rows.items():
-                if len(row) != len(vocab):
-                    raise ModelFileError(
-                        f"row for context {key!r} has wrong length"
-                    )
-                _check_row(row, f"context {key!r}")
-
-    def _row(self, key: str) -> Sequence[float]:
-        row = self._lookup(key)
-        if row is None:
-            return self._default
-        if self._rows is None:
-            if len(row) != len(self.vocab):
-                raise ModelFileError(f"virtual row for {key!r} has wrong length")
-            _check_row(row, f"virtual context {key!r}")
-        return row
-
-    def next_distribution(
-        self, prefix: Sequence[int], text: str | None = None
-    ) -> TokenDistribution:
-        key = self.detokenize(prefix) if text is None else text
-        if self._rows is None:
-            return _distribution(self._row(key))
-        row = self._rows.get(key)
-        if row is None:
-            key, row = None, self._default
-        dist = self._dists.get(key)
-        if dist is None:
-            dist = self._dists[key] = _distribution(row)
-        return dist
-
-    def score_forced(
-        self,
-        prefix: Sequence[int],
-        continuation: Sequence[int],
-        text: str | None = None,
-    ) -> list[float]:
-        """One row lookup per forced token; the key grows by that token's text."""
-        tokens = self.vocab.tokens
-        key = self.detokenize(prefix) if text is None else text
-        out: list[float] = []
-        for t in continuation:
-            p = self._row(key)[t]
-            out.append(math.log(p) if p > 0.0 else NEG_INF)
-            key += tokens[t]
-        return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TableLM":
-        for key in data:
-            if key not in {"vocab", "eos", "contexts", "default"}:
-                raise ModelFileError(f"unknown key {key!r} in table model")
-        try:
-            vocab = Vocabulary(tuple(data["vocab"]), data["eos"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ModelFileError(f"bad vocabulary: {e}") from e
-        contexts = data.get("contexts", {})
-        if not isinstance(contexts, dict):
-            raise ModelFileError("'contexts' must be an object")
-        if "default" not in data:
-            raise ModelFileError("table model requires a 'default' row")
-        return cls(vocab, contexts, data["default"])
-
-    @classmethod
-    def from_file(cls, path: str) -> "TableLM":
-        return cls.from_json(_read_object(path, "table model"))
-
-
 class StateTableLM(LMBackend):
     """Lookup model whose row after a text depends only on a small model
     state of that text.
@@ -438,8 +335,8 @@ class StateTableLM(LMBackend):
     raises ModelFileError on every read.  ``step(state, token)``, when
     given, is the state after one more token, which ``score_forced``
     carries along the continuation in place of ``state`` on the grown
-    text.  The key text is read as ``TableLM`` reads it, so a
-    ``TableLM`` over the same ``row`` gives the same floats.
+    text.  The key text is ``text`` when a caller passes it, and else
+    ``detokenize(prefix)``.
     """
 
     def __init__(
@@ -492,6 +389,64 @@ class StateTableLM(LMBackend):
             key += tokens[t]
             state = self._state(key) if self._step is None else self._step(state, t)
         return out
+
+
+class TableLM(StateTableLM):
+    """Lookup model: the detokenized prefix string selects a probability row.
+
+    The key is the ``text`` a caller passes (the decoders pass each
+    hypothesis's carried text), or else ``detokenize(prefix)``.  Both
+    spell every token, EOS included, by its vocabulary string, and forced
+    text round-trips through ``tokenize`` (greedy segmentation spells the
+    text exactly), so the two keys are equal.
+
+    ``rows`` maps prefix strings to rows; a miss falls back to the default
+    row.  The mapping is copied and every row validated when the model is
+    built, so it is read as it stood then.  A key's model state is the key
+    itself when the mapping holds it, and None (the default row)
+    otherwise, so the kept rows are at most the mapping's rows plus one.
+    """
+
+    def __init__(
+        self,
+        vocab: Vocabulary,
+        rows: Mapping[str, Sequence[float]],
+        default_row: Sequence[float],
+    ):
+        rows = dict(rows)
+        default = tuple(default_row)
+        _check_row(default, "default row")
+        if len(default) != len(vocab):
+            raise ModelFileError("default row length differs from vocabulary size")
+        for key, row in rows.items():
+            if len(row) != len(vocab):
+                raise ModelFileError(f"row for context {key!r} has wrong length")
+            _check_row(row, f"context {key!r}")
+        super().__init__(
+            vocab,
+            lambda text: text if text in rows else None,
+            lambda text: rows.get(text, default),
+        )
+
+    @classmethod
+    def from_json(cls, data: dict) -> "TableLM":
+        for key in data:
+            if key not in {"vocab", "eos", "contexts", "default"}:
+                raise ModelFileError(f"unknown key {key!r} in table model")
+        try:
+            vocab = Vocabulary(tuple(data["vocab"]), data["eos"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise ModelFileError(f"bad vocabulary: {e}") from e
+        contexts = data.get("contexts", {})
+        if not isinstance(contexts, dict):
+            raise ModelFileError("'contexts' must be an object")
+        if "default" not in data:
+            raise ModelFileError("table model requires a 'default' row")
+        return cls(vocab, contexts, data["default"])
+
+    @classmethod
+    def from_file(cls, path: str) -> "TableLM":
+        return cls.from_json(_read_object(path, "table model"))
 
 
 class _Context:

@@ -13,7 +13,7 @@ import random
 from hypothesis import strategies as st
 
 from sketchdec.constraints import MaskState, advance, compute_mask
-from sketchdec.lm import TableLM, Vocabulary, ordered_sum
+from sketchdec.lm import StateTableLM, Vocabulary, ordered_sum
 from sketchdec.sketch import Chunk, OneOf, Sketch, VariableSpec
 
 
@@ -47,10 +47,11 @@ def random_backend(
     letters: str = "abcd",
     merges: tuple[str, ...] = ("ab", "cd"),
     eos: str = "",
-) -> TableLM:
+) -> StateTableLM:
     """Full-support table model whose rows are a pure function of the prefix.
 
-    Token 0 is EOS, rendered as ``eos``."""
+    Token 0 is EOS, rendered as ``eos``.  Each prefix text is its own model
+    state, so the backend keeps one row per text it reads."""
     tokens = (eos,) + tuple(letters) + tuple(merges)
     vocab = Vocabulary(tokens, eos_index=0)
 
@@ -59,7 +60,7 @@ def random_backend(
         total = ordered_sum(weights)
         return [w / total for w in weights]
 
-    return TableLM(vocab, rows, default_row=rows(""))
+    return StateTableLM(vocab, lambda text: text, rows)
 
 
 def _random_members(rng: random.Random, letters: str) -> tuple[str, ...]:
@@ -110,7 +111,7 @@ def random_sketch(
     return Sketch(name=name, chunks=tuple(chunks))
 
 
-def random_fixture(seed: int) -> tuple[Sketch, TableLM]:
+def random_fixture(seed: int) -> tuple[Sketch, StateTableLM]:
     rng = random.Random(seed)
     return random_sketch(rng), random_backend(seed)
 
@@ -150,7 +151,7 @@ def isolated_greedy(sketch: Sketch, backend) -> tuple[str, dict, tuple, float]:
     return "".join(pieces), values, tuple(prefix), raw
 
 
-def small_oracle_fixture(seed: int) -> tuple[Sketch, TableLM]:
+def small_oracle_fixture(seed: int) -> tuple[Sketch, StateTableLM]:
     """Instance small enough for exhaustive enumeration (hundreds of paths)."""
     rng = random.Random(seed)
     letters = "ab"

@@ -12,7 +12,7 @@ import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from sketchdec.lm import TableLM, greedy_tokenize
+from sketchdec.lm import LMBackend, greedy_tokenize
 
 # how often the serving loop checks for shutdown: close() waits up to this
 # long (socketserver's default of 0.5 s made every teardown that long)
@@ -20,7 +20,7 @@ POLL_INTERVAL_S = 0.02
 
 
 class MockCompletionsServer:
-    def __init__(self, backend: TableLM, null_first_logprob: bool = False):
+    def __init__(self, backend: LMBackend, null_first_logprob: bool = False):
         self.backend = backend
         # standard services report no log-probability for the first prompt
         # token; the table can, so serving it is opt-out

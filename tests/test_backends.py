@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from sketchdec.errors import ModelFileError, UnsegmentableText
 from sketchdec.lm import (
     NGramLM,
+    StateTableLM,
     TableLM,
     TokenDistribution,
     Vocabulary,
@@ -99,13 +100,15 @@ def test_table_zero_probability_becomes_neg_inf():
     assert logprobs(lm.next_distribution([]))[1] == float("-inf")
 
 
-def test_table_callable_rows():
-    def rows(prefix: str):
-        return [0.0, 1.0] if prefix == "a" else None
-
-    lm = TableLM(Vocabulary(("", "a"), 0), rows, default_row=[0.5, 0.5])
-    assert lm.next_distribution([1]).entries[0] == (1, 0.0)
-    assert logprobs(lm.next_distribution([]))[1] == math.log(0.5)
+def test_table_rows_changed_after_construction_are_not_served():
+    vocab = Vocabulary(("", "a"), 0)
+    rows = {"": [0.25, 0.75]}
+    lm = TableLM(vocab, rows, default_row=[0.5, 0.5])
+    rows["a"] = [0.9, 0.9]  # added, and invalid: it sums to 1.8
+    rows[""] = [0.9, 0.1]  # replaced
+    assert logprobs(lm.next_distribution([1])) == {0: math.log(0.5), 1: math.log(0.5)}
+    assert logprobs(lm.next_distribution([])) == {0: math.log(0.25), 1: math.log(0.75)}
+    assert lm.score_forced([], [1, 1]) == [math.log(0.75), math.log(0.5)]
 
 
 @given(st.data(), st.lists(st.integers(0, 4), max_size=6))
@@ -126,7 +129,7 @@ def test_table_row_memo_equals_fresh_rows(data, cuts):
         fresh = TokenDistribution.from_pairs(list(enumerate(_logify(row))), True)
         dist = lm.next_distribution(prefix)
         assert (dist.entries, dist.complete) == (fresh.entries, fresh.complete)
-    assert len(lm._dists) <= len(rows) + 1
+    assert len(lm._kept) <= len(rows) + 1
 
 
 def test_table_row_memo_is_bounded_by_the_model_file():
@@ -138,12 +141,8 @@ def test_table_row_memo_is_bounded_by_the_model_file():
     lm = TableLM(vocab, rows, default_row=default)
     for prefix in unseen + [[], [1], [1, 2]]:
         lm.next_distribution(prefix)
-    assert len(lm._dists) == len(rows) + 1
+    assert len(lm._kept) == len(rows) + 1
     assert lm.next_distribution([1]) is lm.next_distribution([1])
-    virtual = TableLM(vocab, rows.get, default_row=default)
-    for prefix in unseen + [[], [1], [1, 2]]:
-        virtual.next_distribution(prefix)
-    assert virtual._dists == {}
 
 
 def test_table_row_validation():
@@ -158,14 +157,6 @@ def test_table_row_validation():
         TableLM(vocab, rows={"x": [1.0]}, default_row=[0.5, 0.5])
     with pytest.raises(ModelFileError):
         TableLM(vocab, rows={"x": [0.9, 0.2]}, default_row=[0.5, 0.5])
-
-
-def test_table_virtual_row_validation():
-    vocab = Vocabulary(("", "a"), 0)
-    bad = lambda prefix: [0.9, 0.2]  # noqa: E731 - deliberate inline stub
-    checked = TableLM(vocab, bad, default_row=[0.5, 0.5])
-    with pytest.raises(ModelFileError):
-        checked.next_distribution([])
 
 
 @pytest.mark.parametrize(
@@ -189,13 +180,15 @@ def test_table_from_json_rejects_nan_and_bool(default, contexts):
         TableLM.from_json(data)
 
 
-def test_table_virtual_row_nan_rejected_on_fetch():
+def test_state_row_nan_rejected_on_every_read():
     vocab = Vocabulary(("", "a"), 0)
-    lm = TableLM(vocab, lambda prefix: [float("nan"), 1.0], default_row=[0.5, 0.5])
-    with pytest.raises(ModelFileError):
-        lm.next_distribution([])
-    with pytest.raises(ModelFileError):
-        lm.score_forced([], [1])
+    lm = StateTableLM(vocab, lambda text: None, lambda text: [float("nan"), 1.0])
+    for _ in range(2):
+        with pytest.raises(ModelFileError):
+            lm.next_distribution([])
+        with pytest.raises(ModelFileError):
+            lm.score_forced([], [1])
+    assert lm._kept == {}
 
 
 def test_table_from_json_strict_keys():
@@ -391,8 +384,8 @@ def probability_rows(size: int):
     return weights.map(lambda w: [x / sum(w) for x in w])
 
 
-@given(st.data(), st.booleans())
-def test_table_score_forced_matches_reference(data, virtual):
+@given(st.data())
+def test_table_score_forced_matches_reference(data):
     vocab = data.draw(vocabularies())
     ids = st.integers(0, len(vocab) - 1)
     prefix = data.draw(st.lists(ids, max_size=4), "prefix")
@@ -407,8 +400,7 @@ def test_table_score_forced_matches_reference(data, virtual):
         for c in cuts
     }
     default = data.draw(probability_rows(len(vocab)), "default")
-    rows = table.get if virtual else table
-    lm = TableLM(vocab, rows, default_row=default)
+    lm = TableLM(vocab, table, default_row=default)
     assert lm.score_forced(prefix, cont) == reference_score_forced(lm, prefix, cont)
 
 

@@ -308,6 +308,17 @@ def test_http_unsatisfiable_template_exits_2(served_table, capsys):
     assert "no hypothesis completed the template" in line
 
 
+def test_exhaustive_walk_past_its_cap_exits_2(capsys):
+    code, out, err = run(
+        ["decode", "--sketch", LIST4, *BACKEND, "--decoder", "var"]
+        + ["--proposal", "exhaustive"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    line = one_error_line(err, "sketchdec: decode failure:")
+    assert line.endswith("completion space 65537 exceeds cap 65536")
+
+
 def small_manifest(tmp_path):
     rows = [
         {"task": "fig1", "seed": 0, "decoder": "argmax", "width": 1, "alpha": 0.7, "beta": 0},

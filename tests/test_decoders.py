@@ -44,10 +44,16 @@ from sketchdec.decoders import (
     default_token_cap,
     _Engine,
 )
-from sketchdec.errors import DeadEnd, IllegalToken, TemplateUnsatisfiable
+from sketchdec.errors import (
+    DeadEnd,
+    IllegalToken,
+    InstanceTooLarge,
+    TemplateUnsatisfiable,
+)
 from sketchdec.lm import (
     LMBackend,
     NGramLM,
+    StateTableLM,
     TableLM,
     TokenDistribution,
     Vocabulary,
@@ -66,7 +72,7 @@ from sketchdec.sketch import (
     VariableSpec,
     instantiate,
 )
-from sketchdec.tasks import dungeon, jsonfmt
+from sketchdec.tasks import dungeon, fig1, jsonfmt
 
 
 def test_config_validation():
@@ -324,6 +330,27 @@ def test_exhaustive_proposals_cover_every_completion():
     assert values == {"a", "ab", "b"}
 
 
+def test_an_exhaustive_walk_raises_past_its_cap(monkeypatch):
+    # list4 has two free variables of up to 8 tokens over 9 tokens
+    sketch, backend = fig1.list4_sketch(), fig1.fig1_backend()
+    with pytest.raises(InstanceTooLarge) as info:
+        decode_var(sketch, backend, width=3, proposal="exhaustive")
+    cap = decoders.EXHAUSTIVE_MAX_COMPLETIONS
+    assert (info.value.count, info.value.cap) == (cap + 1, cap)
+    # a walk of exactly the cap is kept whole
+    sketch = Sketch(
+        name="s",
+        chunks=(Chunk.variable(VariableSpec("X", one_of=OneOf(("a", "ab", "b")))),),
+    )
+    backend = TableLM(Vocabulary(("", "a", "b"), 0), {}, default_row=[0.2, 0.4, 0.4])
+    monkeypatch.setattr(decoders, "EXHAUSTIVE_MAX_COMPLETIONS", 3)
+    result = decode_var(sketch, backend, width=8, proposal="exhaustive")
+    assert len(result.alternatives) == 2
+    monkeypatch.setattr(decoders, "EXHAUSTIVE_MAX_COMPLETIONS", 2)
+    with pytest.raises(InstanceTooLarge, match="completion space 3 exceeds cap 2"):
+        decode_var(sketch, backend, width=8, proposal="exhaustive")
+
+
 # -- surface behaviour -------------------------------------------------------
 
 
@@ -495,7 +522,7 @@ def truncated_fixture(seed: int, zero_rest: bool = False) -> tuple[Sketch, TopK]
         total = ordered_sum(weights)
         return [w / total for w in weights]
 
-    inner = TableLM(vocab, rows, default_row=rows(""))
+    inner = StateTableLM(vocab, lambda text: text, rows)
     sketch = Sketch(
         name="truncated",
         chunks=(

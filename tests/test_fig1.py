@@ -5,7 +5,7 @@ from importlib import resources
 import pytest
 
 from sketchdec.decoders import DecoderConfig, decode
-from sketchdec.lm import TableLM, Vocabulary
+from sketchdec.lm import StateTableLM, TableLM, Vocabulary
 from sketchdec.sketch import load_sketch
 from sketchdec.tasks import fig1
 
@@ -85,7 +85,7 @@ class _RecordingRows:
 
 
 def materialize_table() -> dict:
-    """Dump the virtual table as a concrete JSON table file payload.
+    """Dump the fig1 model's rows as a concrete JSON table file payload.
 
     Runs every supported decoder over both bundled sketches so the
     recorded contexts cover the prefixes those decodes visit; unseen
@@ -95,7 +95,7 @@ def materialize_table() -> dict:
     vocab = fig1.fig1_vocab()
     uniform = [1.0 / len(vocab.tokens)] * len(vocab.tokens)
     recorder = _RecordingRows(vocab)
-    backend = TableLM(vocab, recorder, default_row=uniform)
+    backend = StateTableLM(vocab, lambda text: text, recorder)
     for sketch in (fig1.fig1_sketch(), fig1.list4_sketch()):
         for kind, widths in (
             ("argmax", (1,)),

@@ -466,3 +466,48 @@ def test_full_decode_matches_local_backend():
                 local.best.raw_score, abs=1e-9
             )
 
+
+
+# var/sample is left out until ROADMAP item 10 lands: its draws hash token
+# ids, and a remote backend's ids follow its registry's first-seen order
+PARITY_CONFIGS = (
+    {"kind": "argmax", "width": 1},
+    {"kind": "beam", "width": 2},
+    {"kind": "beamvar", "width": 2},
+    {"kind": "var", "width": 2, "proposal": "branch"},
+    {"kind": "var", "width": 2, "proposal": "exhaustive"},
+)
+
+
+def test_generated_sketches_decode_the_same_over_http():
+    """Each decode over the mock, on a fresh backend and on one warmed by
+    every earlier decode, equals the local decode bit for bit.  No token
+    merges, so the service never merges a value into its forced text."""
+    table = random_backend(0, merges=())
+    with MockCompletionsServer(table) as server:
+        warmed = remote(server)
+        # the fixture keys a row by its whole text, and serves it as is
+        for text in ("", "a", "dcba", "abcdabcd"):
+            got = warmed.next_distribution(warmed.tokenize(text), text)
+            assert {warmed.vocab.token_text(i): lp for i, lp in got.entries} == {
+                table.vocab.token_text(i): lp
+                for i, lp in table.next_distribution(table.tokenize(text)).entries
+            }
+            assert warmed.score_forced((), warmed.tokenize(text)) == (
+                table.score_forced((), table.tokenize(text))
+            )
+        for i in range(8):
+            sketch = random_sketch(random.Random(i))
+            for config in PARITY_CONFIGS:
+                want = decode(sketch, table, DecoderConfig(**config))
+                for lm in (remote(server), warmed):
+                    got = decode(sketch, lm, DecoderConfig(**config))
+                    assert (
+                        got.text,
+                        got.bindings.as_dict(),
+                        got.best.raw_score.hex(),
+                    ) == (
+                        want.text,
+                        want.bindings.as_dict(),
+                        want.best.raw_score.hex(),
+                    ), (i, config)

@@ -1,6 +1,6 @@
 """The sudoku and fig1 models keep one row per model state: differential
-tests against a virtual ``TableLM`` over the same row function, with exact
-float equality, and the memo's bound."""
+tests against a ``StateTableLM`` over the same row function whose state is
+the whole text, with exact float equality, and the memo's bound."""
 import random
 from functools import partial
 
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketchdec.errors import ModelFileError
-from sketchdec.lm import TableLM
+from sketchdec.lm import StateTableLM
 from sketchdec.tasks import fig1, sudoku
 
 # model -> (backend factory, row function, kept-row bound)
@@ -23,10 +23,9 @@ MODELS = {
 KEPT = {name: factory() for name, (factory, _, _) in MODELS.items()}
 
 
-def reference(name: str) -> TableLM:
+def reference(name: str) -> StateTableLM:
     vocab = KEPT[name].vocab
-    uniform = [1.0 / len(vocab)] * len(vocab)
-    return TableLM(vocab, MODELS[name][1](vocab), default_row=uniform)
+    return StateTableLM(vocab, lambda text: text, MODELS[name][1](vocab))
 
 
 REFERENCE = {name: reference(name) for name in MODELS}
