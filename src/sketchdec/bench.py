@@ -219,11 +219,7 @@ def write_report(report: RunReport, manifest_path: str | Path) -> tuple[Path, Pa
     base = Path(manifest_path)
     json_path = base.with_name(base.name + ".report.json")
     txt_path = base.with_name(base.name + ".report.txt")
-    payload = {
-        "note": report.note,
-        "metadata": report.metadata,
-        "rows": list(report.rows),
-    }
+    payload = {**report.data(), "metadata": report.metadata}
     json_path.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -211,8 +211,13 @@ class _Engine:
 
     # -- settle: force pending deterministic runs, open the next variable --
 
-    def settle(self, h: Hypothesis) -> Hypothesis:
-        if h.done or h.dead or h.open_spec is not None:
+    def settle(self, h: Hypothesis) -> Hypothesis | None:
+        """h with its pending deterministic chunks forced and scored, and
+        then the next variable open, or done at the template's end; None
+        when h dies here, because the backend cannot align a forced chunk
+        with h's text or the forced text passes the global token cap.  An
+        open or done h is already settled."""
+        if h.done or h.open_spec is not None:
             return h
         run = next_pending_chunks(self.source, h.bindings)
         if not run:
@@ -227,7 +232,7 @@ class _Engine:
                 except ForcedTextMisaligned:
                     # the service merges this value's end into the forced
                     # text: this hypothesis cannot be scored, others may be
-                    return h.as_dead()
+                    return None
                 h = h.with_forced_span(toks, lps, c.text)
             if self.recorder is not None:
                 nid = self.recorder.add(
@@ -241,24 +246,23 @@ class _Engine:
                 h = h.with_node(nid)
             if h.m_total > self.cap:
                 self.truncated += 1
-                return h.as_dead()
+                return None
         if var_chunk is not None:
             return h.with_open_variable(var_chunk.var)
         return self._mark_done(h)
 
     def _mark_done(self, h: Hypothesis) -> Hypothesis:
-        h = h.as_done()
-        if self.recorder is None:
-            return h
-        nid = self.recorder.add(
-            h.node_id,
-            "",
-            0.0,
-            h.normalized_score(self.score),
-            max(h.vars_done - 1, 0),
-            "done",
-        )
-        return h.with_node(nid)
+        nid = h.node_id
+        if self.recorder is not None:
+            nid = self.recorder.add(
+                h.node_id,
+                "",
+                0.0,
+                h.normalized_score(self.score),
+                max(h.vars_done - 1, 0),
+                "done",
+            )
+        return h.as_done(nid)
 
     # -- variable expansion --------------------------------------------------
 
@@ -773,9 +777,7 @@ def _decode_beam(eng: _Engine) -> DecodeResult:
     width = eng.config.width
     h = eng.settle(Hypothesis())
     alternatives: list[Hypothesis] = []
-    while not h.done:
-        if h.dead:
-            raise TemplateUnsatisfiable("the committed path died before completion")
+    while h is not None and not h.done:
         active, finished = [h], []
         while not _should_halt(active, finished, eng.score, eng.cap):
             kept = eng.select([(s, eng.expand_top(s, width)) for s in active], width)
@@ -788,8 +790,10 @@ def _decode_beam(eng: _Engine) -> DecodeResult:
         ranked = rank_hypotheses(finished, eng.score)
         h = eng.settle(ranked[0])
         alternatives = ranked[1:]
+    if h is None:
+        raise TemplateUnsatisfiable("the committed path died before completion")
     finals = [h] + [eng.settle(a) for a in alternatives]
-    return _finish(eng, [f for f in finals if f.done])
+    return _finish(eng, [f for f in finals if f is not None and f.done])
 
 
 def _decode_search(eng: _Engine, expand, steps) -> DecodeResult:
@@ -803,10 +807,10 @@ def _decode_search(eng: _Engine, expand, steps) -> DecodeResult:
     step may finish a template past the cap.
     """
     width = eng.config.width
-    active = [eng.settle(Hypothesis())]
+    active = [Hypothesis()]
     done: list[Hypothesis] = []
     for _ in steps:
-        settled = [h for h in map(eng.settle, active) if not h.dead]
+        settled = [h for h in map(eng.settle, active) if h is not None]
         done.extend(h for h in settled if h.done)
         active = [h for h in settled if not h.done]
         if _should_halt(active, done, eng.score, eng.cap):
@@ -815,9 +819,11 @@ def _decode_search(eng: _Engine, expand, steps) -> DecodeResult:
         active = eng.select([(h, expand(eng, h, width)) for h in active], width)
     # anything still open when the steps run out hit the global cap
     for h in map(eng.settle, active):
+        if h is None:
+            continue
         if h.done:
             done.append(h)
-        elif not h.dead:
+        else:
             eng.truncated += 1
     return _finish(eng, done)
 

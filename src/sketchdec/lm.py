@@ -50,7 +50,9 @@ by counting a small corpus.
 
 The table models (``StateTableLM``) keep one row per model state: a row
 is validated, logged and sorted on its state's first read, and kept for
-the backend's life.  ``TableLM``'s state is the key text when its mapping
+the backend's life.  Forced scoring finds each forced token's state as
+``next_distribution`` does, from the text grown so far, so the two reads
+cannot disagree.  ``TableLM``'s state is the key text when its mapping
 holds a row for it, and the default row otherwise, so that memo holds at
 most one entry per row of the model file plus one.  The sudoku and fig1
 models key each row by a small state of the text, so their memos are
@@ -332,11 +334,10 @@ class StateTableLM(LMBackend):
     length-checked, validated, logged and sorted once, and kept for the
     backend's life, so the kept rows are bounded by the model's states,
     not by the texts read.  A state whose row is invalid keeps nothing and
-    raises ModelFileError on every read.  ``step(state, token)``, when
-    given, is the state after one more token, which ``score_forced``
-    carries along the continuation in place of ``state`` on the grown
-    text.  The key text is ``text`` when a caller passes it, and else
-    ``detokenize(prefix)``.
+    raises ModelFileError on every read.  The key text is ``text`` when a
+    caller passes it, and else ``detokenize(prefix)``; ``score_forced``
+    grows it by each forced token's text and reads the state of each
+    grown text.
     """
 
     def __init__(
@@ -344,12 +345,10 @@ class StateTableLM(LMBackend):
         vocab: Vocabulary,
         state: Callable[[str], Hashable],
         row: Callable[[str], Sequence[float]],
-        step: Callable[[Hashable, int], Hashable] | None = None,
     ):
         self.vocab = vocab
         self._state = state
         self._row = row
-        self._step = step
         # state -> (sorted distribution, log-probabilities by id)
         self._kept: dict[Hashable, tuple[TokenDistribution, tuple[float, ...]]] = {}
 
@@ -382,12 +381,10 @@ class StateTableLM(LMBackend):
         """One kept row per forced token; the key grows by that token's text."""
         tokens = self.vocab.tokens
         key = self.detokenize(prefix) if text is None else text
-        state = self._state(key)
         out: list[float] = []
         for t in continuation:
-            out.append(self._read(state, key)[1][t])
+            out.append(self._read(self._state(key), key)[1][t])
             key += tokens[t]
-            state = self._state(key) if self._step is None else self._step(state, t)
         return out
 
 
@@ -433,15 +430,25 @@ class TableLM(StateTableLM):
         for key in data:
             if key not in {"vocab", "eos", "contexts", "default"}:
                 raise ModelFileError(f"unknown key {key!r} in table model")
+        tokens, eos = data.get("vocab"), data.get("eos")
+        if not isinstance(tokens, list) or any(not isinstance(t, str) for t in tokens):
+            raise ModelFileError("'vocab' must be a list of strings")
+        if isinstance(eos, bool) or not isinstance(eos, int):
+            raise ModelFileError("'eos' must be an integer")
         try:
-            vocab = Vocabulary(tuple(data["vocab"]), data["eos"])
-        except (KeyError, TypeError, ValueError) as e:
+            vocab = Vocabulary(tuple(tokens), eos)
+        except ValueError as e:
             raise ModelFileError(f"bad vocabulary: {e}") from e
         contexts = data.get("contexts", {})
         if not isinstance(contexts, dict):
             raise ModelFileError("'contexts' must be an object")
         if "default" not in data:
             raise ModelFileError("table model requires a 'default' row")
+        if not isinstance(data["default"], list):
+            raise ModelFileError("the default row must be a list")
+        for key, row in contexts.items():
+            if not isinstance(row, list):
+                raise ModelFileError(f"row for context {key!r} must be a list")
         return cls(vocab, contexts, data["default"])
 
     @classmethod

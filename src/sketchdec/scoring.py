@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .constraints import MaskState
-from .lm import NEG_INF, ordered_sum
+from .lm import ordered_sum
 from .sketch import Binding, Bindings, VariableSpec
 
 
@@ -58,7 +58,6 @@ def rank_key(normalized: float, tokens: tuple[int, ...]) -> tuple:
 class Span:
     """One consumed chunk: its text/value and token extent."""
 
-    chunk_ordinal: int
     kind: str  # "det" | "var"
     name: str | None
     text: str
@@ -76,9 +75,13 @@ class Hypothesis:
     The transitions keep the spans tiling the tokens: each span starts
     where the one before it ends, the first at 0, and every token outside
     them belongs to the open variable.  What follows from that is derived,
-    not stored: the open variable starts at the last span's end, and its
-    raw log-probability is the sum of the log-probabilities from there.
-    The normalization weight is taken at ``len(tokens)``."""
+    not stored: a span's chunk ordinal is its index in ``spans``, the open
+    variable starts at the last span's end, and its raw log-probability is
+    the sum of the log-probabilities from there.  The normalization weight
+    is taken at ``len(tokens)``.
+
+    Every hypothesis is live: one that dies when the engine settles it is
+    not a hypothesis but ``None``."""
 
     tokens: tuple[int, ...] = ()
     text: str = ""
@@ -89,7 +92,6 @@ class Hypothesis:
     open_spec: VariableSpec | None = None
     open_state: MaskState | None = None
     done: bool = False
-    dead: bool = False
     node_id: int = 0
 
     # The generated frozen __init__ makes one object.__setattr__ call per
@@ -108,7 +110,6 @@ class Hypothesis:
         open_spec: VariableSpec | None = None,
         open_state: MaskState | None = None,
         done: bool = False,
-        dead: bool = False,
         node_id: int = 0,
     ):
         d = self.__dict__
@@ -121,7 +122,6 @@ class Hypothesis:
         d["open_spec"] = open_spec
         d["open_state"] = open_state
         d["done"] = done
-        d["dead"] = dead
         d["node_id"] = node_id
 
     @property
@@ -129,8 +129,6 @@ class Hypothesis:
         return len(self.tokens)
 
     def normalized_score(self, score: ScoreParams) -> float:
-        if self.dead:
-            return NEG_INF
         return normalization_weight(score, len(self.tokens)) * self.raw_score
 
     def score_upper_bound(self, score: ScoreParams, max_m: int) -> float:
@@ -140,8 +138,6 @@ class Hypothesis:
         grows, so for a non-positive raw score the bound is the raw score
         weighted at the largest token count a continuation may reach.
         """
-        if self.dead:
-            return NEG_INF
         m = max(len(self.tokens), 1)
         horizon = max(max_m, m)
         if self.raw_score <= 0.0:
@@ -179,7 +175,6 @@ class Hypothesis:
         start = len(self.tokens)
         raw = ordered_sum(logprobs)
         span = Span(
-            chunk_ordinal=len(self.spans),
             kind="det",
             name=None,
             text=text,
@@ -197,7 +192,6 @@ class Hypothesis:
             open_spec=self.open_spec,
             open_state=self.open_state,
             done=self.done,
-            dead=self.dead,
             node_id=self.node_id,
         )
 
@@ -212,7 +206,6 @@ class Hypothesis:
             open_spec=spec,
             open_state=MaskState.start(spec),
             done=self.done,
-            dead=self.dead,
             node_id=self.node_id,
         )
 
@@ -236,7 +229,6 @@ class Hypothesis:
             open_spec=self.open_spec,
             open_state=new_state,
             done=self.done,
-            dead=self.dead,
             node_id=self.node_id if node_id is None else node_id,
         )
 
@@ -253,7 +245,6 @@ class Hypothesis:
         ``with_variable_token``."""
         start = self.spans[-1].end if self.spans else 0
         span = Span(
-            chunk_ordinal=len(self.spans),
             kind="var",
             name=self.open_spec.name,
             text=new_state.partial_value,
@@ -271,20 +262,17 @@ class Hypothesis:
             open_spec=None,
             open_state=None,
             done=self.done,
-            dead=self.dead,
             node_id=self.node_id if node_id is None else node_id,
         )
 
-    def as_done(self) -> "Hypothesis":
-        return self._with_flags(True, self.dead, self.node_id)
-
-    def as_dead(self) -> "Hypothesis":
-        return self._with_flags(self.done, True, self.node_id)
+    def as_done(self, node_id: int) -> "Hypothesis":
+        """This hypothesis, finished, under trace node ``node_id``."""
+        return self._with_flags(True, node_id)
 
     def with_node(self, node_id: int) -> "Hypothesis":
-        return self._with_flags(self.done, self.dead, node_id)
+        return self._with_flags(self.done, node_id)
 
-    def _with_flags(self, done: bool, dead: bool, node_id: int) -> "Hypothesis":
+    def _with_flags(self, done: bool, node_id: int) -> "Hypothesis":
         return Hypothesis(
             tokens=self.tokens,
             text=self.text,
@@ -295,7 +283,6 @@ class Hypothesis:
             open_spec=self.open_spec,
             open_state=self.open_state,
             done=done,
-            dead=dead,
             node_id=node_id,
         )
 

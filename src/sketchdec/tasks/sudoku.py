@@ -11,6 +11,8 @@ the forced chunk's score, and recovers every time.
 The backend's row after a text depends only on the set of digits in it,
 so it keeps one row per digit set (a ``StateTableLM``): built on the
 set's first read and kept for the backend's life, at most 512 rows.
+Forced scoring takes the set of each grown text, so a forced digit is
+scored against every digit before it.
 """
 from __future__ import annotations
 
@@ -49,16 +51,8 @@ def _row(prefix: str) -> list[float]:
 
 
 def sudoku_backend() -> StateTableLM:
-    """One kept row per digit set; forced scoring carries the set along
-    the continuation, one token's digits at a time."""
-    vocab = sudoku_vocab()
-    digits = [_DIGIT_SET.intersection(t) for t in vocab.tokens]
-    return StateTableLM(
-        vocab,
-        _DIGIT_SET.intersection,
-        _row,
-        step=lambda used, t: used | digits[t],
-    )
+    """One kept row per digit set: the set of digits in the text."""
+    return StateTableLM(sudoku_vocab(), _DIGIT_SET.intersection, _row)
 
 
 @dataclass(frozen=True)

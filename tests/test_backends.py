@@ -160,22 +160,42 @@ def test_table_row_validation():
 
 
 @pytest.mark.parametrize(
-    "default, contexts",
+    "fields",
     [
-        ([float("nan"), 0.5, 0.5], {}),
-        ([0.5, 0.25, 0.25], {"a": [0.5, float("nan"), 0.5]}),
-        ([True, False, 0.0], {}),
-        ([0.5, 0.25, 0.25], {"a": [0.0, 0.0, True]}),
+        {"default": [float("nan"), 0.5, 0.5]},
+        {"contexts": {"a": [0.5, float("nan"), 0.5]}},
+        {"default": [True, False, 0.0]},
+        {"contexts": {"a": [0.0, 0.0, True]}},
+        {"contexts": {"a": 3}},
+        {"contexts": {"a": None}},
+        {"default": 1},
+        # each of these two would otherwise build a valid three-token model
+        {"vocab": "xab"},
+        {"vocab": ["x", "", "b"], "eos": True},
     ],
-    ids=["nan-default", "nan-context", "bool-default", "bool-context"],
+    ids=[
+        "nan-default",
+        "nan-context",
+        "bool-default",
+        "bool-context",
+        "number-context",
+        "null-context",
+        "number-default",
+        "string-vocab",
+        "bool-eos",
+    ],
 )
-def test_table_from_json_rejects_nan_and_bool(default, contexts):
+def test_table_from_json_rejects_nan_and_bool(fields):
+    """A value of the wrong type is a ModelFileError, never a TypeError
+    or a silent reading."""
+    model = {
+        "vocab": ["", "a", "b"],
+        "eos": 0,
+        "contexts": {},
+        "default": [0.5, 0.25, 0.25],
+    }
     # json.loads accepts the NaN literal, so a model file can carry one
-    data = json.loads(
-        json.dumps(
-            {"vocab": ["", "a", "b"], "eos": 0, "contexts": contexts, "default": default}
-        )
-    )
+    data = json.loads(json.dumps({**model, **fields}))
     with pytest.raises(ModelFileError):
         TableLM.from_json(data)
 

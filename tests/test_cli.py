@@ -201,6 +201,18 @@ def test_input_that_is_not_utf8_is_a_one_line_error(which, tmp_path, capsys):
     assert "utf-8" in one_error_line(err, "sketchdec: ").lower()
 
 
+def test_mistyped_table_file_is_a_one_line_error(tmp_path, capsys):
+    """A context row that is a number is refused in one line."""
+    path = tmp_path / "table.json"
+    model = {"vocab": ["", "a"], "eos": 0, "contexts": {"a": 3}, "default": [0.5, 0.5]}
+    path.write_text(json.dumps(model), encoding="utf-8")
+    code, out, err = run(
+        ["decode", "--sketch", LIST4, "--backend", f"table:{path}"], capsys
+    )
+    assert code == 1 and out == ""
+    assert "context 'a'" in one_error_line(err, "sketchdec: ")
+
+
 def test_http_requires_api_key(monkeypatch, capsys):
     monkeypatch.delenv("SKETCHDEC_API_KEY", raising=False)
     code, out, err = run(

@@ -51,6 +51,7 @@ from sketchdec.errors import (
     TemplateUnsatisfiable,
 )
 from sketchdec.lm import (
+    NEG_INF,
     LMBackend,
     NGramLM,
     StateTableLM,
@@ -61,7 +62,7 @@ from sketchdec.lm import (
     greedy_tokenize,
     ordered_sum,
 )
-from sketchdec.scoring import Hypothesis, ScoreParams, rank_hypotheses
+from sketchdec.scoring import Hypothesis, ScoreParams, rank_hypotheses, rank_key
 from sketchdec.sketch import (
     Bindings,
     Chunk,
@@ -558,8 +559,8 @@ def _hyp_fingerprint(h: Hypothesis) -> tuple:
         tuple(lp.hex() for lp in h.logprobs),
         h.raw_score.hex(),
         tuple(
-            (s.chunk_ordinal, s.kind, s.name, s.text, s.start, s.end, s.raw_logprob.hex())
-            for s in h.spans
+            (i, s.kind, s.name, s.text, s.start, s.end, s.raw_logprob.hex())
+            for i, s in enumerate(h.spans)
         ),
     )
 
@@ -923,10 +924,10 @@ def test_dead_end_mask_raises_on_every_lookup(monkeypatch):
 
 def eager_child(
     eng: _Engine, h: Hypothesis, token: int, logprob: float
-) -> tuple[Hypothesis, bool]:
+) -> tuple[Hypothesis, bool, bool]:
     """Reference for the engine's candidates: the child built at once by
-    the transition rule, written out with the Hypothesis steps, and whether
-    the global cap truncated it."""
+    the transition rule, written out with the Hypothesis steps, whether it
+    died, and whether the global cap truncated it."""
     spec = h.open_spec
     new_state, verdict = advance(
         h.open_state, token, eng.backend.vocab, spec.stop_phrases, spec.max_tokens
@@ -934,13 +935,11 @@ def eager_child(
     piece = eng.backend.detokenize((token,))
     if verdict.closes_chunk:
         if verdict.status == MAX_TOKENS and new_state.constrained:
-            dead = h.with_variable_token(token, logprob, new_state, piece).as_dead()
-            return dead, False
-        return h.with_closing_token(token, logprob, new_state, piece), False
+            return h.with_variable_token(token, logprob, new_state, piece), True, False
+        return h.with_closing_token(token, logprob, new_state, piece), False, False
     h = h.with_variable_token(token, logprob, new_state, piece)
-    if h.m_total > eng.cap:
-        return h.as_dead(), True
-    return h, False
+    over_cap = h.m_total > eng.cap
+    return h, over_cap, over_cap
 
 
 member_sets = st.lists(
@@ -992,7 +991,7 @@ def test_candidates_ranked_unbuilt_equal_built_children(seed, spec, headroom, sc
     eng = _Engine(StaticSketchSource(sketch), backend, config)
     # token 5 spells "ab", which closes W; settling forces "c" and opens X
     h = eng.settle(eng.apply_token(eng.settle(Hypothesis()), 5, -0.25).hyp)
-    assert h.open_spec is spec and h.vars_done == 1 and not h.dead
+    assert h.open_spec is spec and h.vars_done == 1
     for step in [*path, None]:
         try:
             mask = compute_mask(h.open_state, backend.vocab)
@@ -1002,7 +1001,9 @@ def test_candidates_ranked_unbuilt_equal_built_children(seed, spec, headroom, sc
         pairs = backend.next_distribution(h.tokens).allowed(mask)
         truncated = eng.truncated
         cands = eng.children(h, pairs)
-        refs, truncations = zip(*(eager_child(eng, h, t, lp) for t, lp in pairs))
+        refs, deaths, truncations = zip(
+            *(eager_child(eng, h, t, lp) for t, lp in pairs)
+        )
         assert eng.truncated - truncated == sum(truncations)
         assert len(cands) == len(pairs)
         # the pool of each child's node, as a traced selection records it
@@ -1010,23 +1011,26 @@ def test_candidates_ranked_unbuilt_equal_built_children(seed, spec, headroom, sc
         traced.select([(h, cands)], 1)
         pools = {n.token_text: n.pool for n in traced.recorder.tree().nodes[1:]}
         assert len(pools) == len(cands)
-        for (token, logprob), cand, ref, cut in zip(pairs, cands, refs, truncations):
+        for (token, logprob), cand, ref, dead, cut in zip(
+            pairs, cands, refs, deaths, truncations
+        ):
             # made alone, the child counts its own truncation
             before = eng.truncated
             eng.apply_token(h, token, logprob)
             assert eng.truncated - before == cut
-            assert cand.rank_key() == ref.rank_key(score)
-            assert cand.normalized_score().hex() == ref.normalized_score(score).hex()
-            if not ref.dead:
-                assert cand.norm.hex() == ref.normalized_score(score).hex()
+            norm = NEG_INF if dead else ref.normalized_score(score)
+            assert cand.rank_key() == rank_key(norm, ref.tokens)
+            assert cand.normalized_score().hex() == norm.hex()
+            if not dead:
+                assert cand.norm.hex() == norm.hex()
             # a child that closed its variable stays in that variable's pool
             closed_pool = max(ref.vars_done - 1, 0)
             assert pools[backend.vocab.token_text(token)] == (
                 ref.vars_done if ref.open_spec is not None else closed_pool
             )
-            assert cand.dead == ref.dead
+            assert cand.dead == dead
             assert cand.closed == (ref.open_spec is None)
-            if ref.dead:
+            if dead:
                 continue
             assert cand.built(41) == ref.with_node(41)
             assert cand.hyp == ref

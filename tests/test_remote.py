@@ -194,7 +194,7 @@ def test_settle_kills_only_the_misaligned_hypothesis():
         (a,), (ab,) = lm.tokenize("a"), lm.tokenize("ab")
         merged = eng.settle(eng.apply_token(h, a, -1.0).hyp)
         # dead without counting a truncation
-        assert merged.dead and not merged.done and eng.truncated == 0
+        assert merged is None and eng.truncated == 0
         scored = eng.settle(eng.apply_token(h, ab, -1.0).hyp)
         assert scored.done and scored.rendered() == "cdabbd"
         assert eng.truncated == 0

@@ -74,11 +74,10 @@ def test_transitions_change_only_their_fields():
         .with_open_variable(spec)
         .with_variable_token(3, -0.5, state, "q"),
         done=True,
-        dead=True,
         node_id=11,
     )
     replace = dataclasses.replace
-    span = Span(len(h.spans), "det", None, "zz", 6, 8, -0.75)
+    span = Span("det", None, "zz", 6, 8, -0.75)
     assert h.with_forced_span([1, 2], [-0.5, -0.25], "zz") == replace(
         h,
         tokens=h.tokens + (1, 2),
@@ -92,7 +91,7 @@ def test_transitions_change_only_their_fields():
         tokens=h.tokens + (1,),
         text=h.text + "z",
         logprobs=h.logprobs + (-0.5,),
-        spans=h.spans + (Span(len(h.spans), "det", None, "z", 6, 7, -0.5),),
+        spans=h.spans + (Span("det", None, "z", 6, 7, -0.5),),
         raw_score=h.raw_score - 0.5,
     )
     assert h.with_open_variable(spec) == replace(
@@ -107,7 +106,7 @@ def test_transitions_change_only_their_fields():
         open_state=state,
     )
     assert h.with_variable_token(4, -1.0, state, "r", node_id=2).node_id == 2
-    closed = Span(len(h.spans), "var", "Y", "qr", 5, 7, -1.5)
+    closed = Span("var", "Y", "qr", 5, 7, -1.5)
     assert h.with_closing_token(4, -1.0, MaskState("qr", 2, None), "r") == replace(
         h,
         tokens=h.tokens + (4,),
@@ -120,9 +119,8 @@ def test_transitions_change_only_their_fields():
         open_state=None,
     )
     fresh = Hypothesis()
-    assert fresh.as_done() == replace(fresh, done=True)
-    assert fresh.as_dead() == replace(fresh, dead=True)
-    assert h.as_dead() == h
+    assert fresh.as_done(5) == replace(fresh, done=True, node_id=5)
+    assert h.as_done(11) == h
     assert h.with_node(7) == replace(h, node_id=7)
 
 
@@ -144,7 +142,6 @@ def test_hypothesis_is_a_frozen_dataclass():
         "open_spec",
         "open_state",
         "done",
-        "dead",
         "node_id",
     ]
     params = list(inspect.signature(Hypothesis.__init__).parameters.values())[1:]
@@ -181,8 +178,7 @@ def test_every_transition_builds_through_init(monkeypatch):
         "with_open_variable": lambda: h.with_open_variable(VariableSpec("Z")),
         "with_variable_token": lambda: h.with_variable_token(4, -1.0, state, "q"),
         "with_closing_token": lambda: h.with_closing_token(4, -1.0, state, "q"),
-        "as_done": h.as_done,
-        "as_dead": h.as_dead,
+        "as_done": lambda: h.as_done(3),
         "with_node": lambda: h.with_node(3),
     }
     monkeypatch.setattr(Hypothesis, "__init__", counting_init)
@@ -200,7 +196,6 @@ def two_step_close(
     where the value opened and the raw sum of its tokens so far."""
     h = h.with_variable_token(token, logprob, new_state, piece)
     span = Span(
-        chunk_ordinal=len(h.spans),
         kind="var",
         name=h.open_spec.name,
         text=h.open_state.partial_value,
@@ -218,7 +213,6 @@ def two_step_close(
         open_spec=None,
         open_state=None,
         done=h.done,
-        dead=h.dead,
         node_id=h.node_id,
     )
 
@@ -263,11 +257,10 @@ def open_hypotheses(draw) -> tuple[Hypothesis, int, float]:
             h = h.with_closing_token(
                 draw(st.integers(0, 50)), draw(negative), draw(states), draw(pieces)
             )
+    node_id = draw(st.integers(1, 99))
     if draw(st.booleans()):
-        h = h.as_done()
-    if draw(st.booleans()):
-        h = h.as_dead()
-    return h.with_node(draw(st.integers(1, 99))), start, raw
+        return h.as_done(node_id), start, raw
+    return h.with_node(node_id), start, raw
 
 
 def exact_fields(h: Hypothesis) -> list:
@@ -332,7 +325,6 @@ def test_normalized_score_counts_every_token():
     full = ScoreParams(alpha=1.0, beta=0.0)
     # three forced tokens and two variable tokens
     assert h.normalized_score(full) == pytest.approx(-3.875 / 5)
-    assert h.as_dead().normalized_score(full) == float("-inf")
 
 
 def test_upper_bound_dominates_reachable_scores():
@@ -365,25 +357,8 @@ def test_rank_key_orders_by_score_then_length_then_tokens():
     assert ranked[3] is long_tied
 
 
-@given(
-    raws=st.lists(st.floats(-50, -0.01), min_size=2, max_size=6),
-    alpha=st.floats(0.0, 1.0),
-    beta=st.floats(0.0, 5.0),
-)
-def test_dead_hypotheses_rank_last(raws, alpha, beta):
-    params = ScoreParams(alpha=alpha, beta=beta)
-    live = [
-        Hypothesis(tokens=(i,), logprobs=(r,), raw_score=r)
-        for i, r in enumerate(raws)
-    ]
-    dead = live[0].as_dead()
-    ranked = rank_hypotheses(live + [dead], params)
-    assert ranked[-1].dead
-
-
 def test_span_fields_round_trip():
     s = Span(
-        chunk_ordinal=0,
         kind="det",
         name=None,
         text="hello",

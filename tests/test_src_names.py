@@ -1,7 +1,10 @@
 """Every function and class in ``src/`` has a caller: its name appears in
-``src/``, ``demos/`` or ``perfbench/`` outside its own definition.  Every
-setting of the decoder configuration has a caller too: one of those files
-passes it by keyword."""
+``src/``, ``demos/`` or ``perfbench/`` outside its own definition.  A
+method counts only when one of those files reads it as an attribute
+(``x.name``), so a common method name that a variable also bears does not
+hide a method that only tests call.  Every setting of the decoder
+configuration has a caller too: one of those files passes it by
+keyword."""
 import ast
 import dataclasses
 import pathlib
@@ -20,40 +23,49 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _scan(node, enclosing, defined, named, where):
-    """Add node's definitions to defined as (name, where:line) and the names
-    it reads to named, leaving out a name read inside its own definition.
-    Only definitions under a where are collected."""
+    """Add node's definitions to defined as (name, where:line, is_method)
+    and the names it mentions to named as (name, read_as_attribute),
+    leaving out a name mentioned inside its own definition.  Only
+    definitions under a where are collected."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, DEFINITIONS):
             if where is not None:
-                defined.append((child.name, f"{where}:{child.lineno}"))
+                is_method = isinstance(node, ast.ClassDef) and not isinstance(
+                    child, ast.ClassDef
+                )
+                defined.append((child.name, f"{where}:{child.lineno}", is_method))
             _scan(child, enclosing | {child.name}, defined, named, where)
             continue
+        read = False
         if isinstance(child, ast.Name):
             name = child.id
         elif isinstance(child, ast.Attribute):
-            name = child.attr
+            name, read = child.attr, isinstance(child.ctx, ast.Load)
         elif isinstance(child, ast.alias):
             name = child.name.rpartition(".")[2]
         else:
             name = None
         if name is not None and name not in enclosing:
-            named.add(name)
+            named.add((name, read))
         _scan(child, enclosing, defined, named, where)
 
 
 def unnamed_definitions(sources: dict[str, str], defining: set[str]) -> list[str]:
-    """The definitions in the defining sources that no source names, as
-    "name where:line"; dunder methods are called by the language."""
-    defined: list[tuple[str, str]] = []
-    named: set[str] = set()
+    """The definitions in the defining sources that no source names, or,
+    for a method, that no source reads as an attribute, as "name
+    where:line"; dunder methods are called by the language."""
+    defined: list[tuple[str, str, bool]] = []
+    named: set[tuple[str, bool]] = set()
     for where, text in sources.items():
         tree = ast.parse(text, where)
         _scan(tree, frozenset(), defined, named, where if where in defining else None)
+    anywhere = {name for name, _ in named}
+    as_attribute = {name for name, read in named if read}
     return [
         f"{name} {at}"
-        for name, at in defined
-        if name not in named and not (name.startswith("__") and name.endswith("__"))
+        for name, at, is_method in defined
+        if name not in (as_attribute if is_method else anywhere)
+        and not (name.startswith("__") and name.endswith("__"))
     ]
 
 
@@ -70,6 +82,25 @@ def test_the_scan_flags_a_name_read_only_by_its_own_definition():
         "demo.py": "from lib import used\nused()\nThing().method()\n",
     }
     assert unnamed_definitions(sources, {"lib.py"}) == ["recursive lib.py:2"]
+
+
+def test_the_scan_counts_a_method_only_when_read_as_an_attribute():
+    sources = {
+        "lib.py": (
+            "class Report:\n"
+            "    def data(self): return 1\n"
+            "    def note(self): return 2\n"
+            "    def total(self): return 3\n"
+            "def rows(): return Report()\n"
+        ),
+        # a variable named like a method, or a store to its attribute, does
+        # not call it; a plain name still counts for a function
+        "demo.py": "data = 1\nr = rows()\nr.note = data\nr.total()\n",
+    }
+    assert unnamed_definitions(sources, {"lib.py"}) == [
+        "data lib.py:2",
+        "note lib.py:3",
+    ]
 
 
 def unset_fields(sources: dict[str, str], cls) -> list[str]:
