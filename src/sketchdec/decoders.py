@@ -18,7 +18,9 @@ and they run on two loops:
 
 Every selection goes through one pooled rule (``_Engine.select``).  In
 ``beam`` and ``var`` all candidates of a step are on the same variable, so
-their single pool's top n is the global top n.
+their single pool's top n is the global top n.  Neither end of a path is an
+exception: a dead end, where no allowed token or member completion is left,
+is an empty expansion, and a death in ``settle`` is None.
 
 A candidate (``_Cand``) is a parent hypothesis plus one appended token and
 what the step made of it.  Its rank key, normalized score and ``dead`` are
@@ -276,7 +278,7 @@ class _Engine:
         index until n tokens pass, or else read through the token mask.  A
         truncated one gives the tokens that pass, and if none does, None:
         the caller must fall back to scoring whole member completions.
-        May raise DeadEnd when no vocabulary token can extend the value.
+        [] at a dead end, where no vocabulary token can extend the value.
         """
         state = h.open_state
         dist = self.backend.next_distribution(h.tokens, text=h.text)
@@ -288,7 +290,7 @@ class _Engine:
             return [p for p in dist.entries if entry.accepts(p[0])] or None
         pairs = None if n is None else dist.first(n, entry.accepts)
         # None: all are wanted, or the walk cannot tell them without the
-        # mask; empty: it saw every token, and the mask raises DeadEnd
+        # mask; empty: it saw every token, and the mask is empty too
         return list(pairs or dist.allowed(entry.mask()))
 
     def _entry(self, state: MaskState) -> "_OneOfEntry":
@@ -364,15 +366,16 @@ class _Engine:
         has no allowed token (one forced-scoring call per member); a member
         the backend cannot align with h's text is skipped.
 
-        Each option is the candidate of its member's last token."""
+        Each option is the candidate of its member's last token, best
+        first; [] when no member fits its token budget and can be scored."""
         state, spec = h.open_state, h.open_spec
+        partial = state.partial_value
+        lo, hi = state.index.span(partial)
         out: list[_Cand] = []
-        for member in state.index.members:
-            if member == state.partial_value or not member.startswith(
-                state.partial_value
-            ):
+        for member in state.index.members[lo:hi]:
+            suffix = member[len(partial) :]
+            if not suffix:
                 continue
-            suffix = member[len(state.partial_value) :]
             toks = self.backend.tokenize(suffix)
             if not toks or state.tokens_emitted + len(toks) > spec.max_tokens:
                 continue
@@ -388,11 +391,6 @@ class _Engine:
             if not cand.dead:
                 out.append(cand)
         out.sort(key=_Cand.rank_key)
-        if not out:
-            raise DeadEnd(
-                f"no member completion of variable {spec.name!r} fits its "
-                f"token budget and can be scored"
-            )
         return out
 
     def expand_top(self, h: Hypothesis, n: int | None) -> list["_Cand"]:
@@ -401,15 +399,9 @@ class _Engine:
 
         Returns [] when the hypothesis is at a dead end.
         """
-        try:
-            pairs = self.allowed_continuations(h, n)
-        except DeadEnd:
-            return []
+        pairs = self.allowed_continuations(h, n)
         if pairs is None:
-            try:
-                return self.fallback_completions(h)[:n]
-            except DeadEnd:
-                return []
+            return self.fallback_completions(h)[:n]
         return self.children(h, pairs[:n])
 
     # -- selection -------------------------------------------------------
@@ -475,7 +467,7 @@ class _Pieces(dict):
 class _OneOfEntry(dict):
     """One state of the decode's OneOf index: token -> ``one_of_move``
     (None when illegal), filled on first lookup; the state's token mask
-    once a read needs every allowed token (or a dead end's message); and
+    once a read needs every allowed token, empty at a dead end; and
     ``steps``, per (token count, token budget), token -> the ``one_of_step``
     state and verdict, which the engine fills for every hypothesis at that
     count."""
@@ -496,14 +488,12 @@ class _OneOfEntry(dict):
         return self[token] is not None
 
     def mask(self) -> frozenset[int]:
-        """``compute_mask`` of the state, once; a dead end raises again."""
+        """``compute_mask`` of the state, once; empty at a dead end."""
         if self._mask is None:
             try:
                 self._mask = compute_mask(self.state, self.vocab)
-            except DeadEnd as e:
-                self._mask = str(e)
-        if isinstance(self._mask, str):
-            raise DeadEnd(self._mask)
+            except DeadEnd:
+                self._mask = frozenset()
         return self._mask
 
 
@@ -647,21 +637,21 @@ def _propose_sampled(eng: _Engine, h: Hypothesis, n: int) -> list[_Cand]:
     """n samples of the whole variable value, each token drawn by its
     probability.
 
-    The samples walk one draw tree: a node, keyed by the candidate that
-    reaches it (None for h), reads its continuations once, and each of its
+    The samples walk one draw tree: a node, keyed by the tokens that reach
+    it, reads its continuations once, however many candidates reach it (the
+    options of two member fallbacks may spell one prefix), and each of its
     children is made once, when it is first drawn.
     """
-    tree: dict[_Cand | None, _DrawNode | None] = {}
+    tree: dict[tuple[int, ...], _DrawNode | None] = {}
     seen: dict[tuple[int, ...], _Cand] = {}
     for seed in _sample_seeds(eng.config.seed, h.tokens, n):
         rng = random.Random(seed)
         cur: _Cand | None = None
         while cur is None or not (cur.dead or cur.closed):
-            if cur in tree:
-                node = tree[cur]
-            else:
-                at = h if cur is None else cur.hyp
-                node = tree[cur] = _DrawNode.read(eng, at)
+            key = h.tokens if cur is None else cur.tokens
+            if key not in tree:
+                tree[key] = _DrawNode.read(eng, h if cur is None else cur.hyp)
+            node = tree[key]
             if node is None:
                 break
             cur = node.draw(eng, rng)
@@ -694,19 +684,16 @@ class _DrawNode:
         fallback makes every option at once, weighed by the log-probability
         of its tokens past at; the weights are uniform when every one
         underflows to 0."""
-        try:
-            pairs = eng.allowed_continuations(at)
-            if pairs is None:
-                options = eng.fallback_completions(at)
-        except DeadEnd:
-            return None
+        pairs = eng.allowed_continuations(at)
         if pairs is None:
+            children = eng.fallback_completions(at)
             start = len(at.tokens)
-            weights = [math.exp(o.logprob_from(start)) for o in options]
-            children = options
+            weights = [math.exp(o.logprob_from(start)) for o in children]
         else:
             weights = [math.exp(lp) for _, lp in pairs]
             children = [None] * len(pairs)
+        if not weights:
+            return None
         if not any(w > 0.0 for w in weights):
             weights = [1.0] * len(weights)
         return cls(at, pairs, list(itertools.accumulate(weights)), children)

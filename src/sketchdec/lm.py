@@ -573,6 +573,8 @@ class NGramLM(LMBackend):
         tokenizer = data["tokenizer"]
         if tokenizer not in ("char", "word"):
             raise ModelFileError("'tokenizer' must be 'char' or 'word'")
+        if not isinstance(data["corpus_path"], str):
+            raise ModelFileError("'corpus_path' must be a string")
         corpus_path = os.path.join(base_dir, data["corpus_path"])
         try:
             with open(corpus_path, "r", encoding="utf-8") as f:

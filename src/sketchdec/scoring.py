@@ -161,8 +161,9 @@ class Hypothesis:
         return rank_key(self.normalized_score(score), self.tokens)
 
     # --- state transitions -------------------------------------------------
-    # Direct constructor calls: dataclasses.replace scans the field list and
-    # builds a keyword dict on every step, which dominated short decodes.
+    # The per-token steps and with_forced_span call the constructor
+    # directly: building a keyword dict, as dataclasses.replace and ``_but``
+    # do, dominated short decodes.  The once-per-chunk steps use ``_but``.
 
     def with_forced_span(
         self,
@@ -196,18 +197,7 @@ class Hypothesis:
         )
 
     def with_open_variable(self, spec: VariableSpec) -> "Hypothesis":
-        return Hypothesis(
-            tokens=self.tokens,
-            text=self.text,
-            logprobs=self.logprobs,
-            spans=self.spans,
-            raw_score=self.raw_score,
-            vars_done=self.vars_done,
-            open_spec=spec,
-            open_state=MaskState.start(spec),
-            done=self.done,
-            node_id=self.node_id,
-        )
+        return self._but(open_spec=spec, open_state=MaskState.start(spec))
 
     def with_variable_token(
         self,
@@ -267,24 +257,14 @@ class Hypothesis:
 
     def as_done(self, node_id: int) -> "Hypothesis":
         """This hypothesis, finished, under trace node ``node_id``."""
-        return self._with_flags(True, node_id)
+        return self._but(done=True, node_id=node_id)
 
     def with_node(self, node_id: int) -> "Hypothesis":
-        return self._with_flags(self.done, node_id)
+        return self._but(node_id=node_id)
 
-    def _with_flags(self, done: bool, node_id: int) -> "Hypothesis":
-        return Hypothesis(
-            tokens=self.tokens,
-            text=self.text,
-            logprobs=self.logprobs,
-            spans=self.spans,
-            raw_score=self.raw_score,
-            vars_done=self.vars_done,
-            open_spec=self.open_spec,
-            open_state=self.open_state,
-            done=done,
-            node_id=node_id,
-        )
+    def _but(self, **changes) -> "Hypothesis":
+        """This hypothesis with the given fields changed."""
+        return Hypothesis(**{**self.__dict__, **changes})
 
     def rendered(self) -> str:
         """The decoded template text: span values in order."""

@@ -346,6 +346,9 @@ def test_ngram_word_tokenizer(tmp_path):
         {"vocab": "ab"},
         {"tokenizer": "byte"},
         {"corpus_path": "missing.txt"},
+        {"corpus_path": 3},
+        {"corpus_path": None},
+        {"corpus_path": ["corpus.txt"]},
         {"extra_key": 1},
     ],
 )

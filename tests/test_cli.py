@@ -213,6 +213,18 @@ def test_mistyped_table_file_is_a_one_line_error(tmp_path, capsys):
     assert "context 'a'" in one_error_line(err, "sketchdec: ")
 
 
+def test_mistyped_ngram_config_is_a_one_line_error(tmp_path, capsys):
+    """A corpus path that is a number is refused in one line."""
+    path = tmp_path / "model.json"
+    config = {"order": 1, "vocab": ["a"], "corpus_path": 3, "tokenizer": "char"}
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run(
+        ["decode", "--sketch", LIST4, "--backend", f"ngram:{path}"], capsys
+    )
+    assert code == 1 and out == ""
+    assert "corpus_path" in one_error_line(err, "sketchdec: ")
+
+
 def test_http_requires_api_key(monkeypatch, capsys):
     monkeypatch.delenv("SKETCHDEC_API_KEY", raising=False)
     code, out, err = run(

@@ -17,7 +17,7 @@ from sketchdec.decoders import (
     _sample_seeds,
     decode,
 )
-from sketchdec.errors import DeadEnd, TemplateUnsatisfiable
+from sketchdec.errors import TemplateUnsatisfiable
 from sketchdec.lm import LMBackend
 from test_decoders import TopK, truncated_fixture
 
@@ -51,15 +51,14 @@ def reference_proposals(eng: _Engine, h, n: int):
         while cur is None or not (cur.dead or cur.closed):
             at = h if cur is None else cur.hyp
             before = eng.truncated
-            try:
-                pairs = eng.allowed_continuations(at)
-                if pairs is None:
-                    options = eng.fallback_completions(at)
-            except DeadEnd:
+            pairs = eng.allowed_continuations(at)
+            if pairs is None:
+                options = eng.fallback_completions(at)
+            # a member fallback truncates while it walks the members
+            truncations["node", at.tokens] = eng.truncated - before
+            if not (options if pairs is None else pairs):
+                # a dead end
                 break
-            finally:
-                # a member fallback truncates while it walks the members
-                truncations["node", at.tokens] = eng.truncated - before
             if pairs is None:
                 lps = [o.logprob_from(len(at.tokens)) for o in options]
                 cur = options[draw(rng, lps)]
@@ -140,6 +139,17 @@ def test_sample_seeds_equal_whole_hashes():
 # value of its sibling option: one proposal, not two
 @example(
     seed=157, truncated=False, zero_rest=False, top_k=2, cap=16, width=2, sample_seed=0
+)
+# the member fallbacks at "" and at "b" both offer "bb", which continues
+# toward "bba": two candidates reach one prefix, which is read once
+@example(
+    seed=171, truncated=False, zero_rest=False, top_k=2, cap=None, width=2,
+    sample_seed=20647,
+)
+# under a one-token cap the one member's completion is truncated, so the
+# member fallback is empty: a dead end
+@example(
+    seed=167, truncated=False, zero_rest=False, top_k=2, cap=1, width=1, sample_seed=0
 )
 # every member completion scores -inf, so the fallback draws are uniform
 @example(
