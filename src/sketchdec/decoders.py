@@ -38,14 +38,17 @@ score from that key.  A sampled proposal's n samples walk one draw tree,
 so each node they visit reads its continuations once and makes each child
 once, however many samples pass through it.
 
-Within one decode, OneOf steps share one index (``_Engine._entry``), the
-lazy form of a state-to-token index: per (members, partial value), each
+OneOf steps share one index (``_one_of_entry``), the lazy form of a
+state-to-token index: per (vocabulary, members, partial value), each
 token's ``one_of_move``, found on first test, the full token mask, built on
 first need, and each token's step per (token count, token budget).  A read
 of the n best allowed tokens walks the distribution best-first against the
 entry and stops at n, so only reads of every allowed token build masks; a
-OneOf child takes its step from the entry.  The index lives and dies with
-the decode, and so needs no bound.
+OneOf child takes its step from the entry.  An entry is a pure function of
+its key, so the index is kept for the process and shared by every decode,
+as a sketch's OneOf sets are reused across its instances.  It is bounded:
+at most ``ONE_OF_INDEX_SIZE`` entries, oldest evicted first, each holding
+at most one move per vocabulary token (and its steps and mask).
 
 Every hypothesis carries the text its tokens render to, and the engine
 hands it to the backend (``text=h.text``), so a backend keyed by prefix
@@ -64,6 +67,7 @@ import hashlib
 import itertools
 import math
 import random
+import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -97,6 +101,8 @@ DEFAULT_DYNAMIC_CAP = 4096
 # closed candidates one exhaustive walk may collect; the largest pinned walk
 # collects 9,331
 EXHAUSTIVE_MAX_COMPLETIONS = 65_536
+# OneOf index entries kept for the process, oldest evicted first
+ONE_OF_INDEX_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -207,9 +213,6 @@ class _Engine:
         )
         self.truncated = 0
         self._pieces = _Pieces(backend.detokenize)
-        # (id of the OneOf members, partial value) -> index entry, which
-        # holds the members and so keeps their id from being reused
-        self._index: dict[tuple[int, str], _OneOfEntry] = {}
 
     # -- settle: force pending deterministic runs, open the next variable --
 
@@ -274,7 +277,7 @@ class _Engine:
         """Allowed (token, logprob) pairs, best-first: the n best, or all.
 
         An unconstrained variable allows every token.  Under OneOf, a
-        complete distribution is walked best-first against the decode's
+        complete distribution is walked best-first against the OneOf
         index until n tokens pass, or else read through the token mask.  A
         truncated one gives the tokens that pass, and if none does, None:
         the caller must fall back to scoring whole member completions.
@@ -285,21 +288,13 @@ class _Engine:
         if state.index is None:
             # every token is allowed, as the unconstrained mask says
             return list(dist.entries if n is None else dist.top(n))
-        entry = self._entry(state)
+        entry = _one_of_entry(state, self.backend.vocab)
         if not dist.complete:
             return [p for p in dist.entries if entry.accepts(p[0])] or None
         pairs = None if n is None else dist.first(n, entry.accepts)
         # None: all are wanted, or the walk cannot tell them without the
         # mask; empty: it saw every token, and the mask is empty too
         return list(pairs or dist.allowed(entry.mask()))
-
-    def _entry(self, state: MaskState) -> "_OneOfEntry":
-        """The index entry of a constrained state, made on first use."""
-        key = (id(state.index.members), state.partial_value)
-        entry = self._index.get(key)
-        if entry is None:
-            entry = self._index[key] = _OneOfEntry(state, self.backend.vocab)
-        return entry
 
     def children(
         self, h: Hypothesis, pairs: Sequence[tuple[int, float]]
@@ -315,7 +310,7 @@ class _Engine:
         spec, state = h.open_spec, h.open_state
         entry = steps = None
         if state.index is not None:
-            entry = self._entry(state)
+            entry = _one_of_entry(state, self.backend.vocab)
             steps = entry.steps[state.tokens_emitted, spec.max_tokens]
         n = len(h.tokens)
         over_cap = n >= self.cap
@@ -465,7 +460,7 @@ class _Pieces(dict):
 
 
 class _OneOfEntry(dict):
-    """One state of the decode's OneOf index: token -> ``one_of_move``
+    """One state of the OneOf index: token -> ``one_of_move``
     (None when illegal), filled on first lookup; the state's token mask
     once a read needs every allowed token, empty at a dead end; and
     ``steps``, per (token count, token budget), token -> the ``one_of_step``
@@ -495,6 +490,27 @@ class _OneOfEntry(dict):
             except DeadEnd:
                 self._mask = frozenset()
         return self._mask
+
+
+# (id of the vocabulary, id of the OneOf members, partial value) -> entry.
+# An entry holds its vocabulary and its state, which holds the members, so
+# neither id can be reused while its key is here.  Lookups take no lock;
+# the lock keeps one thread at a time inserting and evicting.
+_ONE_OF_INDEX: dict[tuple[int, int, str], _OneOfEntry] = {}
+_ONE_OF_INDEX_LOCK = threading.Lock()
+
+
+def _one_of_entry(state: MaskState, vocab) -> _OneOfEntry:
+    """The index entry of a constrained state, made on first use."""
+    key = (id(vocab), id(state.index.members), state.partial_value)
+    entry = _ONE_OF_INDEX.get(key)
+    if entry is None:
+        entry = _OneOfEntry(state, vocab)
+        with _ONE_OF_INDEX_LOCK:
+            while len(_ONE_OF_INDEX) >= ONE_OF_INDEX_SIZE:
+                del _ONE_OF_INDEX[next(iter(_ONE_OF_INDEX))]
+            _ONE_OF_INDEX[key] = entry
+    return entry
 
 
 class _Cand:

@@ -328,26 +328,29 @@ def instantiate(sketch: Sketch, bindings: Bindings | Mapping[str, str]) -> str:
 
 
 class StaticSketchSource:
-    """Chunk source backed by a fixed sketch."""
+    """Chunk source backed by a fixed sketch.
+
+    Its runs are cut once.  With k variables bound, the run is the chunks
+    after the k-th variable up to and including the next one; past the
+    last variable it is the trailing deterministic chunks (possibly none),
+    and with more bound than the sketch has, nothing.
+    """
 
     def __init__(self, sketch: Sketch):
         self.sketch = sketch
+        runs: list[tuple[Chunk, ...]] = []
+        run: list[Chunk] = []
+        for c in sketch.chunks:
+            run.append(c)
+            if c.is_var:
+                runs.append(tuple(run))
+                run = []
+        runs.append(tuple(run))
+        self._runs = tuple(runs)
 
     def pending(self, bound: Bindings) -> tuple[Chunk, ...]:
-        idx = 0
-        seen_vars = 0
-        chunks = self.sketch.chunks
-        while idx < len(chunks) and seen_vars < len(bound):
-            if chunks[idx].is_var:
-                seen_vars += 1
-            idx += 1
-        run: list[Chunk] = []
-        while idx < len(chunks):
-            run.append(chunks[idx])
-            if chunks[idx].is_var:
-                break
-            idx += 1
-        return tuple(run)
+        k = len(bound)
+        return self._runs[k] if k < len(self._runs) else ()
 
 
 class DynamicSketchSource:

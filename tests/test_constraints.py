@@ -14,7 +14,7 @@ from sketchdec.constraints import (
     compute_mask,
     validate_value,
 )
-from sketchdec.decoders import DecoderConfig, _Engine
+from sketchdec.decoders import DecoderConfig, _Engine, _one_of_entry
 from sketchdec.errors import DeadEnd, IllegalToken
 from sketchdec.lm import TableLM, Vocabulary
 from sketchdec.scoring import Hypothesis
@@ -371,7 +371,7 @@ def test_one_of_index_agrees_with_mask_and_advance(vocab, members, max_tokens, d
     h = eng.settle(Hypothesis())
     while True:
         state = h.open_state
-        entry = eng._entry(state)
+        entry = _one_of_entry(state, vocab)
         accepted = {t for t in range(len(vocab)) if entry.accepts(t)}
         if accepted:
             assert compute_mask(state, vocab) == accepted

@@ -4,6 +4,9 @@ import gc
 import hashlib
 import math
 import random
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -43,6 +46,7 @@ from sketchdec.decoders import (
     decode_var,
     default_token_cap,
     _Engine,
+    _one_of_entry,
 )
 from sketchdec.errors import (
     DeadEnd,
@@ -668,12 +672,19 @@ def pinned_runs():
             yield f"{family}/{label}", source, backend, {**config, **extra}
 
 
-def pinned_digests() -> dict[str, str]:
+def family_digests(fingerprints) -> dict[str, str]:
+    """sha256 per key of the (key, fingerprint) pairs, in their order."""
     hashes = {}
-    for key, source, backend, config in pinned_runs():
-        fingerprint = decode_fingerprint(source, backend, **config)
+    for key, fingerprint in fingerprints:
         hashes.setdefault(key, hashlib.sha256()).update(fingerprint.encode())
     return {key: h.hexdigest() for key, h in hashes.items()}
+
+
+def pinned_digests(runs=None) -> dict[str, str]:
+    return family_digests(
+        (key, decode_fingerprint(source, backend, **config))
+        for key, source, backend, config in (pinned_runs() if runs is None else runs)
+    )
 
 
 # sha256 per family and decoder of every decode's fingerprint: any change
@@ -907,6 +918,128 @@ def test_pinned_outputs_hold_on_the_full_mask_path(monkeypatch):
     assert pinned_digests() == PINNED_DIGESTS
 
 
+def test_pinned_outputs_hold_on_a_warm_index():
+    """Every pinned decode, made again over the same sketches and backends
+    after all the others and in reverse order, so that it reads the OneOf
+    index others left, is byte-identical."""
+    runs = list(pinned_runs())
+    assert pinned_digests(runs) == PINNED_DIGESTS
+    backward = [
+        (key, decode_fingerprint(source, backend, **config))
+        for key, source, backend, config in reversed(runs)
+    ]
+    assert family_digests(reversed(backward)) == PINNED_DIGESTS
+
+
+def test_pinned_outputs_hold_with_one_index_entry(monkeypatch):
+    """With room for one entry, nearly every OneOf lookup evicts the last
+    one and makes its entry again, and every decode is the same."""
+    monkeypatch.setattr(decoders, "ONE_OF_INDEX_SIZE", 1)
+    assert pinned_digests() == PINNED_DIGESTS
+    assert len(decoders._ONE_OF_INDEX) <= 1
+
+
+def test_one_of_index_keys_on_the_vocabulary(monkeypatch):
+    """Two vocabularies share one OneOf members tuple but spell token 3
+    differently ("ab", which is a member, and "ba", which leaves every
+    member).  Decoded one after the other, in either order, each gets the
+    decode it gets on an empty index."""
+    one_of = OneOf(("ab", "b"))
+    sketch = Sketch(
+        name="s",
+        chunks=(Chunk.variable(VariableSpec("X", one_of=one_of, max_tokens=3)), Chunk.det("a")),
+    )
+    backends = [
+        TableLM(Vocabulary(("", "a", "b", last), eos_index=0), {}, default_row=[0.1, 0.2, 0.2, 0.5])
+        for last in ("ab", "ba")
+    ]
+
+    def fingerprints(order, config):
+        monkeypatch.setattr(decoders, "_ONE_OF_INDEX", {})
+        return {i: decode_fingerprint(sketch, backends[i], **config) for i in order}
+
+    for label, config in decoder_configs(widths=(1, 2)):
+        cold = {**fingerprints([0], config), **fingerprints([1], config)}
+        assert cold[0] != cold[1], label
+        assert fingerprints([0, 1], config) == cold, label
+        assert fingerprints([1, 0], config) == cold, label
+
+
+def test_one_of_index_stays_at_its_bound(monkeypatch):
+    """Decodes that make more distinct OneOf states than the bound leave
+    at most the bound in the index, and decode the same as with room for
+    every state."""
+    runs = [
+        (random_fixture(seed), config)
+        for seed in range(10)
+        for _, config in decoder_configs(widths=(2,))
+    ]
+
+    def decode_all(bound):
+        index = {}
+        monkeypatch.setattr(decoders, "_ONE_OF_INDEX", index)
+        monkeypatch.setattr(decoders, "ONE_OF_INDEX_SIZE", bound)
+        shown = [decode_fingerprint(*fixture, **config) for fixture, config in runs]
+        return shown, len(index)
+
+    unbounded, states = decode_all(10_000)
+    assert 16 < states < 10_000
+    bounded, kept = decode_all(16)
+    assert kept == 16
+    assert bounded == unbounded
+
+
+class _YieldingDict(dict):
+    """A dict that lets other threads run between making an iterator and
+    reading it, which widens the window in which an unguarded eviction
+    (``next(iter(...))``) meets another thread's insert."""
+
+    def __iter__(self):
+        keys = super().__iter__()
+        time.sleep(0)
+        return keys
+
+
+def test_concurrent_decodes_share_the_index(monkeypatch):
+    """Two threads decoding over one backend, with room for two index
+    entries so that nearly every lookup inserts and evicts while the other
+    thread does too, both finish and get the sequential decodes."""
+    # an exhaustive walk of a 150-member OneOf makes about 1,000 states
+    sketch, backend = large_ngram_fixture()
+    configs = [config for _, config in decoder_configs(widths=(2,))] * 6
+    want = [decode_fingerprint(sketch, backend, **config) for config in configs]
+    monkeypatch.setattr(decoders, "_ONE_OF_INDEX", _YieldingDict())
+    monkeypatch.setattr(decoders, "ONE_OF_INDEX_SIZE", 2)
+    got: dict[int, list] = {}
+    errors = []
+
+    def work(name, order):
+        try:
+            shown = {i: decode_fingerprint(sketch, backend, **configs[i]) for i in order}
+            got[name] = [shown[i] for i in range(len(configs))]
+        except Exception as e:  # noqa: BLE001 - reported by the main thread
+            errors.append(e)
+
+    order = list(range(len(configs)))
+    threads = [
+        threading.Thread(target=work, args=(0, order)),
+        threading.Thread(target=work, args=(1, order[::-1])),
+    ]
+    interval = sys.getswitchinterval()
+    # switch threads often, so that an insert lands inside another's evict
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert got == {0: want, 1: want}
+
+
 def test_dead_end_mask_is_empty_on_every_lookup(monkeypatch):
     keys = counted_masks(monkeypatch)
     vocab = Vocabulary(("", "a", "b"), eos_index=0)
@@ -1064,10 +1197,10 @@ def test_one_of_steps_equal_advance_per_token_count_and_budget():
         return h
 
     reached = [reach(spec, path) for spec in specs for path in ((a, b), (ab,))]
-    entry = eng._entry(reached[0].open_state)
+    entry = _one_of_entry(reached[0].open_state, vocab)
     for h in reached:
         assert h.open_state.partial_value == "ab"
-        assert eng._entry(h.open_state) is entry
+        assert _one_of_entry(h.open_state, vocab) is entry
         steps = entry.steps[h.open_state.tokens_emitted, h.open_spec.max_tokens]
         for t in range(len(vocab)):
             try:

@@ -224,6 +224,45 @@ def test_static_source_trailing_det_run():
     assert run[0].text == "tail"
 
 
+def walked_run(sketch: Sketch, bound: Bindings) -> tuple[Chunk, ...]:
+    """Reference: walk the chunks past ``len(bound)`` variables, then take
+    chunks up to and including the next variable."""
+    chunks, idx, seen = sketch.chunks, 0, 0
+    while idx < len(chunks) and seen < len(bound):
+        seen += chunks[idx].is_var
+        idx += 1
+    run = []
+    while idx < len(chunks):
+        run.append(chunks[idx])
+        if chunks[idx].is_var:
+            break
+        idx += 1
+    return tuple(run)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    layout=st.lists(st.booleans(), min_size=1, max_size=10).filter(any),
+)
+def test_static_source_runs_equal_the_chunk_walk(layout):
+    """For every bound-variable count from 0 to one past the last
+    variable, the runs cut at construction equal a walk of the chunks
+    (leading, adjacent and trailing deterministic chunks, adjacent
+    variables)."""
+    chunks, names = [], []
+    for i, is_var in enumerate(layout):
+        if is_var:
+            names.append(f"V{i}")
+            chunks.append(Chunk.variable(VariableSpec(names[-1])))
+        else:
+            chunks.append(Chunk.det(f"d{i}"))
+    sketch = Sketch(name="s", chunks=tuple(chunks))
+    source = StaticSketchSource(sketch)
+    for k in range(len(names) + 2):
+        bound = Bindings.from_values({n: "v" for n in [*names, "EXTRA"][:k]})
+        assert source.pending(bound) == walked_run(sketch, bound), k
+
+
 def branching_program(values):
     # second variable depends on the first value
     if "A" not in values:
