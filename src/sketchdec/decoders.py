@@ -45,10 +45,14 @@ first need, and each token's step per (token count, token budget).  A read
 of the n best allowed tokens walks the distribution best-first against the
 entry and stops at n, so only reads of every allowed token build masks; a
 OneOf child takes its step from the entry.  An entry is a pure function of
-its key, so the index is kept for the process and shared by every decode,
-as a sketch's OneOf sets are reused across its instances.  It is bounded:
-at most ``ONE_OF_INDEX_SIZE`` entries, oldest evicted first, each holding
-at most one move per vocabulary token (and its steps and mask).
+its key, so the index is kept for the process and shared by every decode.
+``OneOf`` gives equal member sets one tuple, so sketches built apart over
+the same sets share entries when their backends share a vocabulary.  The
+index is bounded: at most ``ONE_OF_INDEX_SIZE`` entries, oldest evicted
+first.  An entry holds at most one move per vocabulary token, the mask,
+and one step per token for each (token count, budget) pair reached; it
+keeps its vocabulary alive, so up to ``ONE_OF_INDEX_SIZE`` vocabularies
+may outlive their backends.
 
 Every hypothesis carries the text its tokens render to, and the engine
 hands it to the backend (``text=h.text``), so a backend keyed by prefix

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -24,6 +25,24 @@ from .errors import (
 DEFAULT_MAX_TOKENS = 64
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+# OneOf member sets kept for the process, oldest evicted first.  Equal sets
+# share one tuple, so the decoders' OneOf index, keyed by the tuple's id,
+# serves every sketch over the set; a set evicted here is only made again.
+ONE_OF_MEMBERS_SIZE = 1024
+_MEMBERS: dict[tuple[str, ...], tuple[str, ...]] = {}
+_MEMBERS_LOCK = threading.Lock()
+
+
+def _shared_members(members: tuple[str, ...]) -> tuple[str, ...]:
+    """The process's one tuple equal to ``members``."""
+    with _MEMBERS_LOCK:
+        kept = _MEMBERS.get(members)
+        if kept is None:
+            while len(_MEMBERS) >= ONE_OF_MEMBERS_SIZE:
+                del _MEMBERS[next(iter(_MEMBERS))]
+            kept = _MEMBERS[members] = members
+    return kept
 
 
 @dataclass(frozen=True)
@@ -40,7 +59,8 @@ class OneOf:
         if len(set(self.members)) != len(self.members):
             raise ValueError("OneOf members must be distinct")
         # canonical order makes structural equality independent of input order
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
+        members = _shared_members(tuple(sorted(self.members)))
+        object.__setattr__(self, "members", members)
 
 
 @dataclass(frozen=True)

@@ -176,8 +176,8 @@ def suite(seed: int = 0) -> list[DungeonInstance]:
 # --- dynamic sketch -----------------------------------------------------------
 
 
-# one spec per step, all over one OneOf, so a decode's constraint index
-# (keyed by the members tuple) shares its entries across hypotheses
+# one spec per step, all over one OneOf, so the OneOf index (keyed by the
+# members tuple) shares its entries across steps and hypotheses
 _ACTIONS = OneOf(members=ACTION_DIGITS)
 _ACTION_SPECS = tuple(
     VariableSpec(name=f"ACTION_{index}", one_of=_ACTIONS, max_tokens=1)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 from ..decoders import DecoderConfig, decode
 from ..lm import NGramLM, TableLM, Vocabulary, greedy_tokenize, ordered_sum
@@ -95,7 +96,10 @@ RECORDS = (
 )
 
 
+@cache
 def json_vocab() -> Vocabulary:
+    """One vocabulary for every record's backend, so that the decoders'
+    OneOf index, keyed by vocabulary, serves them all."""
     narrative_pieces = sorted(
         {p for pat in _NARRATIVES for p in pat if not p.startswith("{")}
     )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 
 from ..decoders import DecoderConfig, decode
 from ..lm import StateTableLM, Vocabulary, ordered_sum
@@ -33,7 +34,10 @@ NEWLINE_MASS = 0.02
 EOS_MASS = 0.01
 
 
+@cache
 def sudoku_vocab() -> Vocabulary:
+    """One vocabulary for every instance's backend, so that the decoders'
+    OneOf index, keyed by vocabulary, serves them all."""
     return Vocabulary(tokens=("",) + DIGITS + (" ", "\n"), eos_index=0)
 
 

@@ -14,6 +14,7 @@ from sketchdec.errors import (
     SketchdecError,
     SketchSyntaxError,
 )
+from sketchdec import sketch as sketch_module
 from sketchdec.sketch import (
     DEFAULT_MAX_TOKENS,
     Binding,
@@ -158,6 +159,24 @@ def test_one_of_validation():
     with pytest.raises(ValueError):
         OneOf(("a", "a"))
     assert OneOf(("b", "a")).members == ("a", "b")
+
+
+def test_equal_one_of_sets_share_one_tuple():
+    """OneOf sets equal up to order share one members tuple, which the
+    decoders' OneOf index keys on by id; distinct sets do not."""
+    assert OneOf(("b", "a")).members is OneOf(["a", "b"]).members
+    assert OneOf(("a", "b")).members is not OneOf(("a", "c")).members
+
+
+def test_shared_one_of_sets_stay_at_their_bound(monkeypatch):
+    kept = {}
+    monkeypatch.setattr(sketch_module, "_MEMBERS", kept)
+    monkeypatch.setattr(sketch_module, "ONE_OF_MEMBERS_SIZE", 2)
+    sets = [OneOf((f"m{i}",)) for i in range(5)]
+    assert list(kept) == [("m3",), ("m4",)]
+    # an evicted set is made again, equal to the first
+    assert OneOf(("m0",)).members == sets[0].members
+    assert len(kept) == 2
 
 
 def test_variable_spec_validation():

@@ -1,6 +1,7 @@
 """Digit-placement grid task: trap pairs punish greedy decoding."""
 import pytest
 
+from sketchdec import decoders
 from sketchdec.decoders import DecoderConfig, decode, decode_argmax, decode_beamvar
 from sketchdec.lm import ordered_sum
 from sketchdec.scoring import ScoreParams
@@ -19,6 +20,26 @@ def test_generated_instances_are_valid():
             for pos, cell in enumerate(instance.cells):
                 if cell is not None:
                     assert instance.solution[pos] == cell
+
+
+def test_instances_share_the_one_of_index(monkeypatch):
+    """Each instance builds its own sketch and backend, but their OneOf
+    sets share one tuple and their backends one vocabulary, so once the
+    first instance is decoded the others add no index entry."""
+    suite = sudoku.suite(0)
+    index = {}
+    monkeypatch.setattr(decoders, "_ONE_OF_INDEX", index)
+    configs = [DecoderConfig(kind="argmax", width=1)] + [
+        DecoderConfig(kind=k, width=2) for k in ("beam", "var", "beamvar")
+    ]
+    for config in configs:
+        decode(suite[0][1], suite[0][2], config)
+    first = len(index)
+    assert first > 0
+    for _, sketch, backend in suite[1:]:
+        for config in configs:
+            decode(sketch, backend, config)
+    assert len(index) == first
 
 
 def test_blank_count_validation():
