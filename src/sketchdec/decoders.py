@@ -60,6 +60,15 @@ text does not join the prefix again on every call.  A forced chunk appends
 its own text; a variable token appends ``backend.detokenize((token,))``,
 kept per decode (``_Engine._pieces``).
 
+Settling a hypothesis scores forced text and does little else.  It asks
+the source for the next run with a plain dict of the values bound so far,
+built in one pass over the spans.  Two more memos live and die with the
+engine, as ``_pieces`` does: forced text to its tokens
+(``_Engine._forced``), which the token cap fills first, so a chunk's text
+is tokenized once per decode; and a spec to its ``MaskState.start``
+(``_Engine._starts``), keyed by the spec's id, each entry holding its
+spec, so no id is reused while it is a key.
+
 Deterministic chunks are forced but still likelihood-scored, so a
 hypothesis whose committed values make later fixed text improbable pays
 for it, which is what lets the searching decoders anticipate the rest of
@@ -75,7 +84,7 @@ import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .constraints import MAX_TOKENS, MaskState, TerminationVerdict, advance
 from .constraints import compute_mask, one_of_move, one_of_step
@@ -89,7 +98,7 @@ from .scoring import (
     rank_hypotheses,
     rank_key,
 )
-from .sketch import Bindings, StaticSketchSource, as_source, next_pending_chunks
+from .sketch import Bindings, StaticSketchSource, VariableSpec, as_source
 from .trace import TraceRecorder
 
 ARGMAX = "argmax"
@@ -163,18 +172,18 @@ class DecodeResult:
 # --- capacity --------------------------------------------------------------
 
 
-def default_token_cap(source, backend: LMBackend) -> int:
+def default_token_cap(source, tokenize: Callable[[str], Sequence[int]]) -> int:
     """Upper bound on hypothesis length.
 
     For static sketches this is the exact sum of deterministic chunk token
-    lengths plus every variable's max_tokens; dynamic sources fall back to
-    a fixed safety cap.
+    lengths, by ``tokenize``, plus every variable's max_tokens; dynamic
+    sources fall back to a fixed safety cap.
     """
     if isinstance(source, StaticSketchSource):
         total = 0
         for c in source.sketch.chunks:
             if c.is_det:
-                total += len(backend.tokenize(c.text))
+                total += len(tokenize(c.text))
             else:
                 total += c.var.max_tokens
         return total
@@ -210,13 +219,15 @@ class _Engine:
         self.config = config
         self.score = config.score
         self.recorder = TraceRecorder() if config.record_tree else None
+        self._pieces = _Memo(lambda token: backend.detokenize((token,)))
+        self._forced = _Memo(lambda text: tuple(backend.tokenize(text)))
+        self._starts: dict[int, tuple[VariableSpec, MaskState]] = {}
         self.cap = (
             config.global_max_tokens
             if config.global_max_tokens is not None
-            else default_token_cap(source, backend)
+            else default_token_cap(source, self._forced.__getitem__)
         )
         self.truncated = 0
-        self._pieces = _Pieces(backend.detokenize)
 
     # -- settle: force pending deterministic runs, open the next variable --
 
@@ -228,14 +239,16 @@ class _Engine:
         open or done h is already settled."""
         if h.done or h.open_spec is not None:
             return h
-        run = next_pending_chunks(self.source, h.bindings)
+        run = self.source.pending(
+            {s.name: s.text for s in h.spans if s.kind == "var"}
+        )
         if not run:
             return self._mark_done(h)
-        det_chunks = [c for c in run if c.is_det]
         var_chunk = run[-1] if run[-1].is_var else None
+        det_chunks = run[:-1] if var_chunk is not None else run
         if det_chunks:
             for c in det_chunks:
-                toks = self.backend.tokenize(c.text)
+                toks = self._forced[c.text]
                 try:
                     lps = self.backend.score_forced(h.tokens, toks, text=h.text)
                 except ForcedTextMisaligned:
@@ -257,8 +270,15 @@ class _Engine:
                 self.truncated += 1
                 return None
         if var_chunk is not None:
-            return h.with_open_variable(var_chunk.var)
+            return h.with_open_variable(var_chunk.var, self._start(var_chunk.var))
         return self._mark_done(h)
+
+    def _start(self, spec: VariableSpec) -> MaskState:
+        """``MaskState.start(spec)``, made once per spec per decode."""
+        kept = self._starts.get(id(spec))
+        if kept is None:
+            kept = self._starts[id(spec)] = (spec, MaskState.start(spec))
+        return kept[1]
 
     def _mark_done(self, h: Hypothesis) -> Hypothesis:
         nid = h.node_id
@@ -449,18 +469,17 @@ class _Engine:
         return kept
 
 
-class _Pieces(dict):
-    """token -> the backend's rendering of that token alone, filled on first
-    lookup: what a variable token appends to a hypothesis's text."""
+class _Memo(dict):
+    """key -> fn(key), filled on first lookup."""
 
-    __slots__ = ("detokenize",)
+    __slots__ = ("fn",)
 
-    def __init__(self, detokenize):
-        self.detokenize = detokenize
+    def __init__(self, fn):
+        self.fn = fn
 
-    def __missing__(self, token: int) -> str:
-        piece = self[token] = self.detokenize((token,))
-        return piece
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 class _OneOfEntry(dict):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import InstanceTooLarge, TemplateUnsatisfiable
 from .lm import LMBackend, ordered_sum
 from .scoring import ScoreParams
-from .sketch import Binding, Bindings, as_source
+from .sketch import as_source
 
 DEFAULT_COMPLETION_CAP = 100_000
 
@@ -94,8 +94,8 @@ def enumerate_completions(
     eos_index = backend.vocab.eos_index
     out: list[tuple[int, ...]] = []
 
-    def walk(bound: Bindings, tokens: tuple[int, ...]) -> None:
-        run = source.pending(bound)
+    def walk(values: dict[str, str], tokens: tuple[int, ...]) -> None:
+        run = source.pending(values)
         if not run:
             if len(out) >= cap:
                 raise InstanceTooLarge(len(out) + 1, cap)
@@ -112,9 +112,9 @@ def enumerate_completions(
             return
         spec = last.var
         for path, value in _variable_paths(token_texts, eos_index, spec):
-            walk(bound.bind(Binding(name=spec.name, value=value)), tokens + path)
+            walk({**values, spec.name: value}, tokens + path)
 
-    walk(Bindings(), ())
+    walk({}, ())
     return out
 
 

@@ -161,9 +161,10 @@ class Hypothesis:
         return rank_key(self.normalized_score(score), self.tokens)
 
     # --- state transitions -------------------------------------------------
-    # The per-token steps and with_forced_span call the constructor
-    # directly: building a keyword dict, as dataclasses.replace and ``_but``
-    # do, dominated short decodes.  The once-per-chunk steps use ``_but``.
+    # The per-token steps, with_forced_span and with_open_variable call the
+    # constructor directly: building a keyword dict, as dataclasses.replace
+    # and ``_but`` do, dominated short decodes.  The once-per-hypothesis
+    # steps that end a decode or name a trace node use ``_but``.
 
     def with_forced_span(
         self,
@@ -196,8 +197,22 @@ class Hypothesis:
             node_id=self.node_id,
         )
 
-    def with_open_variable(self, spec: VariableSpec) -> "Hypothesis":
-        return self._but(open_spec=spec, open_state=MaskState.start(spec))
+    def with_open_variable(
+        self, spec: VariableSpec, state: MaskState
+    ) -> "Hypothesis":
+        """Open spec's variable in ``state``, its ``MaskState.start``."""
+        return Hypothesis(
+            tokens=self.tokens,
+            text=self.text,
+            logprobs=self.logprobs,
+            spans=self.spans,
+            raw_score=self.raw_score,
+            vars_done=self.vars_done,
+            open_spec=spec,
+            open_state=state,
+            done=self.done,
+            node_id=self.node_id,
+        )
 
     def with_variable_token(
         self,

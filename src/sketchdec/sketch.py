@@ -5,6 +5,13 @@ decoding but still likelihood-scored) with variable chunks that the model
 fills in.  Sketches are either static (a fixed chunk list) or dynamic (a
 program that emits the next chunks as a function of the values bound so
 far, which lets templates branch on earlier completions).
+
+A chunk source has one method, ``pending(values)``.  ``values`` maps the
+name of each variable bound so far to its value, in binding order; names
+are unique.  It returns the next run: zero or more deterministic chunks,
+then at most one variable chunk.  An empty run means the template is
+complete, and a run of deterministic chunks only is its last: the caller
+forces those chunks and stops, without asking the source again.
 """
 from __future__ import annotations
 
@@ -145,9 +152,6 @@ class Bindings:
     @classmethod
     def from_values(cls, values: Mapping[str, str]) -> "Bindings":
         return cls(Binding(name=k, value=v) for k, v in values.items())
-
-    def bind(self, binding: Binding) -> "Bindings":
-        return Bindings(self._items + (binding,))
 
     def value(self, name: str) -> str:
         if name not in self._by_name:
@@ -350,10 +354,11 @@ def instantiate(sketch: Sketch, bindings: Bindings | Mapping[str, str]) -> str:
 class StaticSketchSource:
     """Chunk source backed by a fixed sketch.
 
-    Its runs are cut once.  With k variables bound, the run is the chunks
-    after the k-th variable up to and including the next one; past the
-    last variable it is the trailing deterministic chunks (possibly none),
-    and with more bound than the sketch has, nothing.
+    Its runs are cut once, and ``Sketch`` has already checked them.  With k
+    variables bound, the run is the chunks after the k-th variable up to
+    and including the next one; past the last variable it is the trailing
+    deterministic chunks (possibly none), and with more bound than the
+    sketch has, nothing.  Only the number of values is read.
     """
 
     def __init__(self, sketch: Sketch):
@@ -368,50 +373,48 @@ class StaticSketchSource:
         runs.append(tuple(run))
         self._runs = tuple(runs)
 
-    def pending(self, bound: Bindings) -> tuple[Chunk, ...]:
-        k = len(bound)
+    def pending(self, values: Mapping[str, str]) -> tuple[Chunk, ...]:
+        k = len(values)
         return self._runs[k] if k < len(self._runs) else ()
 
 
 class DynamicSketchSource:
     """Chunk source driven by a program.
 
-    The program is a callable ``(bindings_dict) -> sequence of chunks``
-    returning the next run: zero or more deterministic chunks optionally
-    followed by one variable chunk.  An empty return means the template is
-    complete.  The program must be a pure function of the bindings so that
-    branching decoders can replay it independently per hypothesis; what
-    else it depends on, such as a seed or a task instance, it closes over.
+    The program is a callable ``(values) -> sequence of chunks`` returning
+    the next run.  It gets a fresh dict of the values bound so far, each
+    variable's name to its value in binding order, so it may change the
+    dict without effect.  The program must be a pure function of the values
+    so that branching decoders can replay it independently per hypothesis;
+    what else it depends on, such as a seed or a task instance, it closes
+    over.
+
+    ``pending`` checks every run it returns: each element is a ``Chunk``,
+    a variable chunk comes last, and its name is not bound yet, since
+    values are keyed by name.  A fault of the program, or a run that fails
+    a check, is a ``DynamicProgramError``.
     """
 
-    def __init__(self, program: Callable[[Mapping[str, str]], Sequence[Chunk]]):
+    def __init__(self, program: Callable[[dict[str, str]], Sequence[Chunk]]):
         self.program = program
 
-    def pending(self, bound: Bindings) -> tuple[Chunk, ...]:
+    def pending(self, values: Mapping[str, str]) -> tuple[Chunk, ...]:
         try:
-            run = tuple(self.program(bound.as_dict()))
+            run = tuple(self.program(dict(values)))
         except Exception as e:  # noqa: BLE001 - program faults become typed errors
             raise DynamicProgramError(f"dynamic program failed: {e!r}") from e
-        return run
-
-
-def next_pending_chunks(source, bound: Bindings) -> tuple[Chunk, ...]:
-    """Return the next run of chunks to decode.
-
-    The run is a maximal sequence of deterministic chunks followed by at
-    most one variable chunk.  An empty run means the template is complete.
-    A run consisting only of deterministic chunks is terminal: callers must
-    force those chunks and stop, without consulting the source again.
-    """
-    run = source.pending(bound)
-    for i, c in enumerate(run):
-        if not isinstance(c, Chunk):
-            raise DynamicProgramError(f"run element {i} is not a Chunk: {c!r}")
-        if c.is_var and i != len(run) - 1:
+        for i, c in enumerate(run):
+            if not isinstance(c, Chunk):
+                raise DynamicProgramError(f"run element {i} is not a Chunk: {c!r}")
+            if c.is_var and i != len(run) - 1:
+                raise DynamicProgramError(
+                    "variable chunk must be the last element of a pending run"
+                )
+        if run and run[-1].is_var and run[-1].var.name in values:
             raise DynamicProgramError(
-                "variable chunk must be the last element of a pending run"
+                f"variable name {run[-1].var.name!r} is reused"
             )
-    return run
+        return run
 
 
 def as_source(sketch_or_source):

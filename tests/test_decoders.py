@@ -24,6 +24,7 @@ from sketchdec.constraints import (
     CONTINUE,
     MAX_TOKENS,
     MEMBER_COMPLETE,
+    MaskState,
     advance,
     compute_mask,
 )
@@ -110,9 +111,9 @@ def simple_sketch(max_tokens: int = 3) -> Sketch:
 def test_default_token_cap():
     backend = random_backend(0, letters="ab", merges=())
     source = StaticSketchSource(simple_sketch(max_tokens=5))
-    assert default_token_cap(source, backend) == 1 + 5 + 1
+    assert default_token_cap(source, backend.tokenize) == 1 + 5 + 1
     dynamic = DynamicSketchSource(lambda v: [])
-    assert default_token_cap(dynamic, backend) == DEFAULT_DYNAMIC_CAP
+    assert default_token_cap(dynamic, backend.tokenize) == DEFAULT_DYNAMIC_CAP
 
 
 def hand_table() -> TableLM:
@@ -398,8 +399,8 @@ def test_settle_marks_exhausted_template_done():
     eng = _Engine(StaticSketchSource(sketch), backend, DecoderConfig())
     h = Hypothesis()
     h = h.with_forced_span(backend.tokenize("."), [-1.0], ".")
-    h = h.with_open_variable(sketch.chunks[1].var)
-    from sketchdec.constraints import MaskState
+    spec = sketch.chunks[1].var
+    h = h.with_open_variable(spec, MaskState.start(spec))
 
     h = h.with_closing_token(1, -1.0, MaskState("x", 1, None), "x")
     h = eng.settle(h)  # forces the trailing "." and finds nothing after it
@@ -479,7 +480,7 @@ def test_unconstrained_continuations_equal_masked_entries(seed, ngram, prefix):
     h = Hypothesis().with_forced_span(
         prefix, [0.0] * len(prefix), backend.detokenize(prefix)
     )
-    h = h.with_open_variable(spec)
+    h = h.with_open_variable(spec, MaskState.start(spec))
     mask = compute_mask(h.open_state, backend.vocab)
     want = [(t, lp) for t, lp in backend.next_distribution(prefix).entries if t in mask]
     assert eng.allowed_continuations(h) == want
@@ -627,7 +628,7 @@ def pinned_families():
     # succeed, so a change to what the cap means shows which decodes move
     for seed in range(10):
         sketch, backend = random_fixture(seed)
-        cap = default_token_cap(StaticSketchSource(sketch), backend)
+        cap = default_token_cap(StaticSketchSource(sketch), backend.tokenize)
         for under in (1, 2):
             yield f"random-cap-{under}", sketch, backend, {"global_max_tokens": cap - under}
     for seed in range(5):
@@ -1191,7 +1192,7 @@ def test_one_of_steps_equal_advance_per_token_count_and_budget():
     eng = _Engine(StaticSketchSource(sketch), backend, DecoderConfig())
 
     def reach(spec, path) -> Hypothesis:
-        h = Hypothesis().with_open_variable(spec)
+        h = Hypothesis().with_open_variable(spec, MaskState.start(spec))
         for t in path:
             h = eng.apply_token(h, t, -0.5).hyp
         return h

@@ -8,6 +8,7 @@ import requests
 
 from conftest import random_backend, random_sketch
 from mock_openai import MockCompletionsServer
+from sketchdec.constraints import MaskState
 from sketchdec.decoders import DecoderConfig, _Engine, decode
 from sketchdec.errors import (
     BackendUnavailable,
@@ -232,10 +233,11 @@ def test_member_fallback_skips_a_misaligned_member(server):
     toks = lm.tokenize("ca")
     h = Hypothesis().with_forced_span(toks, [-1.0] * len(toks), "ca")
     # "ca" + "b" comes back as "c", "ab": only "c" can be scored
-    options = eng.fallback_completions(h.with_open_variable(spec))
+    options = eng.fallback_completions(h.with_open_variable(spec, MaskState.start(spec)))
     assert [o.state.partial_value for o in options] == ["c"]
     only_b = VariableSpec("X", one_of=OneOf(("b",)), max_tokens=2)
-    assert eng.fallback_completions(h.with_open_variable(only_b)) == []
+    opened = h.with_open_variable(only_b, MaskState.start(only_b))
+    assert eng.fallback_completions(opened) == []
 
 
 def test_forced_scoring_rejects_null_logprob_region():

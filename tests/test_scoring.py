@@ -58,7 +58,7 @@ def built_hypothesis() -> Hypothesis:
     spec = VariableSpec("X", max_tokens=8)
     h = Hypothesis()
     h = h.with_forced_span([5, 6], [-0.5, -0.25], "ab")
-    h = h.with_open_variable(spec)
+    h = h.with_open_variable(spec, MaskState.start(spec))
     h = h.with_variable_token(7, -1.0, MaskState("c", 1, None), "c")
     h = h.with_closing_token(8, -2.0, MaskState("cd", 2, None), "d")
     return h.with_forced_span([9], [-0.125], "e")
@@ -71,7 +71,7 @@ def test_transitions_change_only_their_fields():
     # every field away from its default, so a dropped field shows
     h = dataclasses.replace(
         built_hypothesis()
-        .with_open_variable(spec)
+        .with_open_variable(spec, MaskState.start(spec))
         .with_variable_token(3, -0.5, state, "q"),
         done=True,
         node_id=11,
@@ -94,8 +94,8 @@ def test_transitions_change_only_their_fields():
         spans=h.spans + (Span("det", None, "z", 6, 7, -0.5),),
         raw_score=h.raw_score - 0.5,
     )
-    assert h.with_open_variable(spec) == replace(
-        h, open_spec=spec, open_state=MaskState.start(spec)
+    assert h.with_open_variable(spec, state) == replace(
+        h, open_spec=spec, open_state=state
     )
     assert h.with_variable_token(4, -1.0, state, "r") == replace(
         h,
@@ -171,11 +171,12 @@ def test_every_transition_builds_through_init(monkeypatch):
         calls.append(self)
         init(self, *args, **kwargs)
 
-    h = built_hypothesis().with_open_variable(VariableSpec("Y", max_tokens=4))
+    spec = VariableSpec("Y", max_tokens=4)
+    h = built_hypothesis().with_open_variable(spec, MaskState.start(spec))
     state = MaskState("q", 1, None)
     transitions = {
         "with_forced_span": lambda: h.with_forced_span([1], [-0.5], "z"),
-        "with_open_variable": lambda: h.with_open_variable(VariableSpec("Z")),
+        "with_open_variable": lambda: h.with_open_variable(spec, state),
         "with_variable_token": lambda: h.with_variable_token(4, -1.0, state, "q"),
         "with_closing_token": lambda: h.with_closing_token(4, -1.0, state, "q"),
         "as_done": lambda: h.as_done(3),
@@ -245,7 +246,8 @@ def open_hypotheses(draw) -> tuple[Hypothesis, int, float]:
             lps = draw(st.lists(negative, min_size=n, max_size=n))
             h = h.with_forced_span(toks, lps, draw(pieces))
             continue
-        h = h.with_open_variable(VariableSpec(draw(st.sampled_from(["X", "Y"]))))
+        spec = VariableSpec(draw(st.sampled_from(["X", "Y"])))
+        h = h.with_open_variable(spec, MaskState.start(spec))
         start, raw = len(h.tokens), 0.0
         for _ in range(draw(st.integers(0 if kind == "open" else 1, 3))):
             logprob = draw(negative)

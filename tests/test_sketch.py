@@ -26,7 +26,6 @@ from sketchdec.sketch import (
     StaticSketchSource,
     VariableSpec,
     instantiate,
-    next_pending_chunks,
     parse_sketch,
     serialize_sketch,
 )
@@ -216,20 +215,19 @@ def test_bindings_collection():
         b.value("C")
     with pytest.raises(ValueError):
         Bindings((Binding("A", "1"), Binding("A", "2")))
-    assert b.bind(Binding("C", "3")).value("C") == "3"
 
 
 def test_static_source_pending_runs():
     sketch = parse_sketch(LIST4_DOC)
     source = StaticSketchSource(sketch)
-    first = next_pending_chunks(source, Bindings())
+    first = source.pending({})
     assert [c.kind for c in first] == ["det", "var"]
     assert first[1].var.name == "ITEM1"
-    bound = Bindings.from_values({"ITEM1": "Camera\n"})
-    second = next_pending_chunks(source, bound)
+    bound = {"ITEM1": "Camera\n"}
+    second = source.pending(bound)
     assert second[1].var.name == "ITEM3"
-    done = Bindings.from_values({"ITEM1": "Camera\n", "ITEM3": "Snacks\n"})
-    assert next_pending_chunks(source, done) == ()
+    done = {"ITEM1": "Camera\n", "ITEM3": "Snacks\n"}
+    assert source.pending(done) == ()
 
 
 def test_static_source_trailing_det_run():
@@ -238,12 +236,12 @@ def test_static_source_trailing_det_run():
         ' {"kind": "det", "text": "tail"}]}'
     )
     source = StaticSketchSource(sketch)
-    run = next_pending_chunks(source, Bindings.from_values({"X": "v"}))
+    run = source.pending({"X": "v"})
     assert [c.kind for c in run] == ["det"]
     assert run[0].text == "tail"
 
 
-def walked_run(sketch: Sketch, bound: Bindings) -> tuple[Chunk, ...]:
+def walked_run(sketch: Sketch, bound: dict[str, str]) -> tuple[Chunk, ...]:
     """Reference: walk the chunks past ``len(bound)`` variables, then take
     chunks up to and including the next variable."""
     chunks, idx, seen = sketch.chunks, 0, 0
@@ -278,7 +276,7 @@ def test_static_source_runs_equal_the_chunk_walk(layout):
     sketch = Sketch(name="s", chunks=tuple(chunks))
     source = StaticSketchSource(sketch)
     for k in range(len(names) + 2):
-        bound = Bindings.from_values({n: "v" for n in [*names, "EXTRA"][:k]})
+        bound = {n: "v" for n in [*names, "EXTRA"][:k]}
         assert source.pending(bound) == walked_run(sketch, bound), k
 
 
@@ -298,14 +296,14 @@ def branching_program(values):
 
 def test_dynamic_source_replays_identically():
     source = DynamicSketchSource(branching_program)
-    bound = Bindings.from_values({"A": "a"})
+    bound = {"A": "a"}
     first = source.pending(bound)
     second = source.pending(bound)
     assert first == second
     assert first[0].var.one_of.members == ("x",)
-    other = source.pending(Bindings.from_values({"A": "z"}))
+    other = source.pending({"A": "z"})
     assert other[0].var.one_of.members == ("y",)
-    assert source.pending(Bindings.from_values({"A": "a", "B": "x"})) == ()
+    assert source.pending({"A": "a", "B": "x"}) == ()
 
 
 def test_dynamic_program_faults_become_typed_errors():
@@ -313,13 +311,13 @@ def test_dynamic_program_faults_become_typed_errors():
         raise RuntimeError("boom")
 
     with pytest.raises(DynamicProgramError):
-        DynamicSketchSource(broken).pending(Bindings())
+        DynamicSketchSource(broken).pending({})
 
 
 def test_dynamic_run_shape_is_validated():
     bad_element = DynamicSketchSource(lambda v: ["not a chunk"])
     with pytest.raises(DynamicProgramError):
-        next_pending_chunks(bad_element, Bindings())
+        bad_element.pending({})
 
     var_not_last = DynamicSketchSource(
         lambda v: [
@@ -328,7 +326,13 @@ def test_dynamic_run_shape_is_validated():
         ]
     )
     with pytest.raises(DynamicProgramError):
-        next_pending_chunks(var_not_last, Bindings())
+        var_not_last.pending({})
+
+    # values are keyed by name, so a bound name cannot open again
+    reused = DynamicSketchSource(lambda v: [Chunk.variable(VariableSpec("A"))])
+    assert reused.pending({"B": "b"})[0].var.name == "A"
+    with pytest.raises(DynamicProgramError, match="variable name 'A' is reused"):
+        reused.pending({"A": "a"})
 
 
 # sketch-shaped documents with any field wrong in any way
