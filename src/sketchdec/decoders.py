@@ -5,8 +5,9 @@ unit (one token or a whole variable value) and in what a selection keeps,
 and they run on two loops:
 
 * ``beam``    -- ``_decode_beam``: a token-level beam inside each variable
-  that commits the best finished value before the next variable opens; the
-  other finished values of the last variable are the alternatives.
+  that commits the best finished value that settles before the next
+  variable opens; the finished values of the last variable ranked after
+  the committed one are the alternatives.
 * ``argmax``  -- the same loop at width 1: greedy, the single best allowed
   token at every step.
 * ``var``     -- ``_decode_search`` over whole variable values: every
@@ -27,8 +28,8 @@ what the step made of it.  Its rank key, normalized score and ``dead`` are
 computed from the parent, and its ``Hypothesis`` is built only when
 selection keeps it or a proposal extends it; most candidates of a wide
 search are pruned unbuilt.  All children of one parent are made in one
-batch (``_Engine.children``), which reads the parent's OneOf steps, cap
-test and normalization weight once for all of them.  A proposal walk
+batch (``_Engine.children``), which reads the parent's OneOf steps and
+normalization weight once for all of them.  A proposal walk
 extends the candidate of its last step, and a member fallback is the
 candidate of the member's last token.  Both loops hand selection each
 expanded hypothesis with its candidates: that hypothesis's variable is
@@ -62,12 +63,18 @@ kept per decode (``_Engine._pieces``).
 
 Settling a hypothesis scores forced text and does little else.  It asks
 the source for the next run with a plain dict of the values bound so far,
-built in one pass over the spans.  Two more memos live and die with the
-engine, as ``_pieces`` does: forced text to its tokens
-(``_Engine._forced``), which the token cap fills first, so a chunk's text
-is tokenized once per decode; and a spec to its ``MaskState.start``
-(``_Engine._starts``), keyed by the spec's id, each entry holding its
-spec, so no id is reused while it is a key.
+built in one pass over the spans.  Forced text is tokenized once per decode:
+``_Engine._forced`` keeps each text's tokens for the engine's life, as
+``_pieces`` keeps each token's text, and the default token cap fills it
+first.
+
+The token cap (``global_max_tokens``, or the default cap) bounds every
+hypothesis under every decoder, where its tokens are added.  A hypothesis
+that holds the cap's tokens is a dead end: its expansion is empty, and the
+backend is not read.  A member fallback skips a member whose tokens would
+pass the cap, and settle drops a hypothesis whose forced text passes it.
+Each counts one truncation.  So no loop needs a step bound: every step adds
+a token to each live hypothesis, and the search ends when none is left.
 
 Deterministic chunks are forced but still likelihood-scored, so a
 hypothesis whose committed values make later fixed text improbable pays
@@ -98,7 +105,7 @@ from .scoring import (
     rank_hypotheses,
     rank_key,
 )
-from .sketch import Bindings, StaticSketchSource, VariableSpec, as_source
+from .sketch import Bindings, StaticSketchSource, as_source
 from .trace import TraceRecorder
 
 ARGMAX = "argmax"
@@ -120,6 +127,19 @@ ONE_OF_INDEX_SIZE = 1024
 
 @dataclass(frozen=True)
 class DecoderConfig:
+    """How ``decode`` runs.
+
+    ``kind`` is the decoder: ``argmax``, ``beam``, ``var`` or ``beamvar``.
+    ``width`` is the number of hypotheses a selection keeps (1 for
+    argmax).  ``score`` sets the length normalization that ranks them.
+    ``proposal`` is how ``var`` proposes a variable's values: ``branch``,
+    ``sample`` or ``exhaustive``; ``seed`` seeds the sampled proposals.
+    ``global_max_tokens`` is the most tokens, forced and variable, that
+    any hypothesis may hold, under every decoder; None takes
+    ``default_token_cap``, which never binds on a static sketch.
+    ``record_tree`` keeps the search tree in ``DecodeResult.tree``.
+    """
+
     kind: str = BEAMVAR
     width: int = 2
     score: ScoreParams = field(default_factory=ScoreParams)
@@ -221,7 +241,6 @@ class _Engine:
         self.recorder = TraceRecorder() if config.record_tree else None
         self._pieces = _Memo(lambda token: backend.detokenize((token,)))
         self._forced = _Memo(lambda text: tuple(backend.tokenize(text)))
-        self._starts: dict[int, tuple[VariableSpec, MaskState]] = {}
         self.cap = (
             config.global_max_tokens
             if config.global_max_tokens is not None
@@ -270,15 +289,8 @@ class _Engine:
                 self.truncated += 1
                 return None
         if var_chunk is not None:
-            return h.with_open_variable(var_chunk.var, self._start(var_chunk.var))
+            return h.with_open_variable(var_chunk.var, MaskState.start(var_chunk.var))
         return self._mark_done(h)
-
-    def _start(self, spec: VariableSpec) -> MaskState:
-        """``MaskState.start(spec)``, made once per spec per decode."""
-        kept = self._starts.get(id(spec))
-        if kept is None:
-            kept = self._starts[id(spec)] = (spec, MaskState.start(spec))
-        return kept[1]
 
     def _mark_done(self, h: Hypothesis) -> Hypothesis:
         nid = h.node_id
@@ -305,8 +317,13 @@ class _Engine:
         index until n tokens pass, or else read through the token mask.  A
         truncated one gives the tokens that pass, and if none does, None:
         the caller must fall back to scoring whole member completions.
-        [] at a dead end, where no vocabulary token can extend the value.
+        [] at a dead end: no vocabulary token can extend the value, or h
+        already holds the cap's tokens, which counts one truncation and
+        reads nothing from the backend.
         """
+        if len(h.tokens) >= self.cap:
+            self.truncated += 1
+            return []
         state = h.open_state
         dist = self.backend.next_distribution(h.tokens, text=h.text)
         if state.index is None:
@@ -328,17 +345,15 @@ class _Engine:
         use.
 
         What depends only on h is done once: the OneOf steps from h's
-        state, the cap test, and the normalization weight, since every
-        child has one more token.
+        state, and the normalization weight, since every child has one
+        more token.
         """
         spec, state = h.open_spec, h.open_state
         entry = steps = None
         if state.index is not None:
             entry = _one_of_entry(state, self.backend.vocab)
             steps = entry.steps[state.tokens_emitted, spec.max_tokens]
-        n = len(h.tokens)
-        over_cap = n >= self.cap
-        weight = normalization_weight(self.score, n + 1)
+        weight = normalization_weight(self.score, len(h.tokens) + 1)
         raw, pieces, vocab = h.raw_score, self._pieces, self.backend.vocab
         out = []
         for token, logprob in pairs:
@@ -358,10 +373,7 @@ class _Engine:
                 dead = verdict.status == MAX_TOKENS and new_state.constrained
                 closed = not dead
             else:
-                # over the global cap with the template still open
-                closed, dead = False, over_cap
-                if over_cap:
-                    self.truncated += 1
+                closed = dead = False
             out.append(
                 _Cand(
                     h,
@@ -383,10 +395,13 @@ class _Engine:
     def fallback_completions(self, h: Hypothesis) -> list["_Cand"]:
         """Score whole member completions when the truncated distribution
         has no allowed token (one forced-scoring call per member); a member
-        the backend cannot align with h's text is skipped.
+        the backend cannot align with h's text is skipped, and so is one
+        whose tokens would carry h past the cap, which counts one
+        truncation.
 
         Each option is the candidate of its member's last token, best
-        first; [] when no member fits its token budget and can be scored."""
+        first; [] when no member fits its token budget and the cap and can
+        be scored."""
         state, spec = h.open_state, h.open_spec
         partial = state.partial_value
         lo, hi = state.index.span(partial)
@@ -397,6 +412,9 @@ class _Engine:
                 continue
             toks = self.backend.tokenize(suffix)
             if not toks or state.tokens_emitted + len(toks) > spec.max_tokens:
+                continue
+            if len(h.tokens) + len(toks) > self.cap:
+                self.truncated += 1
                 continue
             try:
                 lps = self.backend.score_forced(h.tokens, toks, text=h.text)
@@ -799,59 +817,51 @@ def _finish(
 
 def _decode_beam(eng: _Engine) -> DecodeResult:
     """argmax and beam: a token-level beam inside each variable, whose best
-    finished value is committed before the next variable opens."""
+    finished value that settles is committed before the next variable
+    opens; the finished values ranked after it are the alternatives."""
     width = eng.config.width
     h = eng.settle(Hypothesis())
+    if h is None:
+        raise TemplateUnsatisfiable("the template's opening text died in settle")
     alternatives: list[Hypothesis] = []
-    while h is not None and not h.done:
+    while not h.done:
+        name = h.open_spec.name
         active, finished = [h], []
         while not _should_halt(active, finished, eng.score, eng.cap):
             kept = eng.select([(s, eng.expand_top(s, width)) for s in active], width)
             finished += [k for k in kept if k.open_spec is None]
             active = [k for k in kept if k.open_spec is not None]
         if not finished:
-            raise TemplateUnsatisfiable(
-                f"no candidate finished variable {h.open_spec.name!r}"
-            )
+            raise TemplateUnsatisfiable(f"no candidate finished variable {name!r}")
         ranked = rank_hypotheses(finished, eng.score)
-        h = eng.settle(ranked[0])
-        alternatives = ranked[1:]
-    if h is None:
-        raise TemplateUnsatisfiable("the committed path died before completion")
+        for i, f in enumerate(ranked):
+            h = eng.settle(f)
+            if h is not None:
+                break
+        else:
+            raise TemplateUnsatisfiable(
+                f"every finished value of variable {name!r} died in settle"
+            )
+        alternatives = ranked[i + 1 :]
     finals = [h] + [eng.settle(a) for a in alternatives]
     return _finish(eng, [f for f in finals if f is not None and f.done])
 
 
-def _decode_search(eng: _Engine, expand, steps) -> DecodeResult:
+def _decode_search(eng: _Engine, expand) -> DecodeResult:
     """var and beamvar: every live hypothesis is expanded by
     ``expand(eng, h, width)`` and a pooled selection keeps the best, across
-    the whole template.
-
-    ``steps`` bounds the loop.  beamvar's token steps stop at the global
-    token cap; var's variable steps run until the search ends, because a
-    token that closes its variable is never truncated, so a value-level
-    step may finish a template past the cap.
-    """
+    the whole template, until no hypothesis is left active or none can
+    still beat the best finished one."""
     width = eng.config.width
     active = [Hypothesis()]
     done: list[Hypothesis] = []
-    for _ in steps:
+    while True:
         settled = [h for h in map(eng.settle, active) if h is not None]
         done.extend(h for h in settled if h.done)
         active = [h for h in settled if not h.done]
         if _should_halt(active, done, eng.score, eng.cap):
-            active = []
-            break
+            return _finish(eng, done)
         active = eng.select([(h, expand(eng, h, width)) for h in active], width)
-    # anything still open when the steps run out hit the global cap
-    for h in map(eng.settle, active):
-        if h is None:
-            continue
-        if h.done:
-            done.append(h)
-        else:
-            eng.truncated += 1
-    return _finish(eng, done)
 
 
 def decode(sketch_or_source, backend: LMBackend, config: DecoderConfig | None = None) -> DecodeResult:
@@ -860,9 +870,7 @@ def decode(sketch_or_source, backend: LMBackend, config: DecoderConfig | None = 
     eng = _Engine(as_source(sketch_or_source), backend, config)
     if config.kind in (ARGMAX, BEAM):
         return _decode_beam(eng)
-    if config.kind == VAR:
-        return _decode_search(eng, _propose, itertools.count())
-    return _decode_search(eng, _Engine.expand_top, range(eng.cap))
+    return _decode_search(eng, _propose if config.kind == VAR else _Engine.expand_top)
 
 
 def decode_argmax(sketch_or_source, backend, **kw) -> DecodeResult:

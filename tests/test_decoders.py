@@ -427,6 +427,49 @@ def test_global_cap_kills_open_hypotheses():
         decode(sketch, backend, DecoderConfig(kind=BEAMVAR, width=2, global_max_tokens=2))
 
 
+def test_a_hypothesis_at_the_cap_is_a_dead_end_without_a_backend_read(monkeypatch):
+    """A hypothesis that holds the cap's tokens, inside an open variable,
+    expands to nothing under every expansion path: each one counts one
+    truncation and reads nothing from the backend."""
+    backend = random_backend(0)
+    (c,) = backend.tokenize("c")
+    calls = []
+    for proposal in (PROPOSAL_BRANCH, PROPOSAL_SAMPLE, PROPOSAL_EXHAUSTIVE):
+        config = DecoderConfig(proposal=proposal, global_max_tokens=2)
+        eng = _Engine(StaticSketchSource(simple_sketch()), backend, config)
+        # the forced "a" and one token of X fill the cap, and X stays open
+        h = eng.apply_token(eng.settle(Hypothesis()), c, -1.0).hyp
+        assert h.m_total == eng.cap and h.open_spec is not None
+        with monkeypatch.context() as m:
+            for name in ("next_distribution", "score_forced", "tokenize", "detokenize"):
+                m.setattr(backend, name, lambda *a, _n=name, **kw: calls.append(_n))
+            for expand in (
+                lambda: eng.allowed_continuations(h),
+                lambda: eng.expand_top(h, 2),
+                lambda: eng.expand_top(h, None),
+                lambda: decoders._propose(eng, h, 2),
+            ):
+                before = eng.truncated
+                assert expand() == []
+                assert eng.truncated == before + 1
+    assert calls == []
+
+
+def test_member_fallback_skips_a_member_past_the_cap():
+    """A whole-member completion whose tokens would carry the hypothesis
+    past the cap is skipped, and counts one truncation; a member that fits
+    is kept."""
+    backend = random_backend(0)
+    spec = VariableSpec("X", one_of=OneOf(("a", "cc")), max_tokens=3)
+    sketch = Sketch(name="s", chunks=(Chunk.det("b"), Chunk.variable(spec)))
+    eng = _Engine(StaticSketchSource(sketch), backend, DecoderConfig(global_max_tokens=2))
+    h = eng.settle(Hypothesis())
+    assert h.m_total == 1 and len(backend.tokenize("cc")) == 2
+    options = eng.fallback_completions(h)
+    assert [o.state.partial_value for o in options] == ["a"]
+    assert eng.truncated == 1
+
+
 def test_unspellable_member_is_unsatisfiable():
     vocab = Vocabulary(("", "a"), eos_index=0)
     backend = TableLM(vocab, {}, default_row=[0.5, 0.5])
@@ -590,11 +633,12 @@ def decode_fingerprint(source, backend, **config) -> str:
 
 
 def cap_escape_fixture() -> tuple[Sketch, TableLM]:
-    """Two one-token variables under a one-token global cap.
+    """Two adjacent one-token variables under a one-token global cap.
 
-    A token that closes its variable is not truncated, so var's
-    per-variable steps finish this template past the cap while beamvar's
-    token steps stop at the cap and find it unsatisfiable.
+    The first value fills the cap and no forced text follows it, so the
+    hypothesis reaches the second variable without a settle that could
+    drop it; the cap must stop it where the second value's token would be
+    added.  Every decoder finds the template unsatisfiable.
     """
     sketch = Sketch(
         name="cap-escape",
@@ -604,6 +648,18 @@ def cap_escape_fixture() -> tuple[Sketch, TableLM]:
         ),
     )
     return sketch, random_backend(3)
+
+
+def test_no_decoder_decodes_past_the_cap():
+    """Under a one-token cap the cap-escape template is unsatisfiable for
+    every decoder kind, proposal and width, and under a two-token cap each
+    decodes both values."""
+    sketch, backend = cap_escape_fixture()
+    for label, config in decoder_configs():
+        with pytest.raises(TemplateUnsatisfiable):
+            decode(sketch, backend, DecoderConfig(global_max_tokens=1, **config))
+        r = decode(sketch, backend, DecoderConfig(global_max_tokens=2, **config))
+        assert r.best.m_total == 2, label
 
 
 def random_ngram_fixture(seed: int, order: int) -> tuple[Sketch, NGramLM]:
@@ -635,8 +691,9 @@ def pinned_families():
         sketch, backend = random_fixture(100 + seed)
         yield "topk", sketch, TopK(backend, 2), {}
         yield "topk", *truncated_fixture(seed), {}
-    # caps under which var's samples draw one truncated child more than
-    # once; it is one candidate, so it is counted once
+    # caps inside the decodes of truncated top-k backends; at cap 8, two
+    # of var's samples reach one hypothesis at the cap, whose draw node is
+    # read once, so its truncation is counted once
     for seed, k, cap in ((135, 2, 8), (219, 2, 13), (262, 2, 9), (310, 3, 14)):
         sketch, backend = random_fixture(seed)
         yield "topk-cap", sketch, TopK(backend, k), {"global_max_tokens": cap}
@@ -712,10 +769,10 @@ PINNED_DIGESTS = {
     "random-cap-1/var-sample": "8c61fbd2ee4043733ec7dd75c52a1a30e68b0b65e6295c678c824009b3bcde03",
     "random-cap-1/var-exhaustive": "dfa86a1baabeb2d9e33f8953c082cf9b142c3664686e1aef7ffa07de0006b31c",
     "random-cap-2/argmax": "e133fe7c8bd5269134db3e51642743fda9b0121c9632535a1db16e0817a313ad",
-    "random-cap-2/beam": "293964c524eebdb56d32df98708c9bcd3890ebc85608d3f15e227f08b5e3945e",
+    "random-cap-2/beam": "3bc1a6d501b13df35c67e1304637b4f8aa6d90c9c7a91c702d47504c98906f50",
     "random-cap-2/beamvar": "a2ee734ddca954213b5e3ca9389853d4f7be2a51edf92f550e0fb29ef09edd4f",
     "random-cap-2/var-branch": "8b3c0b3f0d3b72e5323bfb6ac93acef5aca2242e6c4c96184fee9a4e77d50f88",
-    "random-cap-2/var-sample": "aa6e2ede89dab68b1751da1141bf95bdbb91fd51ca37ecb9c9a293579e35b96b",
+    "random-cap-2/var-sample": "7199f170510cc566325fd5a22e0ff5a6eaafc2267f7323f4ce0d9338dad6763f",
     "random-cap-2/var-exhaustive": "ad5ef62f08392149895f01bdb3cca33765de5092c487425a09658742d9905598",
     "topk/argmax": "b04f8ea70f6372af56c3f73af44c1853846f455420e99745c4ceb2b329bc9904",
     "topk/beam": "7888565d26558eddea8928fb71d4206760eef87cfe88dfed7d6b6f0d25f62c0b",
@@ -724,23 +781,23 @@ PINNED_DIGESTS = {
     "topk/var-sample": "14461ccc1641151d2316ae81549cd8d258d08115919a1e68cc6eab014cb4183e",
     "topk/var-exhaustive": "e4d158ea6ae6239887e2ca990e697ea9fe02d07b55bcf9e7e4a9eedd8561f126",
     "topk-cap/argmax": "56a06e54205454a8a498a9cd2a05f8895dd3c2c8ca581426134ce6172fed0973",
-    "topk-cap/beam": "82d88ce28a5c20b162a712fe7fd4af17c3a267259178866f23e4f8bd32f365ec",
-    "topk-cap/beamvar": "63852379b7ae5db9654f250c85f33780e30cd02fb8ac0fd80c552c8aaaf72b2b",
-    "topk-cap/var-branch": "a008a529bdf0525564b4cb89e9f91a0d45a4bfdd86d53935a11db266b32ab3c9",
-    "topk-cap/var-sample": "53162044d13bdc713df55a3208639d92a1edb01ff06dff5491e6b756302e50cf",
-    "topk-cap/var-exhaustive": "755eff801ceea226ed980c270bbf178880db5e3d516a431244af1fd6d68031ea",
+    "topk-cap/beam": "101b5cc8e540118774f73da2a1d9d8e7f9676823fe9cfc3559d9e19f74b26dc6",
+    "topk-cap/beamvar": "926d58a0ccda24e6bbfea4932796ffea37c4c196977347f168fb4aaa7808f12d",
+    "topk-cap/var-branch": "8219a8f659b41c8337f8badb8fdd53cbf47c082bb303eecab13ed89779934dc6",
+    "topk-cap/var-sample": "f436dbd3be9ae761aeb5448214d8d2235f367ec41179910332095476d4a9f912",
+    "topk-cap/var-exhaustive": "7d9920e7316c393b51b0f91ee066cc76f94afd5d6d1b205729e53286ca2e9dd6",
     "dungeon/argmax": "9f2a73e2166a810b2e4a8ee0db4f6900b20448e7fd633db33554c9708126c905",
     "dungeon/beam": "bc23ae47c5778fc75d7aed1a542842f89b298e0af3ed47f61004a5f8f9bde53b",
     "dungeon/beamvar": "31b845165a2dabbbe729a31625324b52dc59b011143d1d99bde301df15a884da",
     "dungeon/var-branch": "31b845165a2dabbbe729a31625324b52dc59b011143d1d99bde301df15a884da",
     "dungeon/var-sample": "34e9f7633da12730858dd1929462a8f80e4ff36d5c56b8add217d4ef4b5f9b4e",
     "dungeon/var-exhaustive": "67775b264b1996766b70b9e8080b82a315e09f7209c75ba0aaa9ca016c236bbf",
-    "cap-escape/argmax": "ba9d52e0a29b229cd701e7075ab360ab1946b084072bbcff2df46db614aa262b",
-    "cap-escape/beam": "09968c1ace0d73b8d3a9049a121191174c1bdce02fca50551f97d8648cdd3316",
+    "cap-escape/argmax": "c5792ba9c0a0ebcf144ec26ebb9996f2b80d4cae80245bd403bdd46e932978e6",
+    "cap-escape/beam": "ba6979393552a145ef3a1304aff5a194c7905b86e2874f2017deeb8af7e29c57",
     "cap-escape/beamvar": "ba6979393552a145ef3a1304aff5a194c7905b86e2874f2017deeb8af7e29c57",
-    "cap-escape/var-branch": "93e7d082f14c7003af417db7a6ab48827ab58436455b08b79d98621c140fb062",
-    "cap-escape/var-sample": "317cad4cae8d43063087c8e679a9486b705d4a815227240b948b9b64d543152f",
-    "cap-escape/var-exhaustive": "3eb3b9d64922c9eefd7c2beac0fe3ec0299627c5af639ea71376c166bc2bc740",
+    "cap-escape/var-branch": "ba6979393552a145ef3a1304aff5a194c7905b86e2874f2017deeb8af7e29c57",
+    "cap-escape/var-sample": "ba6979393552a145ef3a1304aff5a194c7905b86e2874f2017deeb8af7e29c57",
+    "cap-escape/var-exhaustive": "4361c97a2193f1190ca4bab57f9e0265fea6b7fe2db855a2217f9f5c48377650",
     "ngram/argmax": "c958ca9df7845093ac7e77c1c271164d452fc1b7a171e23f25ad455cbf5ef004",
     "ngram/beam": "dc9ef7c9fa491ff5ac530bbbdc9b52ef36cdcb6ef968d439c3feadaa410ba8dd",
     "ngram/beamvar": "e92ddd3beca7040d9309f41b5314edf75b78766f3634ff3cb18762f9432c82d3",
@@ -1057,10 +1114,10 @@ def test_dead_end_mask_is_empty_on_every_lookup(monkeypatch):
 
 def eager_child(
     eng: _Engine, h: Hypothesis, token: int, logprob: float
-) -> tuple[Hypothesis, bool, bool]:
+) -> tuple[Hypothesis, bool]:
     """Reference for the engine's candidates: the child built at once by
-    the transition rule, written out with the Hypothesis steps, whether it
-    died, and whether the global cap truncated it."""
+    the transition rule, written out with the Hypothesis steps, and whether
+    it died."""
     spec = h.open_spec
     new_state, verdict = advance(
         h.open_state, token, eng.backend.vocab, spec.stop_phrases, spec.max_tokens
@@ -1068,11 +1125,9 @@ def eager_child(
     piece = eng.backend.detokenize((token,))
     if verdict.closes_chunk:
         if verdict.status == MAX_TOKENS and new_state.constrained:
-            return h.with_variable_token(token, logprob, new_state, piece), True, False
-        return h.with_closing_token(token, logprob, new_state, piece), False, False
-    h = h.with_variable_token(token, logprob, new_state, piece)
-    over_cap = h.m_total > eng.cap
-    return h, over_cap, over_cap
+            return h.with_variable_token(token, logprob, new_state, piece), True
+        return h.with_closing_token(token, logprob, new_state, piece), False
+    return h.with_variable_token(token, logprob, new_state, piece), False
 
 
 member_sets = st.lists(
@@ -1104,10 +1159,12 @@ def child_specs(draw) -> VariableSpec:
 )
 def test_candidates_ranked_unbuilt_equal_built_children(seed, spec, headroom, score, path):
     """Every child along a walk (closing, continuing, dead at its token
-    budget, truncated over the cap), made in one batch per parent, reads
-    the same rank key, normalized score, pool and death from its parent as
-    from the Hypothesis built at once, stores that Hypothesis's score bits,
-    and, while it lives, builds to that Hypothesis."""
+    budget), made in one batch per parent, reads the same rank key,
+    normalized score, pool and death from its parent as from the Hypothesis
+    built at once, stores that Hypothesis's score bits, and, while it
+    lives, builds to that Hypothesis.  A child past the global cap is made
+    as one under it: the cap stops the expansion that would read its
+    token, never the child."""
     backend = random_backend(seed)
     first = VariableSpec("W", one_of=OneOf(("ab",)), max_tokens=2)
     sketch = Sketch(
@@ -1119,7 +1176,7 @@ def test_candidates_ranked_unbuilt_equal_built_children(seed, spec, headroom, sc
             Chunk.det("d"),
         ),
     )
-    # the cap falls somewhere in X, so its children can be truncated
+    # the cap falls somewhere in X, so the walk makes children past it
     config = DecoderConfig(score=score, global_max_tokens=2 + headroom)
     eng = _Engine(StaticSketchSource(sketch), backend, config)
     # token 5 spells "ab", which closes W; settling forces "c" and opens X
@@ -1134,23 +1191,15 @@ def test_candidates_ranked_unbuilt_equal_built_children(seed, spec, headroom, sc
         pairs = backend.next_distribution(h.tokens).allowed(mask)
         truncated = eng.truncated
         cands = eng.children(h, pairs)
-        refs, deaths, truncations = zip(
-            *(eager_child(eng, h, t, lp) for t, lp in pairs)
-        )
-        assert eng.truncated - truncated == sum(truncations)
+        refs, deaths = zip(*(eager_child(eng, h, t, lp) for t, lp in pairs))
+        assert eng.truncated == truncated
         assert len(cands) == len(pairs)
         # the pool of each child's node, as a traced selection records it
         traced = _Engine(eng.source, backend, replace(config, record_tree=True))
         traced.select([(h, cands)], 1)
         pools = {n.token_text: n.pool for n in traced.recorder.tree().nodes[1:]}
         assert len(pools) == len(cands)
-        for (token, logprob), cand, ref, dead, cut in zip(
-            pairs, cands, refs, deaths, truncations
-        ):
-            # made alone, the child counts its own truncation
-            before = eng.truncated
-            eng.apply_token(h, token, logprob)
-            assert eng.truncated - before == cut
+        for (token, logprob), cand, ref, dead in zip(pairs, cands, refs, deaths):
             norm = NEG_INF if dead else ref.normalized_score(score)
             assert cand.rank_key() == rank_key(norm, ref.tokens)
             assert cand.normalized_score().hex() == norm.hex()
@@ -1255,7 +1304,8 @@ def check_invariants(h: Hypothesis, sketch: Sketch) -> None:
 )
 def test_decode_invariants(seed, labelled, cap, top_k):
     """On full and on truncated top-k backends, where a OneOf value can
-    come from whole-member fallback."""
+    come from whole-member fallback; under a global cap, every decode
+    holds at most the cap's tokens or is unsatisfiable."""
     _, config = labelled
     sketch = random_sketch(random.Random(seed))
     backend = random_backend(seed)
@@ -1270,6 +1320,7 @@ def test_decode_invariants(seed, labelled, cap, top_k):
         return
     for h in (result.best, *result.alternatives):
         assert h.done
+        assert cap is None or h.m_total <= cap
         check_invariants(h, sketch)
     assert decode(sketch, backend, config) == result
 

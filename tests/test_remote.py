@@ -202,22 +202,23 @@ def test_settle_kills_only_the_misaligned_hypothesis():
 
 def test_decode_goes_on_past_a_misaligned_forced_chunk():
     """Under every decoder, a hypothesis the service cannot align dies like
-    a dead end: no decode fails with a forced-scoring error, and beamvar
-    finds a value whose forced text can be scored."""
+    a dead end: no decode fails with a forced-scoring error, and beamvar and
+    beam at width 2 find a value whose forced text can be scored; beam
+    commits it although a value ranked above it died in settle."""
     sketch, table = merged_boundary_fixture()
     configs = [
         {"kind": "argmax", "width": 1},
-        {"kind": "beam", "width": 2},
         {"kind": "var", "width": 2, "proposal": "branch"},
         {"kind": "var", "width": 2, "proposal": "sample"},
         {"kind": "var", "width": 2, "proposal": "exhaustive"},
     ]
     with MockCompletionsServer(table) as server:
         lm = remote(server)
-        result = decode(sketch, lm, DecoderConfig(kind="beamvar", width=2))
-        assert result.best.done and result.truncated_count == 0
-        value = result.bindings.value("V0")
-        assert result.text == f"cd{value}bd" and not value.endswith("a")
+        for kind in ("beamvar", "beam"):
+            result = decode(sketch, lm, DecoderConfig(kind=kind, width=2))
+            assert result.best.done and result.truncated_count == 0, kind
+            value = result.bindings.value("V0")
+            assert result.text == f"cd{value}bd" and not value.endswith("a"), kind
         for config in configs:
             try:
                 decode(sketch, lm, DecoderConfig(**config))
@@ -229,7 +230,9 @@ def test_member_fallback_skips_a_misaligned_member(server):
     lm = remote(server)
     spec = VariableSpec("X", one_of=OneOf(("b", "c")), max_tokens=2)
     sketch = Sketch(name="s", chunks=(Chunk.variable(spec),))
-    eng = _Engine(StaticSketchSource(sketch), lm, DecoderConfig())
+    # room for the hand-built "ca" before the value; the sketch alone
+    # would have a cap of 2
+    eng = _Engine(StaticSketchSource(sketch), lm, DecoderConfig(global_max_tokens=4))
     toks = lm.tokenize("ca")
     h = Hypothesis().with_forced_span(toks, [-1.0] * len(toks), "ca")
     # "ca" + "b" comes back as "c", "ab": only "c" can be scored

@@ -3,7 +3,6 @@ rebuilt the bindings, tokenized every forced chunk and started every
 variable's mask state anew for each hypothesis; and the work a decode does
 there."""
 import dataclasses
-import itertools
 from collections import Counter
 
 import pytest
@@ -215,43 +214,18 @@ def test_settle_equals_the_reference(record_tree, monkeypatch):
             assert got == want, (label, name)
 
 
-def test_the_start_memo_holds_every_spec_it_keys():
-    """Start states are kept by the spec's id, so each entry holds its spec:
-    a spec a program drops cannot be freed, and its id taken by a new spec,
-    while the id is a key.  Each settle here opens a new spec."""
-    one_ofs = itertools.cycle([None, OneOf(("a",)), OneOf(("b", "c"))])
-    source = DynamicSketchSource(
-        lambda values: [Chunk.variable(VariableSpec("X", one_of=next(one_ofs)))]
-    )
-    eng = _Engine(source, random_backend(0), DecoderConfig())
-    for _ in range(9):
-        h = eng.settle(Hypothesis())
-        state, one_of = h.open_state, h.open_spec.one_of
-        assert (state.index is None) == (one_of is None)
-        assert one_of is None or state.index.members == one_of.members
-    assert len(eng._starts) == 9
-    assert all(id(spec) == key for key, (spec, _) in eng._starts.items())
-
-
 class WorkCounts:
-    """Per decode: the texts the backend tokenizes, the specs
-    ``MaskState.start`` starts (kept, so no id is reused among them), and
-    the values each settle asks the source with, beside the bindings of the
-    hypothesis settled."""
+    """Per decode: the texts the backend tokenizes, and the values each
+    settle asks the source with, beside the bindings of the hypothesis
+    settled."""
 
     def __init__(self, source, backend, monkeypatch):
-        self.tokenized, self.started = Counter(), []
-        self.asked, self.bound = [], []
-        tokenize, start = backend.tokenize, MaskState.start.__func__
-        pending, settle = source.pending, _Engine.settle
+        self.tokenized, self.asked, self.bound = Counter(), [], []
+        tokenize, pending, settle = backend.tokenize, source.pending, _Engine.settle
 
         def counted_tokenize(text):
             self.tokenized[text] += 1
             return tokenize(text)
-
-        def counted_start(cls, spec):
-            self.started.append(spec)
-            return start(cls, spec)
 
         def counted_pending(values):
             self.asked.append((type(values), dict(values)))
@@ -263,15 +237,11 @@ class WorkCounts:
             return settle(eng, h)
 
         monkeypatch.setattr(backend, "tokenize", counted_tokenize)
-        monkeypatch.setattr(MaskState, "start", classmethod(counted_start))
         monkeypatch.setattr(source, "pending", counted_pending)
         monkeypatch.setattr(_Engine, "settle", counted_settle)
 
-    def starts_per_spec(self) -> list[int]:
-        return list(Counter(map(id, self.started)).values())
 
-
-def test_a_decode_tokenizes_each_forced_text_and_starts_each_spec_once(monkeypatch):
+def test_a_static_decode_tokenizes_each_forced_text_once(monkeypatch):
     for seed in range(8):
         sketch, backend = random_fixture(seed)
         texts = {c.text for c in sketch.chunks if c.is_det}
@@ -285,7 +255,6 @@ def test_a_decode_tokenizes_each_forced_text_and_starts_each_spec_once(monkeypat
                     pass
             # the token cap tokenizes every deterministic chunk first
             assert counts.tokenized == Counter(texts), (seed, name)
-            assert max(counts.starts_per_spec()) == 1, (seed, name)
             assert counts.asked == counts.bound, (seed, name)
 
 
@@ -307,7 +276,6 @@ def test_a_dynamic_decode_tokenizes_each_forced_text_once(make, monkeypatch):
             counts = WorkCounts(source, backend, m)
             decode(source, backend, DecoderConfig(**config))
         assert counts.tokenized and max(counts.tokenized.values()) == 1, name
-        assert max(counts.starts_per_spec()) == 1, name
         assert counts.asked == counts.bound, name
 
 
