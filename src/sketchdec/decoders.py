@@ -27,33 +27,39 @@ A candidate (``_Cand``) is a parent hypothesis plus one appended token and
 what the step made of it.  Its rank key, normalized score and ``dead`` are
 computed from the parent, and its ``Hypothesis`` is built only when
 selection keeps it or a proposal extends it; most candidates of a wide
-search are pruned unbuilt.  All children of one parent are made in one
-batch (``_Engine.children``), which reads the parent's OneOf steps and
-normalization weight once for all of them.  A proposal walk
+search are pruned unbuilt.  The rank key orders as ``rank_key`` over the
+child's tokens, but holds the parent's tokens and the token apart after
+the length, so ranking copies no token tuple.  All children of one parent
+are made in one batch (``_Engine.children``), which reads the parent's
+OneOf steps and normalization weight once for all of them.  Each expansion
+reads its hypothesis's index entry once and hands it on: to the batch, to
+the member fallback, and to a draw node's children.  A proposal walk
 extends the candidate of its last step, and a member fallback is the
 candidate of the member's last token.  Both loops hand selection each
 expanded hypothesis with its candidates: that hypothesis's variable is
 their pool, and in a recorded tree a candidate's edge is every token past
-it.  Selection ranks each candidate once, and the recorded node takes its
-score from that key.  A sampled proposal's n samples walk one draw tree,
-so each node they visit reads its continuations once and makes each child
-once, however many samples pass through it.
+it.  Selection ranks each candidate once, and the recorded node takes the
+candidate's normalized score.  A sampled proposal's n samples walk one
+draw tree, so each node they visit reads its continuations once and makes
+each child once, however many samples pass through it.
 
 OneOf steps share one index (``_one_of_entry``), the lazy form of a
 state-to-token index: per (vocabulary, members, partial value), each
 token's ``one_of_move``, found on first test, the full token mask, built on
-first need, and each token's step per (token count, token budget).  A read
-of the n best allowed tokens walks the distribution best-first against the
-entry and stops at n, so only reads of every allowed token build masks; a
-OneOf child takes its step from the entry.  An entry is a pure function of
-its key, so the index is kept for the process and shared by every decode.
-``OneOf`` gives equal member sets one tuple, so sketches built apart over
-the same sets share entries when their backends share a vocabulary.  The
-index is bounded: at most ``ONE_OF_INDEX_SIZE`` entries, oldest evicted
-first.  An entry holds at most one move per vocabulary token, the mask,
-and one step per token for each (token count, budget) pair reached; it
-keeps its vocabulary alive, so up to ``ONE_OF_INDEX_SIZE`` vocabularies
-may outlive their backends.
+first need, and each token's step outcome per (token count, token budget):
+the new state, and whether the value closed or died.  ``_outcome`` rules
+that once, when the step is stored, and free-variable steps go through the
+same rule.  A read of the n best allowed tokens walks the distribution
+best-first against the entry and stops at n, so only reads of every
+allowed token build masks; a OneOf child takes its step from the entry.
+An entry is a pure function of its key, so the index is kept for the
+process and shared by every decode.  ``OneOf`` gives equal member sets one
+tuple, so sketches built apart over the same sets share entries when their
+backends share a vocabulary.  The index is bounded: at most
+``ONE_OF_INDEX_SIZE`` entries, oldest evicted first.  An entry holds at
+most one move per vocabulary token, the mask, and one step per token for
+each (token count, budget) pair reached; it keeps its vocabulary alive, so
+up to ``ONE_OF_INDEX_SIZE`` vocabularies may outlive their backends.
 
 Every hypothesis carries the text its tokens render to, and the engine
 hands it to the backend (``text=h.text``), so a backend keyed by prefix
@@ -74,7 +80,9 @@ that holds the cap's tokens is a dead end: its expansion is empty, and the
 backend is not read.  A member fallback skips a member whose tokens would
 pass the cap, and settle drops a hypothesis whose forced text passes it.
 Each counts one truncation.  So no loop needs a step bound: every step adds
-a token to each live hypothesis, and the search ends when none is left.
+a token to each live hypothesis, and the search ends when none is left.  A
+decode that then fails raises ``TemplateUnsatisfiable`` with the count, and
+names the cap when the count is positive.
 
 Deterministic chunks are forced but still likelihood-scored, so a
 hypothesis whose committed values make later fixed text improbable pays
@@ -90,7 +98,6 @@ import random
 import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .constraints import MAX_TOKENS, MaskState, TerminationVerdict, advance
@@ -98,13 +105,7 @@ from .constraints import compute_mask, one_of_move, one_of_step
 from .errors import DeadEnd, ForcedTextMisaligned, InstanceTooLarge
 from .errors import TemplateUnsatisfiable
 from .lm import NEG_INF, LMBackend, ordered_sum
-from .scoring import (
-    Hypothesis,
-    ScoreParams,
-    normalization_weight,
-    rank_hypotheses,
-    rank_key,
-)
+from .scoring import Hypothesis, ScoreParams, normalization_weight, rank_hypotheses
 from .sketch import Bindings, StaticSketchSource, as_source
 from .trace import TraceRecorder
 
@@ -292,6 +293,12 @@ class _Engine:
             return h.with_open_variable(var_chunk.var, MaskState.start(var_chunk.var))
         return self._mark_done(h)
 
+    def unsatisfiable(self, reason: str) -> TemplateUnsatisfiable:
+        """The error that ends a decode with no finished hypothesis: it
+        carries the truncation count, and names the cap when that count is
+        positive."""
+        return TemplateUnsatisfiable(reason, self.truncated, self.cap)
+
     def _mark_done(self, h: Hypothesis) -> Hypothesis:
         nid = h.node_id
         if self.recorder is not None:
@@ -307,14 +314,20 @@ class _Engine:
 
     # -- variable expansion --------------------------------------------------
 
+    def entry(self, h: Hypothesis) -> "_OneOfEntry | None":
+        """The OneOf index entry of h's open state; None for a free
+        variable."""
+        state = h.open_state
+        return None if state.index is None else _one_of_entry(state, self.backend.vocab)
+
     def allowed_continuations(
-        self, h: Hypothesis, n: int | None = None
+        self, h: Hypothesis, entry: "_OneOfEntry | None", n: int | None = None
     ) -> list[tuple[int, float]] | None:
         """Allowed (token, logprob) pairs, best-first: the n best, or all.
 
         An unconstrained variable allows every token.  Under OneOf, a
-        complete distribution is walked best-first against the OneOf
-        index until n tokens pass, or else read through the token mask.  A
+        complete distribution is walked best-first against h's ``entry``
+        until n tokens pass, or else read through the token mask.  A
         truncated one gives the tokens that pass, and if none does, None:
         the caller must fall back to scoring whole member completions.
         [] at a dead end: no vocabulary token can extend the value, or h
@@ -324,12 +337,10 @@ class _Engine:
         if len(h.tokens) >= self.cap:
             self.truncated += 1
             return []
-        state = h.open_state
         dist = self.backend.next_distribution(h.tokens, text=h.text)
-        if state.index is None:
+        if entry is None:
             # every token is allowed, as the unconstrained mask says
             return list(dist.entries if n is None else dist.top(n))
-        entry = _one_of_entry(state, self.backend.vocab)
         if not dist.complete:
             return [p for p in dist.entries if entry.accepts(p[0])] or None
         pairs = None if n is None else dist.first(n, entry.accepts)
@@ -338,20 +349,24 @@ class _Engine:
         return list(pairs or dist.allowed(entry.mask()))
 
     def children(
-        self, h: Hypothesis, pairs: Sequence[tuple[int, float]]
+        self,
+        h: Hypothesis,
+        entry: "_OneOfEntry | None",
+        pairs: Sequence[tuple[int, float]],
     ) -> list["_Cand"]:
         """The children of h by these (token, logprob) pairs, each closing
-        or killing the chunk as ruled; their Hypotheses are built on first
-        use.
+        or killing the chunk as ``_outcome`` rules; their Hypotheses are
+        built on first use.  ``entry`` is h's OneOf index entry, None for a
+        free variable.
 
-        What depends only on h is done once: the OneOf steps from h's
-        state, and the normalization weight, since every child has one
-        more token.
+        What depends only on h is done once: the step outcomes the entry
+        keeps for h's token count and budget, each read whole as (state,
+        closed, dead), and the normalization weight, since every child has
+        one more token.
         """
         spec, state = h.open_spec, h.open_state
-        entry = steps = None
-        if state.index is not None:
-            entry = _one_of_entry(state, self.backend.vocab)
+        steps = None
+        if entry is not None:
             steps = entry.steps[state.tokens_emitted, spec.max_tokens]
         weight = normalization_weight(self.score, len(h.tokens) + 1)
         raw, pieces, vocab = h.raw_score, self._pieces, self.backend.vocab
@@ -362,37 +377,27 @@ class _Engine:
                 move = None if entry is None else entry[token]
                 if move is None:
                     # a free variable, or an illegal token, which advance rejects
-                    step = advance(
-                        state, token, vocab, spec.stop_phrases, spec.max_tokens
+                    step = _outcome(
+                        advance(state, token, vocab, spec.stop_phrases, spec.max_tokens)
                     )
                 else:
-                    step = steps[token] = one_of_step(state, move, spec.max_tokens)
-            new_state, verdict = step
-            if verdict.closes_chunk:
-                # running out of tokens inside a OneOf value kills it
-                dead = verdict.status == MAX_TOKENS and new_state.constrained
-                closed = not dead
-            else:
-                closed = dead = False
+                    step = steps[token] = _outcome(
+                        one_of_step(state, move, spec.max_tokens)
+                    )
+            new_state, closed, dead = step
+            norm = weight * (raw + logprob)
             out.append(
-                _Cand(
-                    h,
-                    token,
-                    pieces[token],
-                    logprob,
-                    new_state,
-                    closed,
-                    dead,
-                    weight * (raw + logprob),
-                )
+                _Cand(h, token, pieces[token], logprob, new_state, closed, dead, norm)
             )
         return out
 
     def apply_token(self, h: Hypothesis, token: int, logprob: float) -> "_Cand":
         """The one child of h by this token, as ``children`` makes it."""
-        return self.children(h, ((token, logprob),))[0]
+        return self.children(h, self.entry(h), ((token, logprob),))[0]
 
-    def fallback_completions(self, h: Hypothesis) -> list["_Cand"]:
+    def fallback_completions(
+        self, h: Hypothesis, entry: "_OneOfEntry"
+    ) -> list["_Cand"]:
         """Score whole member completions when the truncated distribution
         has no allowed token (one forced-scoring call per member); a member
         the backend cannot align with h's text is skipped, and so is one
@@ -420,7 +425,7 @@ class _Engine:
                 lps = self.backend.score_forced(h.tokens, toks, text=h.text)
             except ForcedTextMisaligned:
                 continue
-            cand = self.apply_token(h, toks[0], lps[0])
+            cand = self.children(h, entry, ((toks[0], lps[0]),))[0]
             for t, lp in zip(toks[1:], lps[1:]):
                 if cand.dead or cand.closed:
                     break
@@ -436,10 +441,11 @@ class _Engine:
 
         Returns [] when the hypothesis is at a dead end.
         """
-        pairs = self.allowed_continuations(h, n)
+        entry = self.entry(h)
+        pairs = self.allowed_continuations(h, entry, n)
         if pairs is None:
-            return self.fallback_completions(h)[:n]
-        return self.children(h, pairs[:n])
+            return self.fallback_completions(h, entry)[:n]
+        return self.children(h, entry, pairs[:n])
 
     # -- selection -------------------------------------------------------
 
@@ -453,8 +459,8 @@ class _Engine:
         which join the pool of h's open variable, closing or not.  A
         recorded tree gets one node per candidate, in rank order, under h's
         node: its edge is the tokens past h, with their log-probabilities
-        added in order, and its score comes from the rank key.  Each
-        survivor is built under its new node."""
+        added in order, and its score is the candidate's normalized score.
+        Each survivor is built under its new node."""
         by_pool: dict[int, list[tuple[Hypothesis, _Cand]]] = {}
         for h, cands in expansions:
             if cands:
@@ -465,12 +471,10 @@ class _Engine:
         recorder, token_text = self.recorder, self.backend.vocab.token_text
         kept: list[Hypothesis] = []
         for pool, w in zip(pools, allocate_pools(pools, width)):
-            ranked = sorted(
-                ((c.rank_key(), h, c) for h, c in pool.members), key=itemgetter(0)
-            )
-            alive = [i for i, (_, _, c) in enumerate(ranked) if not c.dead]
+            ranked = sorted(pool.members, key=lambda hc: hc[1].rank_key())
+            alive = [i for i, (_, c) in enumerate(ranked) if not c.dead]
             survivors = set(alive[:w])
-            for rank, (key, h, c) in enumerate(ranked):
+            for rank, (h, c) in enumerate(ranked):
                 nid = 0
                 if recorder is not None:
                     start = len(h.tokens)
@@ -478,7 +482,7 @@ class _Engine:
                         h.node_id,
                         "".join(map(token_text, c.tokens[start:])),
                         c.logprob_from(start),
-                        -key[0],
+                        c.normalized_score(),
                         pool.variable_index,
                         "expanded" if rank in survivors else "pruned",
                     )
@@ -504,16 +508,16 @@ class _OneOfEntry(dict):
     """One state of the OneOf index: token -> ``one_of_move``
     (None when illegal), filled on first lookup; the state's token mask
     once a read needs every allowed token, empty at a dead end; and
-    ``steps``, per (token count, token budget), token -> the ``one_of_step``
-    state and verdict, which the engine fills for every hypothesis at that
-    count."""
+    ``steps``, per (token count, token budget), token -> the outcome of its
+    ``one_of_step`` as ``_outcome`` rules it, (state, closed, dead), which
+    the engine fills for every hypothesis at that count."""
 
     __slots__ = ("state", "vocab", "_mask", "steps")
 
     def __init__(self, state: MaskState, vocab):
         self.state, self.vocab, self._mask = state, vocab, None
         self.steps: defaultdict[
-            tuple[int, int], dict[int, tuple[MaskState, TerminationVerdict]]
+            tuple[int, int], dict[int, tuple[MaskState, bool, bool]]
         ] = defaultdict(dict)
 
     def __missing__(self, token: int) -> tuple[str, bool, bool] | None:
@@ -552,6 +556,17 @@ def _one_of_entry(state: MaskState, vocab) -> _OneOfEntry:
                 del _ONE_OF_INDEX[next(iter(_ONE_OF_INDEX))]
             _ONE_OF_INDEX[key] = entry
     return entry
+
+
+def _outcome(
+    step: tuple[MaskState, TerminationVerdict],
+) -> tuple[MaskState, bool, bool]:
+    """A step's (state, closed, dead): a verdict that closes the chunk
+    seals the variable, but running out of tokens inside a OneOf value
+    kills it."""
+    state, verdict = step
+    dead = verdict.status == MAX_TOKENS and state.constrained
+    return state, verdict.closes_chunk and not dead, dead
 
 
 class _Cand:
@@ -622,7 +637,11 @@ class _Cand:
         return NEG_INF if self.dead else self.norm
 
     def rank_key(self) -> tuple:
-        return rank_key(self.normalized_score(), self.tokens)
+        """Orders as ``rank_key(self.normalized_score(), self.tokens)``
+        without copying the parent's tokens: lengths compare first, so the
+        parent's tokens and then the token compare as the child's would."""
+        p = self.parent.tokens
+        return (math.inf if self.dead else -self.norm, len(p) + 1, p, self.token)
 
     def logprob_from(self, start: int) -> float:
         """The log-probability of this candidate's tokens from index start
@@ -719,20 +738,21 @@ def _propose_sampled(eng: _Engine, h: Hypothesis, n: int) -> list[_Cand]:
 
 
 class _DrawNode:
-    """One node of a sampled proposal's draw tree: the allowed
-    continuations of the hypothesis reached, their cumulative draw
-    weights exp(lp), and the children made so far."""
+    """One node of a sampled proposal's draw tree: the hypothesis reached
+    with its OneOf index entry, its allowed continuations, their
+    cumulative draw weights exp(lp), and the children made so far."""
 
-    __slots__ = ("at", "pairs", "cum", "children")
+    __slots__ = ("at", "entry", "pairs", "cum", "children")
 
     def __init__(
         self,
         at: Hypothesis,
+        entry: _OneOfEntry | None,
         pairs: list[tuple[int, float]] | None,
         cum: list[float],
         children: list[_Cand | None],
     ):
-        self.at, self.pairs = at, pairs
+        self.at, self.entry, self.pairs = at, entry, pairs
         self.cum, self.children = cum, children
 
     @classmethod
@@ -741,9 +761,10 @@ class _DrawNode:
         fallback makes every option at once, weighed by the log-probability
         of its tokens past at; the weights are uniform when every one
         underflows to 0."""
-        pairs = eng.allowed_continuations(at)
+        entry = eng.entry(at)
+        pairs = eng.allowed_continuations(at, entry)
         if pairs is None:
-            children = eng.fallback_completions(at)
+            children = eng.fallback_completions(at, entry)
             start = len(at.tokens)
             weights = [math.exp(o.logprob_from(start)) for o in children]
         else:
@@ -753,15 +774,14 @@ class _DrawNode:
             return None
         if not any(w > 0.0 for w in weights):
             weights = [1.0] * len(weights)
-        return cls(at, pairs, list(itertools.accumulate(weights)), children)
+        return cls(at, entry, pairs, list(itertools.accumulate(weights)), children)
 
     def draw(self, eng: _Engine, rng: random.Random) -> _Cand:
         """One child, drawn by weight; made on its first draw."""
         i = rng.choices(range(len(self.cum)), cum_weights=self.cum)[0]
         child = self.children[i]
         if child is None:
-            token, logprob = self.pairs[i]
-            child = eng.apply_token(self.at, token, logprob)
+            child = eng.children(self.at, self.entry, self.pairs[i : i + 1])[0]
             self.children[i] = child
         return child
 
@@ -805,7 +825,7 @@ def _finish(
     eng: _Engine, done: list[Hypothesis]
 ) -> DecodeResult:
     if not done:
-        raise TemplateUnsatisfiable("no hypothesis completed the template")
+        raise eng.unsatisfiable("no hypothesis completed the template")
     ranked = rank_hypotheses(done, eng.score)
     return DecodeResult(
         best=ranked[0],
@@ -822,7 +842,7 @@ def _decode_beam(eng: _Engine) -> DecodeResult:
     width = eng.config.width
     h = eng.settle(Hypothesis())
     if h is None:
-        raise TemplateUnsatisfiable("the template's opening text died in settle")
+        raise eng.unsatisfiable("the template's opening text died in settle")
     alternatives: list[Hypothesis] = []
     while not h.done:
         name = h.open_spec.name
@@ -832,14 +852,14 @@ def _decode_beam(eng: _Engine) -> DecodeResult:
             finished += [k for k in kept if k.open_spec is None]
             active = [k for k in kept if k.open_spec is not None]
         if not finished:
-            raise TemplateUnsatisfiable(f"no candidate finished variable {name!r}")
+            raise eng.unsatisfiable(f"no candidate finished variable {name!r}")
         ranked = rank_hypotheses(finished, eng.score)
         for i, f in enumerate(ranked):
             h = eng.settle(f)
             if h is not None:
                 break
         else:
-            raise TemplateUnsatisfiable(
+            raise eng.unsatisfiable(
                 f"every finished value of variable {name!r} died in settle"
             )
         alternatives = ranked[i + 1 :]

@@ -85,7 +85,19 @@ class IllegalToken(SketchdecError):
 
 
 class TemplateUnsatisfiable(SketchdecError):
-    """Every hypothesis died before completing the template."""
+    """Every hypothesis died before completing the template.
+
+    ``truncated_count`` counts the times the token cap stopped a
+    hypothesis; when it is positive, the message names the cap too.
+    """
+
+    def __init__(
+        self, reason: str, truncated_count: int = 0, cap: int | None = None
+    ):
+        self.truncated_count = truncated_count
+        if truncated_count:
+            reason += f" under the token cap of {cap} (truncated_count={truncated_count})"
+        super().__init__(reason)
 
 
 class ConstraintViolation(SketchdecError):

@@ -21,9 +21,7 @@ from conftest import (
 )
 from sketchdec import decoders
 from sketchdec.constraints import (
-    CONTINUE,
     MAX_TOKENS,
-    MEMBER_COMPLETE,
     MaskState,
     advance,
     compute_mask,
@@ -46,6 +44,7 @@ from sketchdec.decoders import (
     decode_beamvar,
     decode_var,
     default_token_cap,
+    _Cand,
     _Engine,
     _one_of_entry,
 )
@@ -444,7 +443,7 @@ def test_a_hypothesis_at_the_cap_is_a_dead_end_without_a_backend_read(monkeypatc
             for name in ("next_distribution", "score_forced", "tokenize", "detokenize"):
                 m.setattr(backend, name, lambda *a, _n=name, **kw: calls.append(_n))
             for expand in (
-                lambda: eng.allowed_continuations(h),
+                lambda: eng.allowed_continuations(h, eng.entry(h)),
                 lambda: eng.expand_top(h, 2),
                 lambda: eng.expand_top(h, None),
                 lambda: decoders._propose(eng, h, 2),
@@ -465,7 +464,7 @@ def test_member_fallback_skips_a_member_past_the_cap():
     eng = _Engine(StaticSketchSource(sketch), backend, DecoderConfig(global_max_tokens=2))
     h = eng.settle(Hypothesis())
     assert h.m_total == 1 and len(backend.tokenize("cc")) == 2
-    options = eng.fallback_completions(h)
+    options = eng.fallback_completions(h, eng.entry(h))
     assert [o.state.partial_value for o in options] == ["a"]
     assert eng.truncated == 1
 
@@ -480,8 +479,14 @@ def test_unspellable_member_is_unsatisfiable():
         ),
     )
     for kind, width in ((ARGMAX, 1), (BEAM, 2), (VAR, 2), (BEAMVAR, 2)):
-        with pytest.raises(TemplateUnsatisfiable):
+        with pytest.raises(TemplateUnsatisfiable) as info:
             decode(sketch, backend, DecoderConfig(kind=kind, width=width))
+        # no truncation: the message does not name the cap
+        assert info.value.truncated_count == 0
+        assert str(info.value) in (
+            "no candidate finished variable 'X'",
+            "no hypothesis completed the template",
+        )
 
 
 def test_tree_recorded_only_on_request():
@@ -526,7 +531,7 @@ def test_unconstrained_continuations_equal_masked_entries(seed, ngram, prefix):
     h = h.with_open_variable(spec, MaskState.start(spec))
     mask = compute_mask(h.open_state, backend.vocab)
     want = [(t, lp) for t, lp in backend.next_distribution(prefix).entries if t in mask]
-    assert eng.allowed_continuations(h) == want
+    assert eng.allowed_continuations(h, eng.entry(h)) == want
 
 
 # -- pinned outputs -----------------------------------------------------------
@@ -660,6 +665,24 @@ def test_no_decoder_decodes_past_the_cap():
             decode(sketch, backend, DecoderConfig(global_max_tokens=1, **config))
         r = decode(sketch, backend, DecoderConfig(global_max_tokens=2, **config))
         assert r.best.m_total == 2, label
+
+
+def test_a_decode_the_cap_makes_unsatisfiable_says_so():
+    """Under every decoder, a template that only the token cap makes
+    unsatisfiable raises an error that names the cap and carries the
+    truncation count: the CLI's two-variable cap sketch on a uniform model,
+    under a one-token cap."""
+    sketch, _ = cap_escape_fixture()
+    vocab = Vocabulary(("", "a", "b", "c", "d"), eos_index=0)
+    backend = TableLM(vocab, {}, default_row=[0.2] * 5)
+    for label, config in decoder_configs():
+        with pytest.raises(TemplateUnsatisfiable) as info:
+            decode(sketch, backend, DecoderConfig(global_max_tokens=1, **config))
+        n = info.value.truncated_count
+        assert n > 0, label
+        assert str(info.value).endswith(
+            f" under the token cap of 1 (truncated_count={n})"
+        ), label
 
 
 def random_ngram_fixture(seed: int, order: int) -> tuple[Sketch, NGramLM]:
@@ -870,9 +893,9 @@ def test_truncated_distributions_fall_back_to_whole_members(monkeypatch):
     calls = []
     fallback = _Engine.fallback_completions
 
-    def counted(self, h):
+    def counted(self, h, entry):
         calls.append(h.open_state.partial_value)
-        return fallback(self, h)
+        return fallback(self, h, entry)
 
     monkeypatch.setattr(_Engine, "fallback_completions", counted)
     for label, config in decoder_configs(widths=(1, 2)):
@@ -1108,8 +1131,19 @@ def test_dead_end_mask_is_empty_on_every_lookup(monkeypatch):
     h = eng.apply_token(eng.settle(Hypothesis()), 1, -1.0).hyp
     # no token spells the "c" that "a" needs
     for _ in range(3):
-        assert eng.allowed_continuations(h) == []
+        assert eng.allowed_continuations(h, eng.entry(h)) == []
     assert [partial for _, partial in keys] == ["a"]
+
+
+def reference_outcome(new_state: MaskState, verdict) -> tuple[MaskState, bool, bool]:
+    """The transition rule written out, as (state, closed, dead): a verdict
+    that closes the chunk seals the variable, unless the token budget ran
+    out inside a OneOf value, which kills it."""
+    if not verdict.closes_chunk:
+        return new_state, False, False
+    if verdict.status == MAX_TOKENS and new_state.constrained:
+        return new_state, False, True
+    return new_state, True, False
 
 
 def eager_child(
@@ -1119,15 +1153,15 @@ def eager_child(
     the transition rule, written out with the Hypothesis steps, and whether
     it died."""
     spec = h.open_spec
-    new_state, verdict = advance(
-        h.open_state, token, eng.backend.vocab, spec.stop_phrases, spec.max_tokens
+    new_state, closed, dead = reference_outcome(
+        *advance(
+            h.open_state, token, eng.backend.vocab, spec.stop_phrases, spec.max_tokens
+        )
     )
     piece = eng.backend.detokenize((token,))
-    if verdict.closes_chunk:
-        if verdict.status == MAX_TOKENS and new_state.constrained:
-            return h.with_variable_token(token, logprob, new_state, piece), True
+    if closed:
         return h.with_closing_token(token, logprob, new_state, piece), False
-    return h.with_variable_token(token, logprob, new_state, piece), False
+    return h.with_variable_token(token, logprob, new_state, piece), dead
 
 
 member_sets = st.lists(
@@ -1159,10 +1193,10 @@ def child_specs(draw) -> VariableSpec:
 )
 def test_candidates_ranked_unbuilt_equal_built_children(seed, spec, headroom, score, path):
     """Every child along a walk (closing, continuing, dead at its token
-    budget), made in one batch per parent, reads the same rank key,
-    normalized score, pool and death from its parent as from the Hypothesis
-    built at once, stores that Hypothesis's score bits, and, while it
-    lives, builds to that Hypothesis.  A child past the global cap is made
+    budget), made in one batch per parent, reads the same rank key parts,
+    rank order, normalized score, pool and death from its parent as from
+    the Hypothesis built at once, stores that Hypothesis's score bits, and,
+    while it lives, builds to that Hypothesis.  A child past the global cap is made
     as one under it: the cap stops the expansion that would read its
     token, never the child."""
     backend = random_backend(seed)
@@ -1190,7 +1224,7 @@ def test_candidates_ranked_unbuilt_equal_built_children(seed, spec, headroom, sc
         continuing = []
         pairs = backend.next_distribution(h.tokens).allowed(mask)
         truncated = eng.truncated
-        cands = eng.children(h, pairs)
+        cands = eng.children(h, eng.entry(h), pairs)
         refs, deaths = zip(*(eager_child(eng, h, t, lp) for t, lp in pairs))
         assert eng.truncated == truncated
         assert len(cands) == len(pairs)
@@ -1199,9 +1233,22 @@ def test_candidates_ranked_unbuilt_equal_built_children(seed, spec, headroom, sc
         traced.select([(h, cands)], 1)
         pools = {n.token_text: n.pool for n in traced.recorder.tree().nodes[1:]}
         assert len(pools) == len(cands)
-        for (token, logprob), cand, ref, dead in zip(pairs, cands, refs, deaths):
-            norm = NEG_INF if dead else ref.normalized_score(score)
-            assert cand.rank_key() == rank_key(norm, ref.tokens)
+        norms = [
+            NEG_INF if dead else ref.normalized_score(score)
+            for ref, dead in zip(refs, deaths)
+        ]
+        # the batch ranks in the built children's order
+        assert sorted(range(len(cands)), key=lambda i: cands[i].rank_key()) == sorted(
+            range(len(cands)), key=lambda i: rank_key(norms[i], refs[i].tokens)
+        )
+        for (token, logprob), cand, ref, dead, norm in zip(
+            pairs, cands, refs, deaths, norms
+        ):
+            # the key is rank_key(norm, ref.tokens) with the tokens split
+            # into the parent's and the child's own
+            neg, length, parent_tokens, own = cand.rank_key()
+            assert (-neg).hex() == norm.hex()
+            assert (length, parent_tokens + (own,)) == (len(ref.tokens), ref.tokens)
             assert cand.normalized_score().hex() == norm.hex()
             if not dead:
                 assert cand.norm.hex() == norm.hex()
@@ -1223,12 +1270,51 @@ def test_candidates_ranked_unbuilt_equal_built_children(seed, spec, headroom, sc
         h = continuing[step % len(continuing)]
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    pool=st.lists(
+        st.tuples(
+            # the parent's tokens: member-fallback chains end on parents
+            # of different lengths
+            st.lists(st.integers(0, 2), max_size=3),
+            st.integers(0, 2),
+            # few scores, so equal floats recur; -0.0 equals 0.0
+            st.sampled_from([-1.5, -0.5, -0.0, 0.0, NEG_INF]),
+            st.booleans(),
+        ),
+        max_size=10,
+    )
+)
+def test_candidate_rank_keys_order_as_built_keys(pool):
+    """Over a pool of candidates, live and dead, ``_Cand.rank_key``
+    orders every pair as ``rank_key`` over the built child's normalized
+    score and tokens does."""
+    spec = VariableSpec("X", max_tokens=8)
+    state = MaskState("x", 1, None)
+    cands, built_keys = [], []
+    for prefix, token, norm, dead in pool:
+        lps, text = [-0.5] * len(prefix), "x" * len(prefix)
+        parent = Hypothesis().with_forced_span(prefix, lps, text)
+        parent = parent.with_open_variable(spec, MaskState.start(spec))
+        cands.append(_Cand(parent, token, "x", -0.5, state, False, dead, norm))
+        built = parent.with_variable_token(token, -0.5, state, "x")
+        built_keys.append(rank_key(NEG_INF if dead else norm, built.tokens))
+    keys = [c.rank_key() for c in cands]
+    for i in range(len(pool)):
+        for j in range(len(pool)):
+            assert (keys[i] < keys[j]) == (built_keys[i] < built_keys[j])
+            assert (keys[i] == keys[j]) == (built_keys[i] == built_keys[j])
+    assert sorted(range(len(pool)), key=keys.__getitem__) == sorted(
+        range(len(pool)), key=built_keys.__getitem__
+    )
+
+
 def test_one_of_steps_equal_advance_per_token_count_and_budget():
     """The index keeps each OneOf step per (token count, token budget):
     two specs sharing one members tuple under different budgets, and one
     value reached by two tokens ("a"+"b") or by one ("ab"), each get
-    ``advance``'s state and verdict; hypotheses at the same count and
-    budget share the step."""
+    ``advance``'s state, closed and dead as the transition rule reads its
+    verdict; hypotheses at the same count and budget share the step."""
     backend = random_backend(0)
     vocab = backend.vocab
     (a,), (b,), (ab,), (c,) = map(backend.tokenize, ("a", "b", "ab", "c"))
@@ -1260,15 +1346,17 @@ def test_one_of_steps_equal_advance_per_token_count_and_budget():
                     eng.apply_token(h, t, -0.5)
                 assert t not in steps
                 continue
-            assert eng.apply_token(h, t, -0.5).state == want[0]
+            want = reference_outcome(*want)
+            cand = eng.apply_token(h, t, -0.5)
+            assert (cand.state, cand.closed, cand.dead) == want
             assert steps[t] == want
     # "c" completes "abc" at X's budget after "a"+"b", and continues
     # toward "abcd" otherwise
-    statuses = [
-        entry.steps[h.open_state.tokens_emitted, h.open_spec.max_tokens][c][1].status
+    outcomes = [
+        entry.steps[h.open_state.tokens_emitted, h.open_spec.max_tokens][c][1:]
         for h in reached
     ]
-    assert statuses == [MEMBER_COMPLETE, CONTINUE, CONTINUE, CONTINUE]
+    assert outcomes == [(True, False), (False, False), (False, False), (False, False)]
     # a hypothesis that opens X on its own shares the first one's steps
     again = reach(specs[0], (a, b))
     assert again.open_state is reached[0].open_state
@@ -1301,13 +1389,20 @@ def check_invariants(h: Hypothesis, sketch: Sketch) -> None:
     labelled=st.sampled_from(list(decoder_configs())),
     cap=st.one_of(st.none(), st.integers(1, 12)),
     top_k=st.sampled_from([None, 2, 3]),
+    adjacent=st.booleans(),
 )
-def test_decode_invariants(seed, labelled, cap, top_k):
+def test_decode_invariants(seed, labelled, cap, top_k, adjacent):
     """On full and on truncated top-k backends, where a OneOf value can
     come from whole-member fallback; under a global cap, every decode
-    holds at most the cap's tokens or is unsatisfiable."""
+    holds at most the cap's tokens or is unsatisfiable.  With ``adjacent``
+    the sketch keeps only its variables, so no forced text follows a value
+    that closes at the cap: only the cap itself stops the next variable's
+    tokens."""
     _, config = labelled
     sketch = random_sketch(random.Random(seed))
+    if adjacent:
+        variables = tuple(c for c in sketch.chunks if c.is_var)
+        sketch = Sketch(name=sketch.name, chunks=variables)
     backend = random_backend(seed)
     if top_k is not None:
         backend = TopK(backend, top_k)

@@ -236,11 +236,12 @@ def test_member_fallback_skips_a_misaligned_member(server):
     toks = lm.tokenize("ca")
     h = Hypothesis().with_forced_span(toks, [-1.0] * len(toks), "ca")
     # "ca" + "b" comes back as "c", "ab": only "c" can be scored
-    options = eng.fallback_completions(h.with_open_variable(spec, MaskState.start(spec)))
+    h_x = h.with_open_variable(spec, MaskState.start(spec))
+    options = eng.fallback_completions(h_x, eng.entry(h_x))
     assert [o.state.partial_value for o in options] == ["c"]
     only_b = VariableSpec("X", one_of=OneOf(("b",)), max_tokens=2)
     opened = h.with_open_variable(only_b, MaskState.start(only_b))
-    assert eng.fallback_completions(opened) == []
+    assert eng.fallback_completions(opened, eng.entry(opened)) == []
 
 
 def test_forced_scoring_rejects_null_logprob_region():

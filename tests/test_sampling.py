@@ -51,9 +51,9 @@ def reference_proposals(eng: _Engine, h, n: int):
         while cur is None or not (cur.dead or cur.closed):
             at = h if cur is None else cur.hyp
             before = eng.truncated
-            pairs = eng.allowed_continuations(at)
+            pairs = eng.allowed_continuations(at, eng.entry(at))
             if pairs is None:
-                options = eng.fallback_completions(at)
+                options = eng.fallback_completions(at, eng.entry(at))
             # a member fallback truncates while it walks the members
             truncations["node", at.tokens] = eng.truncated - before
             if not (options if pairs is None else pairs):
