@@ -7,7 +7,8 @@ The backend protocol (``LMBackend``) is three methods:
 - ``score_forced(prefix, continuation, text=None)``: per-token
   log-probabilities of a forced continuation, computed in one pass over it
   rather than by one ``next_distribution`` call per token;
-- ``tokenize(text)``: token ids for forced text.
+- ``tokenize(text)``: token ids for forced text, which the local backends
+  segment once per vocabulary (a FIFO of ``TOKENIZE_MEMO_SIZE`` texts).
 
 ``text``, when given, is ``detokenize(prefix)``, which the caller already
 holds: the decoders carry each hypothesis's text along with its tokens.  A
@@ -64,6 +65,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from collections import Counter
 from collections.abc import Hashable
 from dataclasses import dataclass
@@ -75,6 +77,22 @@ from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 from .errors import ModelFileError, UnsegmentableText
 
 NEG_INF = float("-inf")
+
+# forced texts whose token ids a vocabulary keeps, oldest evicted first
+TOKENIZE_MEMO_SIZE = 1024
+
+_MEMO_LOCK = threading.Lock()
+
+
+def _remember(memo: dict, key: Hashable, value, size: int):
+    """Keep ``key -> value`` in a FIFO memo of at most ``size`` entries and
+    return ``value``.  Lookups take no lock; the lock keeps one thread at a
+    time evicting and inserting, so two threads never evict one key."""
+    with _MEMO_LOCK:
+        while len(memo) >= size:
+            del memo[next(iter(memo))]
+        memo[key] = value
+    return value
 
 
 def ordered_sum(values: Iterable[float]) -> float:
@@ -123,6 +141,8 @@ class Vocabulary:
         object.__setattr__(
             self, "_by_first", {c: tuple(ids) for c, ids in by_first.items()}
         )
+        # forced text -> its greedy segmentation, for LMBackend.tokenize
+        object.__setattr__(self, "_tokenized", {})
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -297,12 +317,18 @@ class LMBackend:
         raise NotImplementedError
 
     def tokenize(self, text: str) -> list[int]:
-        return greedy_tokenize(self.vocab, text)
+        """``greedy_tokenize``, kept per vocabulary; a fresh list each call."""
+        vocab = self.vocab
+        ids = vocab._tokenized.get(text)
+        if ids is None:
+            ids = tuple(greedy_tokenize(vocab, text))
+            _remember(vocab._tokenized, text, ids, TOKENIZE_MEMO_SIZE)
+        return list(ids)
 
     def detokenize(self, tokens: Sequence[int]) -> str:
         """The tokens' pieces concatenated; EOS renders as its vocabulary
         string."""
-        return "".join(self.vocab.tokens[t] for t in tokens)
+        return "".join(map(self.vocab.tokens.__getitem__, tokens))
 
 
 def _logify(probs: Sequence[float]) -> tuple[float, ...]:

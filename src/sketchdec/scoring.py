@@ -54,7 +54,7 @@ def rank_key(normalized: float, tokens: tuple[int, ...]) -> tuple:
     return (-normalized, len(tokens), tokens)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Span:
     """One consumed chunk: its text/value and token extent."""
 
@@ -64,6 +64,12 @@ class Span:
     start: int
     end: int
     raw_logprob: float
+
+    # stored into __dict__ key by key, in field order, as Hypothesis is
+    def __init__(self, kind, name, text, start, end, raw_logprob):
+        d = self.__dict__
+        d["kind"], d["name"], d["text"] = kind, name, text
+        d["start"], d["end"], d["raw_logprob"] = start, end, raw_logprob
 
 
 @dataclass(frozen=True, init=False)

@@ -15,10 +15,11 @@ choices dominate hypothesis ranking.
 
 The template's program and the backend take each action through one
 step rule, so the backend predicts the text the template forces next.
-The backend (``DungeonLM``) keeps no per-hypothesis state: each call
-walks its text once from the start, and forced scoring reads the
-continuation one segment at a time.  It keeps only a bounded memo of
-action rows, keyed by model state.
+Neither keeps per-hypothesis state, and neither reads text twice: the
+program keeps the walk after each sequence of actions, so a run takes one
+step from the run before it, and the backend (``DungeonLM``) keeps the
+state each walked text ends in, and resumes there.  Each memo is a
+bounded FIFO of immutable entries that threads may share.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from typing import Iterator, Sequence
 
 from ..decoders import DecoderConfig, decode
 from ..lm import NEG_INF, LMBackend, TokenDistribution, Vocabulary, ordered_sum
-from ..lm import _distribution, _logify
+from ..lm import _distribution, _logify, _remember
 from ..sketch import Chunk, DynamicSketchSource, OneOf, Sketch, VariableSpec
 
 MAX_STEPS = 10
@@ -41,9 +42,11 @@ DET_CHAR_MASS = 0.95  # predicted next message character
 ACTION_MASS = 0.97
 TINY = 1e-9
 
-# a bound, because the model's walk goes on past the exit and the step
+# bounds, because the model's walk goes on past the exit and the step
 # cap, so a scored text can reach states that no decode reaches
 ACTION_MEMO_SIZE = 256
+WALK_MEMO_SIZE = 256
+REPLAY_MEMO_SIZE = 256
 
 ROOM_NAMES = (
     "Cellar",
@@ -183,6 +186,7 @@ _ACTION_SPECS = tuple(
     VariableSpec(name=f"ACTION_{index}", one_of=_ACTIONS, max_tokens=1)
     for index in range(MAX_STEPS)
 )
+_ACTION_NAMES = tuple(spec.name for spec in _ACTION_SPECS)
 
 
 def _messages(instance: DungeonInstance) -> tuple[str, ...]:
@@ -220,17 +224,35 @@ def _step(
 
 def dungeon_source(instance: DungeonInstance) -> DynamicSketchSource:
     messages = _messages(instance)
+    start = instance.start, messages[instance.start], False
+    # actions bound so far -> (node, text after the last action, ended)
+    replays: dict[tuple[str, ...], tuple[int, str, bool]] = {}
+
+    def replay(actions: tuple[str, ...]) -> tuple[int, str, bool]:
+        """One step from the walk before the last action, which is kept or
+        replayed in turn; an action after the exit is never read."""
+        kept = replays.get(actions)
+        if kept is None:
+            kept = start
+            if actions:
+                node, text, ended = kept = replay(actions[:-1])
+                if not ended:
+                    target = int(actions[-1])
+                    node, text = _step(instance, messages, node, len(actions), target)
+                    kept = node, text, instance.rooms[node] == "Exit"
+            _remember(replays, actions, kept, REPLAY_MEMO_SIZE)
+        return kept
 
     def program(values: dict[str, str]) -> list[Chunk]:
-        # text before the last binding was already emitted with earlier runs
-        node, text = instance.start, messages[instance.start]
-        for steps, spec in enumerate(_ACTION_SPECS, 1):
-            if spec.name not in values:
-                return [Chunk.det(text), Chunk.variable(spec)]
-            node, text = _step(instance, messages, node, steps, int(values[spec.name]))
-            if instance.rooms[node] == "Exit":
-                break
-        return [Chunk.det(text)]
+        # text before the last binding was already emitted with earlier runs;
+        # the actions are the values bound in step order up to the first gap
+        actions = tuple(map(values.get, _ACTION_NAMES[: len(values)]))
+        if None in actions:
+            actions = actions[: actions.index(None)]
+        _, text, ended = replay(actions)
+        if ended or len(actions) == MAX_STEPS:
+            return [Chunk.det(text)]
+        return [Chunk.det(text), Chunk.variable(_ACTION_SPECS[len(actions)])]
 
     return DynamicSketchSource(program)
 
@@ -252,20 +274,29 @@ def dungeon_vocab(instance: DungeonInstance) -> Vocabulary:
 
 
 _Segment = tuple[int, int, dict[int, int], str]  # (pos, node, visits, current)
+# (pos, node, steps, visits, current): a segment and the actions before it
+_State = tuple[int, int, int, dict[int, int], str]
 
 
 def _segments(
-    instance: DungeonInstance, messages: tuple[str, ...], text: str
+    instance: DungeonInstance, messages: tuple[str, ...], text: str, start=None
 ) -> Iterator[_Segment]:
-    """Walk ``text`` once, yielding each segment it reaches.
+    """Walk ``text`` once, yielding each segment it reaches, from the
+    first or from ``start``: a ``_State`` that the walk of a text sharing
+    ``text[:pos]`` reached.
 
     ``current`` is the segment's text from ``pos`` up to its action, at
     ``pos + len(current)``; ``visits`` counts arrivals per node and is
-    updated in place by the next step.  The walk goes on past the exit
-    and the step cap, as a model asked about such a text would.
+    updated in place by the next step (``start``'s is copied first).  The
+    walk goes on past the exit and the step cap, as a model asked about
+    such a text would.
     """
-    node, steps, pos = instance.start, 0, 0
-    visits, current = {node: 1}, messages[node]
+    if start is None:
+        node, steps, pos = instance.start, 0, 0
+        visits, current = {node: 1}, messages[node]
+    else:
+        pos, node, steps, visits, current = start
+        visits = dict(visits)
     while True:
         yield pos, node, visits, current
         pos += len(current) + 1  # past the segment's action
@@ -317,12 +348,15 @@ class DungeonLM(LMBackend):
     The row after a text is the action row at an action position, and
     otherwise the det row of the segment's next character, or the uniform
     row for a character outside the vocabulary.  The model keeps no
-    per-hypothesis state: each call walks its text once from the start,
-    through at most ``MAX_STEPS`` actions in a decoded transcript;
-    ``score_forced`` walks prefix and continuation as one text.  It keeps
-    only a FIFO memo of at most ``ACTION_MEMO_SIZE`` action rows, keyed by
-    the model state a row depends on: the node and its neighbours' visit
-    counts.  Every token but EOS is one character.
+    per-hypothesis state, and each call walks its text once;
+    ``score_forced`` walks prefix and continuation as one text.  A FIFO
+    memo of at most ``WALK_MEMO_SIZE`` walked texts keeps the state each
+    walk ended in, and a call resumes from that of its prefix text, or of
+    that text less its last character (every token but EOS is one
+    character), never from a state past the prefix; in a decode, a call
+    steps at most one action.  Another keeps at most ``ACTION_MEMO_SIZE``
+    action rows, keyed by the model state a row depends on: the node and
+    its neighbours' visit counts.
     """
 
     def __init__(self, instance: DungeonInstance):
@@ -344,6 +378,8 @@ class DungeonLM(LMBackend):
         )
         # (node, *neighbour visits) -> (distribution, log-probabilities by id)
         self._actions: dict[tuple, tuple[TokenDistribution, list[float]]] = {}
+        # walked text -> the state of its walk's last segment
+        self._walks: dict[str, _State] = {}
 
     def _action(
         self, node: int, visits: dict[int, int]
@@ -358,19 +394,28 @@ class DungeonLM(LMBackend):
             pairs = [*zip(ids, _logify([row[t] for t in ids])), *self._spread_pairs]
             lps = [lp for _, lp in sorted(pairs)]
             dist = TokenDistribution.from_pairs(pairs, complete=True)
-            cache = self._actions
-            if len(cache) >= ACTION_MEMO_SIZE:
-                del cache[next(iter(cache))]
-            memo = cache[key] = (dist, lps)
+            memo = _remember(self._actions, key, (dist, lps), ACTION_MEMO_SIZE)
         return memo
+
+    def _walk(self, key: str, text: str) -> Iterator[_State]:
+        """The states of ``text``'s walk from the kept state of its prefix
+        ``key``, or of ``key`` less its last character, or else from the
+        start; the last is kept under ``text``."""
+        walks = self._walks
+        start = walks.get(key) or walks.get(key[:-1])
+        steps = start[2] if start else 0
+        segments = _segments(self._instance, self._messages, text, start)
+        for steps, (pos, node, visits, current) in enumerate(segments, steps):
+            yield pos, node, steps, visits, current
+        if text not in walks:
+            _remember(walks, text, (pos, node, steps, visits, current), WALK_MEMO_SIZE)
 
     def next_distribution(
         self, prefix: Sequence[int], text: str | None = None
     ) -> TokenDistribution:
         key = self.detokenize(prefix) if text is None else text
-        for segment in _segments(self._instance, self._messages, key):
+        for pos, node, _, visits, current in self._walk(key, key):
             pass
-        pos, node, visits, current = segment
         if len(key) - pos == len(current):
             return self._action(node, visits)[0]
         char = current[len(key) - pos]
@@ -383,14 +428,13 @@ class DungeonLM(LMBackend):
         text: str | None = None,
     ) -> list[float]:
         """The rows ``next_distribution`` reads, from one walk of the
-        prefix and continuation together."""
+        prefix and continuation together, resumed where the prefix is."""
         tokens, eos = self.vocab.tokens, self.vocab.eos_index
         key = self.detokenize(prefix) if text is None else text
         walked = key + "".join(map(tokens.__getitem__, continuation))
         out: list[float] = []
         at, i, n = len(key), 0, len(continuation)  # text and token positions
-        for segment in _segments(self._instance, self._messages, walked):
-            pos, node, visits, current = segment
+        for pos, node, _, visits, current in self._walk(key, walked):
             action_at = pos + len(current)
             while i < n and at <= action_at:
                 # k tokens up to the segment's action that hold no EOS spell

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 
 from hypothesis import strategies as st
 
@@ -173,3 +174,19 @@ def small_oracle_fixture(seed: int) -> tuple[Sketch, StateTableLM]:
         chunks.append(Chunk.variable(spec))
         chunks.append(Chunk.det(rng.choice(letters)))
     return Sketch(name="oracle-fixture", chunks=tuple(chunks)), backend
+
+
+class YieldingDict(dict):
+    """A dict that lets other threads run between making an iterator and
+    reading it, and before deleting a key, which widens the windows in
+    which an unguarded eviction (``del d[next(iter(d))]``) meets another
+    thread's insert or eviction."""
+
+    def __iter__(self):
+        keys = super().__iter__()
+        time.sleep(0)
+        return keys
+
+    def __delitem__(self, key):
+        time.sleep(0)
+        super().__delitem__(key)

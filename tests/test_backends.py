@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from sketchdec import lm
 from sketchdec.errors import ModelFileError, UnsegmentableText
 from sketchdec.lm import (
     NGramLM,
@@ -54,6 +55,51 @@ def test_tokenize_detokenize_round_trip(pieces):
     text = "".join(pieces)
     tokens = greedy_tokenize(vocab, text)
     assert "".join(vocab.token_text(t) for t in tokens) == text
+
+
+def test_tokenize_segments_a_text_once_per_vocabulary(monkeypatch):
+    """Backends over one vocabulary share its segmentations: each text is
+    segmented once, every call gets a fresh list, and a list a caller
+    changes does not change what the next call returns.  A text that
+    cannot be segmented raises on every call."""
+    vocab = Vocabulary(("", "a", "b", "ab"), eos_index=0)
+    first = TableLM(vocab, {}, default_row=[0.25] * 4)
+    second = TableLM(vocab, {}, default_row=[0.25] * 4)
+    segmented = []
+    greedy = lm.greedy_tokenize
+
+    def counting(vocab, text):
+        segmented.append(text)
+        return greedy(vocab, text)
+
+    monkeypatch.setattr(lm, "greedy_tokenize", counting)
+    got = first.tokenize("aab")
+    assert got == [1, 3]
+    got.append(2)
+    got[0] = 3
+    again = second.tokenize("aab")
+    assert again == [1, 3] and again is not first.tokenize("aab")
+    assert segmented == ["aab"]
+    for _ in range(2):
+        with pytest.raises(UnsegmentableText):
+            first.tokenize("ax")
+    assert segmented == ["aab", "ax", "ax"]
+
+
+def test_tokenize_memo_stays_at_its_bound(monkeypatch):
+    """The vocabulary keeps at most ``TOKENIZE_MEMO_SIZE`` texts, oldest
+    evicted first, and a text read again after its eviction is segmented
+    again, to the same tokens."""
+    monkeypatch.setattr(lm, "TOKENIZE_MEMO_SIZE", 8)
+    vocab = Vocabulary(("", "a", "b", "ab"), eos_index=0)
+    backend = TableLM(vocab, {}, default_row=[0.25] * 4)
+    texts = ["".join(p) for n in range(1, 5) for p in itertools.product("ab", repeat=n)]
+    for text in texts:
+        assert backend.tokenize(text) == greedy_tokenize(vocab, text)
+        assert len(vocab._tokenized) <= 8
+    assert list(vocab._tokenized) == texts[-8:]
+    assert backend.tokenize(texts[0]) == greedy_tokenize(vocab, texts[0])
+    assert list(vocab._tokenized) == texts[-7:] + texts[:1]
 
 
 def logprobs(dist: TokenDistribution) -> dict[int, float]:

@@ -6,13 +6,13 @@ import math
 import random
 import sys
 import threading
-import time
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    YieldingDict,
     isolated_greedy,
     random_backend,
     random_fixture,
@@ -1070,17 +1070,6 @@ def test_one_of_index_stays_at_its_bound(monkeypatch):
     assert bounded == unbounded
 
 
-class _YieldingDict(dict):
-    """A dict that lets other threads run between making an iterator and
-    reading it, which widens the window in which an unguarded eviction
-    (``next(iter(...))``) meets another thread's insert."""
-
-    def __iter__(self):
-        keys = super().__iter__()
-        time.sleep(0)
-        return keys
-
-
 def test_concurrent_decodes_share_the_index(monkeypatch):
     """Two threads decoding over one backend, with room for two index
     entries so that nearly every lookup inserts and evicts while the other
@@ -1089,7 +1078,7 @@ def test_concurrent_decodes_share_the_index(monkeypatch):
     sketch, backend = large_ngram_fixture()
     configs = [config for _, config in decoder_configs(widths=(2,))] * 6
     want = [decode_fingerprint(sketch, backend, **config) for config in configs]
-    monkeypatch.setattr(decoders, "_ONE_OF_INDEX", _YieldingDict())
+    monkeypatch.setattr(decoders, "_ONE_OF_INDEX", YieldingDict())
     monkeypatch.setattr(decoders, "ONE_OF_INDEX_SIZE", 2)
     got: dict[int, list] = {}
     errors = []

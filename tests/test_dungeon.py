@@ -1,9 +1,13 @@
 """Graph-escape task: dynamic transcripts, greedy detours, searched exits."""
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import YieldingDict
+from sketchdec import lm
 from sketchdec.decoders import DecoderConfig, decode
 from sketchdec.tasks import dungeon
 
@@ -401,36 +405,42 @@ def _actions_in(text: str) -> int:
 
 
 def test_one_walk_per_backend_call(monkeypatch):
-    """Each backend call walks its text once from the start, stepping at
-    most the actions that text holds, and forced scoring reads many
-    characters per call."""
+    """Each backend call walks its text once.  It resumes from the kept
+    state of its prefix text, or of that text less its last character,
+    never from a state past the prefix, and steps only the actions past
+    that point: within a decode, at most one action per call.  A re-score
+    from the empty prefix steps every action, and forced scoring reads
+    many characters per call."""
     instance = dungeon.suite(0)[0]
     for config in (
         DecoderConfig(kind="argmax", width=1),
         DecoderConfig(kind="beamvar", width=2),
+        DecoderConfig(kind="var", width=2, proposal="branch"),
     ):
         backend = dungeon.dungeon_backend(instance)
-        calls = []  # the text, walks and steps of each backend call
+        calls = []  # per call: prefix text, text, walks, resume point, steps
         forced = 0
         segments = dungeon._segments
 
-        def counting_segments(instance, messages, text):
+        def counting_segments(instance, messages, text, start=None):
             record = calls[-1]
             record["walks"] += 1
-            for stepped, segment in enumerate(segments(instance, messages, text)):
+            record["resumed"] = 0 if start is None else start[2]
+            for stepped, segment in enumerate(segments(instance, messages, text, start)):
                 record["steps"] += stepped > 0
                 yield segment
 
         def counted(method):
             def call(prefix, *rest, **kw):
                 nonlocal forced
-                text = kw.get("text")
-                if text is None:
-                    text = backend.detokenize(prefix)
+                key = kw.get("text")
+                if key is None:
+                    key = backend.detokenize(prefix)
+                text = key
                 if rest:
                     forced += len(rest[0])
                     text += "".join(backend.vocab.tokens[t] for t in rest[0])
-                calls.append({"text": text, "walks": 0, "steps": 0})
+                calls.append({"key": key, "text": text, "walks": 0, "steps": 0})
                 return method(prefix, *rest, **kw)
 
             return call
@@ -441,13 +451,25 @@ def test_one_walk_per_backend_call(monkeypatch):
             backend, "next_distribution", counted(backend.next_distribution)
         )
         result = decode(dungeon.dungeon_source(instance), backend, config)
-        # a re-score of the decoded transcript steps every action in it
+        decoded = len(calls)
+        # a re-score of the decoded transcript, which the backend holds
+        # whole, steps every action in it
+        assert result.best.text in backend._walks
         backend.score_forced((), result.best.tokens)
         monkeypatch.undo()
         assert forced > 10 * len(calls)
         for call in calls:
             assert call["walks"] == 1
-            assert call["steps"] <= _actions_in(call["text"]) <= dungeon.MAX_STEPS
+            assert call["resumed"] <= _actions_in(call["key"])
+            actions = _actions_in(call["text"])
+            assert call["steps"] == actions - call["resumed"]
+            assert actions <= dungeon.MAX_STEPS
+        assert all(call["steps"] <= 1 for call in calls[:decoded])
+        assert calls[0]["resumed"] == 0
+        assert sum(call["steps"] for call in calls[:decoded]) <= (
+            _actions_in(result.best.text) + decoded
+        )
+        assert calls[-1]["resumed"] == 0
         assert calls[-1]["steps"] == len(result.bindings) > 0
 
 
@@ -603,3 +625,223 @@ def test_one_action_row_per_model_state(monkeypatch):
     built.clear()
     suite_pass()
     assert built == []
+
+
+def _read(backend, read):
+    """One backend read, as the bits of what it returns."""
+    kind, prefix, continuation, passed = read
+    text = "".join(backend.vocab.tokens[t] for t in prefix) if passed else None
+    if kind == "next":
+        dist = backend.next_distribution(prefix, text=text)
+        return [(t, lp.hex()) for t, lp in dist.entries]
+    return [x.hex() for x in backend.score_forced(prefix, continuation, text=text)]
+
+
+@st.composite
+def backend_reads(draw):
+    """An instance and runs of reads along its transcripts, as a decode
+    makes them: a next-token read, forced scores from there and from its
+    siblings (the prefix and one more token, as the children of a search
+    step read), a read where a score ends or one character on, with jumps
+    between transcripts and re-scores of whole transcripts from the empty
+    prefix.  Each read passes its prefix text or not; continuations may
+    hold EOS tokens."""
+    instance, transcripts = draw(walk_transcripts())
+    vocab = dungeon.dungeon_vocab(instance)
+    ids = st.integers(0, len(vocab) - 1)
+    # a character outside the vocabulary ("-" of "-1") becomes any token
+    streams = [[vocab.index_of(c) for c in text] for text in transcripts]
+    streams = [[draw(ids) if t is None else t for t in s] for s in streams]
+    reads = []
+    for _ in range(draw(st.integers(1, 4))):
+        tokens = draw(st.sampled_from(streams))
+        at = draw(st.integers(0, len(tokens)))
+        for _ in range(draw(st.integers(1, 8))):
+            kind = draw(st.sampled_from(("next", "forced", "sibling", "rescore")))
+            passed = draw(st.booleans())
+            if kind == "next":
+                reads.append(("next", tokens[:at], None, passed))
+                at = min(len(tokens), at + draw(st.integers(0, 1)))
+                continue
+            start = 0 if kind == "rescore" else at
+            end = len(tokens) if kind == "rescore" else draw(st.integers(at, len(tokens)))
+            prefix, continuation = tokens[:start], tokens[start:end]
+            if kind == "sibling":
+                prefix = prefix + [draw(ids)]
+                continuation = continuation[1:]
+            if draw(st.booleans()):
+                where = draw(st.integers(0, len(continuation)))
+                continuation.insert(where, vocab.eos_index)
+            reads.append(("forced", prefix, continuation, passed))
+            if kind == "forced":
+                at = min(len(tokens), end + draw(st.integers(0, 1)))
+    return instance, reads
+
+
+@settings(max_examples=80, deadline=None)
+@given(backend_reads(), st.sampled_from((1, 2, 256)), st.sampled_from((1, 256)))
+def test_warm_reads_equal_fresh_reads(case, walks, actions):
+    """One backend read in any order, its walks resumed from the states
+    that earlier reads kept, gives what a fresh backend gives each read,
+    bit for bit, under any memo bounds."""
+    instance, reads = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dungeon, "WALK_MEMO_SIZE", walks)
+        mp.setattr(dungeon, "ACTION_MEMO_SIZE", actions)
+        warm = dungeon.dungeon_backend(instance)
+        for read in reads:
+            assert _read(warm, read) == _read(dungeon.dungeon_backend(instance), read)
+            assert len(warm._walks) <= walks
+
+
+def test_rescore_of_a_text_held_whole():
+    """The backend keeps the state of a decoded transcript's last segment;
+    a re-score of the transcript from the empty prefix still scores it
+    from its first segment."""
+    instance = dungeon.suite(0)[0]
+    backend = dungeon.dungeon_backend(instance)
+    config = DecoderConfig(kind="beamvar", width=2)
+    result = decode(dungeon.dungeon_source(instance), backend, config)
+    tokens = list(result.best.tokens)
+    assert result.best.text in backend._walks
+    for text in ("", None):
+        read = ("forced", [], tokens, text is not None)
+        assert _read(backend, read) == _read(dungeon.dungeon_backend(instance), read)
+        assert sum(backend.score_forced((), tokens, text=text)) == pytest.approx(
+            result.best.raw_score
+        )
+
+
+@st.composite
+def value_dicts(draw):
+    """An instance and values bound as a decode binds them, by prefixes of
+    digit walks in any order, running past the exit and the step cap,
+    some with a gap."""
+    instance, actions = draw(action_strings())
+    walks = [actions] + [
+        draw(st.lists(st.sampled_from(dungeon.ACTION_DIGITS), max_size=12))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    dicts = []
+    for _ in range(draw(st.integers(1, 16))):
+        walk = draw(st.sampled_from(walks))
+        n = draw(st.integers(0, len(walk)))
+        values = {f"ACTION_{i}": walk[i] for i in range(n)}
+        if values and draw(st.integers(0, 4)) == 0:
+            del values[f"ACTION_{draw(st.integers(0, n - 1))}"]
+        dicts.append(values)
+    return instance, dicts
+
+
+def _replayed_run(instance: dungeon.DungeonInstance, values: dict) -> tuple:
+    """Reference program: the run after the values, every action replayed
+    from the start, up to the first unbound action or the exit."""
+    messages = _messages(instance)
+    node, text = instance.start, messages[instance.start]
+    for steps, spec in enumerate(dungeon._ACTION_SPECS, 1):
+        if spec.name not in values:
+            return dungeon.Chunk.det(text), dungeon.Chunk.variable(spec)
+        node, text = dungeon._step(instance, messages, node, steps, int(values[spec.name]))
+        if instance.rooms[node] == "Exit":
+            break
+    return (dungeon.Chunk.det(text),)
+
+
+@settings(max_examples=80, deadline=None)
+@given(value_dicts(), st.sampled_from((1, 2, 256)))
+def test_warm_source_runs_equal_fresh_runs(case, bound):
+    """A source asked in any order, each run one step from a kept run,
+    gives the runs of a fresh source and of a replay from the start,
+    values bound after the exit included, under any memo bound."""
+    instance, dicts = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dungeon, "REPLAY_MEMO_SIZE", bound)
+        warm = dungeon.dungeon_source(instance)
+        for values in dicts:
+            run = warm.pending(values)
+            assert run == dungeon.dungeon_source(instance).pending(values)
+            assert run == _replayed_run(instance, values)
+
+
+def test_walk_and_replay_memos_stay_at_their_bounds(monkeypatch):
+    """Over a long run of distinct texts and action sequences, past the
+    exit and the step cap, the walk and replay memos never hold more than
+    their bounds, and fill them."""
+    sizes: dict[int, list[int]] = {}  # memo id -> its size after each insert
+    remember = dungeon._remember
+
+    def counting(memo, key, value, size):
+        out = remember(memo, key, value, size)
+        sizes.setdefault(id(memo), []).append(len(memo))
+        return out
+
+    monkeypatch.setattr(dungeon, "_remember", counting)
+    instance = dungeon.gen_dungeon(0, 2)  # the start's neighbours are 0 and 1
+    backend = dungeon.dungeon_backend(instance)
+    text = _transcript(instance, ("0" + str(instance.start)) * 200)
+    tokens = [backend.vocab.index_of(c) for c in text]
+    for at in range(0, len(text), 17):
+        backend.next_distribution(tokens[:at], text=text[:at])
+        backend.score_forced(tokens[:at], tokens[at : at + 40])
+    walks = sizes[id(backend._walks)]
+    assert len(walks) > dungeon.WALK_MEMO_SIZE
+    assert max(walks) == walks[-1] == len(backend._walks) == dungeon.WALK_MEMO_SIZE
+
+    source = dungeon.dungeon_source(instance)
+    before = set(sizes)
+    for n in range(3 * dungeon.REPLAY_MEMO_SIZE):
+        digits = f"{n:04d}"[::-1]
+        source.pending({f"ACTION_{i}": d for i, d in enumerate(digits)})
+    (replays,) = (sizes[k] for k in set(sizes) - before)
+    assert len(replays) > dungeon.REPLAY_MEMO_SIZE
+    assert max(replays) == replays[-1] == dungeon.REPLAY_MEMO_SIZE
+
+
+def test_concurrent_decodes_share_backend_and_source(monkeypatch):
+    """Two threads decoding over one backend and one source, with room
+    for one entry in every memo, so that nearly every lookup inserts and
+    evicts while the other thread does too, both finish and get the
+    sequential decodes."""
+    instance = dungeon.suite(0)[0]
+    shared = [(dungeon.dungeon_source(instance), dungeon.dungeon_backend(instance))]
+    items = [(s, b, config) for s, b in shared for config in _SUITE_CONFIGS] * 20
+
+    def fingerprint(source, backend, config):
+        result = decode(source, backend, config)
+        return result.best.tokens, result.bindings, result.best.raw_score.hex()
+
+    want = [fingerprint(*item) for item in items]
+    for name in ("ACTION_MEMO_SIZE", "WALK_MEMO_SIZE", "REPLAY_MEMO_SIZE"):
+        monkeypatch.setattr(dungeon, name, 1)
+    monkeypatch.setattr(lm, "TOKENIZE_MEMO_SIZE", 1)
+    for _, backend in shared:
+        monkeypatch.setattr(backend, "_actions", YieldingDict())
+        monkeypatch.setattr(backend, "_walks", YieldingDict())
+    got: dict[int, list] = {}
+    errors = []
+
+    def work(name, order):
+        try:
+            shown = {i: fingerprint(*items[i]) for i in order}
+            got[name] = [shown[i] for i in range(len(items))]
+        except Exception as e:  # noqa: BLE001 - reported by the main thread
+            errors.append(e)
+
+    order = list(range(len(items)))
+    threads = [
+        threading.Thread(target=work, args=(0, order)),
+        threading.Thread(target=work, args=(1, order[::-1])),
+    ]
+    interval = sys.getswitchinterval()
+    # switch threads often, so that an insert lands inside another's evict
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert got == {0: want, 1: want}

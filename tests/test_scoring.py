@@ -369,3 +369,26 @@ def test_span_fields_round_trip():
         raw_logprob=-1.5,
     )
     assert s.end - s.start == 2
+
+
+def test_span_init_keeps_the_dataclass_behaviour():
+    """Span stores its fields through its own __init__, as Hypothesis
+    does, and is still a frozen value: equal by fields, hashable, with the
+    dataclass repr and positional or keyword construction."""
+    names = [f.name for f in dataclasses.fields(Span)]
+    assert names == ["kind", "name", "text", "start", "end", "raw_logprob"]
+    params = list(inspect.signature(Span.__init__).parameters)[1:]
+    assert params == names
+    s = Span("var", "X", "ab", 3, 5, -0.25)
+    assert s == Span(kind="var", name="X", text="ab", start=3, end=5, raw_logprob=-0.25)
+    assert s != Span("var", "X", "ab", 3, 5, -0.5)
+    assert hash(s) == hash(dataclasses.replace(s))
+    assert len({s, dataclasses.replace(s), dataclasses.replace(s, end=6)}) == 2
+    assert repr(s) == (
+        "Span(kind='var', name='X', text='ab', start=3, end=5, raw_logprob=-0.25)"
+    )
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, getattr(s, name))
+    with pytest.raises(TypeError):
+        Span("det", None, "a", 0, 1)
