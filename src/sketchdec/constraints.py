@@ -16,9 +16,9 @@ looked for only in the suffix the last token could have completed.
 
 The OneOf rule is written once, in ``one_of_move``.  A move does not
 depend on the chunk's token count, so the decoders keep moves and masks in
-one bounded index for the process, keyed by (vocabulary, members, partial
-value), and each ``one_of_step`` under it by token count and budget; this
-module keeps nothing.
+one bounded index per vocabulary, keyed by (members, partial value), and
+each ``one_of_step`` under it by token count and budget; this module keeps
+nothing.
 """
 from __future__ import annotations
 

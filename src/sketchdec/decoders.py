@@ -43,23 +43,23 @@ candidate's normalized score.  A sampled proposal's n samples walk one
 draw tree, so each node they visit reads its continuations once and makes
 each child once, however many samples pass through it.
 
-OneOf steps share one index (``_one_of_entry``), the lazy form of a
-state-to-token index: per (vocabulary, members, partial value), each
-token's ``one_of_move``, found on first test, the full token mask, built on
-first need, and each token's step outcome per (token count, token budget):
-the new state, and whether the value closed or died.  ``_outcome`` rules
-that once, when the step is stored, and free-variable steps go through the
-same rule.  A read of the n best allowed tokens walks the distribution
+OneOf steps share one index per vocabulary (``_one_of_entry``), the lazy
+form of a state-to-token index: per (members, partial value), each token's
+``one_of_move``, found on first test, the full token mask, built on first
+need, and each token's step outcome per (token count, token budget): the
+new state, and whether the value closed or died.  ``_outcome`` rules that
+once, when the step is stored, and free-variable steps go through the same
+rule.  A read of the n best allowed tokens walks the distribution
 best-first against the entry and stops at n, so only reads of every
 allowed token build masks; a OneOf child takes its step from the entry.
-An entry is a pure function of its key, so the index is kept for the
-process and shared by every decode.  ``OneOf`` gives equal member sets one
-tuple, so sketches built apart over the same sets share entries when their
-backends share a vocabulary.  The index is bounded: at most
-``ONE_OF_INDEX_SIZE`` entries, oldest evicted first.  An entry holds at
-most one move per vocabulary token, the mask, and one step per token for
-each (token count, budget) pair reached; it keeps its vocabulary alive, so
-up to ``ONE_OF_INDEX_SIZE`` vocabularies may outlive their backends.
+An entry is a pure function of its key and vocabulary, so the index lives
+on the vocabulary and is shared by every decode over it.  ``OneOf`` gives
+equal member sets one tuple, so sketches built apart over the same sets
+share entries when their backends share a vocabulary.  Each vocabulary's
+index is bounded: at most ``ONE_OF_INDEX_SIZE`` entries, oldest evicted
+first.  An entry holds at most one move per vocabulary token, the mask,
+and one step per token for each (token count, budget) pair reached; the
+index goes when its vocabulary goes.
 
 Every hypothesis carries the text its tokens render to, and the engine
 hands it to the backend (``text=h.text``), so a backend keyed by prefix
@@ -95,7 +95,6 @@ import hashlib
 import itertools
 import math
 import random
-import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -104,7 +103,7 @@ from .constraints import MAX_TOKENS, MaskState, TerminationVerdict, advance
 from .constraints import compute_mask, one_of_move, one_of_step
 from .errors import DeadEnd, ForcedTextMisaligned, InstanceTooLarge
 from .errors import TemplateUnsatisfiable
-from .lm import NEG_INF, LMBackend, ordered_sum
+from .lm import NEG_INF, LMBackend, _remember, ordered_sum
 from .scoring import Hypothesis, ScoreParams, normalization_weight, rank_hypotheses
 from .sketch import Bindings, StaticSketchSource, as_source
 from .trace import TraceRecorder
@@ -122,7 +121,7 @@ DEFAULT_DYNAMIC_CAP = 4096
 # closed candidates one exhaustive walk may collect; the largest pinned walk
 # collects 9,331
 EXHAUSTIVE_MAX_COMPLETIONS = 65_536
-# OneOf index entries kept for the process, oldest evicted first
+# OneOf index entries kept per vocabulary, oldest evicted first
 ONE_OF_INDEX_SIZE = 1024
 
 
@@ -537,24 +536,15 @@ class _OneOfEntry(dict):
         return self._mask
 
 
-# (id of the vocabulary, id of the OneOf members, partial value) -> entry.
-# An entry holds its vocabulary and its state, which holds the members, so
-# neither id can be reused while its key is here.  Lookups take no lock;
-# the lock keeps one thread at a time inserting and evicting.
-_ONE_OF_INDEX: dict[tuple[int, int, str], _OneOfEntry] = {}
-_ONE_OF_INDEX_LOCK = threading.Lock()
-
-
 def _one_of_entry(state: MaskState, vocab) -> _OneOfEntry:
-    """The index entry of a constrained state, made on first use."""
-    key = (id(vocab), id(state.index.members), state.partial_value)
-    entry = _ONE_OF_INDEX.get(key)
+    """The index entry of a constrained state, made on first use.  The key
+    is (id of the OneOf members, partial value): the entry holds its state,
+    which holds the members, so the id cannot be reused while the key is
+    in the index."""
+    index, key = vocab._one_of, (id(state.index.members), state.partial_value)
+    entry = index.get(key)
     if entry is None:
-        entry = _OneOfEntry(state, vocab)
-        with _ONE_OF_INDEX_LOCK:
-            while len(_ONE_OF_INDEX) >= ONE_OF_INDEX_SIZE:
-                del _ONE_OF_INDEX[next(iter(_ONE_OF_INDEX))]
-            _ONE_OF_INDEX[key] = entry
+        entry = _remember(index, key, _OneOfEntry(state, vocab), ONE_OF_INDEX_SIZE)
     return entry
 
 

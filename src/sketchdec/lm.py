@@ -7,8 +7,9 @@ The backend protocol (``LMBackend``) is three methods:
 - ``score_forced(prefix, continuation, text=None)``: per-token
   log-probabilities of a forced continuation, computed in one pass over it
   rather than by one ``next_distribution`` call per token;
-- ``tokenize(text)``: token ids for forced text, which the local backends
-  segment once per vocabulary (a FIFO of ``TOKENIZE_MEMO_SIZE`` texts).
+- ``tokenize(text)``: token ids for forced text, which every backend keeps
+  per vocabulary (a FIFO of ``TOKENIZE_MEMO_SIZE`` texts): the local ones
+  segment a text once, the remote one asks its service once.
 
 ``text``, when given, is ``detokenize(prefix)``, which the caller already
 holds: the decoders carry each hypothesis's text along with its tokens.  A
@@ -143,6 +144,8 @@ class Vocabulary:
         )
         # forced text -> its greedy segmentation, for LMBackend.tokenize
         object.__setattr__(self, "_tokenized", {})
+        # the decoders' OneOf index over this vocabulary
+        object.__setattr__(self, "_one_of", {})
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -317,13 +320,17 @@ class LMBackend:
         raise NotImplementedError
 
     def tokenize(self, text: str) -> list[int]:
-        """``greedy_tokenize``, kept per vocabulary; a fresh list each call."""
+        """``_segment``, kept per vocabulary; a fresh list each call."""
         vocab = self.vocab
         ids = vocab._tokenized.get(text)
         if ids is None:
-            ids = tuple(greedy_tokenize(vocab, text))
+            ids = tuple(self._segment(text))
             _remember(vocab._tokenized, text, ids, TOKENIZE_MEMO_SIZE)
         return list(ids)
+
+    def _segment(self, text: str) -> list[int]:
+        """Token ids of a text that ``tokenize`` has not kept."""
+        return greedy_tokenize(self.vocab, text)
 
     def detokenize(self, tokens: Sequence[int]) -> str:
         """The tokens' pieces concatenated; EOS renders as its vocabulary
@@ -424,10 +431,11 @@ class TableLM(StateTableLM):
     text exactly), so the two keys are equal.
 
     ``rows`` maps prefix strings to rows; a miss falls back to the default
-    row.  The mapping is copied and every row validated when the model is
-    built, so it is read as it stood then.  A key's model state is the key
-    itself when the mapping holds it, and None (the default row)
-    otherwise, so the kept rows are at most the mapping's rows plus one.
+    row.  The mapping and its rows are copied and every row validated when
+    the model is built, so it is read as it stood then.  A key's model
+    state is the key itself when the mapping holds it, and None (the
+    default row) otherwise, so the kept rows are at most the mapping's rows
+    plus one.
     """
 
     def __init__(
@@ -436,7 +444,7 @@ class TableLM(StateTableLM):
         rows: Mapping[str, Sequence[float]],
         default_row: Sequence[float],
     ):
-        rows = dict(rows)
+        rows = {key: tuple(row) for key, row in rows.items()}
         default = tuple(default_row)
         _check_row(default, "default row")
         if len(default) != len(vocab):

@@ -30,6 +30,7 @@ import json
 import logging
 import os
 import random
+import threading
 import time
 from typing import Sequence
 
@@ -44,10 +45,6 @@ from .errors import (
 from .lm import LMBackend, TokenDistribution, ordered_sum
 
 API_KEY_ENV = "SKETCHDEC_API_KEY"
-# texts whose service tokenization is kept; the oldest is dropped first, so a
-# long-running process holds a bounded cache while a decode's forced texts,
-# which recur across its steps, stay cached
-TOKENIZE_CACHE_SIZE = 1024
 
 logger = logging.getLogger(__name__)
 
@@ -56,22 +53,32 @@ class TokenRegistry:
     """Interns token strings; index 0 is end-of-sequence.
 
     Only strings the service returns are interned, so it holds at most the
-    service's distinct token strings plus EOS; it is never pruned."""
+    service's distinct token strings plus EOS; it is never pruned.  Like a
+    ``Vocabulary``, it keeps the backend's tokenizations and the decoders'
+    OneOf index over it."""
 
     def __init__(self, eos_text: str = ""):
         self.eos_index = 0
         self._texts: list[str] = [eos_text]
         self._by_text: dict[str, int] = {eos_text: 0}
+        self._tokenized: dict[str, tuple[int, ...]] = {}
+        self._one_of: dict = {}
+        self._lock = threading.Lock()
 
     def token_text(self, index: int) -> str:
         return self._texts[index]
 
     def intern(self, text: str) -> int:
+        """The text's index; a miss appends it under the lock, so two
+        threads never give one text two indices."""
         idx = self._by_text.get(text)
         if idx is None:
-            idx = len(self._texts)
-            self._texts.append(text)
-            self._by_text[text] = idx
+            with self._lock:
+                idx = self._by_text.get(text)
+                if idx is None:
+                    idx = len(self._texts)
+                    self._texts.append(text)
+                    self._by_text[text] = idx
         return idx
 
     def __len__(self) -> int:
@@ -132,7 +139,6 @@ class RemoteCompletionsLM(LMBackend):
         self._send_settings = {k: env[k] for k in ("proxies", "verify", "cert")}
         self.session.trust_env = False
         self.vocab = TokenRegistry(eos_text=eos_text)
-        self._tokenize_cache: dict[str, list[int]] = {}
         self._rng = random.Random(0x5EED)
 
     # -- transport -----------------------------------------------------------
@@ -197,13 +203,10 @@ class RemoteCompletionsLM(LMBackend):
             reg.token_text(t) for t in tokens if t != reg.eos_index
         )
 
-    def tokenize(self, text: str) -> list[int]:
+    def _segment(self, text: str) -> list[int]:
         """Split text into service tokens via a zero-completion echo call."""
         if text == "":
             return []
-        cached = self._tokenize_cache.get(text)
-        if cached is not None:
-            return list(cached)
         data = self._post(
             {
                 "model": self.model,
@@ -219,12 +222,7 @@ class RemoteCompletionsLM(LMBackend):
             raise ForcedScoringUnsupported(
                 "echo response does not reproduce the prompt text"
             )
-        toks = [self.vocab.intern(p) for p in pieces]
-        cache = self._tokenize_cache
-        if len(cache) >= TOKENIZE_CACHE_SIZE:
-            del cache[next(iter(cache))]
-        cache[text] = list(toks)
-        return toks
+        return [self.vocab.intern(p) for p in pieces]
 
     # -- scoring ---------------------------------------------------------
 

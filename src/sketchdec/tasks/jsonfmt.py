@@ -99,7 +99,7 @@ RECORDS = (
 @cache
 def json_vocab() -> Vocabulary:
     """One vocabulary for every record's backend, so that the decoders'
-    OneOf index, keyed by vocabulary, serves them all."""
+    OneOf index, kept on the vocabulary, serves them all."""
     narrative_pieces = sorted(
         {p for pat in _NARRATIVES for p in pat if not p.startswith("{")}
     )

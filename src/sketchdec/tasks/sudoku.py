@@ -37,7 +37,7 @@ EOS_MASS = 0.01
 @cache
 def sudoku_vocab() -> Vocabulary:
     """One vocabulary for every instance's backend, so that the decoders'
-    OneOf index, keyed by vocabulary, serves them all."""
+    OneOf index, kept on the vocabulary, serves them all."""
     return Vocabulary(tokens=("",) + DIGITS + (" ", "\n"), eos_index=0)
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
+import threading
 import time
 
 from hypothesis import strategies as st
@@ -190,3 +192,29 @@ class YieldingDict(dict):
     def __delitem__(self, key):
         time.sleep(0)
         super().__delitem__(key)
+
+
+def run_threads(work, orders) -> list[Exception]:
+    """Run ``work(name, order)`` in one thread per order, named by its
+    position, switching threads often so that one thread's memo insert
+    lands inside another's eviction, and return what the threads raised."""
+    errors = []
+
+    def run(name, order):
+        try:
+            work(name, order)
+        except Exception as e:  # noqa: BLE001 - returned to the caller
+            errors.append(e)
+
+    threads = [threading.Thread(target=run, args=args) for args in enumerate(orders)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return errors

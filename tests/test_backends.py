@@ -157,6 +157,19 @@ def test_table_rows_changed_after_construction_are_not_served():
     assert lm.score_forced([], [1, 1]) == [math.log(0.75), math.log(0.5)]
 
 
+def test_table_rows_changed_in_place_after_construction_are_not_served():
+    vocab = Vocabulary(("", "a", "b"), 0)
+    row = [0.2, 0.5, 0.3]
+    lm = TableLM(vocab, {"": row}, default_row=[0.5, 0.25, 0.25])
+    row[:] = [0.6, 0.3, 0.1]  # still a valid row
+    assert logprobs(lm.next_distribution([])) == {
+        0: math.log(0.2),
+        1: math.log(0.5),
+        2: math.log(0.3),
+    }
+    assert lm.score_forced([], [2]) == [math.log(0.3)]
+
+
 @given(st.data(), st.lists(st.integers(0, 4), max_size=6))
 def test_table_row_memo_equals_fresh_rows(data, cuts):
     vocab = data.draw(vocabularies())

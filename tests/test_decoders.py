@@ -4,8 +4,8 @@ import gc
 import hashlib
 import math
 import random
-import sys
-import threading
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -17,6 +17,7 @@ from conftest import (
     random_backend,
     random_fixture,
     random_sketch,
+    run_threads,
     stable_unit,
 )
 from sketchdec import decoders
@@ -1016,15 +1017,17 @@ def test_pinned_outputs_hold_with_one_index_entry(monkeypatch):
     """With room for one entry, nearly every OneOf lookup evicts the last
     one and makes its entry again, and every decode is the same."""
     monkeypatch.setattr(decoders, "ONE_OF_INDEX_SIZE", 1)
-    assert pinned_digests() == PINNED_DIGESTS
-    assert len(decoders._ONE_OF_INDEX) <= 1
+    runs = list(pinned_runs())
+    assert pinned_digests(runs) == PINNED_DIGESTS
+    assert max(len(backend.vocab._one_of) for _, _, backend, _ in runs) == 1
 
 
-def test_one_of_index_keys_on_the_vocabulary(monkeypatch):
+def test_one_of_index_keys_on_the_vocabulary():
     """Two vocabularies share one OneOf members tuple but spell token 3
     differently ("ab", which is a member, and "ba", which leaves every
     member).  Decoded one after the other, in either order, each gets the
-    decode it gets on an empty index."""
+    decode it gets on empty indexes, and leaves the other's index as it
+    was."""
     one_of = OneOf(("ab", "b"))
     sketch = Sketch(
         name="s",
@@ -1036,8 +1039,14 @@ def test_one_of_index_keys_on_the_vocabulary(monkeypatch):
     ]
 
     def fingerprints(order, config):
-        monkeypatch.setattr(decoders, "_ONE_OF_INDEX", {})
-        return {i: decode_fingerprint(sketch, backends[i], **config) for i in order}
+        for backend in backends:
+            backend.vocab._one_of.clear()
+        shown = {}
+        for i in order:
+            shown[i] = decode_fingerprint(sketch, backends[i], **config)
+            assert backends[i].vocab._one_of, label
+            assert not any(backends[j].vocab._one_of for j in order if j not in shown)
+        return shown
 
     for label, config in decoder_configs(widths=(1, 2)):
         cold = {**fingerprints([0], config), **fingerprints([1], config)}
@@ -1047,26 +1056,27 @@ def test_one_of_index_keys_on_the_vocabulary(monkeypatch):
 
 
 def test_one_of_index_stays_at_its_bound(monkeypatch):
-    """Decodes that make more distinct OneOf states than the bound leave
-    at most the bound in the index, and decode the same as with room for
-    every state."""
+    """Decodes that make more distinct OneOf states over a vocabulary than
+    the bound leave the bound in its index, and decode the same as with
+    room for every state."""
+    fixtures = [random_fixture(seed) for seed in range(10)]
     runs = [
-        (random_fixture(seed), config)
-        for seed in range(10)
+        (fixture, config)
+        for fixture in fixtures
         for _, config in decoder_configs(widths=(2,))
     ]
 
     def decode_all(bound):
-        index = {}
-        monkeypatch.setattr(decoders, "_ONE_OF_INDEX", index)
+        for _, backend in fixtures:
+            monkeypatch.setitem(vars(backend.vocab), "_one_of", {})
         monkeypatch.setattr(decoders, "ONE_OF_INDEX_SIZE", bound)
         shown = [decode_fingerprint(*fixture, **config) for fixture, config in runs]
-        return shown, len(index)
+        return shown, [len(backend.vocab._one_of) for _, backend in fixtures]
 
     unbounded, states = decode_all(10_000)
-    assert 16 < states < 10_000
-    bounded, kept = decode_all(16)
-    assert kept == 16
+    assert 2 < max(states) < 10_000
+    bounded, kept = decode_all(2)
+    assert kept == [min(n, 2) for n in states]
     assert bounded == unbounded
 
 
@@ -1078,36 +1088,81 @@ def test_concurrent_decodes_share_the_index(monkeypatch):
     sketch, backend = large_ngram_fixture()
     configs = [config for _, config in decoder_configs(widths=(2,))] * 6
     want = [decode_fingerprint(sketch, backend, **config) for config in configs]
-    monkeypatch.setattr(decoders, "_ONE_OF_INDEX", YieldingDict())
+    monkeypatch.setitem(vars(backend.vocab), "_one_of", YieldingDict())
     monkeypatch.setattr(decoders, "ONE_OF_INDEX_SIZE", 2)
     got: dict[int, list] = {}
-    errors = []
 
     def work(name, order):
-        try:
-            shown = {i: decode_fingerprint(sketch, backend, **configs[i]) for i in order}
-            got[name] = [shown[i] for i in range(len(configs))]
-        except Exception as e:  # noqa: BLE001 - reported by the main thread
-            errors.append(e)
+        shown = {i: decode_fingerprint(sketch, backend, **configs[i]) for i in order}
+        got[name] = [shown[i] for i in range(len(configs))]
 
     order = list(range(len(configs)))
-    threads = [
-        threading.Thread(target=work, args=(0, order)),
-        threading.Thread(target=work, args=(1, order[::-1])),
-    ]
-    interval = sys.getswitchinterval()
-    # switch threads often, so that an insert lands inside another's evict
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not errors, errors
+    assert run_threads(work, (order, order[::-1])) == []
     assert got == {0: want, 1: want}
+
+
+def dropped_vocabulary_fixture():
+    """A sketch whose variable is a OneOf of up to 40 members, a maker of
+    fresh 145-token table backends, each over its own vocabulary, and the
+    configs that fill its OneOf index, full masks included."""
+    letters = "abcdefghijklmnop"
+    tokens = ("",) + tuple(letters) + tuple(a + b for a in letters for b in letters[:8])
+    rng = random.Random(3)
+    members = {"".join(rng.choices(letters, k=rng.randint(2, 4))) for _ in range(40)}
+    spec = VariableSpec("X", one_of=OneOf(tuple(sorted(members))), max_tokens=4)
+    sketch = Sketch(name="s", chunks=(Chunk.det("a"), Chunk.variable(spec), Chunk.det("b")))
+    configs = [
+        DecoderConfig(kind=BEAMVAR, width=2),
+        DecoderConfig(kind=VAR, width=2, proposal=PROPOSAL_EXHAUSTIVE),
+    ]
+
+    def make() -> TableLM:
+        vocab = Vocabulary(tokens, eos_index=0)
+        return TableLM(vocab, {}, default_row=[1 / len(tokens)] * len(tokens))
+
+    return sketch, make, configs
+
+
+def test_dropped_vocabularies_take_their_index_with_them():
+    """Decodes over fresh vocabularies fill each one's OneOf index; once
+    their backends are dropped, no vocabulary is left alive."""
+    sketch, make, configs = dropped_vocabulary_fixture()
+    refs = []
+    for _ in range(8):
+        backend = make()
+        for config in configs:
+            decode(sketch, backend, config)
+        assert backend.vocab._one_of
+        refs.append(weakref.ref(backend.vocab))
+        del backend
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 8
+
+
+def test_memory_stays_flat_over_dropped_backends():
+    """Twenty backends, each decoded over and then dropped: from the second
+    on, what the process keeps grows by less than one live backend
+    holds."""
+    sketch, make, configs = dropped_vocabulary_fixture()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        kept = []
+        for _ in range(20):
+            backend = make()
+            for config in configs:
+                decode(sketch, backend, config)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del backend
+            gc.collect()
+            kept.append(tracemalloc.get_traced_memory()[0])
+            held -= kept[-1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert kept[-1] - kept[1] < held
 
 
 def test_dead_end_mask_is_empty_on_every_lookup(monkeypatch):

@@ -1,12 +1,10 @@
 """Graph-escape task: dynamic transcripts, greedy detours, searched exits."""
 import math
-import sys
-import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import YieldingDict
+from conftest import YieldingDict, run_threads
 from sketchdec import lm
 from sketchdec.decoders import DecoderConfig, decode
 from sketchdec.tasks import dungeon
@@ -818,30 +816,11 @@ def test_concurrent_decodes_share_backend_and_source(monkeypatch):
         monkeypatch.setattr(backend, "_actions", YieldingDict())
         monkeypatch.setattr(backend, "_walks", YieldingDict())
     got: dict[int, list] = {}
-    errors = []
 
     def work(name, order):
-        try:
-            shown = {i: fingerprint(*items[i]) for i in order}
-            got[name] = [shown[i] for i in range(len(items))]
-        except Exception as e:  # noqa: BLE001 - reported by the main thread
-            errors.append(e)
+        shown = {i: fingerprint(*items[i]) for i in order}
+        got[name] = [shown[i] for i in range(len(items))]
 
     order = list(range(len(items)))
-    threads = [
-        threading.Thread(target=work, args=(0, order)),
-        threading.Thread(target=work, args=(1, order[::-1])),
-    ]
-    interval = sys.getswitchinterval()
-    # switch threads often, so that an insert lands inside another's evict
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not errors, errors
+    assert run_threads(work, (order, order[::-1])) == []
     assert got == {0: want, 1: want}

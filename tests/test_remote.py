@@ -1,12 +1,16 @@
 """HTTP completions backend against an in-process mock service."""
+import gc
+import itertools
 import logging
 import math
 import random
+import time
+import weakref
 
 import pytest
 import requests
 
-from conftest import random_backend, random_sketch
+from conftest import YieldingDict, random_backend, random_sketch, run_threads
 from mock_openai import MockCompletionsServer
 from sketchdec.constraints import MaskState
 from sketchdec.decoders import DecoderConfig, _Engine, decode
@@ -20,7 +24,7 @@ from sketchdec.errors import (
 from sketchdec.lm import TableLM, Vocabulary
 from sketchdec.scoring import Hypothesis
 from sketchdec.sketch import Chunk, OneOf, Sketch, StaticSketchSource, VariableSpec
-from sketchdec import remote as remote_module
+from sketchdec import lm as lm_module
 from sketchdec.remote import RemoteCompletionsLM, TokenRegistry
 from sketchdec.tasks import fig1
 
@@ -101,17 +105,81 @@ def test_tokenize_uses_service_segmentation(server):
 
 
 def test_tokenize_cache_is_bounded(server, monkeypatch):
-    monkeypatch.setattr(remote_module, "TOKENIZE_CACHE_SIZE", 3)
+    monkeypatch.setattr(lm_module, "TOKENIZE_MEMO_SIZE", 3)
     lm = remote(server)
     texts = ["cab", "a", "b", "c", "ab"]
     first = [lm.tokenize(t) for t in texts]
-    assert list(lm._tokenize_cache) == ["b", "c", "ab"]  # oldest dropped first
+    assert list(lm.vocab._tokenized) == ["b", "c", "ab"]  # oldest dropped first
     before = len(server.requests)
     assert lm.tokenize("cab") == first[0]  # evicted: asks again, same ids
     assert len(server.requests) == before + 1
-    assert list(lm._tokenize_cache) == ["c", "ab", "cab"]
+    assert list(lm.vocab._tokenized) == ["c", "ab", "cab"]
     assert lm.tokenize("ab") == first[4]  # still cached
     assert len(server.requests) == before + 1
+
+
+def test_threads_share_the_tokenize_memo(server, monkeypatch):
+    """Three threads tokenizing through one backend, with room for one
+    text in its memo so that nearly every call inserts and evicts while
+    the others do too, all get the service's tokens."""
+    lm = remote(server)
+    texts = ["".join(t) for t in itertools.product("abc", repeat=4)]
+    want = {text: lm.tokenize(text) for text in texts}
+    monkeypatch.setattr(lm_module, "TOKENIZE_MEMO_SIZE", 1)
+    monkeypatch.setitem(vars(lm.vocab), "_tokenized", YieldingDict())
+    got = {}
+
+    def work(name, order):
+        got[name] = {text: lm.tokenize(text) for text in order}
+
+    orders = (texts, texts[::-1], random.Random(0).sample(texts, len(texts)))
+    assert run_threads(work, orders) == []
+    assert got == {0: want, 1: want, 2: want}
+
+
+class YieldingGets(dict):
+    """A dict that lets other threads run between a ``get`` and whatever
+    its caller does with the answer."""
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        time.sleep(0)
+        return value
+
+
+def test_registry_interns_one_text_once_under_threads():
+    """Three threads interning the same 300 new texts, each yielding after
+    every lookup, get one index per text between them."""
+    reg = TokenRegistry()
+    reg._by_text = YieldingGets(reg._by_text)
+    texts = [f"t{i}" for i in range(300)]
+    got = {}
+
+    def work(name, order):
+        got[name] = {text: reg.intern(text) for text in order}
+
+    orders = (texts, texts[::-1], random.Random(0).sample(texts, len(texts)))
+    assert run_threads(work, orders) == []
+    assert len(reg) == 301
+    assert got[0] == got[1] == got[2]
+    assert sorted(got[0].values()) == list(range(1, 301))
+
+
+def test_dropped_backends_take_their_registry_and_index_with_them(server):
+    """Decodes over fresh remote backends fill each registry's OneOf index;
+    once the backends are dropped, no registry is left alive."""
+    spec = VariableSpec("X", one_of=OneOf(("ab", "b", "ca")), max_tokens=3)
+    sketch = Sketch(name="s", chunks=(Chunk.det("c"), Chunk.variable(spec), Chunk.det("a")))
+    refs = []
+    for _ in range(4):
+        lm = remote(server)
+        for kind, width in (("argmax", 1), ("beamvar", 2)):
+            decode(sketch, lm, DecoderConfig(kind=kind, width=width))
+        assert lm.vocab._one_of and lm.vocab._tokenized
+        refs.append(weakref.ref(lm.vocab))
+        del lm
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 4
 
 
 def test_next_distribution_matches_local_by_text(server):

@@ -1,7 +1,6 @@
 """Digit-placement grid task: trap pairs punish greedy decoding."""
 import pytest
 
-from sketchdec import decoders
 from sketchdec.decoders import DecoderConfig, decode, decode_argmax, decode_beamvar
 from sketchdec.lm import ordered_sum
 from sketchdec.scoring import ScoreParams
@@ -27,8 +26,10 @@ def test_instances_share_the_one_of_index(monkeypatch):
     sets share one tuple and their backends one vocabulary, so once the
     first instance is decoded the others add no index entry."""
     suite = sudoku.suite(0)
+    vocab = suite[0][2].vocab
+    assert all(backend.vocab is vocab for _, _, backend in suite)
     index = {}
-    monkeypatch.setattr(decoders, "_ONE_OF_INDEX", index)
+    monkeypatch.setitem(vars(vocab), "_one_of", index)
     configs = [DecoderConfig(kind="argmax", width=1)] + [
         DecoderConfig(kind=k, width=2) for k in ("beam", "var", "beamvar")
     ]
