@@ -11,23 +11,23 @@ vocabulary: the sorted members that start with the partial value form
 one contiguous range found by bisection, and only the next few
 characters of those members are looked up as token texts.  The cost of
 a constrained step thus follows the size of that range and the longest
-token, and opening a OneOf variable builds no index.  Stop phrases are
-looked for only in the suffix the last token could have completed.
+token, and opening a OneOf variable builds nothing: it takes the set's
+``OneOf.index``.  Stop phrases are looked for only in the suffix the last
+token could have completed.
 
 The OneOf rule is written once, in ``one_of_move``.  A move does not
 depend on the chunk's token count, so the decoders keep moves and masks in
-one bounded index per vocabulary, keyed by (members, partial value), and
-each ``one_of_step`` under it by token count and budget; this module keeps
-nothing.
+one bounded index per vocabulary, keyed by (``OneOf.index``, partial
+value), and each ``one_of_step`` under it by token count and budget;
+this module keeps nothing.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DeadEnd, IllegalToken
-from .sketch import VariableSpec
+from .sketch import PrefixIndex, VariableSpec
 
 CONTINUE = "continue"
 STOP_PHRASE = "stop_phrase"
@@ -53,40 +53,6 @@ VERDICT_MEMBER = TerminationVerdict(MEMBER_COMPLETE)
 VERDICT_MAX_TOKENS = TerminationVerdict(MAX_TOKENS)
 
 
-class PrefixIndex:
-    """Sorted OneOf members answering prefix queries by bisection.
-
-    The members that start with a string form one contiguous run of the
-    sorted tuple, so every query is a bisection and no index is built.
-    ``members`` must be sorted, as ``OneOf.members`` always is.
-    """
-
-    __slots__ = ("members",)
-
-    def __init__(self, members: Iterable[str]):
-        self.members = tuple(members)
-
-    def span(self, s: str) -> tuple[int, int]:
-        """Index range of the members that start with s."""
-        n = len(s)
-        lo = bisect_left(self.members, s)
-        return lo, bisect_right(self.members, s, lo, key=lambda m: m[:n])
-
-    def is_prefix(self, s: str) -> bool:
-        """True when s is a prefix of at least one member."""
-        i = bisect_left(self.members, s)
-        return i < len(self.members) and self.members[i].startswith(s)
-
-    def is_member(self, s: str) -> bool:
-        i = bisect_left(self.members, s)
-        return i < len(self.members) and self.members[i] == s
-
-    def is_extendable(self, s: str) -> bool:
-        """True when some member is strictly longer than s and starts with it."""
-        i = bisect_right(self.members, s)
-        return i < len(self.members) and self.members[i].startswith(s)
-
-
 @dataclass(frozen=True)
 class MaskState:
     """Progress through one variable chunk: value so far plus token count."""
@@ -97,7 +63,7 @@ class MaskState:
 
     @classmethod
     def start(cls, spec: VariableSpec) -> "MaskState":
-        index = PrefixIndex(spec.one_of.members) if spec.one_of is not None else None
+        index = spec.one_of.index if spec.one_of is not None else None
         return cls(partial_value="", tokens_emitted=0, index=index)
 
     @property

@@ -44,7 +44,7 @@ draw tree, so each node they visit reads its continuations once and makes
 each child once, however many samples pass through it.
 
 OneOf steps share one index per vocabulary (``_one_of_entry``), the lazy
-form of a state-to-token index: per (members, partial value), each token's
+form of a state-to-token index: per (OneOf set, partial value), each token's
 ``one_of_move``, found on first test, the full token mask, built on first
 need, and each token's step outcome per (token count, token budget): the
 new state, and whether the value closed or died.  ``_outcome`` rules that
@@ -54,12 +54,13 @@ best-first against the entry and stops at n, so only reads of every
 allowed token build masks; a OneOf child takes its step from the entry.
 An entry is a pure function of its key and vocabulary, so the index lives
 on the vocabulary and is shared by every decode over it.  ``OneOf`` gives
-equal member sets one tuple, so sketches built apart over the same sets
-share entries when their backends share a vocabulary.  Each vocabulary's
-index is bounded: at most ``ONE_OF_INDEX_SIZE`` entries, oldest evicted
-first.  An entry holds at most one move per vocabulary token, the mask,
-and one step per token for each (token count, budget) pair reached; the
-index goes when its vocabulary goes.
+equal member sets one ``index``, the key's first half, so sketches built
+apart over the same sets share entries when their backends share a
+vocabulary.  Each vocabulary's index is bounded: at most
+``ONE_OF_INDEX_SIZE`` entries, oldest evicted first.  An entry holds at
+most one move per vocabulary token, the mask, and one step per token for
+each (token count, budget) pair reached; the index goes when its
+vocabulary goes.
 
 Every hypothesis carries the text its tokens render to, and the engine
 hands it to the backend (``text=h.text``), so a backend keyed by prefix
@@ -537,11 +538,9 @@ class _OneOfEntry(dict):
 
 
 def _one_of_entry(state: MaskState, vocab) -> _OneOfEntry:
-    """The index entry of a constrained state, made on first use.  The key
-    is (id of the OneOf members, partial value): the entry holds its state,
-    which holds the members, so the id cannot be reused while the key is
-    in the index."""
-    index, key = vocab._one_of, (id(state.index.members), state.partial_value)
+    """The index entry of a constrained state, made on first use, keyed by
+    (the OneOf set's ``PrefixIndex``, partial value)."""
+    index, key = vocab._one_of, (state.index, state.partial_value)
     entry = index.get(key)
     if entry is None:
         entry = _remember(index, key, _OneOfEntry(state, vocab), ONE_OF_INDEX_SIZE)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import random
 import threading
@@ -94,6 +95,9 @@ class RemoteCompletionsLM(LMBackend):
     when not passed explicitly; requests are sent without an Authorization
     header if neither is present.
 
+    ``timeout_s`` bounds the connect and each socket read, not the whole
+    request: a service that trickles its answer can hold an attempt longer.
+
     Proxies and the CA bundle are taken from the environment once, when the
     backend is built, and the session's ``trust_env`` is switched off: later
     changes to the environment are not seen, and ``.netrc`` is never read.
@@ -120,6 +124,10 @@ class RemoteCompletionsLM(LMBackend):
             raise ValueError(f"timeout_s must be positive, got {timeout_s!r}")
         if retries < 0:
             raise ValueError(f"retries must be non-negative, got {retries!r}")
+        if isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 1:
+            raise ValueError(f"top_k must be an integer >= 1, got {top_k!r}")
+        if not (backoff_base >= 0 and math.isfinite(backoff_base)):
+            raise ValueError(f"backoff_base must be finite and >= 0, got {backoff_base!r}")
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)

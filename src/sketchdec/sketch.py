@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import json
 import re
-import threading
-from dataclasses import dataclass
+import weakref
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -33,30 +34,52 @@ DEFAULT_MAX_TOKENS = 64
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
-# OneOf member sets kept for the process, oldest evicted first.  Equal sets
-# share one tuple, so the decoders' OneOf index, keyed by the tuple's id,
-# serves every sketch over the set; a set evicted here is only made again.
-ONE_OF_MEMBERS_SIZE = 1024
-_MEMBERS: dict[tuple[str, ...], tuple[str, ...]] = {}
-_MEMBERS_LOCK = threading.Lock()
+
+class PrefixIndex:
+    """A OneOf set's members, sorted, answering prefix queries by bisection:
+    the members that start with a string form one contiguous run.  ``OneOf``
+    makes one per member set; ``members`` must be sorted."""
+
+    __slots__ = ("members", "__weakref__")
+
+    def __init__(self, members: Iterable[str]):
+        self.members = tuple(members)
+
+    def span(self, s: str) -> tuple[int, int]:
+        """Index range of the members that start with s."""
+        n = len(s)
+        lo = bisect_left(self.members, s)
+        return lo, bisect_right(self.members, s, lo, key=lambda m: m[:n])
+
+    def is_prefix(self, s: str) -> bool:
+        """True when s is a prefix of at least one member."""
+        i = bisect_left(self.members, s)
+        return i < len(self.members) and self.members[i].startswith(s)
+
+    def is_member(self, s: str) -> bool:
+        i = bisect_left(self.members, s)
+        return i < len(self.members) and self.members[i] == s
+
+    def is_extendable(self, s: str) -> bool:
+        """True when some member is strictly longer than s and starts with it."""
+        i = bisect_right(self.members, s)
+        return i < len(self.members) and self.members[i].startswith(s)
 
 
-def _shared_members(members: tuple[str, ...]) -> tuple[str, ...]:
-    """The process's one tuple equal to ``members``."""
-    with _MEMBERS_LOCK:
-        kept = _MEMBERS.get(members)
-        if kept is None:
-            while len(_MEMBERS) >= ONE_OF_MEMBERS_SIZE:
-                del _MEMBERS[next(iter(_MEMBERS))]
-            kept = _MEMBERS[members] = members
-    return kept
+_INDEXES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
 class OneOf:
-    """Membership constraint: the decoded value must equal one member."""
+    """Membership constraint: the decoded value must equal one member.
+
+    Equal sets share one ``index`` (and ``members``, its tuple) while a
+    sketch or a decoder's index entry holds it.  Two threads that build
+    equal sets at once may each get their own: that loses sharing, not
+    correctness, since the decoders key their entries by identity."""
 
     members: tuple[str, ...]
+    index: PrefixIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.members:
@@ -66,8 +89,10 @@ class OneOf:
         if len(set(self.members)) != len(self.members):
             raise ValueError("OneOf members must be distinct")
         # canonical order makes structural equality independent of input order
-        members = _shared_members(tuple(sorted(self.members)))
-        object.__setattr__(self, "members", members)
+        members = tuple(sorted(self.members))
+        index = _INDEXES.setdefault(members, PrefixIndex(members))
+        object.__setattr__(self, "members", index.members)
+        object.__setattr__(self, "index", index)
 
 
 @dataclass(frozen=True)

@@ -179,11 +179,8 @@ def suite(seed: int = 0) -> list[DungeonInstance]:
 # --- dynamic sketch -----------------------------------------------------------
 
 
-# one spec per step, all over one OneOf, so the OneOf index (keyed by the
-# members tuple) shares its entries across steps and hypotheses
-_ACTIONS = OneOf(members=ACTION_DIGITS)
 _ACTION_SPECS = tuple(
-    VariableSpec(name=f"ACTION_{index}", one_of=_ACTIONS, max_tokens=1)
+    VariableSpec(name=f"ACTION_{index}", one_of=OneOf(ACTION_DIGITS), max_tokens=1)
     for index in range(MAX_STEPS)
 )
 _ACTION_NAMES = tuple(spec.name for spec in _ACTION_SPECS)
@@ -484,13 +481,16 @@ def replay_actions(instance: DungeonInstance, actions: list[str]) -> int | None:
 
 
 def run_dungeon(
-    instance: DungeonInstance, config: DecoderConfig
+    instance: DungeonInstance,
+    config: DecoderConfig,
+    source: DynamicSketchSource | None = None,
+    backend: DungeonLM | None = None,
 ) -> tuple[int | None, float]:
     """Decode the escape transcript; replay the chosen actions.
 
     Returns (steps to exit | None, best normalized score)."""
-    backend = dungeon_backend(instance)
-    source = dungeon_source(instance)
+    source = dungeon_source(instance) if source is None else source
+    backend = dungeon_backend(instance) if backend is None else backend
     result = decode(source, backend, config)
     actions = [b.value for b in result.bindings]
     return replay_actions(instance, actions), result.best.normalized_score(
@@ -517,13 +517,14 @@ def run_dungeon_task(
         DecoderConfig(kind="var", width=2, proposal="branch"),
         DecoderConfig(kind="beamvar", width=2),
     ]
-    instances = suite(seed)
+    # a source's and a backend's memos depend on the instance only
+    runs = [(i, dungeon_source(i), dungeon_backend(i)) for i in suite(seed)]
     reports = []
     for config in configs:
         steps_list = []
         norms = []
-        for instance in instances:
-            steps, norm = run_dungeon(instance, config)
+        for instance, source, backend in runs:
+            steps, norm = run_dungeon(instance, config, source, backend)
             norms.append(norm)
             if steps is not None:
                 steps_list.append(steps)
@@ -532,7 +533,7 @@ def run_dungeon_task(
                 decoder=config.kind,
                 width=config.width,
                 successes=len(steps_list),
-                total=len(instances),
+                total=len(runs),
                 mean_steps=(
                     sum(steps_list) / len(steps_list) if steps_list else None
                 ),

@@ -1123,6 +1123,21 @@ def dropped_vocabulary_fixture():
     return sketch, make, configs
 
 
+def test_sketches_built_apart_share_index_entries():
+    """Two sketches built apart over equal OneOf sets, decoded over one
+    vocabulary, leave as many index entries as one of them does."""
+    first, make, configs = dropped_vocabulary_fixture()
+    second, _, _ = dropped_vocabulary_fixture()
+    assert first.chunks[1].var.one_of.index is second.chunks[1].var.one_of.index
+    backend = make()
+    for config in configs:
+        decode(first, backend, config)
+    entries = len(backend.vocab._one_of)
+    for config in configs:
+        decode(second, backend, config)
+    assert len(backend.vocab._one_of) == entries > 0
+
+
 def test_dropped_vocabularies_take_their_index_with_them():
     """Decodes over fresh vocabularies fill each one's OneOf index; once
     their backends are dropped, no vocabulary is left alive."""
@@ -1162,6 +1177,41 @@ def test_memory_stays_flat_over_dropped_backends():
     finally:
         if not tracing:
             tracemalloc.stop()
+    assert kept[-1] - kept[1] < held
+
+
+def test_memory_stays_flat_over_dropped_member_sets():
+    """Twenty sketches, each over a fresh OneOf set of 2,000 members, each
+    decoded over a fresh backend and then dropped with it: every set's index
+    goes with its sketch, and from the second on, what the process keeps
+    grows by less than one live backend holds."""
+    _, make, _ = dropped_vocabulary_fixture()
+    config = DecoderConfig(kind=BEAMVAR, width=2)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        kept, refs = [], []
+        for i in range(20):
+            rng = random.Random(i)
+            members = {"".join(rng.choices("abcdefghijklmnop", k=8)) for _ in range(2000)}
+            spec = VariableSpec("X", one_of=OneOf(tuple(members)), max_tokens=8)
+            sketch = Sketch(name="s", chunks=(Chunk.det("a"), Chunk.variable(spec)))
+            backend = make()
+            decode(sketch, backend, config)
+            refs.append(weakref.ref(spec.one_of.index))
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del backend
+            gc.collect()
+            held -= tracemalloc.get_traced_memory()[0]
+            del members, spec, sketch
+            gc.collect()
+            kept.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert [ref() for ref in refs] == [None] * 20
     assert kept[-1] - kept[1] < held
 
 

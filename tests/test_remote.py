@@ -92,6 +92,24 @@ def test_bad_timeout_or_retries_is_refused_at_construction(setting):
         RemoteCompletionsLM("http://127.0.0.1:9", "m", api_key="k", **setting)
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"top_k": 0},
+        {"top_k": -3},
+        {"top_k": 2.5},
+        {"top_k": True},
+        {"backoff_base": -1},
+        {"backoff_base": math.nan},
+        {"backoff_base": math.inf},
+    ],
+)
+def test_bad_top_k_or_backoff_is_refused_at_construction(server, setting):
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        remote(server, **setting)
+    assert server.requests == []
+
+
 def test_tokenize_uses_service_segmentation(server):
     # trailing slash on the base url is normalized away
     lm = RemoteCompletionsLM(server.base_url + "/", "mock-model", api_key="k")

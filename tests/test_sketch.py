@@ -1,6 +1,8 @@
 """Template parsing, serialization, instantiation, and chunk sources."""
+import gc
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,21 +163,27 @@ def test_one_of_validation():
 
 
 def test_equal_one_of_sets_share_one_tuple():
-    """OneOf sets equal up to order share one members tuple, which the
-    decoders' OneOf index keys on by id; distinct sets do not."""
-    assert OneOf(("b", "a")).members is OneOf(["a", "b"]).members
-    assert OneOf(("a", "b")).members is not OneOf(("a", "c")).members
+    """OneOf sets equal up to order, built apart, share one index, on which
+    the decoders' OneOf index keys, and its members tuple; distinct sets do
+    not."""
+    ba, ab, ac = OneOf(("b", "a")), OneOf(["a", "b"]), OneOf(("a", "c"))
+    assert ba.index is ab.index and ba.members is ab.members is ab.index.members
+    assert ac.index is not ab.index and ac.members is not ab.members
+    assert ba == ab and ba != ac and hash(ba) == hash(ab)
+    assert repr(ab) == "OneOf(members=('a', 'b'))"
 
 
-def test_shared_one_of_sets_stay_at_their_bound(monkeypatch):
-    kept = {}
-    monkeypatch.setattr(sketch_module, "_MEMBERS", kept)
-    monkeypatch.setattr(sketch_module, "ONE_OF_MEMBERS_SIZE", 2)
-    sets = [OneOf((f"m{i}",)) for i in range(5)]
-    assert list(kept) == [("m3",), ("m4",)]
-    # an evicted set is made again, equal to the first
-    assert OneOf(("m0",)).members == sets[0].members
-    assert len(kept) == 2
+def test_a_one_of_set_lives_while_a_one_of_holds_it():
+    """A member set's index is kept only while a OneOf holds it: once the
+    last one goes, an equal set built later gets an index of its own."""
+    members = tuple(f"held-{i}" for i in range(3))
+    first = OneOf(members)
+    ref = weakref.ref(first.index)
+    assert sketch_module._INDEXES[first.members] is first.index
+    assert OneOf(members[::-1]).index is ref()
+    del first
+    gc.collect()
+    assert ref() is None and members not in sketch_module._INDEXES
 
 
 def test_variable_spec_validation():

@@ -126,10 +126,17 @@ def dungeon_decodes(config):
     ids=["sudoku", "dungeon"],
 )
 def test_task_mean_is_scored_under_the_configs_own_parameters(run_task, decodes):
-    config = DecoderConfig(kind="argmax", width=1, score=ScoreParams(alpha=1.0))
-    (report,) = run_task(configs=[config])
-    norms = [r.best.normalized_score(config.score) for r in decodes(config)]
-    assert report.mean_normalized_score.hex() == (ordered_sum(norms) / len(norms)).hex()
+    """Each default decoder, under scoring of its own, reports the mean of
+    decodes over fresh backends bit for bit, though the task decodes every
+    config over the same backends."""
+    configs = [
+        DecoderConfig(kind="argmax", width=1, score=ScoreParams(alpha=1.0)),
+        DecoderConfig(kind="var", width=2, proposal="branch", score=ScoreParams(beta=2.0)),
+        DecoderConfig(kind="beamvar", width=2, score=ScoreParams(alpha=0.0)),
+    ]
+    for report, config in zip(run_task(configs=configs), configs, strict=True):
+        norms = [r.best.normalized_score(config.score) for r in decodes(config)]
+        assert report.mean_normalized_score.hex() == (ordered_sum(norms) / len(norms)).hex()
 
 
 def reordered_sketch(instance, name: str = "sudoku-reordered") -> Sketch:
