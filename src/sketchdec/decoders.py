@@ -65,15 +65,13 @@ vocabulary goes.
 Every hypothesis carries the text its tokens render to, and the engine
 hands it to the backend (``text=h.text``), so a backend keyed by prefix
 text does not join the prefix again on every call.  A forced chunk appends
-its own text; a variable token appends ``backend.detokenize((token,))``,
-kept per decode (``_Engine._pieces``).
+its own text; a variable token appends its piece, read from the
+vocabulary (``vocab.pieces[token]``).
 
 Settling a hypothesis scores forced text and does little else.  It asks
 the source for the next run with a plain dict of the values bound so far,
-built in one pass over the spans.  Forced text is tokenized once per decode:
-``_Engine._forced`` keeps each text's tokens for the engine's life, as
-``_pieces`` keeps each token's text, and the default token cap fills it
-first.
+built in one pass over the spans.  A forced text's tokens are the tuple the
+vocabulary keeps (``backend.tokenize``).
 
 The token cap (``global_max_tokens``, or the default cap) bounds every
 hypothesis under every decoder, where its tokens are added.  A hypothesis
@@ -240,12 +238,10 @@ class _Engine:
         self.config = config
         self.score = config.score
         self.recorder = TraceRecorder() if config.record_tree else None
-        self._pieces = _Memo(lambda token: backend.detokenize((token,)))
-        self._forced = _Memo(lambda text: tuple(backend.tokenize(text)))
         self.cap = (
             config.global_max_tokens
             if config.global_max_tokens is not None
-            else default_token_cap(source, self._forced.__getitem__)
+            else default_token_cap(source, backend.tokenize)
         )
         self.truncated = 0
 
@@ -268,7 +264,7 @@ class _Engine:
         det_chunks = run[:-1] if var_chunk is not None else run
         if det_chunks:
             for c in det_chunks:
-                toks = self._forced[c.text]
+                toks = self.backend.tokenize(c.text)
                 try:
                     lps = self.backend.score_forced(h.tokens, toks, text=h.text)
                 except ForcedTextMisaligned:
@@ -369,7 +365,8 @@ class _Engine:
         if entry is not None:
             steps = entry.steps[state.tokens_emitted, spec.max_tokens]
         weight = normalization_weight(self.score, len(h.tokens) + 1)
-        raw, pieces, vocab = h.raw_score, self._pieces, self.backend.vocab
+        raw, vocab = h.raw_score, self.backend.vocab
+        pieces = vocab.pieces
         out = []
         for token, logprob in pairs:
             step = None if steps is None else steps.get(token)
@@ -489,19 +486,6 @@ class _Engine:
                 if rank in survivors:
                     kept.append(c.built(nid))
         return kept
-
-
-class _Memo(dict):
-    """key -> fn(key), filled on first lookup."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
 
 
 class _OneOfEntry(dict):

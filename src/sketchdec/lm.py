@@ -7,19 +7,20 @@ The backend protocol (``LMBackend``) is three methods:
 - ``score_forced(prefix, continuation, text=None)``: per-token
   log-probabilities of a forced continuation, computed in one pass over it
   rather than by one ``next_distribution`` call per token;
-- ``tokenize(text)``: token ids for forced text, which every backend keeps
-  per vocabulary (a FIFO of ``TOKENIZE_MEMO_SIZE`` texts): the local ones
-  segment a text once, the remote one asks its service once.
+- ``tokenize(text)``: token ids for forced text, as the tuple its
+  vocabulary keeps (a FIFO of ``TOKENIZE_MEMO_SIZE`` texts): the local
+  backends segment a text once, the remote one asks its service once.
 
-``text``, when given, is ``detokenize(prefix)``, which the caller already
-holds: the decoders carry each hypothesis's text along with its tokens.  A
-backend that conditions on the prefix string (the table model, the remote
-service) reads it instead of joining the prefix again; one that conditions
-on token ids ignores it; and a caller that passes none gets the join.  Two
-rendering rules make the carried text equal to the join: ``detokenize``
-concatenates per-token pieces, ``detokenize((t,))`` for each token t, so a
-text grows by one piece per token; and forced text round-trips,
-``detokenize(tokenize(s)) == s``, so a forced chunk adds its own text.
+Each vocabulary renders its own tokens: ``vocab.pieces[t]`` is token t's
+text, and ``detokenize`` joins pieces.  ``text``, when given, is
+``detokenize(prefix)``, which the caller already holds: the decoders carry
+each hypothesis's text along with its tokens.  A backend that conditions on
+the prefix string (the table model, the remote service) reads it instead of
+joining the prefix again; one that conditions on token ids ignores it; and
+a caller that passes none gets the join.  Two rendering rules make the
+carried text equal to the join: a text grows by one piece per token; and
+forced text round-trips, ``detokenize(tokenize(s)) == s``, so a forced
+chunk adds its own text.
 
 A backend declares nothing else about itself: each distribution says
 whether it covers the whole vocabulary (``TokenDistribution.complete``) or
@@ -123,6 +124,8 @@ class Vocabulary:
         for i, t in enumerate(self.tokens):
             if t == "" and i != self.eos_index:
                 raise ValueError("only the EOS token may render as the empty string")
+        # each token's rendering, EOS as its string
+        object.__setattr__(self, "pieces", self.tokens)
         object.__setattr__(
             self, "_by_text", {t: i for i, t in enumerate(self.tokens)}
         )
@@ -319,23 +322,22 @@ class LMBackend:
         """
         raise NotImplementedError
 
-    def tokenize(self, text: str) -> list[int]:
-        """``_segment``, kept per vocabulary; a fresh list each call."""
+    def tokenize(self, text: str) -> tuple[int, ...]:
+        """``_segment``, kept per vocabulary: the tuple it keeps."""
         vocab = self.vocab
         ids = vocab._tokenized.get(text)
         if ids is None:
             ids = tuple(self._segment(text))
             _remember(vocab._tokenized, text, ids, TOKENIZE_MEMO_SIZE)
-        return list(ids)
+        return ids
 
     def _segment(self, text: str) -> list[int]:
         """Token ids of a text that ``tokenize`` has not kept."""
         return greedy_tokenize(self.vocab, text)
 
     def detokenize(self, tokens: Sequence[int]) -> str:
-        """The tokens' pieces concatenated; EOS renders as its vocabulary
-        string."""
-        return "".join(map(self.vocab.tokens.__getitem__, tokens))
+        """The tokens' pieces (``vocab.pieces``) concatenated."""
+        return "".join(map(self.vocab.pieces.__getitem__, tokens))
 
 
 def _logify(probs: Sequence[float]) -> tuple[float, ...]:

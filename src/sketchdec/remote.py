@@ -3,10 +3,10 @@
 The service owns the tokenizer, so token identities are discovered at
 runtime: every distinct token string returned by the API is interned into
 a growing registry, and registry indices are what the decoders see.  Index
-0 is reserved for end-of-sequence (rendered as ``eos_text``, empty by
-default).  ``detokenize`` leaves end-of-sequence out whatever ``eos_text``
-is, so its piece is empty and no prompt contains it; the ``text`` a caller
-passes for a prefix must follow the same rule.
+0 is reserved for end-of-sequence (spelled ``eos_text``, empty by
+default).  Its piece is empty whatever ``eos_text`` is, so ``detokenize``
+leaves it out and no prompt contains it; the ``text`` a caller passes for a
+prefix must follow the same rule.
 
 Only the top-k log-probabilities are available per step, so each
 distribution the backend returns is truncated (``complete=False``) and
@@ -55,35 +55,38 @@ class TokenRegistry:
 
     Only strings the service returns are interned, so it holds at most the
     service's distinct token strings plus EOS; it is never pruned.  Like a
-    ``Vocabulary``, it keeps the backend's tokenizations and the decoders'
-    OneOf index over it."""
+    ``Vocabulary``, it renders each token by its ``pieces``, where EOS is
+    empty and ``token_text`` answers ``eos_text``, and keeps the backend's
+    tokenizations and the decoders' OneOf index over it."""
 
     def __init__(self, eos_text: str = ""):
         self.eos_index = 0
-        self._texts: list[str] = [eos_text]
+        self.eos_text = eos_text
+        self.pieces: list[str] = [""]
         self._by_text: dict[str, int] = {eos_text: 0}
         self._tokenized: dict[str, tuple[int, ...]] = {}
         self._one_of: dict = {}
         self._lock = threading.Lock()
 
     def token_text(self, index: int) -> str:
-        return self._texts[index]
+        return self.pieces[index] if index else self.eos_text
 
     def intern(self, text: str) -> int:
         """The text's index; a miss appends it under the lock, so two
-        threads never give one text two indices."""
+        threads never give one text two indices, and stores its piece
+        before publishing the index, so every index a thread sees renders."""
         idx = self._by_text.get(text)
         if idx is None:
             with self._lock:
                 idx = self._by_text.get(text)
                 if idx is None:
-                    idx = len(self._texts)
-                    self._texts.append(text)
+                    idx = len(self.pieces)
+                    self.pieces.append(text)
                     self._by_text[text] = idx
         return idx
 
     def __len__(self) -> int:
-        return len(self._texts)
+        return len(self.pieces)
 
 
 class RemoteCompletionsLM(LMBackend):
@@ -120,10 +123,10 @@ class RemoteCompletionsLM(LMBackend):
         backoff_base: float = 0.5,
         session: requests.Session | None = None,
     ):
-        if not timeout_s > 0:
-            raise ValueError(f"timeout_s must be positive, got {timeout_s!r}")
-        if retries < 0:
-            raise ValueError(f"retries must be non-negative, got {retries!r}")
+        if not 0 < timeout_s < math.inf:
+            raise ValueError(f"timeout_s must be finite and > 0, got {timeout_s!r}")
+        if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
+            raise ValueError(f"retries must be an integer >= 0, got {retries!r}")
         if isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 1:
             raise ValueError(f"top_k must be an integer >= 1, got {top_k!r}")
         if not (backoff_base >= 0 and math.isfinite(backoff_base)):
@@ -204,12 +207,6 @@ class RemoteCompletionsLM(LMBackend):
         )
 
     # -- token plumbing --------------------------------------------------
-
-    def detokenize(self, tokens: Sequence[int]) -> str:
-        reg = self.vocab
-        return "".join(
-            reg.token_text(t) for t in tokens if t != reg.eos_index
-        )
 
     def _segment(self, text: str) -> list[int]:
         """Split text into service tokens via a zero-completion echo call."""
@@ -358,10 +355,14 @@ def _strings(pieces: list) -> list:
 
 
 def _number(value) -> float:
-    """A log-probability from a response body, which must be a JSON number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A log-probability from a response body: a JSON number at most 0,
+    -inf included.  NaN, +inf and positive numbers are refused, since
+    ranking and the halting bound rely on every log-probability being
+    ordered and at most 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value <= 0:
         raise BackendUnavailable(
-            f"completion response carries a non-numeric log-probability: {value!r:.80}"
+            "completion response carries a log-probability that is not a"
+            f" number at most 0: {value!r:.80}"
         )
     return float(value)
 

@@ -94,6 +94,11 @@ class OneOf:
         object.__setattr__(self, "members", index.members)
         object.__setattr__(self, "index", index)
 
+    def __reduce__(self):
+        # a copy, or a set unpickled in another process, joins the index
+        # that equal sets there share
+        return (OneOf, (self.members,))
+
 
 @dataclass(frozen=True)
 class VariableSpec:

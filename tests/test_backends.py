@@ -59,9 +59,9 @@ def test_tokenize_detokenize_round_trip(pieces):
 
 def test_tokenize_segments_a_text_once_per_vocabulary(monkeypatch):
     """Backends over one vocabulary share its segmentations: each text is
-    segmented once, every call gets a fresh list, and a list a caller
-    changes does not change what the next call returns.  A text that
-    cannot be segmented raises on every call."""
+    segmented once, and every call gets the one tuple the vocabulary
+    keeps, which no caller can change.  A text that cannot be segmented
+    raises on every call."""
     vocab = Vocabulary(("", "a", "b", "ab"), eos_index=0)
     first = TableLM(vocab, {}, default_row=[0.25] * 4)
     second = TableLM(vocab, {}, default_row=[0.25] * 4)
@@ -74,11 +74,9 @@ def test_tokenize_segments_a_text_once_per_vocabulary(monkeypatch):
 
     monkeypatch.setattr(lm, "greedy_tokenize", counting)
     got = first.tokenize("aab")
-    assert got == [1, 3]
-    got.append(2)
-    got[0] = 3
+    assert got == (1, 3)
     again = second.tokenize("aab")
-    assert again == [1, 3] and again is not first.tokenize("aab")
+    assert again is got and again is first.tokenize("aab")
     assert segmented == ["aab"]
     for _ in range(2):
         with pytest.raises(UnsegmentableText):
@@ -95,10 +93,10 @@ def test_tokenize_memo_stays_at_its_bound(monkeypatch):
     backend = TableLM(vocab, {}, default_row=[0.25] * 4)
     texts = ["".join(p) for n in range(1, 5) for p in itertools.product("ab", repeat=n)]
     for text in texts:
-        assert backend.tokenize(text) == greedy_tokenize(vocab, text)
+        assert backend.tokenize(text) == tuple(greedy_tokenize(vocab, text))
         assert len(vocab._tokenized) <= 8
     assert list(vocab._tokenized) == texts[-8:]
-    assert backend.tokenize(texts[0]) == greedy_tokenize(vocab, texts[0])
+    assert backend.tokenize(texts[0]) == tuple(greedy_tokenize(vocab, texts[0]))
     assert list(vocab._tokenized) == texts[-7:] + texts[:1]
 
 

@@ -85,7 +85,15 @@ def test_caps_and_lazy_construction(server):
 
 @pytest.mark.parametrize(
     "setting",
-    [{"timeout_s": 0.0}, {"timeout_s": -0.005}, {"timeout_s": math.nan}, {"retries": -1}],
+    [
+        {"timeout_s": 0.0},
+        {"timeout_s": -0.005},
+        {"timeout_s": math.nan},
+        {"timeout_s": math.inf},
+        {"retries": -1},
+        {"retries": 1.5},
+        {"retries": True},
+    ],
 )
 def test_bad_timeout_or_retries_is_refused_at_construction(setting):
     with pytest.raises(ValueError, match=next(iter(setting))):
@@ -116,7 +124,7 @@ def test_tokenize_uses_service_segmentation(server):
     toks = lm.tokenize("cab")
     assert [lm.vocab.token_text(t) for t in toks] == ["c", "ab"]
     assert lm.detokenize(toks) == "cab"
-    assert lm.tokenize("") == []
+    assert lm.tokenize("") == ()
     before = len(server.requests)
     lm.tokenize("cab")  # cached
     assert len(server.requests) == before
@@ -256,7 +264,7 @@ def test_misaligned_forced_text_is_its_own_error(server):
     a, b = lm.vocab.intern("a"), lm.vocab.intern("b")
     # "c" + "ab": the echo reproduces the text but no boundary ends the prefix
     with pytest.raises(ForcedTextMisaligned):
-        lm.score_forced(lm.tokenize("c") + [a], [b])
+        lm.score_forced(lm.tokenize("c") + (a,), [b])
     # the refusals that do not depend on the prefix keep the parent class
     with pytest.raises(ForcedScoringUnsupported) as refused:
         lm.score_forced((), [lm.vocab.eos_index])
@@ -435,6 +443,48 @@ def test_malformed_bodies_raise_backend_unavailable(server, change, call):
     assert len(server.requests) == before + 1  # not retried
 
 
+def with_logprob(shape, value):
+    """Answers whose last log-probability is ``value``: in the top
+    log-probabilities of a next-token read, or in an echo's token
+    log-probabilities, which for "cab" are those of "c" and "ab"."""
+    if shape == "top_logprobs":
+        return with_logprobs(shape, [{"a": -1.0, "b": value}])
+    return with_logprobs(shape, [-1.0, value])
+
+
+SHAPES = {"top_logprobs": next_distribution, "token_logprobs": score_forced}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, 0.5, 5e-324, 3], ids=["nan", "inf", "half", "tiny", "int"]
+)
+def test_a_log_probability_above_zero_is_refused(server, shape, value):
+    """NaN, +inf and positive log-probabilities are refused as a malformed
+    body is: at once, and not retried."""
+    lm = remote(server, retries=2)
+    toks = lm.tokenize("cab")
+    corrupt(server, with_logprob(shape, value))
+    before = len(server.requests)
+    with pytest.raises(BackendUnavailable, match="not a number at most 0"):
+        SHAPES[shape](lm, toks)
+    assert len(server.requests) == before + 1
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("value", [-math.inf, 0.0, -0.0, 0, -2])
+def test_a_log_probability_at_most_zero_is_read(server, shape, value):
+    lm = remote(server)
+    toks = lm.tokenize("cab")
+    corrupt(server, with_logprob(shape, value))
+    got = SHAPES[shape](lm, toks)
+    if shape == "top_logprobs":
+        got = dict(got.entries)[lm.vocab.intern("b")]
+    else:
+        (got,) = got
+    assert type(got) is float and got == value
+
+
 def test_retries_are_logged(server, caplog):
     caplog.set_level(logging.INFO, logger="sketchdec.remote")
     lm = remote(server, retries=3)
@@ -567,6 +617,46 @@ PARITY_CONFIGS = (
     {"kind": "var", "width": 2, "proposal": "branch"},
     {"kind": "var", "width": 2, "proposal": "exhaustive"},
 )
+
+
+def config_name(config: dict) -> str:
+    return "/".join(str(config[k]) for k in ("kind", "proposal") if k in config)
+
+
+# (echo, next-distribution) requests the mock sees in one pass over the
+# parity sketches: per config on a fresh backend, and ("shared") for one
+# pass of every config over one backend, sketch by sketch
+PINNED_REQUESTS = {
+    "argmax": (38, 28),
+    "beam": (47, 49),
+    "beamvar": (53, 46),
+    "var/branch": (49, 55),
+    "var/exhaustive": (49, 725),
+    "shared": (168, 903),
+}
+
+
+def test_request_counts_are_pinned():
+    """The requests a decode sends over HTTP are pinned, split by kind: a
+    change that sends more, or fewer, re-records them with its reason."""
+    table = random_backend(0, merges=())
+    sketches = [random_sketch(random.Random(i)) for i in range(8)]
+
+    def counted(lm, configs) -> tuple[int, int]:
+        start = len(server.requests)
+        for sketch in sketches:
+            for config in configs:
+                decode(sketch, lm, DecoderConfig(**config))
+        echoes = sum(1 for p in server.requests[start:] if p.get("echo"))
+        return echoes, len(server.requests) - start - echoes
+
+    with MockCompletionsServer(table) as server:
+        got = {
+            config_name(config): counted(remote(server), [config])
+            for config in PARITY_CONFIGS
+        }
+        got["shared"] = counted(remote(server), PARITY_CONFIGS)
+    assert got == PINNED_REQUESTS
 
 
 def test_generated_sketches_decode_the_same_over_http():

@@ -215,17 +215,17 @@ def test_settle_equals_the_reference(record_tree, monkeypatch):
 
 
 class WorkCounts:
-    """Per decode: the texts the backend tokenizes, and the values each
-    settle asks the source with, beside the bindings of the hypothesis
-    settled."""
+    """Per decode on a vocabulary that has kept no tokenization yet: the
+    texts the backend segments, and the values each settle asks the
+    source with, beside the bindings of the hypothesis settled."""
 
     def __init__(self, source, backend, monkeypatch):
-        self.tokenized, self.asked, self.bound = Counter(), [], []
-        tokenize, pending, settle = backend.tokenize, source.pending, _Engine.settle
+        self.segmented, self.asked, self.bound = Counter(), [], []
+        segment, pending, settle = backend._segment, source.pending, _Engine.settle
 
-        def counted_tokenize(text):
-            self.tokenized[text] += 1
-            return tokenize(text)
+        def counted_segment(text):
+            self.segmented[text] += 1
+            return segment(text)
 
         def counted_pending(values):
             self.asked.append((type(values), dict(values)))
@@ -236,7 +236,8 @@ class WorkCounts:
                 self.bound.append((dict, h.bindings.as_dict()))
             return settle(eng, h)
 
-        monkeypatch.setattr(backend, "tokenize", counted_tokenize)
+        monkeypatch.setattr(backend, "_segment", counted_segment)
+        monkeypatch.setitem(vars(backend.vocab), "_tokenized", {})
         monkeypatch.setattr(source, "pending", counted_pending)
         monkeypatch.setattr(_Engine, "settle", counted_settle)
 
@@ -254,7 +255,7 @@ def test_a_static_decode_tokenizes_each_forced_text_once(monkeypatch):
                 except TemplateUnsatisfiable:
                     pass
             # the token cap tokenizes every deterministic chunk first
-            assert counts.tokenized == Counter(texts), (seed, name)
+            assert counts.segmented == Counter(texts), (seed, name)
             assert counts.asked == counts.bound, (seed, name)
 
 
@@ -275,7 +276,7 @@ def test_a_dynamic_decode_tokenizes_each_forced_text_once(make, monkeypatch):
         with monkeypatch.context() as m:
             counts = WorkCounts(source, backend, m)
             decode(source, backend, DecoderConfig(**config))
-        assert counts.tokenized and max(counts.tokenized.values()) == 1, name
+        assert counts.segmented and max(counts.segmented.values()) == 1, name
         assert counts.asked == counts.bound, name
 
 

@@ -1,6 +1,8 @@
 """Template parsing, serialization, instantiation, and chunk sources."""
+import copy
 import gc
 import json
+import pickle
 import random
 import weakref
 
@@ -171,6 +173,21 @@ def test_equal_one_of_sets_share_one_tuple():
     assert ac.index is not ab.index and ac.members is not ab.members
     assert ba == ab and ba != ac and hash(ba) == hash(ab)
     assert repr(ab) == "OneOf(members=('a', 'b'))"
+
+
+def test_copied_and_unpickled_one_of_sets_share_the_index():
+    """A deep copy or an unpickled OneOf equals its original and shares its
+    index and members tuple, as a set built anew would; so does a sketch
+    that holds one."""
+    members = OneOf(("b", "a", "c"))
+    spec = VariableSpec("X", one_of=members, max_tokens=2)
+    sketch = Sketch(name="s", chunks=(Chunk.det("x"), Chunk.variable(spec)))
+    for copied in (copy.deepcopy(sketch), pickle.loads(pickle.dumps(sketch))):
+        assert copied == sketch
+        one_of = copied.chunks[1].var.one_of
+        assert one_of.index is members.index and one_of.members is members.members
+    for copied in (copy.deepcopy(members), pickle.loads(pickle.dumps(members))):
+        assert copied == members and copied.index is members.index
 
 
 def test_a_one_of_set_lives_while_a_one_of_holds_it():
