@@ -659,6 +659,59 @@ def test_request_counts_are_pinned():
     assert got == PINNED_REQUESTS
 
 
+# per decoder, over the first 50 generated sketches on a table model with
+# the merged tokens "ab" and "cd", each decoded on a fresh HTTP backend:
+# (decodes that raise TemplateUnsatisfiable, successes after a
+# ForcedTextMisaligned, successes whose best differs from the local decode).
+# The ledger records a known defect (ROADMAP item 14); it does not accept it
+PINNED_LEDGER = {
+    "argmax": (8, 0, 0),
+    "beam": (1, 8, 5),
+    "beamvar": (1, 12, 5),
+    "var/branch": (4, 6, 3),
+}
+
+
+def test_merged_boundary_ledger_is_pinned():
+    """Where the service merges a value's last characters with the forced
+    text after it, decodes over HTTP fail or differ from the local decodes,
+    which all succeed; how many do is pinned per decoder, and a change that
+    moves a count re-records it with its reason."""
+    table = random_backend(0)
+    sketches = [random_sketch(random.Random(i)) for i in range(50)]
+
+    def fingerprint(result):
+        return result.text, result.bindings.as_dict(), result.best.raw_score.hex()
+
+    got = {}
+    with MockCompletionsServer(table) as server:
+        for config in PARITY_CONFIGS[:4]:
+            unsatisfiable = after_misaligned = differs = 0
+            for sketch in sketches:
+                local = decode(sketch, table, DecoderConfig(**config))
+                lm = remote(server)
+                misaligned = []
+                score_forced = lm.score_forced
+
+                def counting(*args, **kwargs):
+                    try:
+                        return score_forced(*args, **kwargs)
+                    except ForcedTextMisaligned:
+                        misaligned.append(args)
+                        raise
+
+                lm.score_forced = counting
+                try:
+                    result = decode(sketch, lm, DecoderConfig(**config))
+                except TemplateUnsatisfiable:
+                    unsatisfiable += 1
+                    continue
+                after_misaligned += bool(misaligned)
+                differs += fingerprint(result) != fingerprint(local)
+            got[config_name(config)] = (unsatisfiable, after_misaligned, differs)
+    assert got == PINNED_LEDGER
+
+
 def test_generated_sketches_decode_the_same_over_http():
     """Each decode over the mock, on a fresh backend and on one warmed by
     every earlier decode, equals the local decode bit for bit.  No token
