@@ -35,17 +35,12 @@ from .errors import (
     BackendUnavailable,
     ConstraintViolation,
     ContextTooLong,
-    DeadEnd,
-    DynamicProgramError,
     ForcedScoringUnsupported,
-    IllegalToken,
-    InstanceTooLarge,
     ManifestError,
     MissingBinding,
     ModelFileError,
+    SketchdecError,
     SketchSyntaxError,
-    TemplateUnsatisfiable,
-    UnsegmentableText,
 )
 from .lm import NGramLM, TableLM
 from .scoring import ScoreParams, normalization_weight
@@ -277,30 +272,16 @@ def entrypoint(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.handler(args)
-    except UsageError as e:
+    except (UsageError, SketchSyntaxError, ModelFileError, ManifestError, OSError) as e:
         print(f"sketchdec: {e}", file=sys.stderr)
         return 1
     except (BackendUnavailable, ContextTooLong, ForcedScoringUnsupported) as e:
         print(f"sketchdec: backend failure: {e}", file=sys.stderr)
         return 3
-    except (
-        TemplateUnsatisfiable,
-        ConstraintViolation,
-        MissingBinding,
-        DeadEnd,
-        IllegalToken,
-        InstanceTooLarge,
-        UnsegmentableText,
-        DynamicProgramError,
-    ) as e:
+    except SketchdecError as e:
+        # every other error of the package is a decode or constraint failure
         print(f"sketchdec: decode failure: {e}", file=sys.stderr)
         return 2
-    except (SketchSyntaxError, ModelFileError, ManifestError) as e:
-        print(f"sketchdec: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"sketchdec: {e}", file=sys.stderr)
-        return 1
 
 
 def main() -> None:

@@ -9,7 +9,9 @@ The backend protocol (``LMBackend``) is three methods:
   rather than by one ``next_distribution`` call per token;
 - ``tokenize(text)``: token ids for forced text, as the tuple its
   vocabulary keeps (a FIFO of ``TOKENIZE_MEMO_SIZE`` texts): the local
-  backends segment a text once, the remote one asks its service once.
+  backends segment a text once, longest token first (``greedy_tokenize``),
+  and the remote one asks its service once, by the echo that scores
+  forced text.
 
 Each vocabulary renders its own tokens: ``vocab.pieces[t]`` is token t's
 text, and ``detokenize`` joins pieces.  ``text``, when given, is
@@ -129,8 +131,7 @@ class Vocabulary:
         object.__setattr__(
             self, "_by_text", {t: i for i, t in enumerate(self.tokens)}
         )
-        # the longest token text bounds the lookups of a member-range mask;
-        # at one character, greedy_tokenize looks each character up alone
+        # the longest token text bounds the lookups of a member-range mask
         object.__setattr__(self, "_max_len", max(map(len, self.tokens)))
         # greedy segmentation candidates, keyed by first character and
         # longest-first within a key; EOS is excluded so forced text can
@@ -164,17 +165,12 @@ def greedy_tokenize(vocab: Vocabulary, text: str) -> list[int]:
     """Segment text by repeatedly taking the longest matching token.
 
     Ties cannot occur (token strings are unique).  Raises
-    UnsegmentableText at the first position with no match.  When the
-    longest token is one character, each character is its own token, so
-    the text is segmented with one lookup per character; otherwise each
-    position tries the tokens that start with its character, longest first.
+    UnsegmentableText at the first position with no match.  Each position
+    tries the tokens that start with its character, longest first.
+    ``LMBackend.tokenize`` keeps each segmentation on the vocabulary, so a
+    backend segments a forced text once.
     """
     by_first = vocab._by_first
-    if vocab._max_len == 1:
-        matches = list(map(by_first.get, text))
-        if None in matches:
-            raise UnsegmentableText(text, matches.index(None))
-        return [ids[0] for ids in matches]
     out: list[int] = []
     pos = 0
     n = len(text)

@@ -8,11 +8,16 @@ default).  Its piece is empty whatever ``eos_text`` is, so ``detokenize``
 leaves it out and no prompt contains it; the ``text`` a caller passes for a
 prefix must follow the same rule.
 
-Only the top-k log-probabilities are available per step, so each
-distribution the backend returns is truncated (``complete=False``) and
-decoders handle constrained variables by filtering candidate texts,
-falling back to forced-scoring whole constraint members when the filter
-comes up empty.
+The backend sends two request shapes.  A next-token read asks for one
+completion token with its top-k log-probabilities.  Only those are
+available per step, so each distribution the backend returns is truncated
+(``complete=False``) and decoders handle constrained variables by
+filtering candidate texts, falling back to forced-scoring whole constraint
+members when the filter comes up empty.  Every other read is a
+zero-completion echo of a prompt, sent and checked by one method
+(``_echo``): ``tokenize`` takes the service's tokens of a text from it,
+and ``score_forced`` the log-probabilities of a continuation.  A
+log-probability must be a number at most 0, or the response is refused.
 
 The environment is read once per backend, at construction: the proxies
 for its one URL (honouring ``NO_PROXY``) and the CA bundle.  Every request
@@ -43,7 +48,7 @@ from .errors import (
     ForcedScoringUnsupported,
     ForcedTextMisaligned,
 )
-from .lm import LMBackend, TokenDistribution, ordered_sum
+from .lm import NEG_INF, LMBackend, TokenDistribution, ordered_sum
 
 API_KEY_ENV = "SKETCHDEC_API_KEY"
 
@@ -208,14 +213,15 @@ class RemoteCompletionsLM(LMBackend):
 
     # -- token plumbing --------------------------------------------------
 
-    def _segment(self, text: str) -> list[int]:
-        """Split text into service tokens via a zero-completion echo call."""
-        if text == "":
-            return []
+    def _echo(self, prompt: str) -> tuple[list[str], list, list[int]]:
+        """The service's tokens of ``prompt``, from a zero-completion echo:
+        their pieces, log-probabilities and text offsets, three lists of one
+        length whose pieces are strings and offsets integers.  The
+        log-probabilities are as sent; a caller reads those it scores."""
         data = self._post(
             {
                 "model": self.model,
-                "prompt": text,
+                "prompt": prompt,
                 "max_tokens": 0,
                 "echo": True,
                 "logprobs": 0,
@@ -223,7 +229,32 @@ class RemoteCompletionsLM(LMBackend):
         )
         lp = _choice_logprobs(data)
         pieces = lp.get("tokens")
-        if not isinstance(pieces, list) or "".join(_strings(pieces)) != text:
+        logprobs = lp.get("token_logprobs")
+        offsets = lp.get("text_offset")
+        if not (
+            isinstance(pieces, list)
+            and isinstance(logprobs, list)
+            and isinstance(offsets, list)
+            and len(pieces) == len(logprobs) == len(offsets)
+        ):
+            raise ForcedScoringUnsupported("echo response lacks aligned logprobs")
+        for piece in pieces:
+            if not isinstance(piece, str):
+                raise BackendUnavailable(
+                    f"completion response carries a non-string token: {piece!r:.80}"
+                )
+        if not all(type(off) is int for off in offsets):
+            raise BackendUnavailable(
+                "completion response carries a non-integer text offset"
+            )
+        return pieces, logprobs, offsets
+
+    def _segment(self, text: str) -> list[int]:
+        """Split text into service tokens by its echo."""
+        if text == "":
+            return []
+        pieces = self._echo(text)[0]
+        if "".join(pieces) != text:
             raise ForcedScoringUnsupported(
                 "echo response does not reproduce the prompt text"
             )
@@ -281,40 +312,12 @@ class RemoteCompletionsLM(LMBackend):
             )
         prefix_text = self.detokenize(prefix) if text is None else text
         cont_text = self.detokenize(continuation)
-        data = self._post(
-            {
-                "model": self.model,
-                "prompt": prefix_text + cont_text,
-                "max_tokens": 0,
-                "echo": True,
-                "logprobs": 0,
-            }
-        )
-        lp = _choice_logprobs(data)
-        pieces = lp.get("tokens")
-        logprobs = lp.get("token_logprobs")
-        offsets = lp.get("text_offset")
-        if not (
-            isinstance(pieces, list)
-            and isinstance(logprobs, list)
-            and isinstance(offsets, list)
-            and len(pieces) == len(logprobs) == len(offsets)
-        ):
-            raise ForcedScoringUnsupported("echo response lacks aligned logprobs")
-        _strings(pieces)
-        if not all(type(off) is int for off in offsets):
-            raise BackendUnavailable(
-                "completion response carries a non-integer text offset"
-            )
-        start = None
-        for i, off in enumerate(offsets):
-            if off == len(prefix_text):
-                start = i
-                break
-        if start is None:
+        pieces, logprobs, offsets = self._echo(prefix_text + cont_text)
+        if len(prefix_text) not in offsets:
             raise ForcedTextMisaligned(
                 "no token boundary aligns with the forced continuation"
             )
+        start = offsets.index(len(prefix_text))
         region = list(zip(pieces[start:], logprobs[start:]))
         if "".join(p for p, _ in region) != cont_text:
             raise ForcedTextMisaligned(
@@ -344,27 +347,21 @@ def _choice_logprobs(data: dict) -> dict:
     return lp
 
 
-def _strings(pieces: list) -> list:
-    """The echoed token pieces, which must all be strings."""
-    for piece in pieces:
-        if not isinstance(piece, str):
-            raise BackendUnavailable(
-                f"completion response carries a non-string token: {piece!r:.80}"
-            )
-    return pieces
-
-
 def _number(value) -> float:
     """A log-probability from a response body: a JSON number at most 0,
     -inf included.  NaN, +inf and positive numbers are refused, since
     ranking and the halting bound rely on every log-probability being
-    ordered and at most 0."""
+    ordered and at most 0.  An integer below the float range is read as
+    -inf, as ``json`` reads ``-1e400``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not value <= 0:
         raise BackendUnavailable(
             "completion response carries a log-probability that is not a"
             f" number at most 0: {value!r:.80}"
         )
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return NEG_INF
 
 
 def _error_detail(resp) -> str:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from ..decoders import DecoderConfig, decode
-from ..lm import NEG_INF, LMBackend, TokenDistribution, Vocabulary, ordered_sum
+from ..lm import LMBackend, TokenDistribution, Vocabulary, ordered_sum
 from ..lm import _distribution, _logify, _remember
 from ..sketch import Chunk, DynamicSketchSource, OneOf, Sketch, VariableSpec
 
@@ -270,23 +270,22 @@ def dungeon_vocab(instance: DungeonInstance) -> Vocabulary:
     return Vocabulary(tokens=("",) + tuple(sorted(set(corpus))), eos_index=0)
 
 
-_Segment = tuple[int, int, dict[int, int], str]  # (pos, node, visits, current)
 # (pos, node, steps, visits, current): a segment and the actions before it
 _State = tuple[int, int, int, dict[int, int], str]
 
 
 def _segments(
     instance: DungeonInstance, messages: tuple[str, ...], text: str, start=None
-) -> Iterator[_Segment]:
-    """Walk ``text`` once, yielding each segment it reaches, from the
-    first or from ``start``: a ``_State`` that the walk of a text sharing
-    ``text[:pos]`` reached.
+) -> Iterator[_State]:
+    """Walk ``text`` once, yielding the state of each segment it reaches,
+    from the first or from ``start``: a state that the walk of a text
+    sharing ``text[:pos]`` reached.
 
     ``current`` is the segment's text from ``pos`` up to its action, at
-    ``pos + len(current)``; ``visits`` counts arrivals per node and is
-    updated in place by the next step (``start``'s is copied first).  The
-    walk goes on past the exit and the step cap, as a model asked about
-    such a text would.
+    ``pos + len(current)``; ``steps`` counts the actions before it;
+    ``visits`` counts arrivals per node and is updated in place by the next
+    step (``start``'s is copied first).  The walk goes on past the exit and
+    the step cap, as a model asked about such a text would.
     """
     if start is None:
         node, steps, pos = instance.start, 0, 0
@@ -295,7 +294,7 @@ def _segments(
         pos, node, steps, visits, current = start
         visits = dict(visits)
     while True:
-        yield pos, node, visits, current
+        yield pos, node, steps, visits, current
         pos += len(current) + 1  # past the segment's action
         if len(text) < pos:
             return
@@ -307,36 +306,29 @@ def _segments(
         node, current = _step(instance, messages, node, steps, target)
 
 
-def _action_row(
-    vocab: Vocabulary, instance: DungeonInstance, node: int, visits: dict[int, int]
+def _action_probs(
+    instance: DungeonInstance, node: int, visits: dict[int, int]
 ) -> list[float]:
-    weights: dict[str, float] = {}
-    for d in range(10):
-        if d in instance.hallways[node]:
-            weights[str(d)] = (NEIGHBOR_PREFERENCE**d) * (
-                VISIT_DISCOUNT ** visits.get(d, 0)
-            )
-        else:
-            weights[str(d)] = TINY
-    total = ordered_sum(weights.values())
-    row = []
-    spread = _action_spread(vocab)
-    for t in vocab.tokens:
-        if t in weights:
-            row.append(ACTION_MASS * weights[t] / total)
-        else:
-            row.append(spread)
-    return row
+    """The action row's probability of each digit, in digit order."""
+    neighbours = instance.hallways[node]
+    weights = [
+        (NEIGHBOR_PREFERENCE**d) * (VISIT_DISCOUNT ** visits.get(d, 0))
+        if d in neighbours
+        else TINY
+        for d in range(10)
+    ]
+    total = ordered_sum(weights)
+    return [ACTION_MASS * w / total for w in weights]
 
 
-def _action_spread(vocab: Vocabulary) -> float:
-    """An action row's probability of each token that is not a digit."""
-    return (1.0 - ACTION_MASS) / (len(vocab.tokens) - len(ACTION_DIGITS))
-
-
-def _det_row(vocab: Vocabulary, char: str) -> list[float]:
-    spread = (1.0 - DET_CHAR_MASS) / (len(vocab.tokens) - 1)
-    return [DET_CHAR_MASS if t == char else spread for t in vocab.tokens]
+def _det_prob(vocab: Vocabulary, char: str, token: str) -> float:
+    """The probability of ``token`` in the row at message character
+    ``char``: ``DET_CHAR_MASS`` on the character and the rest spread evenly,
+    or uniform for a character outside the vocabulary."""
+    n = len(vocab.tokens)
+    if vocab.index_of(char) is None:
+        return 1.0 / n
+    return DET_CHAR_MASS if token == char else (1.0 - DET_CHAR_MASS) / (n - 1)
 
 
 class DungeonLM(LMBackend):
@@ -353,23 +345,23 @@ class DungeonLM(LMBackend):
     character), never from a state past the prefix; in a decode, a call
     steps at most one action.  Another keeps at most ``ACTION_MEMO_SIZE``
     action rows, keyed by the model state a row depends on: the node and
-    its neighbours' visit counts.
+    its neighbours' visit counts.  A decode scores a message character
+    that it forces as the top entry of its det row, so no det row is kept:
+    a read elsewhere in a message builds the one entry or row it needs.
     """
 
     def __init__(self, instance: DungeonInstance):
         self.vocab = vocab = dungeon_vocab(instance)
         self._instance = instance
-        self._uniform = [1.0 / len(vocab.tokens)] * len(vocab.tokens)
-        # built once per backend and dropped with it: every row at a
-        # message character is one of these, and every step reads a message
         self._messages = _messages(instance)
-        self._det_rows = {t: _det_row(vocab, t) for t in vocab.tokens if t}
         # a det row's entry for the character it predicts
         self._det_logprob = math.log(DET_CHAR_MASS)
-        # every action row gives each other token the same entry, so the
-        # memo's rows share these pairs and differ only in their digits
+        # every action row gives each token but the digits the same entry,
+        # so the memo's rows share these pairs and differ only in their digits
         self._digit_ids = tuple(map(vocab.index_of, ACTION_DIGITS))
-        spread = math.log(_action_spread(vocab))
+        spread = math.log(
+            (1.0 - ACTION_MASS) / (len(vocab.tokens) - len(ACTION_DIGITS))
+        )
         self._spread_pairs = tuple(
             (t, spread) for t in range(len(vocab)) if t not in self._digit_ids
         )
@@ -386,9 +378,8 @@ class DungeonLM(LMBackend):
         key = (node, *[visits.get(n, 0) for n in self._instance.hallways[node]])
         memo = self._actions.get(key)
         if memo is None:
-            row = _action_row(self.vocab, self._instance, node, visits)
-            ids = self._digit_ids
-            pairs = [*zip(ids, _logify([row[t] for t in ids])), *self._spread_pairs]
+            probs = _action_probs(self._instance, node, visits)
+            pairs = [*zip(self._digit_ids, _logify(probs)), *self._spread_pairs]
             lps = [lp for _, lp in sorted(pairs)]
             dist = TokenDistribution.from_pairs(pairs, complete=True)
             memo = _remember(self._actions, key, (dist, lps), ACTION_MEMO_SIZE)
@@ -400,12 +391,10 @@ class DungeonLM(LMBackend):
         start; the last is kept under ``text``."""
         walks = self._walks
         start = walks.get(key) or walks.get(key[:-1])
-        steps = start[2] if start else 0
-        segments = _segments(self._instance, self._messages, text, start)
-        for steps, (pos, node, visits, current) in enumerate(segments, steps):
-            yield pos, node, steps, visits, current
+        for state in _segments(self._instance, self._messages, text, start):
+            yield state
         if text not in walks:
-            _remember(walks, text, (pos, node, steps, visits, current), WALK_MEMO_SIZE)
+            _remember(walks, text, state, WALK_MEMO_SIZE)
 
     def next_distribution(
         self, prefix: Sequence[int], text: str | None = None
@@ -416,7 +405,8 @@ class DungeonLM(LMBackend):
         if len(key) - pos == len(current):
             return self._action(node, visits)[0]
         char = current[len(key) - pos]
-        return _distribution(self._det_rows.get(char, self._uniform))
+        tokens = self.vocab.tokens
+        return _distribution([_det_prob(self.vocab, char, t) for t in tokens])
 
     def score_forced(
         self,
@@ -448,8 +438,8 @@ class DungeonLM(LMBackend):
                 if at == action_at:
                     out.append(self._action(node, visits)[1][t])
                 else:
-                    p = self._det_rows.get(current[at - pos], self._uniform)[t]
-                    out.append(math.log(p) if p > 0.0 else NEG_INF)
+                    char = current[at - pos]
+                    out.append(math.log(_det_prob(self.vocab, char, tokens[t])))
                 at += len(tokens[t])
                 i += 1
         return out

@@ -19,12 +19,81 @@ from sketchdec.lm import LMBackend, greedy_tokenize
 POLL_INTERVAL_S = 0.02
 
 
-class MockCompletionsServer:
+class MockCompletions:
+    """The service's answers over a table model, without a server."""
+
     def __init__(self, backend: LMBackend, null_first_logprob: bool = False):
         self.backend = backend
         # standard services report no log-probability for the first prompt
         # token; the table can, so serving it is opt-out
         self.null_first_logprob = null_first_logprob
+
+    def answer(self, payload: dict) -> dict:
+        prompt = payload.get("prompt", "")
+        if payload.get("max_tokens") == 0 and payload.get("echo"):
+            return self._echo(prompt)
+        return self._one_token(prompt, int(payload.get("logprobs") or 1))
+
+    def _echo(self, prompt: str) -> dict:
+        vocab = self.backend.vocab
+        tokens = greedy_tokenize(vocab, prompt)
+        pieces = [vocab.token_text(t) for t in tokens]
+        logprobs: list[float | None] = list(
+            self.backend.score_forced((), tokens)
+        )
+        if self.null_first_logprob and logprobs:
+            logprobs[0] = None
+        offsets = []
+        pos = 0
+        for piece in pieces:
+            offsets.append(pos)
+            pos += len(piece)
+        return {
+            "choices": [
+                {
+                    "text": prompt,
+                    "index": 0,
+                    "finish_reason": "length",
+                    "logprobs": {
+                        "tokens": pieces,
+                        "token_logprobs": logprobs,
+                        "text_offset": offsets,
+                    },
+                }
+            ]
+        }
+
+    def _one_token(self, prompt: str, top_k: int) -> dict:
+        vocab = self.backend.vocab
+        tokens = greedy_tokenize(vocab, prompt)
+        dist = self.backend.next_distribution(tokens)
+        top: dict[str, float] = {}
+        for index, logprob in dist.entries[:top_k]:
+            if math.isinf(logprob):
+                continue
+            top[vocab.token_text(index)] = logprob
+        best_index = dist.entries[0][0]
+        return {
+            "choices": [
+                {
+                    "text": vocab.token_text(best_index),
+                    "index": 0,
+                    "finish_reason": "length",
+                    "logprobs": {
+                        "tokens": [vocab.token_text(best_index)],
+                        "token_logprobs": [dist.entries[0][1]],
+                        "top_logprobs": [top],
+                    },
+                }
+            ]
+        }
+
+
+class MockCompletionsServer(MockCompletions):
+    """``MockCompletions`` served over HTTP on a local port."""
+
+    def __init__(self, backend: LMBackend, null_first_logprob: bool = False):
+        super().__init__(backend, null_first_logprob)
         self.fail_next = 0  # answer this many upcoming requests with a 500
         self.error_once: tuple[int, str] | None = None
         self.requests: list[dict] = []
@@ -87,65 +156,3 @@ class MockCompletionsServer:
 
     def __exit__(self, *exc):
         self.close()
-
-    # -- completion semantics over the table ------------------------------
-
-    def answer(self, payload: dict) -> dict:
-        prompt = payload.get("prompt", "")
-        if payload.get("max_tokens") == 0 and payload.get("echo"):
-            return self._echo(prompt)
-        return self._one_token(prompt, int(payload.get("logprobs") or 1))
-
-    def _echo(self, prompt: str) -> dict:
-        vocab = self.backend.vocab
-        tokens = greedy_tokenize(vocab, prompt)
-        pieces = [vocab.token_text(t) for t in tokens]
-        logprobs: list[float | None] = list(
-            self.backend.score_forced((), tokens)
-        )
-        if self.null_first_logprob and logprobs:
-            logprobs[0] = None
-        offsets = []
-        pos = 0
-        for piece in pieces:
-            offsets.append(pos)
-            pos += len(piece)
-        return {
-            "choices": [
-                {
-                    "text": prompt,
-                    "index": 0,
-                    "finish_reason": "length",
-                    "logprobs": {
-                        "tokens": pieces,
-                        "token_logprobs": logprobs,
-                        "text_offset": offsets,
-                    },
-                }
-            ]
-        }
-
-    def _one_token(self, prompt: str, top_k: int) -> dict:
-        vocab = self.backend.vocab
-        tokens = greedy_tokenize(vocab, prompt)
-        dist = self.backend.next_distribution(tokens)
-        top: dict[str, float] = {}
-        for index, logprob in dist.entries[:top_k]:
-            if math.isinf(logprob):
-                continue
-            top[vocab.token_text(index)] = logprob
-        best_index = dist.entries[0][0]
-        return {
-            "choices": [
-                {
-                    "text": vocab.token_text(best_index),
-                    "index": 0,
-                    "finish_reason": "length",
-                    "logprobs": {
-                        "tokens": [vocab.token_text(best_index)],
-                        "token_logprobs": [dist.entries[0][1]],
-                        "top_logprobs": [top],
-                    },
-                }
-            ]
-        }

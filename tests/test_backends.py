@@ -663,8 +663,8 @@ def one_char_vocabularies(draw) -> Vocabulary:
     st.text("abcd", max_size=12),
 )
 def test_indexed_greedy_tokenize_matches_full_scan(vocab, text):
-    """Both segmentation paths (the one-character lookup and the longest-
-    first loop) give the full scan's tokens, or fail where it fails."""
+    """The longest-first loop gives the full scan's tokens, or fails where
+    it fails, on vocabularies of one-character tokens too."""
     try:
         want = scan_tokenize(vocab, text)
     except UnsegmentableText as e:

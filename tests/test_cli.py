@@ -5,7 +5,9 @@ from importlib import resources
 import pytest
 
 from mock_openai import MockCompletionsServer
+from sketchdec import cli, errors
 from sketchdec.cli import entrypoint
+from sketchdec.errors import SketchdecError
 from sketchdec.lm import TableLM
 
 LIST4 = str(resources.files("sketchdec").joinpath("data", "list4.json"))
@@ -341,6 +343,39 @@ def test_exhaustive_walk_past_its_cap_exits_2(capsys):
     assert code == 2 and out == ""
     line = one_error_line(err, "sketchdec: decode failure:")
     assert line.endswith("completion space 65537 exceeds cap 65536")
+
+
+class UnnamedFailure(SketchdecError):
+    """An error class of the package that the CLI does not name."""
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (UnnamedFailure("a new failure"), 2, "sketchdec: decode failure: "),
+        (errors.TemplateUnsatisfiable("none"), 2, "sketchdec: decode failure: "),
+        (errors.DeadEnd("stuck"), 2, "sketchdec: decode failure: "),
+        (errors.UnsegmentableText("ax", 1), 2, "sketchdec: decode failure: "),
+        (errors.ForcedTextMisaligned("merged"), 3, "sketchdec: backend failure: "),
+        (errors.ContextTooLong("too long"), 3, "sketchdec: backend failure: "),
+        (errors.ModelFileError("bad row"), 1, "sketchdec: "),
+        (errors.SketchSyntaxError(3, "bad chunk"), 1, "sketchdec: "),
+        (FileNotFoundError("no file"), 1, "sketchdec: "),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None,
+)
+def test_a_package_error_exits_by_its_group(error, code, prefix, monkeypatch, capsys):
+    """Configuration and backend errors exit 1 and 3, and every other error
+    of the package, a class the CLI does not name included, is a decode
+    failure: exit 2 with one line, not a traceback."""
+
+    def handler(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_decode", handler)
+    got, out, err = run(["decode", "--sketch", LIST4, *BACKEND], capsys)
+    assert got == code and out == ""
+    assert one_error_line(err, prefix) == prefix + str(error)
 
 
 def small_manifest(tmp_path):

@@ -145,7 +145,7 @@ def test_source_and_model_take_the_same_steps(case):
     assert text == expected_transcript(instance, actions)
 
     walk = dungeon._segments(instance, _messages(instance), text)
-    action_at = [pos + len(current) for pos, _, _, current in walk]
+    action_at = [pos + len(current) for pos, _, _, _, current in walk]
     # past the exit or the step cap the model would still read an action
     assert action_at[-1] == len(text)
     assert action_at[:-1] == [at for at in opened if at < len(text)]
@@ -193,11 +193,11 @@ def _transcript(instance: dungeon.DungeonInstance, actions: str) -> str:
     Actions need not be valid rooms or digits, and the walk goes on past the
     exit and the step cap, as a model asked about such a prefix would.
     """
-    # text always ends where a segment starts; [3] is that segment's text
+    # text always ends where a segment starts; [-1] is that segment's text
     text = ""
     for action in actions:
-        text += _last_segment(instance, text)[3] + action
-    return text + _last_segment(instance, text)[3]
+        text += _last_segment(instance, text)[-1] + action
+    return text + _last_segment(instance, text)[-1]
 
 
 def _last_segment(instance: dungeon.DungeonInstance, text: str):
@@ -208,10 +208,38 @@ def _last_segment(instance: dungeon.DungeonInstance, text: str):
 
 
 def _fresh_walk_rows(instance: dungeon.DungeonInstance):
-    """Reference model: every lookup replays every action from the start."""
+    """Reference model: every lookup replays every action from the start,
+    and builds its whole row from the model's rule."""
     vocab = dungeon.dungeon_vocab(instance)
     messages = _messages(instance)
-    uniform = [1.0 / len(vocab.tokens)] * len(vocab.tokens)
+    n = len(vocab.tokens)
+
+    def action_row(node: int, visits: dict[int, int]) -> list[float]:
+        # ACTION_MASS over the ten digits, a neighbour weighted by its id and
+        # its visits and any other digit by TINY; the rest spread evenly
+        weights = {
+            str(d): (
+                dungeon.NEIGHBOR_PREFERENCE**d
+                * dungeon.VISIT_DISCOUNT ** visits.get(d, 0)
+                if d in instance.hallways[node]
+                else dungeon.TINY
+            )
+            for d in range(10)
+        }
+        total = lm.ordered_sum(weights.values())
+        spread = (1.0 - dungeon.ACTION_MASS) / (n - 10)
+        return [
+            dungeon.ACTION_MASS * weights[t] / total if t in weights else spread
+            for t in vocab.tokens
+        ]
+
+    def det_row(char: str) -> list[float]:
+        # DET_CHAR_MASS on the character and the rest spread evenly, or
+        # uniform for a character outside the vocabulary
+        if char not in vocab.tokens[1:]:
+            return [1.0 / n] * n
+        spread = (1.0 - dungeon.DET_CHAR_MASS) / (n - 1)
+        return [dungeon.DET_CHAR_MASS if t == char else spread for t in vocab.tokens]
 
     def rows(prefix: str) -> list[float]:
         node, steps, visits, pos = instance.start, 0, {instance.start: 1}, 0
@@ -236,9 +264,8 @@ def _fresh_walk_rows(instance: dungeon.DungeonInstance):
             else:
                 current = tail + messages[node]
         if len(prefix) - pos == len(current):
-            return dungeon._action_row(vocab, instance, node, visits)
-        char = current[len(prefix) - pos]
-        return dungeon._det_row(vocab, char) if char in vocab.tokens[1:] else uniform
+            return action_row(node, visits)
+        return det_row(current[len(prefix) - pos])
 
     return rows
 
@@ -336,7 +363,7 @@ def _assert_forced_matches_reference(instance, prefix, continuation):
 
 
 def _is_action_position(instance, text: str) -> bool:
-    pos, _, _, current = _last_segment(instance, text)
+    pos, _, _, _, current = _last_segment(instance, text)
     return len(text) - pos == len(current)
 
 
@@ -512,7 +539,7 @@ def test_decode_detokenizes_no_prefix(config, monkeypatch):
 def _action_positions(instance, text: str) -> list[int]:
     """Where the model's walk of ``text`` reads an action, in order."""
     walk = dungeon._segments(instance, _messages(instance), text)
-    positions = [pos + len(current) for pos, _, _, current in walk]
+    positions = [pos + len(current) for pos, _, _, _, current in walk]
     return [at for at in positions if at <= len(text)]
 
 
@@ -604,19 +631,19 @@ def test_one_action_row_per_model_state(monkeypatch):
     instances = dungeon.suite(0)
     backends = [dungeon.dungeon_backend(instance) for instance in instances]
     built = []  # (instance index, node, neighbour visits) per row built
-    action_row = dungeon._action_row
+    action_probs = dungeon._action_probs
 
-    def counting(vocab, instance, node, visits):
+    def counting(instance, node, visits):
         neighbours = tuple(visits.get(n, 0) for n in instance.hallways[node])
         built.append((instances.index(instance), node, neighbours))
-        return action_row(vocab, instance, node, visits)
+        return action_probs(instance, node, visits)
 
     def suite_pass():
         for instance, backend in zip(instances, backends):
             for config in _SUITE_CONFIGS:
                 decode(dungeon.dungeon_source(instance), backend, config)
 
-    monkeypatch.setattr(dungeon, "_action_row", counting)
+    monkeypatch.setattr(dungeon, "_action_probs", counting)
     suite_pass()
     assert len(built) == len(set(built)) == sum(len(b._actions) for b in backends)
     assert len(built) == 162

@@ -9,9 +9,10 @@ import weakref
 
 import pytest
 import requests
+from hypothesis import given, settings, strategies as st
 
 from conftest import YieldingDict, random_backend, random_sketch, run_threads
-from mock_openai import MockCompletionsServer
+from mock_openai import MockCompletions, MockCompletionsServer
 from sketchdec.constraints import MaskState
 from sketchdec.decoders import DecoderConfig, _Engine, decode
 from sketchdec.errors import (
@@ -19,6 +20,7 @@ from sketchdec.errors import (
     ContextTooLong,
     ForcedScoringUnsupported,
     ForcedTextMisaligned,
+    SketchdecError,
     TemplateUnsatisfiable,
 )
 from sketchdec.lm import TableLM, Vocabulary
@@ -483,6 +485,111 @@ def test_a_log_probability_at_most_zero_is_read(server, shape, value):
     else:
         (got,) = got
     assert type(got) is float and got == value
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_an_integer_log_probability_below_the_float_range_is_minus_infinity(
+    server, shape
+):
+    """JSON reads -1 followed by 400 zeros as an integer that no float holds;
+    it is at most 0, and read as -inf, as JSON reads -1e400."""
+    lm = remote(server)
+    toks = lm.tokenize("cab")
+    corrupt(server, with_logprob(shape, -(10**400)))
+    got = SHAPES[shape](lm, toks)
+    if shape == "top_logprobs":
+        got = dict(got.entries)[lm.vocab.intern("b")]
+    else:
+        (got,) = got
+    assert got == -math.inf
+
+
+# what a changed answer may carry in place of a log-probability
+BAD_LOGPROBS = (
+    math.nan, math.inf, -math.inf, 0.5, True, "-1.0", None, -(10**400), 10**400
+)
+
+
+def _fields(value, path=()):
+    """Every (container, key, path) inside a JSON value, depth first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, inner in items:
+        yield value, key, path + (key,)
+        if isinstance(inner, (dict, list)):
+            yield from _fields(inner, path + (key,))
+
+
+def change_one_field(data, body: dict) -> dict:
+    """``body`` with one field changed, drawn from ``data``: a
+    log-probability replaced, a key dropped, a list cut short, or a second
+    choice added."""
+    fields = list(_fields(body))
+    kind = data.draw(st.sampled_from(("logprob", "drop", "cut", "choice")))
+    if kind == "logprob":
+        logprobs = [
+            (parent, key)
+            for parent, key, path in fields
+            if "token_logprobs" in path[-2:-1] or "top_logprobs" in path[-3:-2]
+        ]
+        parent, key = data.draw(st.sampled_from(logprobs))
+        parent[key] = data.draw(st.sampled_from(BAD_LOGPROBS))
+    elif kind == "drop":
+        dicts = [(parent, key) for parent, key, _ in fields if isinstance(parent, dict)]
+        parent, key = data.draw(st.sampled_from(dicts))
+        del parent[key]
+    elif kind == "cut":
+        lists = [
+            parent[key]
+            for parent, key, _ in fields
+            if isinstance(parent[key], list) and parent[key]
+        ]
+        cut = data.draw(st.sampled_from(lists))
+        del cut[data.draw(st.integers(0, len(cut) - 1)) :]
+    else:
+        body["choices"].append(data.draw(st.sampled_from(({}, body["choices"][0]))))
+    return body
+
+
+def well_typed_logprob(value) -> bool:
+    return type(value) is float and not math.isnan(value) and value <= 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.text("abc", min_size=1, max_size=6))
+def test_a_changed_answer_gives_typed_values_or_a_package_error(data, text):
+    """Each call the backend makes, given an answer with one field changed,
+    returns token ids that are ints and log-probabilities that are floats,
+    not NaN and at most 0, or raises an error of the package; nothing else
+    escapes.  No request leaves the process: the backend's ``_post`` reads
+    the mock service's answers directly."""
+    answers = MockCompletions(local_table())
+    lm = RemoteCompletionsLM(DEAD_URL, "mock-model", api_key="k")
+    change = False
+    lm._post = lambda payload: (
+        change_one_field(data, answers.answer(payload))
+        if change
+        else answers.answer(payload)
+    )
+    toks = lm.tokenize(text)
+    split = data.draw(st.integers(0, len(toks) - 1))
+    change = True
+    try:
+        dist = lm.next_distribution(toks)
+        assert all(
+            type(t) is int and well_typed_logprob(lp) for t, lp in dist.entries
+        )
+    except SketchdecError:
+        pass
+    try:
+        assert all(type(t) is int for t in lm.tokenize("c" + text))
+    except SketchdecError:
+        pass
+    try:
+        got = lm.score_forced(toks[:split], toks[split:])
+        assert len(got) == len(toks) - split
+        assert all(map(well_typed_logprob, got))
+    except SketchdecError:
+        pass
 
 
 def test_retries_are_logged(server, caplog):
